@@ -161,12 +161,3 @@ def certified_kernel(rows: Sequence[Sequence[int]], ncols: int,
         nprimes += 2
     raise KernelCertificationError(
         f"kernel not certified with up to {len(PRIMES)} primes")
-
-
-def modp_rank(rows: Sequence[Sequence[int]], p: int = PRIMES[0]) -> int:
-    """Rank mod p; a certified lower bound for the exact rank."""
-    if not rows:
-        return 0
-    A = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
-    _, pivots = modp_rref(A, p)
-    return len(pivots)

@@ -13,20 +13,17 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import linalg
 from .core import (
-    Element,
     IncFn,
-    SymElement,
     TensorMonomial,
     element_from_dict,
     element_to_dict,
 )
 from .linalg import CoeffLimitExceeded
-from .poset import encode_tree, leading_term, rl_leq
+from .poset import encode_tree, rl_leq
 from .products import Split, invariant_shuffle, shuffle_product, star_product, sym_shuffle, sym_star
 from .symmetry import delta_sym, from_invariant, pi, pi_prime, to_invariant
 from .plucker import (
@@ -35,7 +32,6 @@ from .plucker import (
     degree_probe,
     evaluation_kernel,
     join_component,
-    pfaffian,
     plucker_ideal,
     secant_ideal,
     weyman_quadrics,
@@ -216,19 +212,8 @@ def cmd_probe(args) -> dict:
 
 def cmd_verify(args) -> dict:
     only = args.only.split(",") if args.only else None
-    attempts = 0
-    while True:
-        attempts += 1
-        try:
-            report = run_checks(only=only, seed=args.seed, with_timings=args.timings,
-                                jobs=args.jobs)
-            break
-        except (json.JSONDecodeError, OSError):
-            # a corrupt cache is regenerated once, then the failure surfaces
-            if attempts >= 2 or not args.cache_dir:
-                raise
-            for f in Path(args.cache_dir).glob("component_*.json"):
-                f.unlink()
+    report = run_checks(only=only, seed=args.seed, with_timings=args.timings,
+                        jobs=args.jobs)
     for chk in report["checks"]:
         status = "pass" if chk["passed"] else "FAIL"
         sys.stderr.write(f"{status:4} {chk['name']}\n")
@@ -363,16 +348,19 @@ def main(argv=None) -> int:
             setattr(args, key, default)
     if args.cache_dir is None:
         args.cache_dir = os.environ.get("PSA_CACHE_DIR")
-    if args.max_coeff_bits:
-        linalg.set_default_max_bits(args.max_coeff_bits)
     t0 = time.perf_counter()
     config = {k: v for k, v in vars(args).items() if k not in ("fn", "out") and v is not None}
+    # the coefficient guard holds for this run only, not for later calls
+    # in the same process
+    previous_bits = linalg.set_default_max_bits(args.max_coeff_bits or None)
     try:
         body = args.fn(args)
     except CoeffLimitExceeded as exc:
         _emit({"command": args.command, "config": config,
                "aborted": "coefficient-bits-exceeded", "detail": str(exc)}, args)
         return 3
+    finally:
+        linalg.set_default_max_bits(previous_bits)
     report = {"command": args.command, "config": config}
     report.update(body)
     if args.timings:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -38,7 +39,7 @@ from .linalg import SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
 
 __all__ = ["ComponentBasis", "DiIdeal", "component_span", "membership",
-           "quotient_basis", "initial_component", "sym_coords", "coords_to_sym"]
+           "quotient_basis", "initial_component"]
 
 
 class ComponentBasis:
@@ -160,9 +161,16 @@ class DiIdeal:
             "basis": [sorted((c, coeff_to_str(v)) for c, v in row.items())
                       for row in comp.basis.basis_rows()],
         }
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(data, separators=(",", ":")))
-        os.replace(tmp, path)
+        # a private temporary file per write, so concurrent writers never
+        # share one; os.replace then publishes it atomically
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(data, separators=(",", ":")))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     # -- component computation ---------------------------------------------
 
@@ -256,11 +264,3 @@ def quotient_basis(I: DiIdeal, bidegree: tuple[int, int]) -> list[FactorTuple]:
 
 def initial_component(I: DiIdeal, bidegree: tuple[int, int]) -> list[FactorTuple]:
     return I.component(*bidegree).pivot_monomials()
-
-
-def sym_coords(comp: ComponentBasis, f: SymElement) -> dict[int, Fraction]:
-    return comp.coords(f)
-
-
-def coords_to_sym(comp: ComponentBasis, vec: dict[int, Fraction]) -> SymElement:
-    return comp.element(vec)

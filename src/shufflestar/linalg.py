@@ -1,20 +1,19 @@
 """Exact rational sparse linear algebra: rref, kernels, span membership.
 
-All arithmetic is exact.  Dense fraction-free (Bareiss) elimination handles
-small matrices; bigger ones go through sparse elimination with
-content-normalized integer rows.  Pivoting is always first-nonzero in column
-order, so results are deterministic.
+All arithmetic is exact.  Every library routine eliminates through
+`SparseRREF`, an incremental reduced echelon basis with unit pivots;
+`IntREF` is a rank and membership accumulator over content-normalized
+integer rows.  Pivoting is always first-nonzero in column order, so results
+are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 Rational = Fraction
-
-DENSE_CUTOFF = 64
 
 
 class CoeffLimitExceeded(RuntimeError):
@@ -24,10 +23,15 @@ class CoeffLimitExceeded(RuntimeError):
 _default_max_bits: Optional[int] = None
 
 
-def set_default_max_bits(bits: Optional[int]) -> None:
-    """Global coefficient-growth guard applied by new elimination objects."""
+def set_default_max_bits(bits: Optional[int]) -> Optional[int]:
+    """Global coefficient-growth guard applied by new elimination objects.
+
+    Returns the previous guard, so a caller can put it back.
+    """
     global _default_max_bits
+    previous = _default_max_bits
     _default_max_bits = bits
+    return previous
 
 
 def _check_bits(value: int, max_bits: Optional[int]):
@@ -76,55 +80,6 @@ class RatMatrix:
 
     def __repr__(self):
         return f"RatMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzeros)"
-
-
-def _dense_rref(rows: list[list[Fraction]], ncols: int):
-    """Fraction-free (Bareiss) forward elimination, then back-substitution.
-
-    Mutates `rows` into reduced row echelon form with unit pivots.
-    Returns the pivot column list.
-    """
-    nrows = len(rows)
-    piv_cols: list[int] = []
-    prev = 1  # previous pivot for Bareiss division
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        if sel != r:
-            rows[r], rows[sel] = rows[sel], rows[r]
-        p = rows[r][c]
-        for i in range(r + 1, nrows):
-            x = rows[i][c]
-            row_i = rows[i]
-            row_r = rows[r]
-            # one-step fraction-free update; division by prev is exact
-            for j in range(c, ncols):
-                row_i[j] = (p * row_i[j] - x * row_r[j]) / prev
-        prev = p
-        piv_cols.append(c)
-        r += 1
-        if r >= nrows:
-            break
-    # back substitution to full rref with unit pivots
-    for k in range(len(piv_cols) - 1, -1, -1):
-        c = piv_cols[k]
-        p = rows[k][c]
-        if p != 1:
-            rows[k] = [v / p for v in rows[k]]
-        for i in range(k):
-            x = rows[i][c]
-            if x:
-                row_i = rows[i]
-                row_k = rows[k]
-                for j in range(c, ncols):
-                    row_i[j] -= x * row_k[j]
-    return piv_cols
 
 
 class SparseRREF:
@@ -303,38 +258,21 @@ class IntREF:
         return sorted(self.pivots)
 
 
-def _sparse_rref(A: RatMatrix, max_bits: Optional[int] = None) -> SparseRREF:
-    basis = SparseRREF(max_bits=max_bits)
-    for row in A.row_dicts():
-        if row:
-            basis.add(row)
-    return basis
-
-
 def rref_rank(A: RatMatrix, max_bits: Optional[int] = None) -> tuple[int, RatMatrix, list[int]]:
     """Exact reduced row echelon form.
 
     Returns (rank, reduced matrix, pivot columns).  The reduced matrix has
     unit pivots and zero rows dropped to the bottom.
     """
-    if A.rows < DENSE_CUTOFF and A.cols < DENSE_CUTOFF:
-        dense = [[Fraction(0)] * A.cols for _ in range(A.rows)]
-        for (r, c), v in A.entries.items():
-            dense[r][c] = v
-        piv = _dense_rref(dense, A.cols)
-        entries = {}
-        for r, row in enumerate(dense):
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = v
-        return len(piv), RatMatrix(A.rows, A.cols, entries), piv
-    basis = _sparse_rref(A, max_bits=max_bits)
+    basis = SparseRREF(max_bits=max_bits)
+    for row in A.row_dicts():
+        if row:
+            basis.add(row)
     entries = {}
     for r, row in enumerate(basis.basis_rows()):
         for c, v in row.items():
             entries[(r, c)] = v
-    piv = basis.pivot_columns()
-    return basis.rank, RatMatrix(A.rows, A.cols, entries), piv
+    return basis.rank, RatMatrix(A.rows, A.cols, entries), basis.pivot_columns()
 
 
 def kernel_basis(A: RatMatrix, max_bits: Optional[int] = None) -> list[list[Fraction]]:

@@ -22,13 +22,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .certified import certified_kernel, modp_kernel, modp_rref, PRIMES
+from .certified import certified_kernel, modp_kernel, PRIMES
 from .core import (
     Factor,
     FactorTuple,
     IncFn,
     SymElement,
-    iter_factors,
     iter_sym_keys,
     merge_signed,
     sym_monomial,
@@ -36,7 +35,7 @@ from .core import (
 from .ideals import ComponentBasis, DiIdeal
 from .linalg import (CoeffLimitExceeded, RatMatrix, SparseRREF,
                      kernel_basis, sparse_rref_kernel)
-from .products import star_incfns, sym_shuffle, sym_star
+from .products import sym_star
 
 __all__ = [
     "GrassmannConfig", "basic_plucker", "weyman_quadrics", "plucker_ideal",
@@ -228,8 +227,8 @@ def evaluate(f: SymElement, point: Mapping[Factor, int | Fraction]) -> Fraction:
 # evaluation-kernel oracle
 # ---------------------------------------------------------------------------
 
-def _evaluation_rows(monos: Sequence[FactorTuple], d: int, N: int, r: int,
-                     samples: int, rng: random.Random) -> list[list[int]]:
+def _sampled_value_rows(monos: Sequence[FactorTuple], d: int, N: int, r: int,
+                        samples: int, rng: random.Random) -> list[list[int]]:
     rows = []
     for _ in range(samples):
         pt = random_secant_point(rng, d, N, r)
@@ -260,7 +259,7 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     if samples is None:
         samples = ncols + 24
     rng = random.Random(1_000_003 * seed)
-    rows = _evaluation_rows(monos, d, N, r, samples, rng)
+    rows = _sampled_value_rows(monos, d, N, r, samples, rng)
     kernel = certified_kernel(rows, ncols)
     stable = 0
     round_no = 0
@@ -269,7 +268,7 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
         if round_no > 16:
             raise RuntimeError("evaluation kernel failed to stabilize")
         rng = random.Random(1_000_003 * seed + round_no)
-        fresh = _evaluation_rows(monos, d, N, r, max(64, 2 * len(kernel)), rng)
+        fresh = _sampled_value_rows(monos, d, N, r, max(64, 2 * len(kernel)), rng)
         # restrict the fresh conditions to the current kernel and intersect
         restricted = []
         for row in fresh:
@@ -582,14 +581,12 @@ def secant_component(I, r: int, bidegree: tuple[int, int]) -> list[SymElement]:
 
 
 # ---------------------------------------------------------------------------
-# mod-p dimension pinch for big self-join components
+# mod-p upper bound for self-join component dimensions
 #
-# The exact join kernel at a large bidegree is pinched between a verified
-# exact lower bound (products of already-known join elements, checked
-# against every condition with exact arithmetic) and a mod-p upper bound
-# (ranks can only drop mod p, so mod-p kernels can only be too big).  When
-# the two meet, the dimension is exact; otherwise the caller falls back to
-# the exact elimination.
+# Ranks can only drop mod p, so a mod-p kernel of the join conditions can
+# only be too big.  The library does not call this: the degree probe takes
+# the exact join component, which is faster.  It stays because
+# bench/tracing.py wraps `modp_self_join_upper` by name.
 # ---------------------------------------------------------------------------
 
 def _std_extraction_modp(comp: ComponentBasis, p: int) -> tuple[np.ndarray, list[int]]:
@@ -707,11 +704,7 @@ def modp_self_join_upper(I: DiIdeal, d: int, n: int,
 # degree probe
 # ---------------------------------------------------------------------------
 
-PINCH_SPACE_CUTOFF = 1200  # component spaces larger than this try the pinch first
-
-
-def degree_probe(cfg: GrassmannConfig, max_n: int, cache_dir=None,
-                 use_pinch: bool = True) -> dict:
+def degree_probe(cfg: GrassmannConfig, max_n: int, cache_dir=None) -> dict:
     """Per-degree dimensions, generated-from-below dimensions and new-generator counts.
 
     The from-below span at (d, n) is generated, with the full product
@@ -727,12 +720,12 @@ def degree_probe(cfg: GrassmannConfig, max_n: int, cache_dir=None,
     # narrower widths contribute generators too; their spaces are small
     for dp in range(1, d):
         for np_ in range(1, max_n + 1):
-            known[(dp, np_)] = ideal.component(dp, np_).basis_elements() if dp != d else []
+            known[(dp, np_)] = ideal.component(dp, np_).basis_elements()
     largest_new = None
     incomplete = False
     for n in range(1, max_n + 1):
         try:
-            row, comp = _probe_row(ideal, known, d, n, M, use_pinch)
+            row, comp = _probe_row(ideal, known, d, n, M)
         except CoeffLimitExceeded:
             incomplete = True
             break
@@ -749,41 +742,16 @@ def degree_probe(cfg: GrassmannConfig, max_n: int, cache_dir=None,
     return report
 
 
-def _probe_row(ideal, known, d: int, n: int, M: int, use_pinch: bool):
+def _probe_row(ideal, known, d: int, n: int, M: int):
     gens: list[SymElement] = []
     for (dp, np_), els in known.items():
         if dp <= d and np_ <= n and (dp, np_) != (d, n):
             gens.extend(els)
     if gens:
-        below_comp = DiIdeal(M, gens).component(d, n)
+        from_below = DiIdeal(M, gens).component(d, n).dim
     else:
-        below_comp = ComponentBasis(d, n, M)
-    from_below = below_comp.dim
-    engine = "exact"
-    comp: Optional[ComponentBasis] = None
-    dim: Optional[int] = None
-    if use_pinch and isinstance(ideal, JoinIdeal) and ideal.I is ideal.J \
-            and below_comp.space_dim > PINCH_SPACE_CUTOFF \
-            and (d, n) not in ideal._components:
-        ok = from_below == 0 or all(
-            _join_conditions_ok(ideal.I, ideal.J, d, n, e)
-            for e in below_comp.basis_elements())
-        if ok:
-            upper = modp_self_join_upper(ideal.I, d, n,
-                                         must_contain=below_comp.basis_elements())
-            if upper is not None and upper == from_below:
-                dim = from_below
-                comp = below_comp
-                ideal._components[(d, n)] = below_comp
-                engine = "pinched"
-            elif upper is not None and upper < from_below:
-                raise RuntimeError(
-                    f"mod-p upper bound {upper} below verified lower bound "
-                    f"{from_below} at ({d},{n})")
-    if dim is None:
-        comp = ideal.component(d, n)
-        dim = comp.dim
-    row = {"n": n, "dim": dim, "from_below": from_below,
-           "new_generators": dim - from_below, "engine": engine}
+        from_below = 0
+    comp = ideal.component(d, n)
+    row = {"n": n, "dim": comp.dim, "from_below": from_below,
+           "new_generators": comp.dim - from_below}
     return row, comp
-

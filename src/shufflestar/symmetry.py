@@ -26,9 +26,14 @@ __all__ = [
 
 
 def pi(f: Element) -> Element:
-    """Average of f over all slot permutations; idempotent onto invariants."""
-    n = f.n
-    norm = Fraction(1, factorial(n))
+    """Average of f over all slot permutations; idempotent onto invariants.
+
+    On a symmetric element the same average is the symmetrization
+    isomorphism into invariant tensors (`to_invariant`): a multiset
+    w_1 ... w_n maps to the average of w_{s(1)} x ... x w_{s(n)} over all
+    permutations s.
+    """
+    norm = Fraction(1, factorial(f.n))
     out: dict[FactorTuple, Fraction] = {}
     for key, coeff in f.terms.items():
         c = coeff * norm
@@ -46,23 +51,8 @@ def pi_prime(f: Element) -> Element:
     return pi(f).scale(factorial(f.n))
 
 
-def to_invariant(f: SymElement) -> Element:
-    """The symmetrization isomorphism into invariant tensors.
-
-    A multiset w_1 ... w_n maps to the average of w_{s(1)} x ... x w_{s(n)}
-    over all permutations s.
-    """
-    norm = Fraction(1, factorial(f.n))
-    out: dict[FactorTuple, Fraction] = {}
-    for key, coeff in f.terms.items():
-        c = coeff * norm
-        for perm in permutations(key):
-            s = out.get(perm, Fraction(0)) + c
-            if s:
-                out[perm] = s
-            else:
-                out.pop(perm, None)
-    return Element(f.d, f.n, f.M, out, _validated=True)
+# the symmetrization isomorphism is the projection read on multisets
+to_invariant = pi
 
 
 def from_invariant(f: Element) -> SymElement:
@@ -139,9 +129,8 @@ class PairElement:
         return out
 
 
-def delta_sym(f: SymElement) -> PairElement:
-    """Comultiplication: split each multiset over all subsets of its slots."""
-    out = PairElement(f.d, f.M, f.n, symmetric=True)
+def _delta(f, symmetric: bool) -> PairElement:
+    out = PairElement(f.d, f.M, f.n, symmetric=symmetric)
     n = f.n
     for key, coeff in f.terms.items():
         for mask in range(1 << n):
@@ -149,6 +138,11 @@ def delta_sym(f: SymElement) -> PairElement:
             right = tuple(key[i] for i in range(n) if not mask >> i & 1)
             out.add_term(left, right, coeff)
     return out
+
+
+def delta_sym(f: SymElement) -> PairElement:
+    """Comultiplication: split each multiset over all subsets of its slots."""
+    return _delta(f, symmetric=True)
 
 
 def delta_tensor(f: Element) -> PairElement:
@@ -157,14 +151,7 @@ def delta_tensor(f: Element) -> PairElement:
     On invariants this is the transport of the coinvariant comultiplication
     through the symmetrization isomorphism.
     """
-    out = PairElement(f.d, f.M, f.n, symmetric=False)
-    n = f.n
-    for key, coeff in f.terms.items():
-        for mask in range(1 << n):
-            left = tuple(key[i] for i in range(n) if mask >> i & 1)
-            right = tuple(key[i] for i in range(n) if not mask >> i & 1)
-            out.add_term(left, right, coeff)
-    return out
+    return _delta(f, symmetric=False)
 
 
 def delta_invariant(f: Element) -> PairElement:

@@ -12,14 +12,13 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb
 
 from .core import (
     Element,
     IncFn,
     SymElement,
     TensorMonomial,
-    is_sym_invariant,
     iter_factors,
     iter_sym_keys,
     iter_tensor_keys,
@@ -28,8 +27,7 @@ from .core import (
     relabel_factor,
     sym_monomial,
 )
-from .ideals import ComponentBasis, DiIdeal
-from .linalg import SparseRREF
+from .ideals import ComponentBasis
 from .poset import (
     LabeledTree,
     encode_tree,
@@ -43,7 +41,6 @@ from .products import (
     all_splits,
     invariant_shuffle,
     shuffle_product,
-    star_incfns,
     star_product,
     sym_shuffle,
     sym_star,
@@ -64,8 +61,8 @@ from .symmetry import (
 from .plucker import (
     GrassmannConfig,
     basic_plucker,
-    decomposable_point,
     degree_probe,
+    evaluate,
     evaluation_kernel,
     gamma_count,
     generation_census,
@@ -484,7 +481,7 @@ def check_diideal_closure(seed: int = 0, products: int = 50, points: int = 20) -
         for _ in range(points):
             checked += 1
             pt = random_decomposable(rng, width, N)
-            val = _eval(prod, pt)
+            val = evaluate(prod, pt)
             if val != 0:
                 failures += 1
     return {
@@ -492,18 +489,6 @@ def check_diideal_closure(seed: int = 0, products: int = 50, points: int = 20) -
         "passed": failures == 0,
         "details": {"products": products, "evaluations": checked, "nonzero": failures},
     }
-
-
-def _eval(f: SymElement, point) -> Fraction:
-    total = Fraction(0)
-    for key, coeff in f.terms.items():
-        prod = coeff
-        for fac in key:
-            prod *= point[fac]
-            if not prod:
-                break
-        total += prod
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from shufflestar.cli import main
 from shufflestar.core import element_from_dict, element_to_dict, sym_monomial, monomial
+from shufflestar.linalg import SparseRREF
 
 
 @pytest.fixture()
@@ -145,3 +146,15 @@ def test_timings_flag(tmp_path):
     code, rep = _run(["--timings", "verify", "--only", "gamma"], out)
     assert code == 0
     assert "seconds" in rep
+
+
+def test_max_coeff_bits_does_not_outlive_the_run(tmp_path):
+    out = tmp_path / "r.json"
+    code, rep = _run(["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2",
+                      "--max-coeff-bits", "2"], out)
+    assert code == 0
+    assert SparseRREF().max_bits is None
+    code, rep = _run(["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "4",
+                      "--max-coeff-bits", "1"], out)
+    assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
+    assert SparseRREF().max_bits is None

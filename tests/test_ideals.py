@@ -155,3 +155,20 @@ def test_cache_distinguishes_generators(tmp_path):
     I2 = DiIdeal(2, [basic_plucker(1).scale(2)], cache_dir=tmp_path)
     assert I1.gen_hash != I2.gen_hash
     assert I1.component_dim(2, 2) == I2.component_dim(2, 2) == 1
+
+
+def test_cache_write_uses_a_private_temporary_file(tmp_path):
+    # a directory squatting on the old fixed temporary name must not block
+    # the write, and a finished write leaves no temporary file behind
+    I1 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
+    comp = I1.component(2, 2)
+    path = I1._cache_path(2, 2)
+    path.unlink()
+    squatter = path.with_suffix(".tmp")
+    squatter.mkdir()
+    I1._store_cached(comp)
+    assert path.is_file()
+    assert list(tmp_path.glob("*.tmp")) == [squatter]
+    loaded = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)._load_cached(2, 2)
+    assert loaded is not None and loaded.dim == comp.dim
+    assert loaded.basis.basis_rows() == comp.basis.basis_rows()

@@ -87,7 +87,7 @@ def test_rank_vs_naive_oracle():
 
 
 def test_sparse_path_used_and_correct():
-    # wide enough to leave the dense branch
+    # wider than it is tall: most columns are free
     cols = 80
     rows = [[0] * cols for _ in range(3)]
     rows[0][0] = 1

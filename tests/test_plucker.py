@@ -174,7 +174,7 @@ def test_secant_components_close_under_products():
     p6 = S1.component(2, 3).basis_elements()[0]
     rep = degree_probe(GrassmannConfig(d=2, N=6, r=1, M=3), 4)
     assert rep["rows"][3]["dim"] == 15
-    c24 = S1.component(2, 4)  # injected by the probe when the pinch closes
+    c24 = S1.component(2, 4)  # exact join component; the probe built its own ideal
     from shufflestar.core import iter_factors
     for fac in list(iter_factors(2, 6))[:5]:
         assert c24.contains(sym_shuffle(p6, sym_monomial(2, 1, 3, [fac])))

@@ -232,7 +232,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     # accepted both before and after the subcommand
     s = argparse.SUPPRESS
     p.add_argument("--seed", type=int, default=s, help="root seed for sampled computations")
-    p.add_argument("--samples", type=int, default=s, help="evaluation samples (0 = automatic)")
+    p.add_argument("--samples", type=int, default=s, help="first-round evaluation points of the oracle, shared by all "
+                        "weight blocks (0 = largest block + 24)")
     p.add_argument("--cache-dir", default=s, help="component cache directory (env PSA_CACHE_DIR)")
     p.add_argument("--jobs", type=int, default=s, help="worker processes for independent tasks")
     p.add_argument("--max-coeff-bits", type=int, default=s,
@@ -359,6 +360,11 @@ def main(argv=None) -> int:
         _emit({"command": args.command, "config": config,
                "aborted": "coefficient-bits-exceeded", "detail": str(exc)}, args)
         return 3
+    except ValueError as exc:
+        # invalid input (a malformed element file, N not a multiple of d, ...);
+        # 2 is argparse's code for a usage error
+        _emit({"command": args.command, "config": config, "error": str(exc)}, args)
+        return 2
     finally:
         linalg.set_default_max_bits(previous_bits)
     report = {"command": args.command, "config": config}

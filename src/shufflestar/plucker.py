@@ -9,7 +9,12 @@ intersection of the two ideal components with a streamed-condition
 elimination whose candidates are verified against the full condition set,
 so early exits stay exact.  The evaluation kernel is the independent
 oracle: exact kernels of integer evaluation matrices at random sums of
-decomposables, re-sampled until stable.
+decomposables, re-sampled until stable.  It works one torus-weight block
+at a time.  The diagonal torus of GL_N acts on a monomial by the character
+of its weight (how often each index occurs across its factors) and maps
+the secant variety to itself, so the vanishing ideal is the direct sum of
+its weight pieces: blocking leaves the kernel unchanged while shrinking the
+dense eliminations from every monomial to the largest block.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -227,13 +233,29 @@ def evaluate(f: SymElement, point: Mapping[Factor, int | Fraction]) -> Fraction:
 # evaluation-kernel oracle
 # ---------------------------------------------------------------------------
 
-def _sampled_value_rows(monos: Sequence[FactorTuple], d: int, N: int, r: int,
-                        samples: int, rng: random.Random) -> list[list[int]]:
+def _weight_blocks(monos: Sequence[FactorTuple]) -> list[list[int]]:
+    """Column indices of monos grouped by weight, each group in column order.
+
+    The weight of a monomial is its content vector, the multiset of indices
+    across its factors, kept here as their sorted tuple.
+    """
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for c, key in enumerate(monos):
+        blocks.setdefault(tuple(sorted(i for fac in key for i in fac)), []).append(c)
+    return list(blocks.values())
+
+
+def _sampled_points(d: int, N: int, r: int, count: int,
+                    rng: random.Random) -> list[dict[Factor, int]]:
+    return [random_secant_point(rng, d, N, r) for _ in range(count)]
+
+
+def _value_rows(keys: Sequence[FactorTuple],
+                points: Sequence[Mapping[Factor, int]]) -> list[list[int]]:
     rows = []
-    for _ in range(samples):
-        pt = random_secant_point(rng, d, N, r)
+    for pt in points:
         row = []
-        for key in monos:
+        for key in keys:
             v = 1
             for fac in key:
                 v *= pt[fac]
@@ -244,58 +266,94 @@ def _sampled_value_rows(monos: Sequence[FactorTuple], d: int, N: int, r: int,
     return rows
 
 
+def _cut_kernel(keys: Sequence[FactorTuple], kernel: list[list[Fraction]],
+                points: Sequence[Mapping[Factor, int]]) -> list[list[Fraction]]:
+    """The combinations of the kernel vectors that also vanish at the points.
+
+    The combinations keep the canonical form: each has coefficient 1 at its
+    largest column and 0 at the largest column of every other vector.
+    """
+    scaled = []
+    for vec in kernel:
+        den = lcm(*(v.denominator for v in vec))
+        scaled.append((den, [(c, int(v * den)) for c, v in enumerate(vec) if v]))
+    restricted = [[Fraction(sum(row[c] * a for c, a in support), den)
+                   for den, support in scaled]
+                  for row in _value_rows(keys, points)]
+    null = kernel_basis(RatMatrix.from_rows(restricted, cols=len(kernel)))
+    if len(null) == len(kernel):
+        return kernel  # every vector vanishes at the points
+    ncols = len(keys)
+    out = []
+    for mu in null:
+        vec = [Fraction(0)] * ncols
+        for t, c in enumerate(mu):
+            if c:
+                kt = kernel[t]
+                for col in range(ncols):
+                    if kt[col]:
+                        vec[col] += c * kt[col]
+        out.append(vec)
+    return out
+
+
 def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = None,
                       seed: int = 0) -> list[SymElement]:
     """Polynomials of degree n vanishing on sums of r+1 decomposables.
 
-    Exact kernel of the integer evaluation matrix at random points,
-    re-sampled with fresh seeds and intersected until the kernel is
-    unchanged for two consecutive rounds.
+    The monomial columns are split into weight blocks (see _weight_blocks).
+    The vanishing ideal is stable under the diagonal torus, which scales a
+    monomial by the character of its weight, so each of its components is
+    the direct sum of its weight pieces, and a polynomial vanishes on the
+    secant variety iff each of its weight pieces does.  Each block is
+    therefore solved on its own: the certified exact kernel of the integer
+    evaluation matrix of its columns at random points (`samples` points
+    shared by all blocks, by default the largest block size plus 24).  Each
+    later round draws max(64, 2k) fresh points, k the largest block kernel,
+    and restricts them to every block whose kernel is not yet zero, until
+    no block's kernel changes for two consecutive rounds.
+
+    Each basis vector is weight-homogeneous, has coefficient 1 at its
+    largest column (in the reverse-sorted monomial order) and 0 at the
+    largest column of every other vector; the vectors are sorted by that
+    column.  This is the reduced echelon basis of the whole kernel.
     """
     M = cfg.require_multiplier()
     d, N, r = cfg.d, cfg.N, cfg.r
     monos = sorted(iter_sym_keys(d, n, M), reverse=True)
-    ncols = len(monos)
+    blocks = _weight_blocks(monos)
     if samples is None:
-        samples = ncols + 24
-    rng = random.Random(1_000_003 * seed)
-    rows = _sampled_value_rows(monos, d, N, r, samples, rng)
-    kernel = certified_kernel(rows, ncols)
+        samples = max(len(cols) for cols in blocks) + 24
+    points = _sampled_points(d, N, r, samples, random.Random(1_000_003 * seed))
+    # (block columns, block monomials, kernel over those columns)
+    kernels = []
+    for cols in blocks:
+        keys = [monos[c] for c in cols]
+        kernel = certified_kernel(_value_rows(keys, points), len(cols))
+        if kernel:
+            kernels.append((cols, keys, kernel))
     stable = 0
     round_no = 0
-    while kernel and stable < 2:
+    while kernels and stable < 2:
         round_no += 1
         if round_no > 16:
             raise RuntimeError("evaluation kernel failed to stabilize")
         rng = random.Random(1_000_003 * seed + round_no)
-        fresh = _sampled_value_rows(monos, d, N, r, max(64, 2 * len(kernel)), rng)
-        # restrict the fresh conditions to the current kernel and intersect
-        restricted = []
-        for row in fresh:
-            restricted.append([sum(Fraction(row[c]) * vec[c] for c in range(ncols) if vec[c])
-                               for vec in kernel])
-        small = RatMatrix.from_rows(restricted, cols=len(kernel))
-        null = kernel_basis(small)
-        if len(null) == len(kernel):
-            stable += 1
-            continue
-        stable = 0
-        new_kernel = []
-        for mu in null:
-            vec = [Fraction(0)] * ncols
-            for t, c in enumerate(mu):
-                if c:
-                    kt = kernel[t]
-                    for col in range(ncols):
-                        if kt[col]:
-                            vec[col] += c * kt[col]
-            new_kernel.append(vec)
-        kernel = new_kernel
-    out = []
-    for vec in kernel:
-        terms = {monos[c]: vec[c] for c in range(ncols) if vec[c]}
-        out.append(SymElement(d, n, M, terms, _validated=True))
-    return out
+        largest = max(len(kernel) for _, _, kernel in kernels)
+        points = _sampled_points(d, N, r, max(64, 2 * largest), rng)
+        cut = [(cols, keys, _cut_kernel(keys, kernel, points))
+               for cols, keys, kernel in kernels]
+        changed = any(len(new) < len(old) for (_, _, new), (_, _, old) in zip(cut, kernels))
+        stable = 0 if changed else stable + 1
+        kernels = [entry for entry in cut if entry[2]]
+    found = []
+    for cols, keys, kernel in kernels:
+        for vec in kernel:
+            lead = max(j for j, v in enumerate(vec) if v)
+            terms = {keys[j]: vec[j] for j in range(len(cols)) if vec[j]}
+            found.append((cols[lead], SymElement(d, n, M, terms, _validated=True)))
+    found.sort(key=lambda t: t[0])
+    return [el for _, el in found]
 
 
 # ---------------------------------------------------------------------------

@@ -122,8 +122,32 @@ def test_verify_subset_and_determinism(tmp_path):
 
 
 def test_verify_unknown_check(tmp_path):
-    with pytest.raises(ValueError):
-        main(["verify", "--only", "nonsense", "--out", str(tmp_path / "r.json")])
+    code, rep = _run(["verify", "--only", "nonsense"], tmp_path / "r.json")
+    assert code == 2
+    assert rep["command"] == "verify" and "nonsense" in rep["error"]
+    assert "result" not in rep
+
+
+def test_alphabet_not_a_multiple_of_the_width_is_an_input_error(tmp_path):
+    code, rep = _run(["secant", "--d", "2", "--N", "7", "--degree", "2", "--oracle"],
+                     tmp_path / "r.json")
+    assert code == 2
+    assert set(rep) == {"command", "config", "error"}
+    assert rep["command"] == "secant" and rep["config"]["N"] == 7
+    assert "N=7" in rep["error"]
+
+
+@pytest.mark.parametrize("text", [
+    "{broken",
+    '{"bidegree": [2, 2, 2], "terms": [{"coeff": "1", "monomial": [[1, 9], [2, 3]]}]}',
+])
+def test_malformed_element_file_is_an_input_error(tmp_path, text):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, rep = _run(["delta", "--input", str(bad)], tmp_path / "r.json")
+    assert code == 2
+    assert set(rep) == {"command", "config", "error"}
+    assert rep["command"] == "delta" and rep["error"]
 
 
 def test_cache_tamper_recovery(tmp_path):

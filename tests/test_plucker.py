@@ -164,6 +164,53 @@ def test_join_matches_oracle_for_the_klein_ideal():
     assert all(comp.contains(v) for v in K)
 
 
+def test_oracle_spans_the_plucker_component_gr26_degree3():
+    comp = plucker_ideal(3, 2).component(2, 3)
+    K = evaluation_kernel(GrassmannConfig(d=2, N=6, r=0, M=3), 3, seed=2)
+    assert comp.dim == len(K) == 190
+    assert all(comp.contains(v) for v in K)
+
+
+def test_oracle_spans_the_first_secant_component_gr26_degree4():
+    comp = secant_ideal(plucker_ideal(3, 2), 1).component(2, 4)
+    K = evaluation_kernel(GrassmannConfig(d=2, N=6, r=1, M=3), 4, seed=5)
+    assert comp.dim == len(K) == 15
+    assert all(comp.contains(v) for v in K)
+
+
+@pytest.mark.parametrize("r", [0, 1])
+def test_oracle_rounds_reach_the_same_basis_from_two_first_points(r):
+    # two first-round points leave most block kernels too big; the fresh
+    # rounds must cut them to the same reduced basis
+    cfg = GrassmannConfig(d=2, N=6, r=r, M=3)
+    assert (evaluation_kernel(cfg, 3, samples=2, seed=4)
+            == evaluation_kernel(cfg, 3, seed=4))
+
+
+@pytest.mark.parametrize("cfg, n", [
+    (GrassmannConfig(d=2, N=6, r=0, M=3), 3),
+    (GrassmannConfig(d=2, N=6, r=1, M=3), 4),
+    (GrassmannConfig(d=3, N=6, r=0, M=2), 2),
+])
+def test_oracle_basis_is_weight_homogeneous_and_reduced(cfg, n):
+    K = evaluation_kernel(cfg, n, seed=1)
+    assert K
+    column = {key: c for c, key in
+              enumerate(sorted(iter_sym_keys(cfg.d, n, cfg.M), reverse=True))}
+    leads = []
+    for v in K:
+        # one weight: the same multiset of indices in every term
+        assert len({tuple(sorted(i for fac in key for i in fac)) for key in v.terms}) == 1
+        lead = max(v.terms, key=column.__getitem__)
+        assert v.terms[lead] == 1
+        leads.append(column[lead])
+    assert leads == sorted(set(leads))
+    # reduced: no vector has a nonzero coefficient at another vector's lead
+    lead_keys = {max(v.terms, key=column.__getitem__) for v in K}
+    for v in K:
+        assert len(lead_keys & set(v.terms)) == 1
+
+
 def test_secant_components_close_under_products():
     # products of a secant-component element stay in the secant ideal:
     # multiples stay in the computed join component, and width-raising star

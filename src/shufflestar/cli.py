@@ -360,9 +360,9 @@ def main(argv=None) -> int:
         _emit({"command": args.command, "config": config,
                "aborted": "coefficient-bits-exceeded", "detail": str(exc)}, args)
         return 3
-    except ValueError as exc:
-        # invalid input (a malformed element file, N not a multiple of d, ...);
-        # 2 is argparse's code for a usage error
+    except (ValueError, OSError) as exc:
+        # invalid input (a missing or malformed element file, N not a
+        # multiple of d, ...); 2 is argparse's code for a usage error
         _emit({"command": args.command, "config": config, "error": str(exc)}, args)
         return 2
     finally:

@@ -1,19 +1,19 @@
 """Exact rational sparse linear algebra: rref, kernels, span membership.
 
-All arithmetic is exact.  Every library routine eliminates through
-`SparseRREF`, an incremental reduced echelon basis with unit pivots;
-`IntREF` is a rank and membership accumulator over content-normalized
-integer rows.  Pivoting is always first-nonzero in column order, so results
-are deterministic.
+All arithmetic is exact, and every routine eliminates through one engine,
+`SparseRREF`: an incremental reduced echelon basis with unit pivots.  It
+keeps a column index, so adding a row only touches the rows that hold the
+new pivot column, and it stores integral coefficients as `int`, making a
+`Fraction` only for a true fraction.  Pivoting is always first-nonzero in
+column order, so results are deterministic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
-Rational = Fraction
+Rational = Union[int, Fraction]
 
 
 class CoeffLimitExceeded(RuntimeError):
@@ -37,6 +37,25 @@ def set_default_max_bits(bits: Optional[int]) -> Optional[int]:
 def _check_bits(value: int, max_bits: Optional[int]):
     if max_bits is not None and value.bit_length() > max_bits:
         raise CoeffLimitExceeded(f"coefficient reached {value.bit_length()} bits (limit {max_bits})")
+
+
+def _exact(v) -> Rational:
+    """v as an int when it is integral, else as a Fraction (exact for floats)."""
+    cls = v.__class__
+    if cls is int:
+        return v
+    if cls is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def _div(v: Rational, p: Rational) -> Rational:
+    """v / p, as an int when the quotient is integral."""
+    if v.__class__ is int and p.__class__ is int:
+        q, r = divmod(v, p)
+        return q if not r else Fraction(v, p)
+    q = v / p
+    return q.numerator if q.denominator == 1 else q
 
 
 class RatMatrix:
@@ -85,45 +104,55 @@ class RatMatrix:
 class SparseRREF:
     """Incremental reduced row echelon basis with unit pivots.
 
-    Rows are sparse dicts col -> Fraction.  `add` reduces an incoming row
-    against the basis and, when nonzero, auto-reduces the basis against it,
-    so the row space stays in canonical reduced form.  `reduce` is the
-    canonical linear projection onto non-pivot (standard) coordinates.
+    Rows are sparse dicts col -> coefficient.  An integral coefficient is
+    stored as an `int` and only a true fraction as a `Fraction`; no value
+    is ever a float.  Every row has 1 in its pivot column (its smallest
+    column) and 0 in every other pivot column, so the row space is held in
+    its unique canonical reduced form whatever order the rows arrive in.
+
+    `add` reduces an incoming row against the basis and, when something is
+    left, scales it to a unit pivot and clears the new pivot column from the
+    rows that hold it.  Those rows are found through a column index: for
+    every non-pivot column, an append-only list of the rows that have held
+    an entry there.  An entry that later cancels leaves its row in the list,
+    and readers skip it.  `reduce` is the canonical linear projection onto
+    the non-pivot (standard) coordinates.
     """
 
-    __slots__ = ("pivots", "rows", "max_bits")
+    __slots__ = ("pivots", "rows", "max_bits", "_cols")
 
     def __init__(self, max_bits: Optional[int] = None):
         self.pivots: dict[int, int] = {}   # pivot col -> row index
-        self.rows: list[dict[int, Fraction]] = []
+        self.rows: list[dict[int, Rational]] = []
+        self._cols: dict[int, list[int]] = {}   # non-pivot col -> row indices
         self.max_bits = max_bits if max_bits is not None else _default_max_bits
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    def reduce(self, vec: Mapping[int, Rational]) -> dict[int, Fraction]:
-        out = {c: Fraction(v) for c, v in vec.items() if v}
+    def reduce(self, vec: Mapping[int, Rational]) -> dict[int, Rational]:
+        # ints, the common case, skip the call
+        out = {c: v if v.__class__ is int else _exact(v) for c, v in vec.items() if v}
         pivots = self.pivots
         rows = self.rows
-        while True:
-            hit = None
-            for c in out:
-                if c in pivots:
-                    if hit is None or c < hit:
-                        hit = c
-            if hit is None:
-                return out
-            coef = out.pop(hit)
-            row = rows[pivots[hit]]
-            for c, v in row.items():
-                if c == hit:
-                    continue
-                s = out.get(c, Fraction(0)) - coef * v
+        # A stored row is 0 in every pivot column but its own, so subtracting
+        # it clears that column and touches no other pivot column: one pass
+        # over the pivot columns of vec leaves none behind.
+        hits = [c for c in out if c in pivots]
+        hits.sort()
+        for p in hits:
+            coef = out[p]
+            for c, v in rows[pivots[p]].items():
+                s = out.get(c, 0) - coef * v
                 if s:
                     out[c] = s
                 else:
-                    out.pop(c, None)
+                    del out[c]
+        for c, v in out.items():
+            if v.__class__ is Fraction and v.denominator == 1:
+                out[c] = v.numerator
+        return out
 
     def add(self, vec: Mapping[int, Rational]) -> bool:
         """Insert a row; returns True when the rank grows."""
@@ -132,26 +161,37 @@ class SparseRREF:
             return False
         lead = min(red)
         p = red[lead]
-        row = {c: v / p for c, v in red.items()}
+        row = red if p == 1 else {c: _div(v, p) for c, v in red.items()}
         if self.max_bits is not None:
             for v in row.values():
                 _check_bits(v.numerator, self.max_bits)
                 _check_bits(v.denominator, self.max_bits)
         idx = len(self.rows)
-        # auto-reduce existing rows against the new pivot
-        for other in self.rows:
+        rows = self.rows
+        cols = self._cols
+        for c in row:
+            if c != lead:
+                cols.setdefault(c, []).append(idx)
+        # clear the new pivot column from the rows that hold it
+        for i in cols.pop(lead, ()):
+            other = rows[i]
             coef = other.get(lead)
-            if coef:
-                for c, v in row.items():
-                    if c == lead:
+            if coef is None:
+                continue   # cancelled since it was indexed
+            for c, v in row.items():
+                old = other.get(c)
+                if old is None:
+                    s = -coef * v
+                    cols[c].append(i)
+                else:
+                    s = old - coef * v
+                    if not s:
+                        del other[c]
                         continue
-                    s = other.get(c, Fraction(0)) - coef * v
-                    if s:
-                        other[c] = s
-                    else:
-                        other.pop(c, None)
-                del other[lead]
-        self.rows.append(row)
+                if s.__class__ is Fraction and s.denominator == 1:
+                    s = s.numerator
+                other[c] = s
+        rows.append(row)
         self.pivots[lead] = idx
         return True
 
@@ -161,101 +201,9 @@ class SparseRREF:
     def pivot_columns(self) -> list[int]:
         return sorted(self.pivots)
 
-    def basis_rows(self) -> list[dict[int, Fraction]]:
+    def basis_rows(self) -> list[dict[int, Rational]]:
         """Rows ordered by pivot column."""
         return [self.rows[self.pivots[c]] for c in sorted(self.pivots)]
-
-
-class IntREF:
-    """Row echelon accumulator over content-normalized integer rows.
-
-    Cheap membership/rank engine: reductions only cancel leading columns,
-    rows are rescaled freely, so this does not define a linear projection —
-    use SparseRREF when canonical coordinates are needed.
-    """
-
-    __slots__ = ("pivots", "rows", "max_bits")
-
-    def __init__(self, max_bits: Optional[int] = None):
-        self.pivots: dict[int, int] = {}
-        self.rows: list[dict[int, int]] = []
-        self.max_bits = max_bits if max_bits is not None else _default_max_bits
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)
-
-    @staticmethod
-    def _normalize(row: dict[int, int]) -> dict[int, int]:
-        g = 0
-        for v in row.values():
-            g = gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            row = {c: v // g for c, v in row.items()}
-        if row[min(row)] < 0:
-            row = {c: -v for c, v in row.items()}
-        return row
-
-    def _to_int_row(self, vec: Mapping[int, Rational]) -> dict[int, int]:
-        den = 1
-        ints = True
-        for v in vec.values():
-            if isinstance(v, Fraction):
-                den = den * v.denominator // gcd(den, v.denominator)
-                ints = False
-            elif not isinstance(v, int):
-                raise ValueError(f"unsupported entry type {type(v)}")
-        if ints:
-            return {c: v for c, v in vec.items() if v}
-        return {c: int(v * den) for c, v in vec.items() if v}
-
-    def reduce(self, vec: Mapping[int, Rational]) -> dict[int, int]:
-        out = self._to_int_row(vec)
-        pivots = self.pivots
-        rows = self.rows
-        max_bits = self.max_bits
-        while out:
-            lead = min(out)
-            idx = pivots.get(lead)
-            if idx is None:
-                return out
-            row = rows[idx]
-            a = out[lead]
-            b = row[lead]
-            g = gcd(a, b)
-            ma = b // g
-            mb = a // g
-            new = {}
-            for c, v in out.items():
-                new[c] = v * ma
-            for c, v in row.items():
-                s = new.get(c, 0) - mb * v
-                if s:
-                    new[c] = s
-                else:
-                    new.pop(c, None)
-            out = new
-            if out:
-                out = self._normalize(out)
-                if max_bits is not None:
-                    _check_bits(max(abs(v) for v in out.values()), max_bits)
-        return out
-
-    def add(self, vec: Mapping[int, Rational]) -> bool:
-        red = self.reduce(vec)
-        if not red:
-            return False
-        self.pivots[min(red)] = len(self.rows)
-        self.rows.append(red)
-        return True
-
-    def contains(self, vec: Mapping[int, Rational]) -> bool:
-        return not self.reduce(vec)
-
-    def pivot_columns(self) -> list[int]:
-        return sorted(self.pivots)
 
 
 def rref_rank(A: RatMatrix, max_bits: Optional[int] = None) -> tuple[int, RatMatrix, list[int]]:
@@ -277,40 +225,40 @@ def rref_rank(A: RatMatrix, max_bits: Optional[int] = None) -> tuple[int, RatMat
 
 def kernel_basis(A: RatMatrix, max_bits: Optional[int] = None) -> list[list[Fraction]]:
     """Basis of the right null space; A * v == 0 exactly for every v."""
-    rank, R, piv = rref_rank(A, max_bits=max_bits)
-    piv_set = set(piv)
-    rref_rows = R.row_dicts()[:rank]
-    by_pivot = {}
-    for row in rref_rows:
+    basis = SparseRREF(max_bits=max_bits)
+    for row in A.row_dicts():
         if row:
-            by_pivot[min(row)] = row
+            basis.add(row)
     out = []
-    for free in range(A.cols):
-        if free in piv_set:
-            continue
+    for vec in sparse_rref_kernel(basis, A.cols):
         v = [Fraction(0)] * A.cols
-        v[free] = Fraction(1)
-        for pcol in piv:
-            coeff = by_pivot[pcol].get(free, Fraction(0))
-            if coeff:
-                v[pcol] = -coeff
+        for c, x in vec.items():
+            v[c] = Fraction(x)
         out.append(v)
     return out
 
 
-def sparse_rref_kernel(basis: SparseRREF, ncols: int) -> list[dict[int, Fraction]]:
-    """Kernel vectors of the row space held in a SparseRREF, one per free column."""
-    piv = set(basis.pivots)
-    by_pivot = {min(row): row for row in basis.rows if row}
+def sparse_rref_kernel(basis: SparseRREF, ncols: int) -> list[dict[int, Rational]]:
+    """Kernel vectors of the row space held in a SparseRREF, one per free column.
+
+    The vector of a free column f is 1 at f and minus the f-entry of each
+    row at that row's pivot; the rows come from the column index of f.
+    """
+    pivots = basis.pivots
+    rows = basis.rows
+    cols = basis._cols
+    lead = [0] * len(rows)
+    for p, i in pivots.items():
+        lead[i] = p
     out = []
     for free in range(ncols):
-        if free in piv:
+        if free in pivots:
             continue
-        vec = {free: Fraction(1)}
-        for pcol, row in by_pivot.items():
-            coeff = row.get(free)
+        vec = {free: 1}
+        for i in sorted(set(cols.get(free, ()))):
+            coeff = rows[i].get(free)
             if coeff:
-                vec[pcol] = -coeff
+                vec[lead[i]] = -coeff
         out.append(vec)
     return out
 
@@ -336,16 +284,14 @@ def in_span(v: Sequence[Rational], basis: Sequence[Sequence[Rational]]) -> Optio
     nb = len(basis)
     # augment with identity to track coordinates
     acc = SparseRREF()
-    width = ncols + nb
     for i, b in enumerate(basis):
-        row = {c: Fraction(x) for c, x in enumerate(b) if x}
-        row[ncols + i] = Fraction(1)
+        row = dict(enumerate(b))
+        row[ncols + i] = 1
         acc.add(row)
-    target = {c: Fraction(x) for c, x in enumerate(v) if x}
-    red = acc.reduce(target)
+    red = acc.reduce(dict(enumerate(v)))
     if any(c < ncols for c in red):
         return None
     coeffs = [Fraction(0)] * nb
     for c, val in red.items():
-        coeffs[c - ncols] = -val
+        coeffs[c - ncols] = Fraction(-val)
     return coeffs

@@ -477,14 +477,15 @@ def gamma_count(n: int) -> int:
 def _delta_parts(f: SymElement, i: int) -> dict[FactorTuple, dict[FactorTuple, Fraction]]:
     """Group the size-i slot splits of f by left monomial."""
     n = f.n
+    splits = [(pos, tuple(t for t in range(n) if t not in pos))
+              for pos in combinations(range(n), i)]
     out: dict[FactorTuple, dict[FactorTuple, Fraction]] = {}
     for key, coeff in f.terms.items():
-        for pos in combinations(range(n), i):
-            inside = set(pos)
-            lkey = tuple(key[t] for t in pos)
-            rkey = tuple(key[t] for t in range(n) if t not in inside)
-            slot = out.setdefault(lkey, {})
-            slot[rkey] = slot.get(rkey, Fraction(0)) + coeff
+        get = key.__getitem__
+        for pos, rest in splits:
+            slot = out.setdefault(tuple(map(get, pos)), {})
+            rkey = tuple(map(get, rest))
+            slot[rkey] = slot.get(rkey, 0) + coeff
     return out
 
 
@@ -500,12 +501,12 @@ def _condition_coords(I, J, d: int, n: int, i: int, f: SymElement,
             continue
         lred = left_memo.get((i, lkey))
         if lred is None:
-            lred = QL.reduce_coords({QL.index[lkey]: Fraction(1)})
+            lred = QL.reduce_coords({QL.index[lkey]: 1})
             left_memo[(i, lkey)] = lred
         for lc, lv in lred.items():
             for rc, rv in rred.items():
                 key = (lc, rc)
-                c = out.get(key, Fraction(0)) + lv * rv
+                c = out.get(key, 0) + lv * rv
                 if c:
                     out[key] = c
                 else:

@@ -150,6 +150,14 @@ def test_malformed_element_file_is_an_input_error(tmp_path, text):
     assert rep["command"] == "delta" and rep["error"]
 
 
+def test_missing_element_file_is_an_input_error(tmp_path):
+    missing = tmp_path / "missing.json"
+    code, rep = _run(["delta", "--input", str(missing)], tmp_path / "r.json")
+    assert code == 2
+    assert set(rep) == {"command", "config", "error"}
+    assert rep["command"] == "delta" and "missing.json" in rep["error"]
+
+
 def test_cache_tamper_recovery(tmp_path):
     out = tmp_path / "r.json"
     cache = tmp_path / "cache"

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 from shufflestar.linalg import (
     CoeffLimitExceeded,
-    IntREF,
     RatMatrix,
     SparseRREF,
     in_span,
@@ -115,22 +114,96 @@ def test_in_span():
         in_span([1, 0], [[1, 0, 0]])
 
 
-def test_incremental_bases_agree():
+def _random_rows(rng, cols, count):
+    """Sparse rows mixing int and Fraction entries, leads mostly non-unit."""
+    rows = []
+    for _ in range(count):
+        support = rng.sample(range(cols), rng.randint(1, min(cols, 5)))
+        row = {}
+        for c in support:
+            if rng.random() < 0.5:
+                row[c] = rng.choice([-3, -2, 2, 3, 5, 1, -1])
+            else:
+                row[c] = Fraction(rng.choice([-4, -1, 1, 3, 7]), rng.choice([2, 3, 5]))
+        rows.append(row)
+    # later rows lead further left, so adding them clears old rows' entries
+    if rng.random() < 0.5:
+        rows.sort(key=min, reverse=True)
+    return rows
+
+
+def _check_invariants(acc):
+    pivots = acc.pivots
+    for p, i in pivots.items():
+        row = acc.rows[i]
+        assert min(row) == p and row[p] == 1
+        for c, v in row.items():
+            assert type(v) in (int, Fraction), v
+            assert v != 0
+            if type(v) is Fraction:
+                assert v.denominator != 1
+            assert c == p or c not in pivots
+
+
+def test_sparse_rref_matches_sympy_rref_over_qq():
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    QQ = sympy.QQ
     rng = random.Random(2)
-    for _ in range(20):
-        cols = rng.randint(2, 10)
-        vecs = [{c: Fraction(rng.randint(-3, 3)) for c in rng.sample(range(cols), rng.randint(1, cols))}
-                for _ in range(rng.randint(1, 8))]
-        a = SparseRREF()
-        b = IntREF()
+    for _ in range(60):
+        cols = rng.randint(2, 12)
+        vecs = _random_rows(rng, cols, rng.randint(1, 10))
+        acc = SparseRREF()
         for v in vecs:
-            ra = a.add(dict(v))
-            rb = b.add(dict(v))
-            assert ra == rb
-        assert a.rank == b.rank
-        assert a.pivot_columns() == b.pivot_columns()
-        probe = {c: Fraction(rng.randint(-3, 3)) for c in range(cols)}
-        assert a.contains(dict(probe)) == b.contains(dict(probe))
+            acc.add(dict(v))
+        dense = [[QQ.convert(v.get(c, 0)) for c in range(cols)] for v in vecs]
+        R, piv = DomainMatrix(dense, (len(vecs), cols), QQ).rref()
+        expected = [{c: Fraction(int(x.numerator), int(x.denominator))
+                     for c, x in enumerate(row) if x}
+                    for row in R.to_list()[:len(piv)]]
+        assert acc.rank == len(piv)
+        assert acc.pivot_columns() == list(piv)
+        assert acc.basis_rows() == expected
+        probe = {c: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for c in range(cols)}
+        red = acc.reduce(dict(probe))
+        assert not set(red) & set(acc.pivots)
+        diff = [probe[c] - red.get(c, 0) for c in range(cols)]
+        stacked = DomainMatrix(dense + [[QQ.convert(x) for x in diff]],
+                               (len(vecs) + 1, cols), QQ)
+        assert stacked.rank() == acc.rank
+
+
+def test_stored_rows_keep_the_index_invariants():
+    rng = random.Random(3)
+    for _ in range(40):
+        cols = rng.randint(2, 12)
+        acc = SparseRREF()
+        added = []
+        for v in _random_rows(rng, cols, rng.randint(1, 10)):
+            acc.add(dict(v))
+            added.append(v)
+            _check_invariants(acc)
+            for k in sparse_rref_kernel(acc, cols):
+                for w in added:
+                    assert sum(x * k.get(c, 0) for c, x in w.items()) == 0
+        for k in sparse_rref_kernel(acc, cols):
+            assert all(type(x) in (int, Fraction) for x in k.values())
+
+
+def test_kernel_after_cancelled_entries():
+    added = [{0: 2, 2: 1, 3: 1}, {1: 1, 2: Fraction(1, 2), 3: Fraction(1, 2)}, {2: 3, 3: 3}]
+    acc = SparseRREF()
+    for v in added:
+        acc.add(dict(v))
+        _check_invariants(acc)
+    assert acc.rows == [{0: 1}, {1: 1}, {2: 1, 3: 1}]
+    # the cleared column-3 entries of the first two rows are still indexed
+    assert any(3 not in acc.rows[i] for i in acc._cols[3])
+    kern = sparse_rref_kernel(acc, 5)
+    assert kern == [{3: 1, 2: -1}, {4: 1}]
+    for k in kern:
+        for v in added:
+            assert sum(x * k.get(c, 0) for c, x in v.items()) == 0
 
 
 def test_sparse_rref_kernel():
@@ -144,8 +217,8 @@ def test_sparse_rref_kernel():
 
 
 def test_coeff_limit_guard():
-    acc = IntREF(max_bits=8)
-    acc.add({0: 1, 1: 1000})
+    acc = SparseRREF(max_bits=8)
+    acc.add({0: 1, 1: 200})
     with pytest.raises(CoeffLimitExceeded):
-        acc.add({0: 1, 1: -1000, 2: 1})
-        acc.reduce({0: 1})
+        acc.add({0: 1, 1: -200, 2: 1})   # the new row holds -1/400
+    assert acc.rank == 1 and acc.rows == [{0: 1, 1: 200}]

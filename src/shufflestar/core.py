@@ -238,14 +238,21 @@ class _BaseElement:
         if self.bidegree != other.bidegree:
             raise ValueError(f"bidegree mismatch: {self.bidegree} vs {other.bidegree}")
 
-    def add_scale(self, other, c: Rational = Fraction(1)):
-        """self + c * other, dropping zero coefficients."""
+    def add_scale(self, other, c: Rational = 1):
+        """self + c * other, dropping zero coefficients.
+
+        An integral c is used as an int, so integral coefficients stay ints;
+        any other c becomes a Fraction, so no float reaches the terms.
+        """
         self._same_shape(other)
-        c = Fraction(c)
+        if c.__class__ is not int:
+            c = Fraction(c)
+            if c.denominator == 1:
+                c = c.numerator
         out = dict(self.terms)
         if c:
             for key, coeff in other.terms.items():
-                s = out.get(key, Fraction(0)) + c * coeff
+                s = out.get(key, 0) + c * coeff
                 if s:
                     out[key] = s
                 else:

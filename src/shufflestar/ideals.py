@@ -13,6 +13,11 @@ monomials are the leading terms and non-pivots are the standard monomials
 of the quotient.  Components are cached in memory and optionally on disk
 (one JSON file per (M, d, n), named with a content hash of the generators;
 corrupted or stale files are recomputed).
+
+`DiIdeal.permutation_stable` certifies that the components up to a tensor
+degree are graded by torus weight and stable under the signed permutation
+action of S_N on the alphabet (see `weights`); joins of certified ideals
+then solve one weight block per S_N orbit.
 """
 
 from __future__ import annotations
@@ -33,10 +38,10 @@ from .core import (
     element_to_dict,
     iter_factors,
     iter_sym_keys,
-    sym_monomial,
 )
 from .linalg import SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
+from .weights import act, adjacent_transpositions, weight
 
 __all__ = ["ComponentBasis", "DiIdeal", "component_span", "membership",
            "quotient_basis", "initial_component"]
@@ -121,6 +126,7 @@ class DiIdeal:
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.gen_hash = _generator_hash(self.generators, self.M)
         self._components: dict[tuple[int, int], ComponentBasis] = {}
+        self._stable: dict[tuple[int, int], bool] = {}
 
     # -- disk cache -------------------------------------------------------
 
@@ -191,15 +197,19 @@ class DiIdeal:
         if n == 0 or d == 0:
             return comp
         # variable multiples of the previous tensor degree
-        if n >= 1:
-            below = self.component(d, n - 1)
-            if below.dim:
-                variables = [sym_monomial(d, 1, self.M, [fac])
-                             for fac in iter_factors(d, self.M * d)]
-                for b in below.basis_elements():
-                    for x in variables:
-                        comp.add(sym_shuffle(b, x))
-        # star products of generators of tensor degree exactly n
+        below = self.component(d, n - 1)
+        if below.dim:
+            variables = [SymElement(d, 1, self.M, {(fac,): 1}, _validated=True)
+                         for fac in iter_factors(d, self.M * d)]
+            for b in below.basis_elements():
+                for x in variables:
+                    comp.add(sym_shuffle(b, x))
+        for prod in self._star_rows(d, n):
+            comp.add(prod)
+        return comp
+
+    def _star_rows(self, d: int, n: int):
+        """Star products of the generators of tensor degree exactly n at width d."""
         for f in self.generators:
             if f.n != n or f.d > d:
                 continue
@@ -209,8 +219,36 @@ class DiIdeal:
                     a = SymElement(ext, n, self.M, {akey: Fraction(1)}, _validated=True)
                     prod = sym_star(f, a, g)
                     if prod:
-                        comp.add(prod)
-        return comp
+                        yield prod
+
+    def permutation_stable(self, d: int, n: int) -> bool:
+        """Certificate that every component (d, k), k <= n, is graded and S_N-stable.
+
+        S_N permutes the alphabet [1..M*d] (see `weights`).  The (d, n)
+        component is x * C_(d,n-1) plus the star rows of `_star_rows`, and a
+        permutation maps x * C_(d,n-1) into itself once C_(d,n-1) is stable.
+        So it suffices that C_(d,n-1) is certified, that every star row is
+        weight-homogeneous, and that each adjacent transposition, which
+        together generate S_N, maps every star row into C_(d,n).
+        """
+        key = (d, n)
+        ok = self._stable.get(key)
+        if ok is None:
+            ok = n == 0 or d == 0 or (self.permutation_stable(d, n - 1)
+                                      and self._stars_stable(d, n))
+            self._stable[key] = ok
+        return ok
+
+    def _stars_stable(self, d: int, n: int) -> bool:
+        N = self.M * d
+        taus = adjacent_transpositions(N)
+        comp = self.component(d, n)
+        for row in self._star_rows(d, n):
+            if len({weight(key, N) for key in row.terms}) > 1:
+                return False
+            if not all(comp.contains(act(tau, row)) for tau in taus):
+                return False
+        return True
 
     def raw_spanning_rows(self, d: int, n: int):
         """Unreduced spanning products of the (d, n) component.

@@ -7,12 +7,19 @@ subset with its complement once.  Join components are exact kernels of the
 comultiplication followed by quotient projections, computed over the
 intersection of the two ideal components with a streamed-condition
 elimination whose candidates are verified against the full condition set,
-so early exits stay exact.  The evaluation kernel is the independent
-oracle: exact kernels of integer evaluation matrices at random sums of
-decomposables, re-sampled until stable.  It works one torus-weight block
-at a time.  The diagonal torus of GL_N acts on a monomial by the character
-of its weight (how often each index occurs across its factors) and maps
-the secant variety to itself, so the vanishing ideal is the direct sum of
+so early exits stay exact.
+
+Both the join and the evaluation oracle work one torus-weight block at a
+time (see `weights`).  The diagonal torus of GL_N acts on a monomial by the
+character of its weight (how often each index occurs across its factors).
+When both ideals of a join certify `permutation_stable`, their components
+are graded and stable under the signed permutation action of S_N, and so
+is the join kernel: only its blocks at dominant weights are eliminated,
+and signed permutations carry them to the rest of their orbits.  Without
+the certificate the join eliminates all of the intersection as one block.
+The evaluation kernel is the independent oracle: exact kernels of integer
+evaluation matrices at random sums of decomposables, re-sampled until
+stable.  The vanishing ideal is torus-stable, so it is the direct sum of
 its weight pieces: blocking leaves the kernel unchanged while shrinking the
 dense eliminations from every monomial to the largest block.
 """
@@ -42,6 +49,7 @@ from .ideals import ComponentBasis, DiIdeal
 from .linalg import (CoeffLimitExceeded, RatMatrix, SparseRREF,
                      kernel_basis, sparse_rref_kernel)
 from .products import sym_star
+from .weights import act, is_dominant, orbit_permutations, weight, weight_blocks
 
 __all__ = [
     "GrassmannConfig", "basic_plucker", "weyman_quadrics", "plucker_ideal",
@@ -233,18 +241,6 @@ def evaluate(f: SymElement, point: Mapping[Factor, int | Fraction]) -> Fraction:
 # evaluation-kernel oracle
 # ---------------------------------------------------------------------------
 
-def _weight_blocks(monos: Sequence[FactorTuple]) -> list[list[int]]:
-    """Column indices of monos grouped by weight, each group in column order.
-
-    The weight of a monomial is its content vector, the multiset of indices
-    across its factors, kept here as their sorted tuple.
-    """
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for c, key in enumerate(monos):
-        blocks.setdefault(tuple(sorted(i for fac in key for i in fac)), []).append(c)
-    return list(blocks.values())
-
-
 def _sampled_points(d: int, N: int, r: int, count: int,
                     rng: random.Random) -> list[dict[Factor, int]]:
     return [random_secant_point(rng, d, N, r) for _ in range(count)]
@@ -301,7 +297,7 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
                       seed: int = 0) -> list[SymElement]:
     """Polynomials of degree n vanishing on sums of r+1 decomposables.
 
-    The monomial columns are split into weight blocks (see _weight_blocks).
+    The monomial columns are split into weight blocks (see `weights`).
     The vanishing ideal is stable under the diagonal torus, which scales a
     monomial by the character of its weight, so each of its components is
     the direct sum of its weight pieces, and a polynomial vanishes on the
@@ -321,7 +317,7 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     M = cfg.require_multiplier()
     d, N, r = cfg.d, cfg.N, cfg.r
     monos = sorted(iter_sym_keys(d, n, M), reverse=True)
-    blocks = _weight_blocks(monos)
+    blocks = list(weight_blocks(monos, N).values())
     if samples is None:
         samples = max(len(cols) for cols in blocks) + 24
     points = _sampled_points(d, N, r, samples, random.Random(1_000_003 * seed))
@@ -524,21 +520,53 @@ def _join_conditions_ok(I, J, d: int, n: int, f: SymElement) -> bool:
 
 
 def exact_join_component(I, J, d: int, n: int) -> ComponentBasis:
+    """The (d, n) component of the join of I and J, in canonical reduced form.
+
+    When both ideals certify `permutation_stable(d, n)`, V and every
+    quotient in the conditions are graded and S_N-stable, and so is the
+    kernel: only the dominant weight blocks of V are eliminated, and each
+    kernel vector is carried to the other blocks of its orbit by one signed
+    permutation per distinct rearrangement of its weight.  Without the
+    certificate the same loop runs once, over all of V, with the identity.
+    """
     if I.M != J.M:
         raise ValueError(f"multiplier mismatch: {I.M} vs {J.M}")
     M = I.M
     comp = ComponentBasis(d, n, M)
     CI = I.component(d, n)
-    if I is J:
-        v_elems = CI.basis_elements()
+    CJ = None if I is J else J.component(d, n)
+    if I.permutation_stable(d, n) and J.permutation_stable(d, n):
+        # every row of CI is weight-homogeneous, so its lead gives its weight
+        N = M * d
+        blocks: dict[tuple[int, ...], list[SymElement]] = {}
+        for row in CI.basis.basis_rows():
+            w = weight(CI.monomials[min(row)], N)
+            if is_dominant(w):
+                blocks.setdefault(w, []).append(CI.element(row))
+        orbits = [(rows, list(orbit_permutations(w))) for w, rows in blocks.items()]
     else:
-        CJ = J.component(d, n)
-        v_elems = _intersect_components(CI, CJ)
-    if not v_elems:
-        return comp
-    nv = len(v_elems)
-    acc = SparseRREF()
+        orbits = [(CI.basis_elements(), [tuple(range(1, M * d + 1))])]
     left_memo: dict = {}
+    for rows, perms in orbits:
+        v_elems = rows if CJ is None else _intersect(rows, CJ)
+        for e in _join_kernel(I, J, d, n, v_elems, left_memo):
+            for sigma in perms:
+                comp.add(act(sigma, e))
+    return comp
+
+
+def _join_kernel(I, J, d: int, n: int, v_elems: Sequence[SymElement],
+                 left_memo: dict) -> list[SymElement]:
+    """The combinations of v_elems that satisfy every middle condition.
+
+    The conditions are streamed one summand i at a time; once the kernel
+    so far is nonzero, its vectors are checked against the full condition
+    set, and if all pass the elimination stops early.
+    """
+    nv = len(v_elems)
+    if not nv:
+        return []
+    acc = SparseRREF()
     blocks = list(range(1, n))
     if I is J:
         # the (n-i)-th condition is the slot swap of the i-th one
@@ -551,17 +579,12 @@ def exact_join_component(I, J, d: int, n: int) -> ComponentBasis:
         for key in sorted(rows_map):
             acc.add(rows_map[key])
         if acc.rank == nv:
-            return comp  # zero kernel
-        candidates = sparse_rref_kernel(acc, nv)
-        elems = [_combine(v_elems, lam) for lam in candidates]
+            return []
+        elems = [_combine(v_elems, lam) for lam in sparse_rref_kernel(acc, nv)]
         if blk_idx + 1 == len(blocks) or all(
                 _join_conditions_ok(I, J, d, n, e) for e in elems):
-            for e in elems:
-                comp.add(e)
-            return comp
-    for lam in sparse_rref_kernel(acc, nv):
-        comp.add(_combine(v_elems, lam))
-    return comp
+            return elems
+    return [_combine(v_elems, lam) for lam in sparse_rref_kernel(acc, nv)]
 
 
 def _combine(elems: Sequence[SymElement], lam: Mapping[int, Fraction]) -> SymElement:
@@ -574,23 +597,18 @@ def _combine(elems: Sequence[SymElement], lam: Mapping[int, Fraction]) -> SymEle
     return out
 
 
-def _intersect_components(CI: ComponentBasis, CJ: ComponentBasis) -> list[SymElement]:
-    """Basis of the intersection of two component subspaces."""
-    ui = CI.basis_elements()
+def _intersect(ui: Sequence[SymElement], CJ: ComponentBasis) -> list[SymElement]:
+    """Basis of the intersection of span(ui) with a component subspace."""
     if not ui or CJ.dim == 0:
         return []
-    residuals = [CJ.reduce_coords(CJ.coords(u)) for u in ui]
     rows_map: dict[int, dict[int, Fraction]] = {}
-    for t, res in enumerate(residuals):
-        for c, v in res.items():
+    for t, u in enumerate(ui):
+        for c, v in CJ.reduce_coords(CJ.coords(u)).items():
             rows_map.setdefault(c, {})[t] = v
     acc = SparseRREF()
     for c in sorted(rows_map):
         acc.add(rows_map[c])
-    out = []
-    for lam in sparse_rref_kernel(acc, len(ui)):
-        out.append(_combine(ui, lam))
-    return out
+    return [_combine(ui, lam) for lam in sparse_rref_kernel(acc, len(ui))]
 
 
 class JoinIdeal:
@@ -614,6 +632,11 @@ class JoinIdeal:
 
     def component_dim(self, d: int, n: int) -> int:
         return self.component(d, n).dim
+
+    def permutation_stable(self, d: int, n: int) -> bool:
+        """Both inputs certified: every join component (d, k), k <= n, is then
+        graded and S_N-stable, since the comultiplication is equivariant."""
+        return self.I.permutation_stable(d, n) and self.J.permutation_stable(d, n)
 
     def membership(self, f: SymElement) -> bool:
         if f.is_zero():

@@ -192,7 +192,7 @@ def sym_shuffle(f: SymElement, h: SymElement) -> SymElement:
     for kf, cf in f.terms.items():
         for kh, ch in h.terms.items():
             key = tuple(sorted(kf + kh))
-            c = out.get(key, Fraction(0)) + cf * ch
+            c = out.get(key, 0) + cf * ch
             if c:
                 out[key] = c
             else:

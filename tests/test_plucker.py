@@ -16,6 +16,7 @@ from shufflestar.plucker import (
     evaluation_kernel,
     gamma_count,
     generation_census,
+    exact_join_component,
     join_component,
     pfaffian,
     plucker_ideal,
@@ -112,6 +113,8 @@ def test_join_of_zero_ideals_is_zero():
 def test_join_commutes():
     I = DiIdeal(2, [basic_plucker(1)])
     J = DiIdeal(2, [sym_monomial(2, 2, 2, [(1, 2), (1, 2)])])
+    # x12^2 is not S_4-stable, so these joins take the one-block path
+    assert I.permutation_stable(2, 3) and not J.permutation_stable(2, 2)
     for bid in ((2, 2), (2, 3)):
         a = join_component(I, J, bid)
         b = join_component(J, I, bid)
@@ -276,3 +279,66 @@ def test_config_defaults():
         GrassmannConfig(d=5, N=3)
     with pytest.raises(ValueError):
         GrassmannConfig(d=2, N=5, M=2).require_multiplier()
+
+
+def test_plucker_ideal_certifies_and_a_monomial_ideal_does_not(tmp_path):
+    P = plucker_ideal(3, 2)
+    assert P.permutation_stable(2, 4)
+    assert JoinIdeal(P, P).permutation_stable(2, 4)
+    # read back from the disk cache, the star rows are recomputed and checked
+    plucker_ideal(3, 2, cache_dir=tmp_path).component(2, 3)
+    cached = plucker_ideal(3, 2, cache_dir=tmp_path)
+    assert cached.permutation_stable(2, 3)
+    square = DiIdeal(2, [sym_monomial(2, 2, 2, [(1, 2), (1, 2)])])
+    assert square.permutation_stable(2, 1)   # nothing below the generator
+    assert not square.permutation_stable(2, 2)
+    assert not square.permutation_stable(2, 3)
+    assert not JoinIdeal(plucker_ideal(2, 2), square).permutation_stable(2, 3)
+
+
+def test_an_inhomogeneous_stable_generator_set_does_not_certify():
+    # the S_4-orbit of x12^2 + x12 x34 is closed under permutations, but
+    # its generators mix two weights, so the ideal is not graded
+    from itertools import permutations
+    from shufflestar.weights import act
+    f = SymElement(2, 2, 2, {((1, 2), (1, 2)): 1, ((1, 2), (3, 4)): 1})
+    gens = [act(sigma, f) for sigma in permutations(range(1, 5))]
+    assert not DiIdeal(2, gens).permutation_stable(2, 2)
+
+
+def _one_block_join(I, J, d, n):
+    """The join component through the one-block path: all of V, identity only."""
+    from shufflestar.plucker import _intersect, _join_kernel
+    v = I.component(d, n).basis_elements()
+    if I is not J:
+        v = _intersect(v, J.component(d, n))
+    comp = ComponentBasis(d, n, I.M)
+    for e in _join_kernel(I, J, d, n, v, {}):
+        comp.add(e)
+    return comp
+
+
+@pytest.mark.parametrize("M, r", [(3, 1), (4, 2)])
+def test_orbit_path_equals_the_one_block_path(M, r):
+    # Gr(2,6) r=1 is a self-join; Gr(2,8) r=2 joins P with its first secant
+    # and so intersects block by block
+    P = plucker_ideal(M, 2)
+    inner = secant_ideal(P, r - 1)
+    assert P.permutation_stable(2, 4) and inner.permutation_stable(2, 4)
+    orbit = exact_join_component(P, inner, 2, 4)
+    one = _one_block_join(P, inner, 2, 4)
+    assert orbit.dim == one.dim > 0
+    assert orbit.basis.basis_rows() == one.basis.basis_rows()
+
+
+@pytest.mark.parametrize("r", [0, 1, 2])
+def test_pfaffian_family_new_generators_only_in_degree_r_plus_2(r):
+    # rank <= 2(r+1) skew forms on k^(2(r+2)) are cut out by the one
+    # sub-Pfaffian of the full index set
+    N = 2 * (r + 2)
+    rep = degree_probe(GrassmannConfig(d=2, N=N, r=r), r + 2)
+    assert [row["new_generators"] for row in rep["rows"]] == [0] * (r + 1) + [1]
+    assert rep["largest_new_n"] == r + 2
+    comp = secant_ideal(plucker_ideal(N // 2, 2), r).component(2, r + 2)
+    assert comp.dim == 1
+    assert comp.contains(pfaffian(range(1, N + 1), N))

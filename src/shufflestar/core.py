@@ -359,14 +359,28 @@ def iter_sym_keys(d: int, n: int, M: int) -> Iterable[FactorTuple]:
 # ---------------------------------------------------------------------------
 
 def coeff_to_str(c: Rational) -> str:
+    if c.__class__ is int:
+        return f"{c}/1"
     c = Fraction(c)
     return f"{c.numerator}/{c.denominator}"
 
 
 def coeff_from_str(s: str) -> Rational:
+    """The coefficient "p/q" as an int when integral, else as a Fraction.
+
+    "p/1", the common case, is read without building a Fraction.  A zero
+    denominator, like any unreadable string, raises ValueError.
+    """
     if not isinstance(s, str):
         raise ValueError(f"coefficient must be a string, got {s!r}")
-    return Fraction(s)
+    num, _, den = s.partition("/")
+    if den == "1" and (num[1:] if num[:1] == "-" else num).isdecimal():
+        return int(num)
+    try:
+        c = Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"coefficient {s!r} has a zero denominator") from None
+    return c.numerator if c.denominator == 1 else c
 
 
 def element_to_dict(f: _BaseElement) -> dict:

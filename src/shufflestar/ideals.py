@@ -10,9 +10,14 @@ star products of generators of tensor degree exactly n.
 
 Components are auto-reduced against a descending monomial order, so pivot
 monomials are the leading terms and non-pivots are the standard monomials
-of the quotient.  Components are cached in memory and optionally on disk
-(one JSON file per (M, d, n), named with a content hash of the generators;
-corrupted or stale files are recomputed).
+of the quotient.  Components are cached in memory and optionally on disk:
+one JSON file per (M, d, n), named with a content hash of the generators,
+holding the canonical reduced echelon rows.  A read adopts those rows
+without eliminating them again, after a check linear in their nonzeros
+(`SparseRREF.from_reduced_rows`) and a check of the key and dimension; a
+file that fails any check is recomputed and overwritten, never trusted.
+Each `DiIdeal` counts its cache hits, misses and rejects by reason in
+`cache_stats`.
 
 `DiIdeal.permutation_stable` certifies that the components up to a tensor
 degree are graded by torus weight and stable under the signed permutation
@@ -39,7 +44,7 @@ from .core import (
     iter_factors,
     iter_sym_keys,
 )
-from .linalg import SparseRREF
+from .linalg import NotReducedError, SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
 from .weights import act, adjacent_transpositions, weight
 
@@ -127,6 +132,9 @@ class DiIdeal:
         self.gen_hash = _generator_hash(self.generators, self.M)
         self._components: dict[tuple[int, int], ComponentBasis] = {}
         self._stable: dict[tuple[int, int], bool] = {}
+        # disk cache reads of this ideal: files adopted, files absent, and
+        # files refused, by the reason of the failed check
+        self.cache_stats: dict = {"hits": 0, "misses": 0, "rejects": {}}
 
     # -- disk cache -------------------------------------------------------
 
@@ -136,24 +144,41 @@ class DiIdeal:
         return self.cache_dir / f"component_M{self.M}_d{d}_n{n}_{self.gen_hash}.json"
 
     def _load_cached(self, d: int, n: int) -> Optional[ComponentBasis]:
+        """The cached (d, n) component, or None when it must be computed.
+
+        The stored rows are adopted as they are once they pass the checks of
+        `SparseRREF.from_reduced_rows`; a file that fails any check, or
+        whose key or dim does not match, is counted as a reject by reason.
+        """
         path = self._cache_path(d, n)
-        if path is None or not path.exists():
+        if path is None:
+            return None
+        if not path.exists():
+            self.cache_stats["misses"] += 1
             return None
         try:
             data = json.loads(path.read_text())
             if data.get("generator_hash") != self.gen_hash or \
                     [data.get("M"), data.get("d"), data.get("n")] != [self.M, d, n]:
-                return None
+                return self._reject("stale key")
             comp = ComponentBasis(d, n, self.M)
-            for row in data["basis"]:
-                vec = {int(c): coeff_from_str(v) for c, v in row}
-                if not comp.basis.add(vec):
-                    return None
-            if comp.dim != data.get("dim"):
-                return None
-            return comp
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError):
-            return None
+            comp.basis = SparseRREF.from_reduced_rows(
+                ([(c, coeff_from_str(v)) for c, v in row] for row in data["basis"]),
+                comp.space_dim)
+        except NotReducedError as exc:
+            return self._reject(exc.reason)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            # unreadable JSON or text, a missing field, a bad coefficient
+            return self._reject("malformed")
+        if comp.dim != data.get("dim"):
+            return self._reject("dim mismatch")
+        self.cache_stats["hits"] += 1
+        return comp
+
+    def _reject(self, reason: str) -> None:
+        rejects = self.cache_stats["rejects"]
+        rejects[reason] = rejects.get(reason, 0) + 1
+        return None
 
     def _store_cached(self, comp: ComponentBasis) -> None:
         path = self._cache_path(comp.d, comp.n)

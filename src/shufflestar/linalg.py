@@ -11,13 +11,25 @@ column order, so results are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 Rational = Union[int, Fraction]
 
 
 class CoeffLimitExceeded(RuntimeError):
     """Raised when entries outgrow the configured coefficient-bit budget."""
+
+
+class NotReducedError(ValueError):
+    """Rows offered as a reduced echelon basis that are not one.
+
+    `reason` names the failed check, e.g. "non-unit pivot"; the message adds
+    the row and column.
+    """
+
+    def __init__(self, reason: str, detail: str):
+        super().__init__(f"{reason}: {detail}")
+        self.reason = reason
 
 
 _default_max_bits: Optional[int] = None
@@ -116,7 +128,8 @@ class SparseRREF:
     every non-pivot column, an append-only list of the rows that have held
     an entry there.  An entry that later cancels leaves its row in the list,
     and readers skip it.  `reduce` is the canonical linear projection onto
-    the non-pivot (standard) coordinates.
+    the non-pivot (standard) coordinates.  `from_reduced_rows` adopts rows
+    that already have this form, such as a cached basis, after checking it.
     """
 
     __slots__ = ("pivots", "rows", "max_bits", "_cols")
@@ -126,6 +139,70 @@ class SparseRREF:
         self.rows: list[dict[int, Rational]] = []
         self._cols: dict[int, list[int]] = {}   # non-pivot col -> row indices
         self.max_bits = max_bits if max_bits is not None else _default_max_bits
+
+    @classmethod
+    def from_reduced_rows(cls, rows: Iterable[Iterable[tuple[int, Rational]]], ncols: int,
+                          max_bits: Optional[int] = None) -> "SparseRREF":
+        """Adopt rows that already are a reduced echelon basis, after checking them.
+
+        Each row is a sequence of (column, coefficient) pairs, as written
+        from `basis_rows`.  In time linear in the nonzeros, it checks that every
+        column is an int in [0, ncols) and appears once in its row, that
+        every coefficient is a nonzero int or a non-integral Fraction (the
+        form `_exact` gives), that every row is nonzero with the int 1 in
+        its smallest column, its pivot, that no two rows share a pivot, and
+        that no row has an entry in another row's pivot column.  Those are
+        the invariants `add` keeps, so the result is the basis that adding
+        the rows would build, without eliminating anything.  A failed check
+        raises `NotReducedError`; an entry over the bit budget raises
+        `CoeffLimitExceeded`, as `add` would.
+        """
+        basis = cls(max_bits)
+        bits = basis.max_bits
+        pivots = basis.pivots
+        stored = basis.rows
+        cols = basis._cols
+        for idx, pairs in enumerate(rows):
+            row: dict[int, Rational] = {}
+            for c, v in pairs:
+                if c.__class__ is not int or not 0 <= c < ncols:
+                    raise NotReducedError("column out of range",
+                                          f"row {idx} has column {c!r} (ncols {ncols})")
+                if c in row:
+                    raise NotReducedError("repeated column", f"row {idx} repeats column {c}")
+                vcls = v.__class__
+                if vcls is int:
+                    if not v:
+                        raise NotReducedError("zero entry", f"row {idx} has 0 at column {c}")
+                elif vcls is not Fraction or v.denominator == 1:
+                    raise NotReducedError("non-canonical entry",
+                                          f"row {idx} has {v!r} at column {c}")
+                if bits is not None:
+                    _check_bits(v.numerator, bits)
+                    _check_bits(v.denominator, bits)
+                row[c] = v
+            if not row:
+                raise NotReducedError("zero row", f"row {idx} is empty")
+            lead = min(row)
+            p = row[lead]
+            if p != 1:
+                raise NotReducedError("non-unit pivot", f"row {idx} has {p!r} at its pivot {lead}")
+            if lead in pivots:
+                raise NotReducedError("repeated pivot",
+                                      f"rows {pivots[lead]} and {idx} share pivot {lead}")
+            pivots[lead] = idx
+            stored.append(row)
+            for c in row:
+                if c != lead:
+                    cols.setdefault(c, []).append(idx)
+        # every row is indexed under its non-pivot columns, so a pivot
+        # column in the index is an entry of another row there
+        for p, idx in pivots.items():
+            if p in cols:
+                raise NotReducedError("entry in pivot column",
+                                      f"row {cols[p][0]} has an entry in column {p}, "
+                                      f"the pivot of row {idx}")
+        return basis
 
     @property
     def rank(self) -> int:

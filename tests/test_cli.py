@@ -140,6 +140,7 @@ def test_alphabet_not_a_multiple_of_the_width_is_an_input_error(tmp_path):
 @pytest.mark.parametrize("text", [
     "{broken",
     '{"bidegree": [2, 2, 2], "terms": [{"coeff": "1", "monomial": [[1, 9], [2, 3]]}]}',
+    '{"bidegree": [2, 2, 2], "terms": [{"coeff": "1/0", "monomial": [[1, 2], [3, 4]]}]}',
 ])
 def test_malformed_element_file_is_an_input_error(tmp_path, text):
     bad = tmp_path / "bad.json"
@@ -190,3 +191,33 @@ def test_max_coeff_bits_does_not_outlive_the_run(tmp_path):
                       "--max-coeff-bits", "1"], out)
     assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
     assert SparseRREF().max_bits is None
+
+
+def test_failed_verify_check_exits_1(tmp_path, monkeypatch):
+    from shufflestar import verify
+
+    def check_gamma(seed=0):
+        return {"name": "gamma", "passed": False, "details": {"forced": True}}
+
+    monkeypatch.setattr(verify, "ALL_CHECKS", tuple(
+        check_gamma if fn.__name__ == "check_gamma" else fn for fn in verify.ALL_CHECKS))
+    code, rep = _run(["verify", "--only", "census,gamma"], tmp_path / "r.json")
+    assert code == 1
+    assert rep["result"]["passed"] is False
+    failing = [c["name"] for c in rep["result"]["checks"] if not c["passed"]]
+    assert failing == ["gamma"]
+
+
+def test_cached_coefficient_over_the_bit_budget_exits_3(tmp_path):
+    out = tmp_path / "r.json"
+    cache = tmp_path / "cache"
+    args = ["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2",
+            "--cache-dir", str(cache), "--max-coeff-bits", "2"]
+    code, rep = _run(args, out)
+    assert code == 0
+    path, = cache.glob("component_M2_d2_n2_*.json")
+    data = json.loads(path.read_text())
+    data["basis"][0][-1][1] = "1000/1"
+    path.write_text(json.dumps(data))
+    code, rep = _run(args, out)
+    assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"

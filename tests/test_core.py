@@ -11,6 +11,8 @@ from shufflestar.core import (
     SymElement,
     TensorMonomial,
     canonicalize,
+    coeff_from_str,
+    coeff_to_str,
     element_from_dict,
     element_to_dict,
     is_sym_invariant,
@@ -154,6 +156,21 @@ def test_json_round_trip():
     assert all("/" in t["coeff"] for t in data["terms"])
     back = element_from_dict(json.loads(json.dumps(data)), symmetric=True)
     assert back == f
+
+
+def test_coefficient_strings():
+    for c in (0, 1, -1, 7, -2 ** 80, Fraction(-3, 7), Fraction(1, 2 ** 70)):
+        s = coeff_to_str(c)
+        assert s == f"{Fraction(c).numerator}/{Fraction(c).denominator}"
+        back = coeff_from_str(s)
+        assert back == c
+        # integral values come back as int, true fractions as Fraction
+        assert type(back) is (int if Fraction(c).denominator == 1 else Fraction)
+    assert coeff_to_str(Fraction(6, 3)) == "2/1" and coeff_to_str(True) == "1/1"
+    assert type(coeff_from_str("4/2")) is int and type(coeff_from_str("5")) is int
+    for bad in ("1/0", "0/0", "-/1", "/1", "1/", "x/1", "5 /1", 3):
+        with pytest.raises(ValueError):
+            coeff_from_str(bad)
 
 
 def test_json_reader_rejections():

@@ -172,3 +172,82 @@ def test_cache_write_uses_a_private_temporary_file(tmp_path):
     loaded = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)._load_cached(2, 2)
     assert loaded is not None and loaded.dim == comp.dim
     assert loaded.basis.basis_rows() == comp.basis.basis_rows()
+
+
+def test_cached_fraction_entries_round_trip(tmp_path):
+    # two generators with different coefficient ratios give reduced rows
+    # with non-integral entries
+    x = lambda i: sym_monomial(1, 1, 3, [(i,)])
+    gens = [x(2).scale(2) + x(1).scale(3), x(3).scale(3) + x(1).scale(5)]
+    I1 = DiIdeal(3, gens, cache_dir=tmp_path)
+    rows = I1.component(1, 2).basis.basis_rows()
+    assert any(type(v) is Fraction for row in rows for v in row.values())
+    # (1, 2), (1, 1) and (1, 0) were computed and stored
+    assert I1.cache_stats == {"hits": 0, "misses": 3, "rejects": {}}
+    I2 = DiIdeal(3, gens, cache_dir=tmp_path)
+    loaded = I2.component(1, 2)
+    assert I2.cache_stats == {"hits": 1, "misses": 0, "rejects": {}}
+    assert loaded.basis.basis_rows() == rows
+    assert loaded.basis.pivots == {c: i for i, c in enumerate(sorted(loaded.basis.pivots))}
+    fresh = DiIdeal(3, gens).component(1, 2)
+    for el in fresh.basis_elements():
+        assert loaded.contains(el)
+    for f in [sym_monomial(1, 2, 3, [(1,), (2,)]), sym_monomial(1, 2, 3, [(3,), (3,)])]:
+        assert loaded.reduce(f) == fresh.reduce(f)
+
+
+def _unused_column(data, space_dim):
+    used = {c for row in data["basis"] for c, _ in row}
+    return next(c for c in range(space_dim) if c not in used)
+
+
+def _insert(row, col, coeff):
+    row.append([col, coeff])
+    row.sort()
+
+
+# each edit corrupts a stored (2, 3) component of the Klein quadric ideal
+_CORRUPTIONS = {
+    "non-unit pivot": lambda data, dim: data["basis"][0][0].__setitem__(1, "2/1"),
+    "repeated pivot": lambda data, dim: data["basis"].__setitem__(1, list(data["basis"][0])),
+    "entry in pivot column": lambda data, dim: _insert(
+        data["basis"][0], data["basis"][1][0][0], "1/1"),
+    "zero entry": lambda data, dim: _insert(
+        data["basis"][0], _unused_column(data, dim), "0/1"),
+    "dim mismatch": lambda data, dim: data.__setitem__("dim", data["dim"] + 1),
+    "column out of range": lambda data, dim: _insert(data["basis"][0], dim, "1/1"),
+    "malformed": lambda data, dim: data["basis"][0][-1].__setitem__(1, "1/0"),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_CORRUPTIONS))
+def test_corrupt_cache_file_is_recomputed(tmp_path, reason):
+    I1 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
+    comp = I1.component(2, 3)
+    path = I1._cache_path(2, 3)
+    original = path.read_bytes()
+    data = json.loads(original)
+    _CORRUPTIONS[reason](data, comp.space_dim)
+    path.write_text(json.dumps(data))
+    I2 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
+    again = I2.component(2, 3)
+    assert I2.cache_stats == {"hits": 1, "misses": 0, "rejects": {reason: 1}}
+    assert again.basis.basis_rows() == comp.basis.basis_rows()
+    # the recomputed component replaces the corrupt file
+    assert path.read_bytes() == original
+
+
+@pytest.mark.parametrize("column", [-1, "space_dim"])
+def test_cached_column_out_of_range_is_not_adopted(tmp_path, column):
+    # a pivot column of -1 used to load as a wrong component: dim 1 with
+    # pivot monomial x12^2 instead of x14*x23
+    I1 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
+    comp = I1.component(2, 2)
+    assert comp.pivot_monomials() == [((1, 4), (2, 3))]
+    path = I1._cache_path(2, 2)
+    data = json.loads(path.read_text())
+    data["basis"][0][0][0] = comp.space_dim if column == "space_dim" else column
+    path.write_text(json.dumps(data))
+    I2 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
+    assert I2.component(2, 2).pivot_monomials() == [((1, 4), (2, 3))]
+    assert I2.cache_stats["rejects"] == {"column out of range": 1}

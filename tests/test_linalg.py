@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from shufflestar.linalg import (
     CoeffLimitExceeded,
+    NotReducedError,
     RatMatrix,
     SparseRREF,
     in_span,
@@ -143,6 +144,9 @@ def _check_invariants(acc):
             if type(v) is Fraction:
                 assert v.denominator != 1
             assert c == p or c not in pivots
+            # the column index lists every row under each non-pivot column
+            assert c == p or i in acc._cols[c]
+    assert not set(acc._cols) & set(pivots)
 
 
 def test_sparse_rref_matches_sympy_rref_over_qq():
@@ -222,3 +226,53 @@ def test_coeff_limit_guard():
     with pytest.raises(CoeffLimitExceeded):
         acc.add({0: 1, 1: -200, 2: 1})   # the new row holds -1/400
     assert acc.rank == 1 and acc.rows == [{0: 1, 1: 200}]
+
+
+def test_adopted_rows_behave_as_the_eliminated_basis():
+    rng = random.Random(4)
+    for _ in range(40):
+        cols = rng.randint(2, 12)
+        fresh = SparseRREF()
+        for v in _random_rows(rng, cols, rng.randint(1, 10)):
+            fresh.add(v)
+        loaded = SparseRREF.from_reduced_rows([row.items() for row in fresh.basis_rows()], cols)
+        _check_invariants(loaded)
+        assert loaded.basis_rows() == fresh.basis_rows()
+        assert loaded.pivot_columns() == fresh.pivot_columns()
+        assert sparse_rref_kernel(loaded, cols) == sparse_rref_kernel(fresh, cols)
+        for v in _random_rows(rng, cols, 4):
+            assert loaded.reduce(v) == fresh.reduce(v)
+            assert loaded.add(dict(v)) == fresh.add(dict(v))
+            _check_invariants(loaded)
+            assert loaded.basis_rows() == fresh.basis_rows()
+            assert sparse_rref_kernel(loaded, cols) == sparse_rref_kernel(fresh, cols)
+
+
+@pytest.mark.parametrize("rows, reason", [
+    ([[(0, 1), (2, 3)], []], "zero row"),
+    ([[(0, 2), (2, 3)]], "non-unit pivot"),
+    ([[(0, Fraction(1)), (2, 3)]], "non-canonical entry"),
+    ([[(0, 1), (2, Fraction(4, 2))]], "non-canonical entry"),
+    ([[(0, 1), (2, 1.5)]], "non-canonical entry"),
+    ([[(0, 1), (2, True)]], "non-canonical entry"),
+    ([[(0, 1), (2, 0)]], "zero entry"),
+    ([[(0, 1), (2, 3)], [(0, 1), (3, 1)]], "repeated pivot"),
+    ([[(0, 1), (2, 3)], [(2, 1), (3, 1)]], "entry in pivot column"),
+    ([[(1, 1), (3, 1)], [(0, 1), (1, 5)]], "entry in pivot column"),
+    ([[(-1, 1), (2, 3)]], "column out of range"),
+    ([[(0, 1), (5, 3)]], "column out of range"),
+    ([[(0, 1), ("2", 3)]], "column out of range"),
+    ([[(0, 1), (2, 3), (2, 4)]], "repeated column"),
+])
+def test_rows_that_are_not_reduced_are_refused_with_a_reason(rows, reason):
+    with pytest.raises(NotReducedError) as info:
+        SparseRREF.from_reduced_rows(rows, 5)
+    assert info.value.reason == reason
+    assert str(info.value).startswith(reason + ": ")
+
+
+def test_adopted_rows_keep_the_bit_budget():
+    rows = [[(0, 1), (1, Fraction(1, 2 ** 20))], [(2, 1), (3, 7)]]
+    assert SparseRREF.from_reduced_rows(rows, 4, max_bits=21).rank == 2
+    with pytest.raises(CoeffLimitExceeded):
+        SparseRREF.from_reduced_rows(rows, 4, max_bits=20)

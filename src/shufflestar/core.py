@@ -4,8 +4,18 @@ The ground space in bidegree (d, n) is the n-th tensor (or symmetric) power
 of the d-th exterior power of k^(M*d), for a fixed multiplier M.  Basis
 wedges are encoded by strictly increasing index tuples over the alphabet
 [1 .. M*d]; a tensor monomial is an ordered list of n such tuples, a
-symmetric monomial a canonically sorted multiset of them.  All coefficients
-are exact rationals (fractions.Fraction), always reduced.
+symmetric monomial a canonically sorted multiset of them.
+
+Coefficients are exact rationals held in one canonical form: an integral
+value is an `int`, any other value a reduced `Fraction` with denominator
+greater than 1, never a float.  `exact` applies this rule to one value.
+Products and maps follow it by working integer-first: `to_numerators`
+brings their input to integer numerators over one common denominator, the
+integers are summed in a plain dict, and `from_numerators` divides each
+output once.  The one exception is `products.sym_shuffle`, the hot loop of
+the ideal climb: it multiplies and adds coefficients as they come, so
+integral inputs give ints but Fraction inputs may give a Fraction with
+denominator 1.
 """
 
 from __future__ import annotations
@@ -13,14 +23,56 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
-from typing import Iterable, Mapping, Sequence
+from math import lcm
+from typing import Iterable, Mapping, Sequence, Union
 
-Rational = Fraction
+Rational = Union[int, Fraction]
 
 # A wedge factor is a strictly increasing tuple of 1-based indices.
 Factor = tuple[int, ...]
 # A monomial key is the tuple of its factors.
 FactorTuple = tuple[Factor, ...]
+
+
+def exact(v) -> Rational:
+    """v as an int when it is integral, else as a Fraction (exact for floats)."""
+    cls = v.__class__
+    if cls is int:
+        return v
+    if cls is not Fraction:
+        v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def exact_div(v: Rational, p: Rational) -> Rational:
+    """v / p, as an int when the quotient is integral."""
+    if v.__class__ is int and p.__class__ is int:
+        q, r = divmod(v, p)
+        return q if not r else Fraction(v, p)
+    q = v / p
+    return q.numerator if q.denominator == 1 else q
+
+
+def to_numerators(terms: Mapping) -> tuple[Mapping, int]:
+    """(numerators, L): integer numerators of the coefficients over their lcm L.
+
+    All-integral terms come back as they are, with L = 1.
+    """
+    den = 1
+    for c in terms.values():
+        if c.__class__ is not int:
+            den = lcm(den, c.denominator)
+    if den == 1:
+        return terms, 1
+    return {k: c * den if c.__class__ is int else c.numerator * (den // c.denominator)
+            for k, c in terms.items()}, den
+
+
+def from_numerators(nums: Mapping, den: int) -> dict:
+    """The coefficients nums / den in canonical form, zeros dropped."""
+    if den == 1:
+        return {k: v for k, v in nums.items() if v}
+    return {k: exact_div(v, den) for k, v in nums.items() if v}
 
 
 def _check_factor(factor: Iterable[int], width: int, alphabet: int) -> Factor:
@@ -188,6 +240,7 @@ class _BaseElement:
 
     def __init__(self, d: int, n: int, M: int, terms: Mapping[FactorTuple, Rational] | None = None,
                  _validated: bool = False):
+        """`_validated` terms are trusted: canonical keys and coefficients."""
         self.d = int(d)
         self.n = int(n)
         self.M = int(M)
@@ -202,7 +255,7 @@ class _BaseElement:
             else:
                 alphabet = self.M * self.d
                 for key, coeff in terms.items():
-                    c = Fraction(coeff)
+                    c = exact(coeff)
                     if not c:
                         continue
                     fs = tuple(_check_factor(f, self.d, alphabet) for f in key)
@@ -210,8 +263,10 @@ class _BaseElement:
                         raise ValueError(f"monomial {fs} has {len(fs)} factors, expected {self.n}")
                     if self._canonical:
                         fs = canonicalize(fs)
-                    tmap[fs] = tmap.get(fs, Fraction(0)) + c
-                    if not tmap[fs]:
+                    s = exact(tmap.get(fs, 0) + c)
+                    if s:
+                        tmap[fs] = s
+                    else:
                         del tmap[fs]
         self.terms = tmap
 
@@ -241,39 +296,40 @@ class _BaseElement:
     def add_scale(self, other, c: Rational = 1):
         """self + c * other, dropping zero coefficients.
 
-        An integral c is used as an int, so integral coefficients stay ints;
-        any other c becomes a Fraction, so no float reaches the terms.
+        The result's coefficients are in canonical form.
         """
         self._same_shape(other)
-        if c.__class__ is not int:
-            c = Fraction(c)
-            if c.denominator == 1:
-                c = c.numerator
+        c = exact(c)
         out = dict(self.terms)
         if c:
             for key, coeff in other.terms.items():
                 s = out.get(key, 0) + c * coeff
                 if s:
-                    out[key] = s
+                    out[key] = s if s.__class__ is int else exact(s)
                 else:
                     out.pop(key, None)
         return type(self)(self.d, self.n, self.M, out, _validated=True)
 
     def scale(self, c: Rational):
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return type(self)(self.d, self.n, self.M)
+        nums, den = to_numerators(self.terms)
+        if c.__class__ is not int:
+            den *= c.denominator
+            c = c.numerator
         return type(self)(self.d, self.n, self.M,
-                          {k: c * v for k, v in self.terms.items()}, _validated=True)
+                          from_numerators({k: c * v for k, v in nums.items()}, den),
+                          _validated=True)
 
     def __add__(self, other):
         return self.add_scale(other)
 
     def __sub__(self, other):
-        return self.add_scale(other, Fraction(-1))
+        return self.add_scale(other, -1)
 
     def __neg__(self):
-        return self.scale(Fraction(-1))
+        return self.scale(-1)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -304,33 +360,40 @@ class SymElement(_BaseElement):
 
 
 def monomial(d: int, n: int, M: int, factors: Iterable[Iterable[int]],
-             coeff: Rational = Fraction(1)) -> Element:
-    return Element(d, n, M, {tuple(tuple(f) for f in factors): Fraction(coeff)})
+             coeff: Rational = 1) -> Element:
+    return Element(d, n, M, {tuple(tuple(f) for f in factors): coeff})
 
 
 def sym_monomial(d: int, n: int, M: int, factors: Iterable[Iterable[int]],
-                 coeff: Rational = Fraction(1)) -> SymElement:
-    return SymElement(d, n, M, {tuple(tuple(f) for f in factors): Fraction(coeff)})
+                 coeff: Rational = 1) -> SymElement:
+    return SymElement(d, n, M, {tuple(tuple(f) for f in factors): coeff})
 
 
 def permute_slots(f: Element, perm: Sequence[int]) -> Element:
-    """Reorder tensor slots: slot k of the result is slot perm[k] of f (0-based)."""
+    """Reorder tensor slots: slot k of the result is slot perm[k] of f (0-based).
+
+    The reordering is a bijection on keys, so coefficients carry over as they are.
+    """
     if sorted(perm) != list(range(f.n)):
         raise ValueError(f"{perm} is not a permutation of range({f.n})")
-    out: dict[FactorTuple, Rational] = {}
-    for key, coeff in f.terms.items():
-        new = tuple(key[p] for p in perm)
-        out[new] = out.get(new, Fraction(0)) + coeff
-    return Element(f.d, f.n, f.M, out, _validated=True)
+    return Element(f.d, f.n, f.M,
+                   {tuple(key[p] for p in perm): coeff for key, coeff in f.terms.items()},
+                   _validated=True)
 
 
 def is_sym_invariant(f: Element) -> bool:
-    """True when f is fixed by every permutation of its tensor slots."""
-    for i in range(f.n - 1):
-        perm = list(range(f.n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        if permute_slots(f, perm) != f:
-            return False
+    """True when f is fixed by every permutation of its tensor slots.
+
+    Adjacent transpositions generate the symmetric group, so it suffices
+    that swapping any two neighbouring slots of any key gives a key with
+    the same coefficient.
+    """
+    terms = f.terms
+    for key, coeff in terms.items():
+        for i in range(f.n - 1):
+            a, b = key[i], key[i + 1]
+            if a != b and terms.get(key[:i] + (b, a) + key[i + 2:]) != coeff:
+                return False
     return True
 
 
@@ -401,5 +464,5 @@ def element_from_dict(data: Mapping, symmetric: bool = False) -> Element | SymEl
     for entry in data.get("terms", []):
         coeff = coeff_from_str(entry["coeff"])
         key = tuple(tuple(int(i) for i in factor) for factor in entry["monomial"])
-        terms[key] = terms.get(key, Fraction(0)) + coeff
+        terms[key] = terms.get(key, 0) + coeff
     return cls(d, n, M, terms)

@@ -31,12 +31,12 @@ import hashlib
 import json
 import os
 import tempfile
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .core import (
     FactorTuple,
+    Rational,
     SymElement,
     coeff_from_str,
     coeff_to_str,
@@ -73,12 +73,12 @@ class ComponentBasis:
     def space_dim(self) -> int:
         return len(self.monomials)
 
-    def coords(self, f: SymElement) -> dict[int, Fraction]:
+    def coords(self, f: SymElement) -> dict[int, Rational]:
         if (f.d, f.n, f.M) != (self.d, self.n, self.M):
             raise ValueError(f"bidegree mismatch: {f.bidegree} vs {(self.d, self.n, self.M)}")
         return {self.index[key]: c for key, c in f.terms.items()}
 
-    def element(self, vec: dict[int, Fraction]) -> SymElement:
+    def element(self, vec: dict[int, Rational]) -> SymElement:
         return SymElement(self.d, self.n, self.M,
                           {self.monomials[i]: c for i, c in vec.items() if c},
                           _validated=True)
@@ -93,7 +93,7 @@ class ComponentBasis:
         """Canonical remainder of f modulo the component (standard coordinates)."""
         return self.element(self.basis.reduce(self.coords(f)))
 
-    def reduce_coords(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def reduce_coords(self, vec: dict[int, Rational]) -> dict[int, Rational]:
         return self.basis.reduce(vec)
 
     def basis_elements(self) -> list[SymElement]:
@@ -161,10 +161,12 @@ class DiIdeal:
             if data.get("generator_hash") != self.gen_hash or \
                     [data.get("M"), data.get("d"), data.get("n")] != [self.M, d, n]:
                 return self._reject("stale key")
+            rows = data["basis"]
+            # the rows repeat a few coefficient strings: parse each once
+            parsed = {v: coeff_from_str(v) for v in {v for row in rows for _, v in row}}
             comp = ComponentBasis(d, n, self.M)
             comp.basis = SparseRREF.from_reduced_rows(
-                ([(c, coeff_from_str(v)) for c, v in row] for row in data["basis"]),
-                comp.space_dim)
+                ([(c, parsed[v]) for c, v in row] for row in rows), comp.space_dim)
         except NotReducedError as exc:
             return self._reject(exc.reason)
         except (ValueError, KeyError, TypeError, AttributeError):
@@ -241,7 +243,7 @@ class DiIdeal:
             ext = d - f.d
             for g in star_incfns(f.d, ext, self.M):
                 for akey in iter_sym_keys(ext, n, self.M):
-                    a = SymElement(ext, n, self.M, {akey: Fraction(1)}, _validated=True)
+                    a = SymElement(ext, n, self.M, {akey: 1}, _validated=True)
                     prod = sym_star(f, a, g)
                     if prod:
                         yield prod
@@ -289,13 +291,13 @@ class DiIdeal:
             stars = []
             for g in star_incfns(f.d, ext, self.M):
                 for akey in iter_sym_keys(ext, f.n, self.M):
-                    a = SymElement(ext, f.n, self.M, {akey: Fraction(1)}, _validated=True)
+                    a = SymElement(ext, f.n, self.M, {akey: 1}, _validated=True)
                     prod = sym_star(f, a, g)
                     if prod:
                         stars.append(prod)
             for s in stars:
                 for hkey in iter_sym_keys(d, n - f.n, self.M):
-                    h = SymElement(d, n - f.n, self.M, {hkey: Fraction(1)}, _validated=True)
+                    h = SymElement(d, n - f.n, self.M, {hkey: 1}, _validated=True)
                     row = sym_shuffle(s, h)
                     if row:
                         yield row

@@ -11,9 +11,9 @@ column order, so results are deterministic.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
-Rational = Union[int, Fraction]
+from .core import Rational, exact, exact_div
 
 
 class CoeffLimitExceeded(RuntimeError):
@@ -49,25 +49,6 @@ def set_default_max_bits(bits: Optional[int]) -> Optional[int]:
 def _check_bits(value: int, max_bits: Optional[int]):
     if max_bits is not None and value.bit_length() > max_bits:
         raise CoeffLimitExceeded(f"coefficient reached {value.bit_length()} bits (limit {max_bits})")
-
-
-def _exact(v) -> Rational:
-    """v as an int when it is integral, else as a Fraction (exact for floats)."""
-    cls = v.__class__
-    if cls is int:
-        return v
-    if cls is not Fraction:
-        v = Fraction(v)
-    return v.numerator if v.denominator == 1 else v
-
-
-def _div(v: Rational, p: Rational) -> Rational:
-    """v / p, as an int when the quotient is integral."""
-    if v.__class__ is int and p.__class__ is int:
-        q, r = divmod(v, p)
-        return q if not r else Fraction(v, p)
-    q = v / p
-    return q.numerator if q.denominator == 1 else q
 
 
 class RatMatrix:
@@ -149,7 +130,7 @@ class SparseRREF:
         from `basis_rows`.  In time linear in the nonzeros, it checks that every
         column is an int in [0, ncols) and appears once in its row, that
         every coefficient is a nonzero int or a non-integral Fraction (the
-        form `_exact` gives), that every row is nonzero with the int 1 in
+        form `core.exact` gives), that every row is nonzero with the int 1 in
         its smallest column, its pivot, that no two rows share a pivot, and
         that no row has an entry in another row's pivot column.  Those are
         the invariants `add` keeps, so the result is the basis that adding
@@ -210,7 +191,7 @@ class SparseRREF:
 
     def reduce(self, vec: Mapping[int, Rational]) -> dict[int, Rational]:
         # ints, the common case, skip the call
-        out = {c: v if v.__class__ is int else _exact(v) for c, v in vec.items() if v}
+        out = {c: v if v.__class__ is int else exact(v) for c, v in vec.items() if v}
         pivots = self.pivots
         rows = self.rows
         # A stored row is 0 in every pivot column but its own, so subtracting
@@ -238,7 +219,7 @@ class SparseRREF:
             return False
         lead = min(red)
         p = red[lead]
-        row = red if p == 1 else {c: _div(v, p) for c, v in red.items()}
+        row = red if p == 1 else {c: exact_div(v, p) for c, v in red.items()}
         if self.max_bits is not None:
             for v in row.values():
                 _check_bits(v.numerator, self.max_bits)

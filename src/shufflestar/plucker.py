@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
@@ -99,14 +100,14 @@ def basic_plucker(n: int) -> SymElement:
     if n < 1:
         raise ValueError("need n >= 1")
     total = 4 * n
-    terms: dict[FactorTuple, Fraction] = {}
+    terms: dict[FactorTuple, int] = {}
     universe = tuple(range(1, total + 1))
     for rest in combinations(universe[1:], 2 * n - 1):
         S = (1,) + rest
         comp = tuple(i for i in universe if i not in set(S))
         sign, _ = merge_signed(S, comp)
         key = tuple(sorted((S, comp)))
-        terms[key] = Fraction(sign)
+        terms[key] = sign
     return SymElement(2 * n, 2, 2, terms)
 
 
@@ -132,14 +133,14 @@ def weyman_quadrics(d: int, N: int) -> list[SymElement]:
             for iset in combinations(universe, u):
                 for jset in combinations(universe, jlen):
                     for lset in combinations(universe, v):
-                        terms: dict[FactorTuple, Fraction] = {}
+                        terms: dict[FactorTuple, int] = {}
                         for first_pos in combinations(range(jlen), d - u):
                             second_pos = tuple(k for k in range(jlen) if k not in set(first_pos))
                             shuffle_sign, _ = merge_signed(first_pos, second_pos)
                             s1, f1 = merge_signed(iset, tuple(jset[k] for k in first_pos))
                             s2, f2 = merge_signed(tuple(jset[k] for k in second_pos), lset)
                             key = tuple(sorted((f1, f2)))
-                            c = terms.get(key, Fraction(0)) + shuffle_sign * s1 * s2
+                            c = terms.get(key, 0) + shuffle_sign * s1 * s2
                             if c:
                                 terms[key] = c
                             else:
@@ -154,15 +155,24 @@ def plucker_ideal(M: int, max_d: int, cache_dir=None) -> DiIdeal:
     """The sum of the width-d' minor ideals for d' up to max_d, as a di-ideal.
 
     The quadric families are reduced to a basis per width first; the ideal
-    they generate is unchanged and every later enumeration shrinks.
+    they generate is unchanged and every later enumeration shrinks.  That
+    basis is built once per (M, max_d) in a process; every call gets its
+    own copies of it in a new ideal.
     """
+    gens = [SymElement(g.d, g.n, g.M, dict(g.terms), _validated=True)
+            for g in _plucker_generators(M, max_d)]
+    return DiIdeal(M, gens, cache_dir=cache_dir)
+
+
+@cache
+def _plucker_generators(M: int, max_d: int) -> tuple[SymElement, ...]:
     gens: list[SymElement] = []
     for d in range(2, max_d + 1):
         comp = ComponentBasis(d, 2, M)
         for q in weyman_quadrics(d, M * d):
             comp.add(q)
         gens.extend(comp.basis_elements())
-    return DiIdeal(M, gens, cache_dir=cache_dir)
+    return tuple(gens)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +393,7 @@ def pfaffian(indices: Sequence[int], N: int) -> SymElement:
     terms: dict[FactorTuple, Fraction] = {}
     for pairs, sign in matchings(idx):
         key = tuple(sorted(pairs))
-        c = terms.get(key, Fraction(0)) + sign
+        c = terms.get(key, 0) + sign
         if c:
             terms[key] = c
         else:
@@ -429,7 +439,7 @@ def quadric_generation_sum(n: int, signed: bool = True) -> SymElement:
     total = SymElement(2 * n + 2, 2, 2)
     for g, _, mono, sign in _family_terms(n):
         prod = sym_star(fn, mono, g)
-        total = total.add_scale(prod, Fraction(sign if signed else 1))
+        total = total.add_scale(prod, sign if signed else 1)
     return total
 
 
@@ -439,7 +449,7 @@ def generation_census(n: int, target: FactorTuple) -> dict[FactorTuple, int]:
     target = tuple(sorted(tuple(sorted(f)) for f in target))
     counts: dict[FactorTuple, int] = {}
     for key in sorted(fn.terms):
-        single = SymElement(fn.d, fn.n, fn.M, {key: Fraction(1)}, _validated=True)
+        single = SymElement(fn.d, fn.n, fn.M, {key: 1}, _validated=True)
         c = 0
         for g, _, mono, _ in _family_terms(n):
             if target in sym_star(single, mono, g).terms:

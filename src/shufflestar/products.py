@@ -21,9 +21,11 @@ from .core import (
     FactorTuple,
     IncFn,
     SymElement,
+    from_numerators,
     is_sym_invariant,
     merge_signed,
     relabel_factor,
+    to_numerators,
 )
 
 __all__ = [
@@ -76,30 +78,37 @@ def star_incfns(d: int, e: int, M: int):
     return all_incfns(M * d, M * (d + e))
 
 
-def shuffle_product(f: Element, h: Element, split: Split) -> Element:
-    """Interleave tensor slots: f's slots go to the left positions of the split."""
+def _check_shuffle_shapes(f, h) -> None:
     if f.d != h.d or f.M != h.M:
         raise ValueError(f"shape mismatch: {f.bidegree} vs {h.bidegree}")
-    n, m = f.n, h.n
-    if split.total != n + m or len(split.left) != n:
-        raise ValueError(f"split {split} does not fit bidegrees ({f.n}) and ({h.n})")
+
+
+def _shuffle_into(out: dict, fnums, hnums, split: Split) -> None:
+    """Add the shuffle of two numerator maps along one split into out."""
     left = [i - 1 for i in split.left]
     right = [i - 1 for i in split.right]
-    out: dict[FactorTuple, Fraction] = {}
-    for kf, cf in f.terms.items():
-        for kh, ch in h.terms.items():
-            slots: list = [None] * (n + m)
-            for k, pos in enumerate(left):
-                slots[pos] = kf[k]
+    slots: list = [None] * split.total
+    for kf, cf in fnums.items():
+        for k, pos in enumerate(left):
+            slots[pos] = kf[k]
+        for kh, ch in hnums.items():
             for k, pos in enumerate(right):
                 slots[pos] = kh[k]
             key = tuple(slots)
-            c = out.get(key, Fraction(0)) + cf * ch
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return Element(f.d, n + m, f.M, out, _validated=True)
+            out[key] = out.get(key, 0) + cf * ch
+
+
+def shuffle_product(f: Element, h: Element, split: Split) -> Element:
+    """Interleave tensor slots: f's slots go to the left positions of the split."""
+    _check_shuffle_shapes(f, h)
+    n, m = f.n, h.n
+    if split.total != n + m or len(split.left) != n:
+        raise ValueError(f"split {split} does not fit bidegrees ({f.n}) and ({h.n})")
+    fnums, fden = to_numerators(f.terms)
+    hnums, hden = to_numerators(h.terms)
+    out: dict[FactorTuple, int] = {}
+    _shuffle_into(out, fnums, hnums, split)
+    return Element(f.d, n + m, f.M, from_numerators(out, fden * hden), _validated=True)
 
 
 def _check_star_shapes(f, h, g: IncFn) -> IncFn:
@@ -113,36 +122,39 @@ def _check_star_shapes(f, h, g: IncFn) -> IncFn:
     return g.complement()
 
 
+def _star_sums(f, h, g: IncFn, matchings, canonical: bool) -> tuple[dict, int]:
+    """Integer numerators of the slotwise signed wedges, and their denominator.
+
+    Each matching lists, for every slot k of h, the slot of f wedged onto
+    it; `canonical` sorts the resulting slots of each key.
+    """
+    gc = _check_star_shapes(f, h, g)
+    fnums, fden = to_numerators(f.terms)
+    hnums, hden = to_numerators(h.terms)
+    out: dict[FactorTuple, int] = {}
+    fready = [(tuple(relabel_factor(x, g) for x in kf), cf) for kf, cf in fnums.items()]
+    hready = [(tuple(relabel_factor(x, gc) for x in kh), ch) for kh, ch in hnums.items()]
+    for rf, cf in fready:
+        for rh, ch in hready:
+            for match in matchings:
+                sign = cf * ch
+                slots = []
+                for k, j in enumerate(match):
+                    s, merged = merge_signed(rf[j], rh[k])
+                    if s == 0:
+                        break
+                    sign *= s
+                    slots.append(merged)
+                else:
+                    key = tuple(sorted(slots)) if canonical else tuple(slots)
+                    out[key] = out.get(key, 0) + sign
+    return out, fden * hden
+
+
 def star_product(f: Element, h: Element, g: IncFn) -> Element:
     """Slotwise signed wedge of g-relabeled f with (g complement)-relabeled h."""
-    gc = _check_star_shapes(f, h, g)
-    n, M = f.n, f.M
-    d = f.d + h.d
-    out: dict[FactorTuple, Fraction] = {}
-    fready = {kf: tuple(relabel_factor(x, g) for x in kf) for kf in f.terms}
-    hready = {kh: tuple(relabel_factor(x, gc) for x in kh) for kh in h.terms}
-    for kf, cf in f.terms.items():
-        rf = fready[kf]
-        for kh, ch in h.terms.items():
-            rh = hready[kh]
-            sign = 1
-            slots = []
-            for k in range(n):
-                s, merged = merge_signed(rf[k], rh[k])
-                if s == 0:
-                    sign = 0
-                    break
-                sign *= s
-                slots.append(merged)
-            if sign == 0:
-                continue
-            key = tuple(slots)
-            c = out.get(key, Fraction(0)) + sign * cf * ch
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return Element(d, n, M, out, _validated=True)
+    out, den = _star_sums(f, h, g, [tuple(range(f.n))], canonical=False)
+    return Element(f.d + h.d, f.n, f.M, from_numerators(out, den), _validated=True)
 
 
 def sym_star(f: SymElement, h: SymElement, g: IncFn) -> SymElement:
@@ -151,37 +163,9 @@ def sym_star(f: SymElement, h: SymElement, g: IncFn) -> SymElement:
     On monomials this is (1/n!) * sum over all matchings of f's factors to
     h's slots of the product of signed wedges, then canonical sorting.
     """
-    gc = _check_star_shapes(f, h, g)
-    n, M = f.n, f.M
-    d = f.d + h.d
-    norm = Fraction(1, factorial(n))
-    out: dict[FactorTuple, Fraction] = {}
-    fready = {kf: tuple(relabel_factor(x, g) for x in kf) for kf in f.terms}
-    hready = {kh: tuple(relabel_factor(x, gc) for x in kh) for kh in h.terms}
-    for kf, cf in f.terms.items():
-        rf = fready[kf]
-        for kh, ch in h.terms.items():
-            rh = hready[kh]
-            base = cf * ch * norm
-            for perm in permutations(range(n)):
-                sign = 1
-                slots = []
-                for k in range(n):
-                    s, merged = merge_signed(rf[perm[k]], rh[k])
-                    if s == 0:
-                        sign = 0
-                        break
-                    sign *= s
-                    slots.append(merged)
-                if sign == 0:
-                    continue
-                key = tuple(sorted(slots))
-                c = out.get(key, Fraction(0)) + sign * base
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-    return SymElement(d, n, M, out, _validated=True)
+    out, den = _star_sums(f, h, g, list(permutations(range(f.n))), canonical=True)
+    return SymElement(f.d + h.d, f.n, f.M, from_numerators(out, den * factorial(f.n)),
+                      _validated=True)
 
 
 def sym_shuffle(f: SymElement, h: SymElement) -> SymElement:
@@ -202,11 +186,12 @@ def sym_shuffle(f: SymElement, h: SymElement) -> SymElement:
 
 def invariant_shuffle(f: Element, h: Element, check: bool = True) -> Element:
     """Sum of shuffle products over all splits; the product on invariants."""
-    if f.d != h.d or f.M != h.M:
-        raise ValueError(f"shape mismatch: {f.bidegree} vs {h.bidegree}")
+    _check_shuffle_shapes(f, h)
     if check and not (is_sym_invariant(f) and is_sym_invariant(h)):
         raise ValueError("invariant_shuffle requires slot-permutation-invariant inputs")
-    out = Element(f.d, f.n + h.n, f.M)
+    fnums, fden = to_numerators(f.terms)
+    hnums, hden = to_numerators(h.terms)
+    out: dict[FactorTuple, int] = {}
     for split in all_splits(f.n, h.n):
-        out = out.add_scale(shuffle_product(f, h, split))
-    return out
+        _shuffle_into(out, fnums, hnums, split)
+    return Element(f.d, f.n + h.n, f.M, from_numerators(out, fden * hden), _validated=True)

@@ -10,12 +10,20 @@ checked by exact equality.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 from typing import Mapping
 
-from .core import Element, FactorTuple, SymElement, is_sym_invariant
+from .core import (
+    Element,
+    FactorTuple,
+    Rational,
+    SymElement,
+    exact,
+    from_numerators,
+    is_sym_invariant,
+    to_numerators,
+)
 from .products import IncFn, invariant_shuffle, star_product, sym_shuffle, sym_star
 
 __all__ = [
@@ -23,6 +31,16 @@ __all__ = [
     "delta_tensor", "delta_invariant", "PairElement", "pair_star",
     "pair_shuffle", "pair_map", "pair_star_invariant", "pair_shuffle_invariant",
 ]
+
+
+def _project(f, den: int) -> Element:
+    """The sum of f over all slot permutations, divided by den."""
+    nums, fden = to_numerators(f.terms)
+    out: dict[FactorTuple, int] = {}
+    for key, c in nums.items():
+        for perm in permutations(key):
+            out[perm] = out.get(perm, 0) + c
+    return Element(f.d, f.n, f.M, from_numerators(out, fden * den), _validated=True)
 
 
 def pi(f: Element) -> Element:
@@ -33,22 +51,12 @@ def pi(f: Element) -> Element:
     w_1 ... w_n maps to the average of w_{s(1)} x ... x w_{s(n)} over all
     permutations s.
     """
-    norm = Fraction(1, factorial(f.n))
-    out: dict[FactorTuple, Fraction] = {}
-    for key, coeff in f.terms.items():
-        c = coeff * norm
-        for perm in permutations(key):
-            s = out.get(perm, Fraction(0)) + c
-            if s:
-                out[perm] = s
-            else:
-                out.pop(perm, None)
-    return Element(f.d, f.n, f.M, out, _validated=True)
+    return _project(f, factorial(f.n))
 
 
 def pi_prime(f: Element) -> Element:
     """The unnormalized projection: n! times pi."""
-    return pi(f).scale(factorial(f.n))
+    return _project(f, 1)
 
 
 # the symmetrization isomorphism is the projection read on multisets
@@ -59,15 +67,12 @@ def from_invariant(f: Element) -> SymElement:
     """Inverse of the symmetrization isomorphism; input must be invariant."""
     if not is_sym_invariant(f):
         raise ValueError("from_invariant requires a slot-permutation-invariant element")
-    out: dict[FactorTuple, Fraction] = {}
-    for key, coeff in f.terms.items():
+    nums, den = to_numerators(f.terms)
+    out: dict[FactorTuple, int] = {}
+    for key, c in nums.items():
         canon = tuple(sorted(key))
-        s = out.get(canon, Fraction(0)) + coeff
-        if s:
-            out[canon] = s
-        else:
-            out.pop(canon, None)
-    return SymElement(f.d, f.n, f.M, out, _validated=True)
+        out[canon] = out.get(canon, 0) + c
+    return SymElement(f.d, f.n, f.M, from_numerators(out, den), _validated=True)
 
 
 class PairElement:
@@ -76,29 +81,31 @@ class PairElement:
     Both sides share the width d and multiplier M; the slot counts of the
     two sides vary term by term (as they do for a comultiplication image).
     ``symmetric`` selects whether the sides are symmetric monomials
-    (canonically sorted) or ordered tensor monomials.
+    (canonically sorted) or ordered tensor monomials.  Coefficients follow
+    the rule of `core`; `_validated` terms are trusted to.
     """
 
     __slots__ = ("d", "M", "total", "symmetric", "terms")
 
     def __init__(self, d: int, M: int, total: int, symmetric: bool,
-                 terms: Mapping[tuple[FactorTuple, FactorTuple], Fraction] | None = None):
+                 terms: Mapping[tuple[FactorTuple, FactorTuple], Rational] | None = None,
+                 _validated: bool = False):
         self.d = d
         self.M = M
         self.total = total
         self.symmetric = symmetric
-        self.terms: dict[tuple[FactorTuple, FactorTuple], Fraction] = {}
+        self.terms: dict[tuple[FactorTuple, FactorTuple], Rational] = {}
         if terms:
             for key, coeff in terms.items():
                 if coeff:
-                    self.terms[key] = Fraction(coeff)
+                    self.terms[key] = coeff if _validated else exact(coeff)
 
-    def add_term(self, left: FactorTuple, right: FactorTuple, coeff: Fraction):
+    def add_term(self, left: FactorTuple, right: FactorTuple, coeff: Rational):
         if self.symmetric:
             left = tuple(sorted(left))
             right = tuple(sorted(right))
         key = (left, right)
-        s = self.terms.get(key, Fraction(0)) + coeff
+        s = exact(self.terms.get(key, 0) + coeff)
         if s:
             self.terms[key] = s
         else:
@@ -129,15 +136,35 @@ class PairElement:
         return out
 
 
-def _delta(f, symmetric: bool) -> PairElement:
-    out = PairElement(f.d, f.M, f.n, symmetric=symmetric)
-    n = f.n
-    for key, coeff in f.terms.items():
-        for mask in range(1 << n):
-            left = tuple(key[i] for i in range(n) if mask >> i & 1)
-            right = tuple(key[i] for i in range(n) if not mask >> i & 1)
-            out.add_term(left, right, coeff)
+def _slot_subsets(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(left, right) slot positions for every subset of n slots, in mask order."""
+    return [(tuple(i for i in range(n) if mask >> i & 1),
+             tuple(i for i in range(n) if not mask >> i & 1)) for mask in range(1 << n)]
+
+
+def _delta_sums(nums: Mapping, n: int, canonical: bool) -> dict:
+    """Numerators of the slot-subset comultiplication, optionally sorting each side.
+
+    A subsequence of a sorted key is sorted, so symmetric input needs no sort.
+    """
+    subsets = _slot_subsets(n)
+    out: dict = {}
+    for key, c in nums.items():
+        for li, ri in subsets:
+            left = tuple([key[i] for i in li])
+            right = tuple([key[i] for i in ri])
+            if canonical:
+                left, right = tuple(sorted(left)), tuple(sorted(right))
+            pair = (left, right)
+            out[pair] = out.get(pair, 0) + c
     return out
+
+
+def _delta(f, symmetric: bool) -> PairElement:
+    nums, den = to_numerators(f.terms)
+    return PairElement(f.d, f.M, f.n, symmetric,
+                       from_numerators(_delta_sums(nums, f.n, canonical=False), den),
+                       _validated=True)
 
 
 def delta_sym(f: SymElement) -> PairElement:
@@ -162,18 +189,94 @@ def delta_invariant(f: Element) -> PairElement:
     comultiplication is exactly multiplicative for both products
     (componentwise on the tensor square); it differs from delta_tensor by
     per-component factors.
+
+    The unnormalized projection of a monomial k puts |Stab(k)|, the number
+    of slot permutations fixing k, on each distinct reordering of k.  So
+    the image depends only on the sorted sides of each split, and every
+    reordered pair (l, r) gets the summed numerator of its sorted pair
+    times |Stab(l)| * |Stab(r)|.
     """
     if not is_sym_invariant(f):
         raise ValueError("delta_invariant requires an invariant element")
-    out = PairElement(f.d, f.M, f.n, symmetric=False)
-    scale = Fraction(1, factorial(f.n))
-    for (lk, rk), coeff in delta_tensor(f).terms.items():
-        lel = pi_prime(Element(f.d, len(lk), f.M, {lk: coeff * scale}, _validated=True))
-        rel = pi_prime(Element(f.d, len(rk), f.M, {rk: Fraction(1)}, _validated=True))
-        for lkey, lc in lel.terms.items():
-            for rkey, rc in rel.terms.items():
-                out.add_term(lkey, rkey, lc * rc)
-    return out
+    nums, den = to_numerators(f.terms)
+    orbits: dict[FactorTuple, tuple[list, int]] = {}
+
+    def orbit(key):
+        got = orbits.get(key)
+        if got is None:
+            perms = list(dict.fromkeys(permutations(key)))
+            got = orbits[key] = (perms, factorial(len(key)) // len(perms))
+        return got
+
+    out: dict = {}
+    for (sl, sr), c in _delta_sums(nums, f.n, canonical=True).items():
+        if not c:
+            continue
+        lperms, lstab = orbit(sl)
+        rperms, rstab = orbit(sr)
+        c *= lstab * rstab
+        for lk in lperms:
+            for rk in rperms:
+                out[(lk, rk)] = c
+    return PairElement(f.d, f.M, f.n, False, from_numerators(out, den * factorial(f.n)),
+                       _validated=True)
+
+
+class _PairSums:
+    """Integer numerators of a tensor-square sum, bucketed by denominator.
+
+    Each piece adds c * (left (x) right), where left and right are numerator
+    maps over their own denominators; `element` brings the buckets to their
+    lcm and divides once per key.
+    """
+
+    __slots__ = ("buckets",)
+
+    def __init__(self):
+        self.buckets: dict[int, dict] = {}
+
+    def add(self, c: int, left, right) -> None:
+        (lnums, lden), (rnums, rden) = left, right
+        den = lden * rden
+        bucket = self.buckets.get(den)
+        if bucket is None:
+            bucket = self.buckets[den] = {}
+        for lk, lc in lnums.items():
+            w = c * lc
+            for rk, rc in rnums.items():
+                key = (lk, rk)
+                bucket[key] = bucket.get(key, 0) + w * rc
+
+    def element(self, d: int, M: int, total: int, symmetric: bool, den: int) -> PairElement:
+        """The sum divided by den, as a pair element with trusted keys."""
+        bden = lcm(*self.buckets)
+        if len(self.buckets) == 1:
+            out = self.buckets[bden]
+        else:
+            out = {}
+            for b, bucket in self.buckets.items():
+                f = bden // b
+                for key, v in bucket.items():
+                    out[key] = out.get(key, 0) + f * v
+        return PairElement(d, M, total, symmetric, from_numerators(out, den * bden),
+                           _validated=True)
+
+
+def _monomial_results(fn, cls, *widths):
+    """fn on monomials with coefficient 1, as (numerators, denominator), memoised.
+
+    Called with one key per width; a result that is None or zero gives None.
+    """
+    memo: dict = {}
+
+    def result(*keys):
+        if keys not in memo:
+            res = fn(*(cls(w, len(k), M, {k: 1}, _validated=True)
+                       for (w, M), k in zip(widths, keys)))
+            memo[keys] = to_numerators(res.terms) if res else None
+        return memo[keys]
+
+    return result
 
 
 def pair_star_invariant(x: PairElement, y: PairElement, g: IncFn) -> PairElement:
@@ -203,22 +306,20 @@ def _pair_product(x: PairElement, y: PairElement, op, d_out: int, total: int) ->
     if x.M != y.M or x.symmetric != y.symmetric:
         raise ValueError("pair element shape mismatch")
     cls = SymElement if x.symmetric else Element
-    out = PairElement(d_out, x.M, total, x.symmetric)
-    for (xl, xr), cx in x.terms.items():
-        for (yl, yr), cy in y.terms.items():
-            lres = op(cls(x.d, len(xl), x.M, {xl: Fraction(1)}, _validated=True),
-                      cls(y.d, len(yl), y.M, {yl: Fraction(1)}, _validated=True))
-            if lres is None or lres.is_zero():
+    side = _monomial_results(op, cls, (x.d, x.M), (y.d, y.M))
+    xnums, xden = to_numerators(x.terms)
+    ynums, yden = to_numerators(y.terms)
+    sums = _PairSums()
+    for (xl, xr), cx in xnums.items():
+        for (yl, yr), cy in ynums.items():
+            left = side(xl, yl)
+            if left is None:
                 continue
-            rres = op(cls(x.d, len(xr), x.M, {xr: Fraction(1)}, _validated=True),
-                      cls(y.d, len(yr), y.M, {yr: Fraction(1)}, _validated=True))
-            if rres is None or rres.is_zero():
+            right = side(xr, yr)
+            if right is None:
                 continue
-            c = cx * cy
-            for lk, lc in lres.terms.items():
-                for rk, rc in rres.terms.items():
-                    out.add_term(lk, rk, c * lc * rc)
-    return out
+            sums.add(cx * cy, left, right)
+    return sums.element(d_out, x.M, total, x.symmetric, xden * yden)
 
 
 def pair_star(x: PairElement, y: PairElement, g: IncFn) -> PairElement:
@@ -247,13 +348,18 @@ def pair_shuffle(x: PairElement, y: PairElement) -> PairElement:
 
 
 def pair_map(x: PairElement, fn, symmetric_out: bool) -> PairElement:
-    """Apply an element map to both sides of every term (e.g. symmetrization)."""
+    """Apply an element map to both sides of every term (e.g. symmetrization).
+
+    The keys of fn's results are used as they are, so with symmetric_out
+    fn must return symmetric elements.
+    """
     cls = SymElement if x.symmetric else Element
-    out = PairElement(x.d, x.M, x.total, symmetric_out)
-    for (lk, rk), coeff in x.terms.items():
-        lres = fn(cls(x.d, len(lk), x.M, {lk: Fraction(1)}, _validated=True))
-        rres = fn(cls(x.d, len(rk), x.M, {rk: Fraction(1)}, _validated=True))
-        for lkey, lc in lres.terms.items():
-            for rkey, rc in rres.terms.items():
-                out.add_term(lkey, rkey, coeff * lc * rc)
-    return out
+    side = _monomial_results(fn, cls, (x.d, x.M))
+    nums, den = to_numerators(x.terms)
+    sums = _PairSums()
+    for (lk, rk), c in nums.items():
+        left = side(lk)
+        right = side(rk)
+        if left is not None and right is not None:
+            sums.add(c, left, right)
+    return sums.element(x.d, x.M, x.total, symmetric_out, den)

@@ -1,0 +1,450 @@
+"""The integer-first products, maps and comultiplications against plain Fractions.
+
+The reference functions below are the straightforward `Fraction` formulas:
+every term is multiplied and added as a `Fraction`, a normalised map
+divides every term by n!, and a comultiplication of invariants projects
+each side of every split separately.  The library computes the same maps
+over integer numerators with one division per output key; both must agree
+exactly, and the library's coefficients must be in canonical form: an
+`int` when integral, else a `Fraction` with denominator above 1.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial
+
+import pytest
+
+from shufflestar.core import (
+    Element,
+    IncFn,
+    SymElement,
+    element_from_dict,
+    from_numerators,
+    is_sym_invariant,
+    merge_signed,
+    monomial,
+    permute_slots,
+    relabel_factor,
+    sym_monomial,
+    to_numerators,
+)
+from shufflestar.products import (
+    Split,
+    invariant_shuffle,
+    shuffle_product,
+    star_product,
+    sym_shuffle,
+    sym_star,
+)
+from shufflestar.symmetry import (
+    PairElement,
+    delta_invariant,
+    delta_sym,
+    delta_tensor,
+    from_invariant,
+    pair_map,
+    pair_shuffle,
+    pair_shuffle_invariant,
+    pair_star,
+    pair_star_invariant,
+    pi,
+    pi_prime,
+    to_invariant,
+)
+
+
+# ---------------------------------------------------------------------------
+# reference formulas over plain Fractions, on term dicts
+# ---------------------------------------------------------------------------
+
+def _acc(out, key, c):
+    out[key] = out.get(key, Fraction(0)) + c
+
+
+def _nonzero(out):
+    return {k: v for k, v in out.items() if v}
+
+
+def ref_shuffle(fterms, hterms, n, m, left):
+    right = [i for i in range(1, n + m + 1) if i not in left]
+    out = {}
+    for kf, cf in fterms.items():
+        for kh, ch in hterms.items():
+            slots = [None] * (n + m)
+            for k, pos in enumerate(left):
+                slots[pos - 1] = kf[k]
+            for k, pos in enumerate(right):
+                slots[pos - 1] = kh[k]
+            _acc(out, tuple(slots), Fraction(cf) * Fraction(ch))
+    return _nonzero(out)
+
+
+def ref_invariant_shuffle(fterms, hterms, n, m):
+    out = {}
+    for left in combinations(range(1, n + m + 1), n):
+        for k, c in ref_shuffle(fterms, hterms, n, m, left).items():
+            _acc(out, k, c)
+    return _nonzero(out)
+
+
+def _ref_star(fterms, hterms, n, g, matchings, canonical):
+    gc = g.complement()
+    out = {}
+    norm = Fraction(1, len(matchings))
+    for kf, cf in fterms.items():
+        rf = [relabel_factor(x, g) for x in kf]
+        for kh, ch in hterms.items():
+            rh = [relabel_factor(x, gc) for x in kh]
+            for perm in matchings:
+                sign, slots = 1, []
+                for k in range(n):
+                    s, merged = merge_signed(rf[perm[k]], rh[k])
+                    sign *= s
+                    slots.append(merged)
+                if sign:
+                    key = tuple(sorted(slots)) if canonical else tuple(slots)
+                    _acc(out, key, sign * Fraction(cf) * Fraction(ch) * norm)
+    return _nonzero(out)
+
+
+def ref_star(fterms, hterms, n, g):
+    return _ref_star(fterms, hterms, n, g, [tuple(range(n))], False)
+
+
+def ref_sym_star(fterms, hterms, n, g):
+    return _ref_star(fterms, hterms, n, g, list(permutations(range(n))), True)
+
+
+def ref_sym_shuffle(fterms, hterms):
+    out = {}
+    for kf, cf in fterms.items():
+        for kh, ch in hterms.items():
+            _acc(out, tuple(sorted(kf + kh)), Fraction(cf) * Fraction(ch))
+    return _nonzero(out)
+
+
+def ref_pi(terms, n):
+    out = {}
+    for key, c in terms.items():
+        for perm in permutations(key):
+            _acc(out, perm, Fraction(c, factorial(n)))
+    return _nonzero(out)
+
+
+def ref_pi_prime(terms, n):
+    return {k: v * factorial(n) for k, v in ref_pi(terms, n).items()}
+
+
+def ref_from_invariant(terms):
+    out = {}
+    for key, c in terms.items():
+        _acc(out, tuple(sorted(key)), Fraction(c))
+    return _nonzero(out)
+
+
+def ref_delta(terms, n, symmetric):
+    out = {}
+    for key, c in terms.items():
+        for mask in range(1 << n):
+            left = tuple(key[i] for i in range(n) if mask >> i & 1)
+            right = tuple(key[i] for i in range(n) if not mask >> i & 1)
+            if symmetric:
+                left, right = tuple(sorted(left)), tuple(sorted(right))
+            _acc(out, (left, right), Fraction(c))
+    return _nonzero(out)
+
+
+def ref_delta_invariant(terms, n):
+    out = {}
+    for (lk, rk), c in ref_delta(terms, n, False).items():
+        lel = ref_pi_prime({lk: c / factorial(n)}, len(lk))
+        rel = ref_pi_prime({rk: Fraction(1)}, len(rk))
+        for lkey, lc in lel.items():
+            for rkey, rc in rel.items():
+                _acc(out, (lkey, rkey), lc * rc)
+    return _nonzero(out)
+
+
+def ref_pair_product(xterms, yterms, op):
+    """op(a_key, b_key) is the reference product of two monomials, or None."""
+    out = {}
+    for (xl, xr), cx in xterms.items():
+        for (yl, yr), cy in yterms.items():
+            lres, rres = op(xl, yl), op(xr, yr)
+            if not lres or not rres:
+                continue
+            for lk, lc in lres.items():
+                for rk, rc in rres.items():
+                    _acc(out, (lk, rk), Fraction(cx) * Fraction(cy) * lc * rc)
+    return _nonzero(out)
+
+
+def ref_pair_map(xterms, fn):
+    out = {}
+    for (lk, rk), c in xterms.items():
+        for lkey, lc in fn(lk).items():
+            for rkey, rc in fn(rk).items():
+                _acc(out, (lkey, rkey), Fraction(c) * lc * rc)
+    return _nonzero(out)
+
+
+def ref_is_sym_invariant(f):
+    return all(permute_slots(f, perm) == f for perm in permutations(range(f.n)))
+
+
+# ---------------------------------------------------------------------------
+# seeded inputs
+# ---------------------------------------------------------------------------
+
+def _coeff(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 7))
+
+
+def _key(rng, d, n, M):
+    return tuple(tuple(sorted(rng.sample(range(1, M * d + 1), d))) for _ in range(n))
+
+
+def _tensor(rng, d, n, M, terms=3):
+    return Element(d, n, M, {_key(rng, d, n, M): _coeff(rng) for _ in range(terms)})
+
+
+def _sym(rng, d, n, M, terms=3):
+    return SymElement(d, n, M, {_key(rng, d, n, M): _coeff(rng) for _ in range(terms)})
+
+
+def _incfn(rng, domain, codomain):
+    return IncFn(domain, codomain, tuple(sorted(rng.sample(range(1, codomain + 1), domain))))
+
+
+def _shapes(seed, count, max_n=4):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield rng, rng.randint(1, 3), rng.randint(1, 2), rng.randint(1, 2), rng.randint(0, max_n)
+
+
+def _cancelling(d, n):
+    """(a (x) b - b (x) a) (x) a...: nonzero, with a zero projection (M = 2)."""
+    a, b = tuple(range(1, d + 1)), tuple(range(d + 1, 2 * d + 1))
+    rest = (a,) * (n - 2)
+    return Element(d, n, 2, {(a, b) + rest: Fraction(3, 7), (b, a) + rest: Fraction(-3, 7)})
+
+
+def assert_canonical(terms):
+    for v in terms.values():
+        assert type(v) is int or (type(v) is Fraction and v.denominator > 1), repr(v)
+        assert v, "zero coefficient stored"
+
+
+def assert_same(element, reference):
+    assert element.terms == reference
+    assert_canonical(element.terms)
+
+
+# ---------------------------------------------------------------------------
+# products
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_tensor_products_match_reference(seed):
+    for rng, M, d, e, n in _shapes(seed, 12, max_n=3):
+        m = rng.randint(0, 2)
+        f, f2, h2 = _tensor(rng, d, n, M), _tensor(rng, d, n, M), _tensor(rng, d, m, M)
+        h = _tensor(rng, e, n, M)
+        g = _incfn(rng, M * d, M * (d + e))
+        assert_same(star_product(f, h, g), ref_star(f.terms, h.terms, n, g))
+        split = Split(n + m, tuple(sorted(rng.sample(range(1, n + m + 1), n))))
+        assert_same(shuffle_product(f2, h2, split),
+                    ref_shuffle(f2.terms, h2.terms, n, m, split.left))
+        pf, ph = pi(f2), pi(h2)
+        assert_same(invariant_shuffle(pf, ph), ref_invariant_shuffle(pf.terms, ph.terms, n, m))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_symmetric_products_match_reference(seed):
+    for rng, M, d, e, n in _shapes(seed, 12, max_n=3):
+        x, w = _sym(rng, d, n, M), _sym(rng, e, n, M)
+        g = _incfn(rng, M * d, M * (d + e))
+        assert_same(sym_star(x, w, g), ref_sym_star(x.terms, w.terms, n, g))
+        # sym_shuffle keeps the climb's plain loop: values match, and
+        # integral inputs stay ints
+        v = _sym(rng, d, rng.randint(0, 2), M)
+        assert sym_shuffle(x, v).terms == ref_sym_shuffle(x.terms, v.terms)
+        xi, vi = x.scale(factorial(7)), v.scale(factorial(7))
+        assert_same(sym_shuffle(xi, vi), ref_sym_shuffle(xi.terms, vi.terms))
+
+
+def test_products_of_zero_and_cancelling_inputs():
+    f = _cancelling(1, 2)
+    zero = Element(1, 2, 2)
+    g = IncFn(2, 4, (1, 3))
+    h = Element(1, 2, 2, {((1,), (2,)): Fraction(1, 2), ((2,), (2,)): Fraction(5, 3)})
+    assert star_product(zero, h, g).is_zero() and star_product(h, zero, g).is_zero()
+    assert shuffle_product(zero, h, Split(4, (1, 2))).is_zero()
+    assert invariant_shuffle(zero, pi(h)).is_zero()
+    # f is nonzero but its projection cancels, so every invariant product does
+    assert f and pi(f).is_zero()
+    assert invariant_shuffle(pi(f), pi(h)).is_zero()
+    assert star_product(pi(f), h, g).is_zero()
+    assert sym_star(SymElement(1, 2, 2), SymElement(1, 2, 2, {((1,), (2,)): 2}), g).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# symmetry maps and comultiplications
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(6))
+def test_maps_match_reference(seed):
+    for rng, M, d, _, n in _shapes(seed, 12):
+        f = _tensor(rng, d, n, M)
+        assert_same(pi(f), ref_pi(f.terms, n))
+        assert_same(pi_prime(f), ref_pi_prime(f.terms, n))
+        y = _sym(rng, d, n, M)
+        ty = to_invariant(y)
+        assert_same(ty, ref_pi(y.terms, n))
+        assert_same(from_invariant(ty), ref_from_invariant(ty.terms))
+        assert from_invariant(ty) == y
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_comultiplications_match_reference(seed):
+    for rng, M, d, _, n in _shapes(seed, 10):
+        y = _sym(rng, d, n, M)
+        assert_same(delta_sym(y), ref_delta(y.terms, n, True))
+        f = _tensor(rng, d, n, M)
+        assert_same(delta_tensor(f), ref_delta(f.terms, n, False))
+        inv = pi(f)
+        assert_same(delta_invariant(inv), ref_delta_invariant(inv.terms, n))
+
+
+def test_maps_of_zero_and_cancelling_inputs():
+    zero = Element(2, 3, 2)
+    for fn in (pi, pi_prime, from_invariant):
+        assert fn(zero).is_zero()
+    for fn in (delta_tensor, delta_invariant):
+        assert fn(zero).terms == {}
+    assert delta_sym(SymElement(2, 3, 2)).terms == {}
+    f = _cancelling(2, 3)
+    assert pi(f).is_zero() and pi_prime(f).is_zero()
+    # halves that add up to integers come back as ints
+    halves = Element(1, 2, 2, {((1,), (2,)): Fraction(1, 2), ((2,), (1,)): Fraction(1, 2)})
+    assert_same(pi_prime(halves), {((1,), (2,)): 1, ((2,), (1,)): 1})
+    assert_same(from_invariant(halves), {((1,), (2,)): 1})
+    assert_same(delta_tensor(halves), ref_delta(halves.terms, 2, False))
+    assert_same(delta_invariant(halves), ref_delta_invariant(halves.terms, 2))
+
+
+# ---------------------------------------------------------------------------
+# pair products and pair maps
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pair_products_match_reference(seed):
+    for rng, M, d, e, n in _shapes(seed, 6, max_n=3):
+        n = max(n, 1)
+        m = rng.randint(1, 2)
+        g = _incfn(rng, M * d, M * (d + e))
+        x, w = _sym(rng, d, n, M, 2), _sym(rng, e, n, M, 2)
+        dx, dw = delta_sym(x), delta_sym(w)
+        ref = ref_pair_product(dx.terms, dw.terms, lambda a, b: (
+            ref_sym_star({a: 1}, {b: 1}, len(a), g) if len(a) == len(b) else None))
+        assert_same(pair_star(dx, dw, g), ref)
+        y, v = _sym(rng, d, n, M, 2), _sym(rng, d, m, M, 2)
+        dy, dv = delta_sym(y), delta_sym(v)
+        ref = ref_pair_product(dy.terms, dv.terms, lambda a, b: ref_sym_shuffle({a: 1}, {b: 1}))
+        assert_same(pair_shuffle(dy, dv), ref)
+        xi, wi = delta_invariant(pi(_tensor(rng, d, n, M, 2))), delta_invariant(
+            pi(_tensor(rng, e, n, M, 2)))
+        ref = ref_pair_product(xi.terms, wi.terms, lambda a, b: (
+            ref_star({a: 1}, {b: 1}, len(a), g) if len(a) == len(b) else None))
+        assert_same(pair_star_invariant(xi, wi, g), ref)
+        yi, vi = delta_invariant(pi(_tensor(rng, d, n, M, 2))), delta_invariant(
+            pi(_tensor(rng, d, m, M, 2)))
+        ref = ref_pair_product(yi.terms, vi.terms, lambda a, b: ref_invariant_shuffle(
+            {a: 1}, {b: 1}, len(a), len(b)))
+        assert_same(pair_shuffle_invariant(yi, vi), ref)
+        ref = ref_pair_map(dy.terms, lambda k: ref_pi({k: 1}, len(k)))
+        assert_same(pair_map(dy, to_invariant, symmetric_out=False), ref)
+
+
+def test_pair_products_of_zero():
+    empty = PairElement(1, 2, 2, True)
+    full = delta_sym(SymElement(1, 2, 2, {((1,), (2,)): Fraction(2, 3)}))
+    g = IncFn(2, 4, (1, 2))
+    assert pair_star(empty, full, g).terms == {} and pair_shuffle(full, empty).terms == {}
+    assert pair_map(empty, to_invariant, symmetric_out=False).terms == {}
+
+
+# ---------------------------------------------------------------------------
+# slot invariance is a lookup, checked against the permute_slots definition
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", range(8))
+def test_is_sym_invariant_matches_permute_slots(seed):
+    for rng, M, d, _, n in _shapes(seed, 10):
+        n = max(n, 2)
+        inv = pi(_tensor(rng, d, n, M))
+        assert is_sym_invariant(inv) and ref_is_sym_invariant(inv)
+        keys = [k for k in inv.terms if len(set(k)) > 1]
+        if not keys:
+            continue
+        # one coefficient perturbed
+        perturbed = dict(inv.terms)
+        key = rng.choice(keys)
+        perturbed[key] += Fraction(1, 7)
+        bad = Element(d, n, M, perturbed)
+        assert not is_sym_invariant(bad) and not ref_is_sym_invariant(bad)
+        # one swapped key missing
+        missing = dict(inv.terms)
+        del missing[key]
+        bad = Element(d, n, M, missing)
+        assert not is_sym_invariant(bad) and not ref_is_sym_invariant(bad)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("odd_slot", ["first", "last"])
+def test_invariance_checks_every_swap_position(n, odd_slot):
+    # only the swap next to the odd slot moves the key, so each end
+    # position of the adjacent swaps is the only one that sees it
+    ones = ((1,),) * (n - 1)
+    key = ((2,),) + ones if odd_slot == "first" else ones + ((2,),)
+    f = Element(1, n, 2, {key: Fraction(2, 3)})
+    assert not is_sym_invariant(f) and not ref_is_sym_invariant(f)
+
+
+# ---------------------------------------------------------------------------
+# constructors and the shared numerator helpers
+# ---------------------------------------------------------------------------
+
+def test_constructors_store_canonical_coefficients():
+    key = ((1,), (2,))
+    assert type(Element(1, 2, 2, {key: Fraction(2, 1)}).terms[key]) is int
+    assert type(Element(1, 2, 2, {key: 2.0}).terms[key]) is int
+    assert Element(1, 2, 2, {key: 0.5}).terms[key] == Fraction(1, 2)
+    assert type(monomial(1, 2, 2, [(1,), (2,)]).terms[key]) is int
+    assert type(sym_monomial(1, 2, 2, [(2,), (1,)], Fraction(4, 2)).terms[key]) is int
+    halves = {"bidegree": [1, 2, 2], "terms": [
+        {"coeff": "1/2", "monomial": [[1], [2]]}, {"coeff": "1/2", "monomial": [[1], [2]]}]}
+    assert element_from_dict(halves).terms == {key: 1}
+    assert type(element_from_dict(halves).terms[key]) is int
+    # a sum that integralises inside the validating constructor
+    sym = SymElement(1, 2, 2, {((1,), (2,)): Fraction(1, 2), ((2,), (1,)): Fraction(1, 2)})
+    assert_same(sym, {key: 1})
+    f = Element(1, 2, 2, {key: Fraction(1, 2), ((2,), (1,)): Fraction(3, 4)})
+    assert_same(f.scale(2), {key: 1, ((2,), (1,)): Fraction(3, 2)})
+    assert_same(f.scale(Fraction(4, 3)), {key: Fraction(2, 3), ((2,), (1,)): 1})
+    assert_same(f + f, {key: 1, ((2,), (1,)): Fraction(3, 2)})
+    assert_same(permute_slots(f, [1, 0]), {((2,), (1,)): Fraction(1, 2), key: Fraction(3, 4)})
+    assert PairElement(1, 2, 2, True, {(key, ()): Fraction(6, 3)}).terms == {(key, ()): 2}
+    assert type(PairElement(1, 2, 2, True, {(key, ()): Fraction(6, 3)}).terms[(key, ())]) is int
+
+
+def test_numerator_round_trip():
+    terms = {"a": Fraction(1, 6), "b": 2, "c": Fraction(-3, 4)}
+    nums, den = to_numerators(terms)
+    assert den == 12 and nums == {"a": 2, "b": 24, "c": -9}
+    assert from_numerators(nums, den) == terms
+    assert to_numerators({"a": 3}) == ({"a": 3}, 1)
+    back = from_numerators({"a": 4, "b": 0, "c": 3}, 2)
+    assert back == {"a": 2, "c": Fraction(3, 2)} and type(back["a"]) is int

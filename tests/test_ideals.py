@@ -196,6 +196,23 @@ def test_cached_fraction_entries_round_trip(tmp_path):
         assert loaded.reduce(f) == fresh.reduce(f)
 
 
+def test_cache_read_parses_each_distinct_coefficient_once(tmp_path, monkeypatch):
+    import shufflestar.ideals as ideals
+    x = lambda i: sym_monomial(1, 1, 3, [(i,)])
+    gens = [x(2).scale(2) + x(1).scale(3), x(3).scale(3) + x(1).scale(5)]
+    rows = DiIdeal(3, gens, cache_dir=tmp_path).component(1, 3).basis.basis_rows()
+    path = DiIdeal(3, gens, cache_dir=tmp_path)._cache_path(1, 3)
+    stored = [v for row in json.loads(path.read_text())["basis"] for _, v in row]
+    assert len(set(stored)) < len(stored)
+    parsed = []
+    real = ideals.coeff_from_str
+    monkeypatch.setattr(ideals, "coeff_from_str", lambda s: parsed.append(s) or real(s))
+    again = DiIdeal(3, gens, cache_dir=tmp_path)
+    assert again.component(1, 3).basis.basis_rows() == rows
+    assert again.cache_stats["hits"] == 1
+    assert sorted(parsed) == sorted(set(stored))
+
+
 def _unused_column(data, space_dim):
     used = {c for row in data["basis"] for c, _ in row}
     return next(c for c in range(space_dim) if c not in used)

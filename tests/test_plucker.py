@@ -342,3 +342,15 @@ def test_pfaffian_family_new_generators_only_in_degree_r_plus_2(r):
     comp = secant_ideal(plucker_ideal(N // 2, 2), r).component(2, r + 2)
     assert comp.dim == 1
     assert comp.contains(pfaffian(range(1, N + 1), N))
+
+
+def test_plucker_ideal_calls_share_no_state(tmp_path):
+    a = plucker_ideal(3, 2)
+    b = plucker_ideal(3, 2, cache_dir=tmp_path)
+    assert a.generators == b.generators and a.gen_hash == b.gen_hash
+    assert a.generators is not b.generators
+    for ga, gb in zip(a.generators, b.generators):
+        assert ga is not gb and ga.terms is not gb.terms
+    b.component(2, 3)
+    assert b.cache_stats["misses"] and not a._components
+    assert a.cache_stats == {"hits": 0, "misses": 0, "rejects": {}}

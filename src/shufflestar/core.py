@@ -12,10 +12,11 @@ greater than 1, never a float.  `exact` applies this rule to one value.
 Products and maps follow it by working integer-first: `to_numerators`
 brings their input to integer numerators over one common denominator, the
 integers are summed in a plain dict, and `from_numerators` divides each
-output once.  The one exception is `products.sym_shuffle`, the hot loop of
-the ideal climb: it multiplies and adds coefficients as they come, so
-integral inputs give ints but Fraction inputs may give a Fraction with
-denominator 1.
+output once.  The one exception is `products.sym_shuffle`, a plain loop
+that spans the unreduced rows checking the ideal climb
+(`ideals.DiIdeal.raw_spanning_rows`): it multiplies and adds coefficients
+as they come, so integral inputs give ints but Fraction inputs may give a
+Fraction with denominator 1.
 """
 
 from __future__ import annotations

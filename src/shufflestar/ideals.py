@@ -8,6 +8,18 @@ and it is computed degree-climbing: the (d, n) component is spanned by
 variable multiples of the (d, n-1) component together with the width-d
 star products of generators of tensor degree exactly n.
 
+The climb multiplies in column coordinates.  A variable x has coefficient
+1 and sends distinct monomials to distinct monomials, so x times a stored
+row of C_(d,n-1) is that row with its entries moved to the columns of x
+times their monomials.  Each column's images are looked up once per climb
+step, and the moved rows are added each row, then each variable.
+`raw_spanning_rows` spans the same component through `sym_star` and
+`sym_shuffle`, as an independent check.
+
+All components of one (d, n, M) share its `monomial_space`: the monomials
+in descending order and the column of each, built once per process and
+never modified.
+
 Components are auto-reduced against a descending monomial order, so pivot
 monomials are the leading terms and non-pivots are the standard monomials
 of the quotient.  Components are cached in memory and optionally on disk:
@@ -31,6 +43,7 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -49,11 +62,26 @@ from .products import star_incfns, sym_shuffle, sym_star
 from .weights import act, adjacent_transpositions, weight
 
 __all__ = ["ComponentBasis", "DiIdeal", "component_span", "membership",
-           "quotient_basis", "initial_component"]
+           "quotient_basis", "initial_component", "monomial_space"]
+
+
+@cache
+def monomial_space(d: int, n: int, M: int) -> tuple[tuple[FactorTuple, ...], dict[FactorTuple, int]]:
+    """The (d, n) monomials in descending order, and each one's column.
+
+    Built once per process and shared by every component of that bidegree;
+    callers must not modify it.
+    """
+    keys = tuple(sorted(iter_sym_keys(d, n, M), reverse=True))
+    return keys, {key: i for i, key in enumerate(keys)}
 
 
 class ComponentBasis:
-    """Auto-reduced basis of one (d, n) component over descending monomials."""
+    """Auto-reduced basis of one (d, n) component over descending monomials.
+
+    `monomials` and `index` are the shared `monomial_space` of the
+    bidegree; only `basis` belongs to this component.
+    """
 
     __slots__ = ("d", "n", "M", "monomials", "index", "basis")
 
@@ -61,8 +89,7 @@ class ComponentBasis:
         self.d = d
         self.n = n
         self.M = M
-        self.monomials: list[FactorTuple] = sorted(iter_sym_keys(d, n, M), reverse=True)
-        self.index = {key: i for i, key in enumerate(self.monomials)}
+        self.monomials, self.index = monomial_space(d, n, M)
         self.basis = SparseRREF()
 
     @property
@@ -187,12 +214,14 @@ class DiIdeal:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
+        rows = comp.basis.basis_rows()
+        # the rows repeat a few coefficients: format each once
+        text = {v: coeff_to_str(v) for v in {v for row in rows for v in row.values()}}
         data = {
             "M": self.M, "d": comp.d, "n": comp.n,
             "generator_hash": self.gen_hash,
             "dim": comp.dim,
-            "basis": [sorted((c, coeff_to_str(v)) for c, v in row.items())
-                      for row in comp.basis.basis_rows()],
+            "basis": [sorted((c, text[v]) for c, v in row.items()) for row in rows],
         }
         # a private temporary file per write, so concurrent writers never
         # share one; os.replace then publishes it atomically
@@ -223,14 +252,31 @@ class DiIdeal:
         comp = ComponentBasis(d, n, self.M)
         if n == 0 or d == 0:
             return comp
-        # variable multiples of the previous tensor degree
+        # variable multiples of the previous tensor degree, in columns: x has
+        # coefficient 1 and maps distinct monomials to distinct monomials, so
+        # x * row is the row itself moved to the columns of x * (monomial)
         below = self.component(d, n - 1)
         if below.dim:
-            variables = [SymElement(d, 1, self.M, {(fac,): 1}, _validated=True)
-                         for fac in iter_factors(d, self.M * d)]
-            for b in below.basis_elements():
-                for x in variables:
-                    comp.add(sym_shuffle(b, x))
+            below_keys = below.monomials
+            index = comp.index
+            add = comp.basis.add
+            factors = list(iter_factors(d, self.M * d))
+            # column c of (d, n-1) -> the column of x * (its monomial), per x
+            shifts: dict[int, list[int]] = {}
+            for row in below.basis.basis_rows():
+                moved = [{} for _ in factors]
+                for c, v in row.items():
+                    cols = shifts.get(c)
+                    if cols is None:
+                        key = below_keys[c]
+                        cols = shifts[c] = [index[tuple(sorted(key + (fac,)))]
+                                            for fac in factors]
+                    for out, col in zip(moved, cols):
+                        out[col] = v
+                # row by row, each x in turn: adding all rows of one x
+                # before the next x was measured slower (more fill-in)
+                for out in moved:
+                    add(out)
         for prod in self._star_rows(d, n):
             comp.add(prod)
         return comp

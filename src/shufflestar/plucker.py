@@ -42,11 +42,10 @@ from .core import (
     FactorTuple,
     IncFn,
     SymElement,
-    iter_sym_keys,
     merge_signed,
     sym_monomial,
 )
-from .ideals import ComponentBasis, DiIdeal
+from .ideals import ComponentBasis, DiIdeal, monomial_space
 from .linalg import (CoeffLimitExceeded, RatMatrix, SparseRREF,
                      kernel_basis, sparse_rref_kernel)
 from .products import sym_star
@@ -326,7 +325,7 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     """
     M = cfg.require_multiplier()
     d, N, r = cfg.d, cfg.N, cfg.r
-    monos = sorted(iter_sym_keys(d, n, M), reverse=True)
+    monos = monomial_space(d, n, M)[0]
     blocks = list(weight_blocks(monos, N).values())
     if samples is None:
         samples = max(len(cols) for cols in blocks) + 24
@@ -535,9 +534,10 @@ def exact_join_component(I, J, d: int, n: int) -> ComponentBasis:
     When both ideals certify `permutation_stable(d, n)`, V and every
     quotient in the conditions are graded and S_N-stable, and so is the
     kernel: only the dominant weight blocks of V are eliminated, and each
-    kernel vector is carried to the other blocks of its orbit by one signed
-    permutation per distinct rearrangement of its weight.  Without the
-    certificate the same loop runs once, over all of V, with the identity.
+    kernel vector is added as it is and carried to the other blocks of its
+    orbit by one signed permutation per other distinct rearrangement of its
+    weight.  Without the certificate the same loop runs once, over all of
+    V, and adds each kernel vector as it is.
     """
     if I.M != J.M:
         raise ValueError(f"multiplier mismatch: {I.M} vs {J.M}")
@@ -553,14 +553,16 @@ def exact_join_component(I, J, d: int, n: int) -> ComponentBasis:
             w = weight(CI.monomials[min(row)], N)
             if is_dominant(w):
                 blocks.setdefault(w, []).append(CI.element(row))
-        orbits = [(rows, list(orbit_permutations(w))) for w, rows in blocks.items()]
+        # for a dominant weight the identity comes first; e itself is added
+        orbits = [(rows, list(orbit_permutations(w))[1:]) for w, rows in blocks.items()]
     else:
-        orbits = [(CI.basis_elements(), [tuple(range(1, M * d + 1))])]
+        orbits = [(CI.basis_elements(), [])]
     left_memo: dict = {}
-    for rows, perms in orbits:
+    for rows, others in orbits:
         v_elems = rows if CJ is None else _intersect(rows, CJ)
         for e in _join_kernel(I, J, d, n, v_elems, left_memo):
-            for sigma in perms:
+            comp.add(e)
+            for sigma in others:
                 comp.add(act(sigma, e))
     return comp
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -221,3 +222,36 @@ def test_cached_coefficient_over_the_bit_budget_exits_3(tmp_path):
     path.write_text(json.dumps(data))
     code, rep = _run(args, out)
     assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
+
+
+# SHA-256 of the degree-5 `psa secant --d 2 --N 6 --r 1` cache files and of
+# its report's result (as the report writes it: sorted keys, no spaces),
+# recorded before the climb moved to column coordinates; any change of the
+# climb, the join or the cache format must leave them as they are
+_SECANT_GR26_DEGREE5 = {
+    "result": "7bbde8cc8df019c0c8c60332018dac9d1ce460984821a0fef810df2d71161fc7",
+    "component_M3_d2_n0_6c211f9835a34918.json":
+        "ab40aac97b9bb500fdf00d6a79874ff6fe7ebe6d590685681c1b4b1536636b39",
+    "component_M3_d2_n1_6c211f9835a34918.json":
+        "221eb48456cf0eeb1c891bba8a9ac689d88103b50fb9d77007e8faffa143ee32",
+    "component_M3_d2_n2_6c211f9835a34918.json":
+        "ba979d710a725993c80fd482ac85bff1b86f7cee3c42240e1eea9cd0eb02beec",
+    "component_M3_d2_n3_6c211f9835a34918.json":
+        "6dc8cd903821c08093802b9d9b2328c3cb42b8a03c9e42fe033314302d2852ee",
+    "component_M3_d2_n4_6c211f9835a34918.json":
+        "a245df6310142d6abccc65fa1141bb64b2a85ce3f26c4adee6fafd2a6979a6fc",
+    "component_M3_d2_n5_6c211f9835a34918.json":
+        "a8d6922cdf6cd718ae159a46e166aaa19eb690cf9d487d367221219b4c4c9907",
+}
+
+
+def test_degree5_secant_report_and_cache_files_are_byte_identical(tmp_path):
+    cache = tmp_path / "cache"
+    code, rep = _run(["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "5",
+                      "--cache-dir", str(cache)], tmp_path / "r.json")
+    assert code == 0
+    result = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
+    got = {"result": hashlib.sha256(result.encode()).hexdigest()}
+    for path in cache.iterdir():
+        got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == _SECANT_GR26_DEGREE5

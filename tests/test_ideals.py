@@ -11,9 +11,10 @@ from shufflestar.ideals import (
     component_span,
     initial_component,
     membership,
+    monomial_space,
     quotient_basis,
 )
-from shufflestar.plucker import basic_plucker
+from shufflestar.plucker import basic_plucker, plucker_ideal
 from shufflestar.poset import leading_term
 from shufflestar.products import star_incfns, sym_shuffle, sym_star
 
@@ -103,13 +104,83 @@ def test_leading_terms_close_under_products(klein):
 
 
 def test_raw_rows_span_component(klein):
-    comp = klein.component(2, 3)
-    raw = ComponentBasis(2, 3, 2)
-    for row in klein.raw_spanning_rows(2, 3):
+    _assert_same_basis(klein.component(2, 3), _raw_elimination(klein, 2, 3))
+
+
+def _raw_elimination(I, d, n):
+    """The (d, n) component by eliminating `raw_spanning_rows`, which build
+    every row through `sym_star` and `sym_shuffle`, independently of the climb."""
+    raw = ComponentBasis(d, n, I.M)
+    for row in I.raw_spanning_rows(d, n):
         raw.add(row)
-    assert raw.dim == comp.dim
-    for b in comp.basis_elements():
-        assert raw.contains(b)
+    return raw
+
+
+def _assert_same_basis(comp, raw):
+    assert comp.basis.pivot_columns() == raw.basis.pivot_columns()
+    assert comp.basis.basis_rows() == raw.basis.basis_rows()
+
+
+def _fraction_ideal(cache_dir=None):
+    # a width-1 generator in tensor degree 3, whose stars enter the width-2
+    # climb at (2, 3), and a width-2 one in tensor degree 2
+    M = 2
+    g1 = SymElement(1, 3, M, {((1,), (2,), (2,)): Fraction(1, 2),
+                              ((1,), (1,), (2,)): Fraction(-2, 3)})
+    g2 = SymElement(2, 2, M, {((1, 2), (3, 4)): Fraction(3, 5),
+                              ((1, 3), (2, 4)): Fraction(-1, 7),
+                              ((1, 4), (2, 3)): 1})
+    return DiIdeal(M, [g1, g2], cache_dir=cache_dir)
+
+
+@pytest.mark.parametrize("M,max_d,d,n", [(3, 2, 2, 3), (3, 2, 2, 4), (3, 2, 2, 5),
+                                         (2, 3, 3, 3)],
+                         ids=["gr26-2-3", "gr26-2-4", "gr26-2-5", "gr36-3-3"])
+def test_plucker_climb_equals_raw_elimination(M, max_d, d, n):
+    I = plucker_ideal(M, max_d)
+    _assert_same_basis(I.component(d, n), _raw_elimination(I, d, n))
+
+
+def test_fraction_climb_with_stars_equals_raw_elimination():
+    I = _fraction_ideal()
+    for n, dim in ((2, 1), (3, 27), (4, 108)):
+        comp = I.component(2, n)
+        assert comp.dim == dim
+        _assert_same_basis(comp, _raw_elimination(I, 2, n))
+    # the 6 variable multiples of the one (2, 2) row cannot span (2, 3):
+    # the stars of the width-1 generator give the rest
+    assert I.component(2, 3).dim > 6 * I.component(2, 2).dim
+    assert any(type(v) is Fraction
+               for row in I.component(2, 3).basis.basis_rows() for v in row.values())
+
+
+def test_climb_from_a_cached_component_equals_raw_elimination(tmp_path):
+    _fraction_ideal(cache_dir=tmp_path).component(2, 3)
+    I = _fraction_ideal(cache_dir=tmp_path)
+    comp = I.component(2, 4)
+    # (2, 4) was climbed from the (2, 3) rows adopted from the other ideal's file
+    assert I.cache_stats == {"hits": 1, "misses": 1, "rejects": {}}
+    _assert_same_basis(comp, _raw_elimination(I, 2, 4))
+
+
+def test_monomial_space_is_shared_and_sorted():
+    keys, index = monomial_space(2, 3, 2)
+    assert monomial_space(2, 3, 2) is monomial_space(2, 3, 2)
+    assert type(keys) is tuple
+    assert keys == tuple(sorted(iter_sym_keys(2, 3, 2), reverse=True))
+    assert index == {key: i for i, key in enumerate(keys)}
+    comp = ComponentBasis(2, 3, 2)
+    assert comp.monomials is keys and comp.index is index
+
+
+def test_components_sharing_a_space_stay_independent():
+    a = DiIdeal(2, [basic_plucker(1)]).component(2, 3)
+    b = DiIdeal(2, [basic_plucker(1)]).component(2, 3)
+    assert a.monomials is b.monomials and a is not b
+    rows = [dict(row) for row in b.basis.basis_rows()]
+    square = sym_monomial(2, 3, 2, [(1, 2), (1, 2), (1, 2)])
+    assert a.add(square) and a.dim == b.dim + 1
+    assert b.basis.basis_rows() == rows and not b.contains(square)
 
 
 def test_generator_validation():
@@ -211,6 +282,21 @@ def test_cache_read_parses_each_distinct_coefficient_once(tmp_path, monkeypatch)
     assert again.component(1, 3).basis.basis_rows() == rows
     assert again.cache_stats["hits"] == 1
     assert sorted(parsed) == sorted(set(stored))
+
+
+def test_cache_write_formats_each_distinct_coefficient_once(tmp_path, monkeypatch):
+    import shufflestar.ideals as ideals
+    I = _fraction_ideal(cache_dir=tmp_path)
+    comp = I.component(2, 3)
+    values = [v for row in comp.basis.basis_rows() for v in row.values()]
+    assert len(set(values)) < len(values)
+    original = I._cache_path(2, 3).read_bytes()
+    formatted = []
+    real = ideals.coeff_to_str
+    monkeypatch.setattr(ideals, "coeff_to_str", lambda v: formatted.append(v) or real(v))
+    I._store_cached(comp)
+    assert sorted(formatted) == sorted(set(values))
+    assert I._cache_path(2, 3).read_bytes() == original
 
 
 def _unused_column(data, space_dim):

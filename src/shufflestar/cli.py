@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import linalg
@@ -232,8 +233,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     # accepted both before and after the subcommand
     s = argparse.SUPPRESS
     p.add_argument("--seed", type=int, default=s, help="root seed for sampled computations")
-    p.add_argument("--samples", type=int, default=s, help="first-round evaluation points of the oracle, shared by all "
-                        "weight blocks (0 = largest block + 24)")
+    p.add_argument("--samples", type=int, default=s, help="first-round evaluation points of the oracle, shared by the "
+                        "dominant weight blocks it solves (0 = largest block + 24)")
     p.add_argument("--cache-dir", default=s, help="component cache directory (env PSA_CACHE_DIR)")
     p.add_argument("--jobs", type=int, default=s, help="worker processes for independent tasks")
     p.add_argument("--max-coeff-bits", type=int, default=s,
@@ -243,7 +244,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=s, help="write the JSON report to a file instead of stdout")
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `psa` parser, built once per process and shared by every `main` call.
+
+    Each `parse_args` fills a fresh namespace, and the common options
+    default to SUPPRESS, so nothing one call parses reaches the next.
+    """
     parser = argparse.ArgumentParser(
         prog="psa",
         description="Exact computations in the bigraded shuffle/star algebra "

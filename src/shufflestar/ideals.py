@@ -43,6 +43,7 @@ import hashlib
 import json
 import os
 import tempfile
+from bisect import bisect_right
 from functools import cache
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -269,8 +270,10 @@ class DiIdeal:
                     cols = shifts.get(c)
                     if cols is None:
                         key = below_keys[c]
-                        cols = shifts[c] = [index[tuple(sorted(key + (fac,)))]
-                                            for fac in factors]
+                        cols = shifts[c] = []
+                        for fac in factors:
+                            at = bisect_right(key, fac)
+                            cols.append(index[key[:at] + (fac,) + key[at:]])
                     for out, col in zip(moved, cols):
                         out[col] = v
                 # row by row, each x in turn: adding all rows of one x

@@ -21,7 +21,12 @@ The evaluation kernel is the independent oracle: exact kernels of integer
 evaluation matrices at random sums of decomposables, re-sampled until
 stable.  The vanishing ideal is torus-stable, so it is the direct sum of
 its weight pieces: blocking leaves the kernel unchanged while shrinking the
-dense eliminations from every monomial to the largest block.
+dense eliminations from every monomial to the largest block.  The secant
+variety is stable under permutation matrices, so the ideal is stable under
+the signed S_N action as well, and the oracle solves only the dominant
+blocks; signed permutations carry their kernels to the rest of each orbit,
+and every carried vector is evaluated exactly at the last round's points,
+so the oracle does not take the action on trust.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ from .core import (
     SymElement,
     merge_signed,
     sym_monomial,
+    to_numerators,
 )
 from .ideals import ComponentBasis, DiIdeal, monomial_space
 from .linalg import (CoeffLimitExceeded, RatMatrix, SparseRREF,
@@ -178,41 +184,30 @@ def _plucker_generators(M: int, max_d: int) -> tuple[SymElement, ...]:
 # points and evaluation
 # ---------------------------------------------------------------------------
 
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    memo: dict[tuple[int, ...], int] = {}
-
-    def rec(cols: tuple[int, ...]) -> int:
-        if len(cols) == 1:
-            return rows[n - 1][cols[0]]
-        val = memo.get(cols)
-        if val is not None:
-            return val
-        level = n - len(cols)
-        total = 0
-        sign = 1
-        for k, c in enumerate(cols):
-            a = rows[level][c]
-            if a:
-                total += sign * a * rec(cols[:k] + cols[k + 1:])
-            sign = -sign
-        memo[cols] = total
-        return total
-
-    return rec(tuple(range(n)))
-
-
 def decomposable_point(matrix: Sequence[Sequence[int]], d: int, N: int) -> dict[Factor, int]:
-    """Minor coordinates of the span of d row vectors in k^N."""
+    """Minor coordinates of the span of d row vectors in k^N.
+
+    All d x d minors in one pass, bottom row first: the minor of rows
+    i..d-1 at columns S expands along row i into minors of rows i+1..d-1,
+    each computed once per point and shared by every S that contains it.
+    """
     if len(matrix) != d or any(len(row) != N for row in matrix):
         raise ValueError(f"need a {d}x{N} matrix")
-    out: dict[Factor, int] = {}
-    for fac in combinations(range(1, N + 1), d):
-        sub = [[matrix[i][c - 1] for c in fac] for i in range(d)]
-        out[fac] = _int_det(sub)
-    return out
+    minors: dict[Factor, int] = {(): 1}
+    for i in range(d - 1, -1, -1):
+        row = matrix[i]
+        above: dict[Factor, int] = {}
+        for cols in combinations(range(1, N + 1), d - i):
+            total = 0
+            sign = 1
+            for k, c in enumerate(cols):
+                a = row[c - 1]
+                if a:
+                    total += sign * a * minors[cols[:k] + cols[k + 1:]]
+                sign = -sign
+            above[cols] = total
+        minors = above
+    return minors
 
 
 def random_decomposable(rng: random.Random, d: int, N: int) -> dict[Factor, int]:
@@ -310,13 +305,21 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     The vanishing ideal is stable under the diagonal torus, which scales a
     monomial by the character of its weight, so each of its components is
     the direct sum of its weight pieces, and a polynomial vanishes on the
-    secant variety iff each of its weight pieces does.  Each block is
-    therefore solved on its own: the certified exact kernel of the integer
-    evaluation matrix of its columns at random points (`samples` points
-    shared by all blocks, by default the largest block size plus 24).  Each
-    later round draws max(64, 2k) fresh points, k the largest block kernel,
-    and restricts them to every block whose kernel is not yet zero, until
-    no block's kernel changes for two consecutive rounds.
+    secant variety iff each of its weight pieces does.  The secant variety
+    is also stable under permutation matrices, so the ideal is stable
+    under the signed action of S_N and each block's kernel is sigma times
+    the kernel of the dominant block of its orbit.
+
+    Only the dominant blocks are therefore solved: the certified exact
+    kernel of the integer evaluation matrix of a block's columns at random
+    points (`samples` points shared by the dominant blocks, by default the
+    largest block size plus 24).  Each later round draws max(64, 2k) fresh
+    points, k the largest block kernel, and restricts them to every block
+    whose kernel is not yet zero, until no block's kernel changes for two
+    consecutive rounds.  Then one signed permutation per other block of
+    the orbit carries each kernel there, and every carried vector is
+    evaluated exactly at the last round's points; one that does not vanish
+    raises.
 
     Each basis vector is weight-homogeneous, has coefficient 1 at its
     largest column (in the reverse-sorted monomial order) and 0 at the
@@ -325,18 +328,19 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     """
     M = cfg.require_multiplier()
     d, N, r = cfg.d, cfg.N, cfg.r
-    monos = monomial_space(d, n, M)[0]
-    blocks = list(weight_blocks(monos, N).values())
+    monos, index = monomial_space(d, n, M)
+    # blocks of one orbit have one size, so the largest block is dominant
+    blocks = [(w, cols) for w, cols in weight_blocks(monos, N).items() if is_dominant(w)]
     if samples is None:
-        samples = max(len(cols) for cols in blocks) + 24
+        samples = max(len(cols) for _, cols in blocks) + 24
     points = _sampled_points(d, N, r, samples, random.Random(1_000_003 * seed))
-    # (block columns, block monomials, kernel over those columns)
+    # (dominant weight, block monomials, kernel over the block's columns)
     kernels = []
-    for cols in blocks:
+    for w, cols in blocks:
         keys = [monos[c] for c in cols]
         kernel = certified_kernel(_value_rows(keys, points), len(cols))
         if kernel:
-            kernels.append((cols, keys, kernel))
+            kernels.append((w, keys, kernel))
     stable = 0
     round_no = 0
     while kernels and stable < 2:
@@ -346,19 +350,45 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
         rng = random.Random(1_000_003 * seed + round_no)
         largest = max(len(kernel) for _, _, kernel in kernels)
         points = _sampled_points(d, N, r, max(64, 2 * largest), rng)
-        cut = [(cols, keys, _cut_kernel(keys, kernel, points))
-               for cols, keys, kernel in kernels]
+        cut = [(w, keys, _cut_kernel(keys, kernel, points))
+               for w, keys, kernel in kernels]
         changed = any(len(new) < len(old) for (_, _, new), (_, _, old) in zip(cut, kernels))
         stable = 0 if changed else stable + 1
         kernels = [entry for entry in cut if entry[2]]
     found = []
-    for cols, keys, kernel in kernels:
+    for w, keys, kernel in kernels:
+        elems = []
         for vec in kernel:
             lead = max(j for j, v in enumerate(vec) if v)
-            terms = {keys[j]: vec[j] for j in range(len(cols)) if vec[j]}
-            found.append((cols[lead], SymElement(d, n, M, terms, _validated=True)))
+            terms = {keys[j]: v for j, v in enumerate(vec) if v}
+            elems.append(SymElement(d, n, M, terms, _validated=True))
+            found.append((index[keys[lead]], elems[-1]))
+        # the identity comes first; the other blocks of the orbit are
+        # re-echeloned with the largest column as pivot, the smallest of
+        # the negated columns
+        for sigma in list(orbit_permutations(w))[1:]:
+            block = SparseRREF()
+            for e in elems:
+                image = act(sigma, e)
+                if not _vanishes(image, points):
+                    raise RuntimeError(
+                        f"the image of a kernel vector of weight {w} under {sigma} "
+                        "does not vanish at the last round's points")
+                block.add({-index[key]: c for key, c in image.terms.items()})
+            for row in block.basis_rows():
+                terms = {monos[-c]: v for c, v in row.items()}
+                found.append((-min(row), SymElement(d, n, M, terms, _validated=True)))
     found.sort(key=lambda t: t[0])
     return [el for _, el in found]
+
+
+def _vanishes(f: SymElement, points: Sequence[Mapping[Factor, int]]) -> bool:
+    """Exact integer check that f is zero at every point."""
+    nums, _ = to_numerators(f.terms)
+    keys = list(nums)
+    coeffs = [nums[key] for key in keys]
+    return all(not sum(c * v for c, v in zip(coeffs, row))
+               for row in _value_rows(keys, points))
 
 
 # ---------------------------------------------------------------------------

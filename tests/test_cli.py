@@ -194,6 +194,29 @@ def test_max_coeff_bits_does_not_outlive_the_run(tmp_path):
     assert SparseRREF().max_bits is None
 
 
+def test_shared_parser_leaks_no_option_between_calls(tmp_path, monkeypatch):
+    from shufflestar.cli import build_parser
+    monkeypatch.delenv("PSA_CACHE_DIR", raising=False)
+    assert build_parser() is build_parser()
+    out = tmp_path / "r.json"
+    cache = tmp_path / "cache"
+    args = ["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2"]
+    code, rep = _run([*args, "--oracle", "--seed", "7", "--samples", "3"], out)
+    assert code == 0 and rep["config"]["seed"] == 7 and rep["config"]["samples"] == 3
+    code, rep = _run([*args, "--oracle"], out)
+    assert code == 0 and rep["config"]["seed"] == 0 and rep["config"]["samples"] == 0
+    assert rep["config"]["oracle"] is True
+    code, rep = _run(["--cache-dir", str(cache), *args], out)
+    assert code == 0 and rep["config"]["cache_dir"] == str(cache)
+    code, rep = _run(args, out)
+    assert code == 0 and "cache_dir" not in rep["config"]
+    code, rep = _run([*args, "--max-coeff-bits", "8", "--timings"], out)
+    assert code == 0 and rep["config"]["max_coeff_bits"] == 8 and "seconds" in rep
+    code, rep = _run(args, out)
+    assert code == 0 and rep["config"]["oracle"] is False
+    assert rep["config"]["max_coeff_bits"] == 0 and "seconds" not in rep
+
+
 def test_failed_verify_check_exits_1(tmp_path, monkeypatch):
     from shufflestar import verify
 
@@ -255,3 +278,22 @@ def test_degree5_secant_report_and_cache_files_are_byte_identical(tmp_path):
     for path in cache.iterdir():
         got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == _SECANT_GR26_DEGREE5
+
+
+# SHA-256 of the `result` of `psa secant --d 2 --oracle` (as the report
+# writes it: sorted keys, no spaces) at (N, r, degree, seed), recorded
+# before the oracle solved only the dominant weight blocks
+_ORACLE_RESULTS = {
+    ("6", "1", "3", "7"): "438707978f6bddeb542935c7a175f537e490d9607536cca9623ea2a9a569775c",
+    ("6", "1", "4", "5"): "c2807e4899fd167c621fa85d703da882e96d61ddafcea95eea2572a1982dd184",
+    ("8", "2", "4", "0"): "86ee7545a70fa13c6a7e24182bf380a66f0ac8000af0294246e555dbe59ed8fa",
+}
+
+
+@pytest.mark.parametrize("N, r, degree, seed", sorted(_ORACLE_RESULTS))
+def test_oracle_reports_are_byte_identical(tmp_path, N, r, degree, seed):
+    code, rep = _run(["secant", "--d", "2", "--N", N, "--r", r, "--degree", degree,
+                      "--oracle", "--seed", seed], tmp_path / "r.json")
+    assert code == 0 and rep["result"]["engine"] == "evaluation-kernel"
+    result = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(result.encode()).hexdigest() == _ORACLE_RESULTS[(N, r, degree, seed)]

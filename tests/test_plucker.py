@@ -1,9 +1,10 @@
 import random
+from itertools import combinations, permutations
 
 import pytest
 from fractions import Fraction
 
-from shufflestar.core import SymElement, iter_sym_keys, sym_monomial
+from shufflestar.core import SymElement, element_to_dict, iter_sym_keys, sym_monomial
 from shufflestar.ideals import ComponentBasis, DiIdeal
 from shufflestar.products import sym_shuffle, sym_star
 from shufflestar.plucker import (
@@ -83,6 +84,31 @@ def test_evaluate_examples():
 def test_decomposable_minors():
     pt = decomposable_point([[1, 2, 3], [0, 1, 4]], 2, 3)
     assert pt == {(1, 2): 1, (1, 3): 4, (2, 3): 2 * 4 - 3 * 1}
+
+
+def _leibniz_det(rows):
+    total = 0
+    for perm in permutations(range(len(rows))):
+        inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
+                         if perm[a] > perm[b])
+        prod = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            prod *= rows[i][j]
+        total += prod
+    return total
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_shared_minors_match_the_leibniz_formula(d):
+    rng = random.Random(d)
+    N = d + 3
+    for _ in range(5):
+        # some zero entries exercise the skipped terms of the expansion
+        matrix = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(N)] for _ in range(d)]
+        pt = decomposable_point(matrix, d, N)
+        assert list(pt) == list(combinations(range(1, N + 1), d))
+        for fac, v in pt.items():
+            assert v == _leibniz_det([[row[c - 1] for c in fac] for row in matrix])
 
 
 def test_pfaffian():
@@ -188,6 +214,82 @@ def test_oracle_rounds_reach_the_same_basis_from_two_first_points(r):
     cfg = GrassmannConfig(d=2, N=6, r=r, M=3)
     assert (evaluation_kernel(cfg, 3, samples=2, seed=4)
             == evaluation_kernel(cfg, 3, seed=4))
+
+
+def _all_blocks_kernel(cfg, n, samples=None, seed=0):
+    """The oracle as it was before the orbit reduction: every weight block
+    goes through the certified kernels and the re-sampling rounds."""
+    from shufflestar.certified import certified_kernel
+    from shufflestar.ideals import monomial_space
+    from shufflestar.plucker import _cut_kernel, _sampled_points, _value_rows
+    from shufflestar.weights import weight_blocks
+    M = cfg.require_multiplier()
+    d, N, r = cfg.d, cfg.N, cfg.r
+    monos = monomial_space(d, n, M)[0]
+    blocks = list(weight_blocks(monos, N).values())
+    if samples is None:
+        samples = max(len(cols) for cols in blocks) + 24
+    points = _sampled_points(d, N, r, samples, random.Random(1_000_003 * seed))
+    kernels = []
+    for cols in blocks:
+        keys = [monos[c] for c in cols]
+        kernel = certified_kernel(_value_rows(keys, points), len(cols))
+        if kernel:
+            kernels.append((cols, keys, kernel))
+    stable = 0
+    round_no = 0
+    while kernels and stable < 2:
+        round_no += 1
+        assert round_no <= 16
+        rng = random.Random(1_000_003 * seed + round_no)
+        largest = max(len(kernel) for _, _, kernel in kernels)
+        points = _sampled_points(d, N, r, max(64, 2 * largest), rng)
+        cut = [(cols, keys, _cut_kernel(keys, kernel, points))
+               for cols, keys, kernel in kernels]
+        changed = any(len(new) < len(old) for (_, _, new), (_, _, old) in zip(cut, kernels))
+        stable = 0 if changed else stable + 1
+        kernels = [entry for entry in cut if entry[2]]
+    found = []
+    for cols, keys, kernel in kernels:
+        for vec in kernel:
+            lead = max(j for j, v in enumerate(vec) if v)
+            terms = {keys[j]: vec[j] for j in range(len(cols)) if vec[j]}
+            found.append((cols[lead], SymElement(d, n, M, terms, _validated=True)))
+    found.sort(key=lambda t: t[0])
+    return [el for _, el in found]
+
+
+@pytest.mark.parametrize("d, N, r, n, samples", [
+    (2, 4, 0, 2, None),
+    (2, 4, 0, 3, None),
+    (2, 6, 0, 3, None),
+    (2, 6, 1, 3, None),
+    (2, 6, 1, 4, None),
+    (2, 6, 1, 3, 2),
+    (3, 6, 0, 2, None),
+])
+def test_orbit_oracle_equals_the_all_blocks_loop(d, N, r, n, samples):
+    cfg = GrassmannConfig(d=d, N=N, r=r)
+    got = evaluation_kernel(cfg, n, samples=samples, seed=3)
+    want = _all_blocks_kernel(cfg, n, samples=samples, seed=3)
+    assert [element_to_dict(e) for e in got] == [element_to_dict(e) for e in want]
+    assert got == want
+
+
+def test_orbit_oracle_raises_when_the_action_drops_its_sign(monkeypatch):
+    # the exact evaluation of every carried vector catches a wrong action
+    from shufflestar import plucker
+    from shufflestar.weights import act_on_key
+
+    def unsigned_act(sigma, f):
+        terms = {act_on_key(sigma, key)[1]: c for key, c in f.terms.items()}
+        return SymElement(f.d, f.n, f.M, terms, _validated=True)
+
+    cfg = GrassmannConfig(d=2, N=6, r=0)
+    assert evaluation_kernel(cfg, 3, seed=1)
+    monkeypatch.setattr(plucker, "act", unsigned_act)
+    with pytest.raises(RuntimeError, match="does not vanish"):
+        evaluation_kernel(cfg, 3, seed=1)
 
 
 @pytest.mark.parametrize("cfg, n", [
@@ -342,6 +444,9 @@ def test_pfaffian_family_new_generators_only_in_degree_r_plus_2(r):
     comp = secant_ideal(plucker_ideal(N // 2, 2), r).component(2, r + 2)
     assert comp.dim == 1
     assert comp.contains(pfaffian(range(1, N + 1), N))
+    # the independent oracle keeps up: one vector, spanning the same line
+    K = evaluation_kernel(GrassmannConfig(d=2, N=N, r=r), r + 2)
+    assert len(K) == 1 and comp.contains(K[0])
 
 
 def test_plucker_ideal_calls_share_no_state(tmp_path):

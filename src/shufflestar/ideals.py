@@ -11,10 +11,10 @@ star products of generators of tensor degree exactly n.
 The climb multiplies in column coordinates.  A variable x has coefficient
 1 and sends distinct monomials to distinct monomials, so x times a stored
 row of C_(d,n-1) is that row with its entries moved to the columns of x
-times their monomials.  Each column's images are looked up once per climb
-step, and the moved rows are added each row, then each variable.
-`raw_spanning_rows` spans the same component through `sym_star` and
-`sym_shuffle`, as an independent check.
+times their monomials (`_multiples`).  Each column's images are looked up
+once per climb step, and the moved rows are added each row, then each
+variable.  `raw_spanning_rows` spans the same component through
+`sym_star` and `sym_shuffle`, as an independent check.
 
 All components of one (d, n, M) share its `monomial_space`: the monomials
 in descending order and the column of each, built once per process and
@@ -34,7 +34,15 @@ Each `DiIdeal` counts its cache hits, misses and rejects by reason in
 `DiIdeal.permutation_stable` certifies that the components up to a tensor
 degree are graded by torus weight and stable under the signed permutation
 action of S_N on the alphabet (see `weights`); joins of certified ideals
-then solve one weight block per S_N orbit.
+then solve one weight block per S_N orbit.  A certified C_(d,n) is the
+direct sum of its weight blocks over disjoint columns, so the union of the
+blocks' reduced echelon rows is its reduced echelon basis.
+`DiIdeal.weight_block` climbs one block alone from the full C_(d,n-1):
+x * b for each variable x and each row b of weight w - wt(x), plus the star
+rows of weight w.  The certificate and the certified join read the top
+degree only through these blocks, which are memoised per weight and never
+cached on disk; `component` still builds, reads and writes whole
+components.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    Factor,
     FactorTuple,
     Rational,
     SymElement,
@@ -60,7 +69,7 @@ from .core import (
 )
 from .linalg import NotReducedError, SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
-from .weights import act, adjacent_transpositions, weight
+from .weights import FactorTable, Weight, act, adjacent_transpositions, weight
 
 __all__ = ["ComponentBasis", "DiIdeal", "component_span", "membership",
            "quotient_basis", "initial_component", "monomial_space"]
@@ -84,7 +93,7 @@ class ComponentBasis:
     bidegree; only `basis` belongs to this component.
     """
 
-    __slots__ = ("d", "n", "M", "monomials", "index", "basis")
+    __slots__ = ("d", "n", "M", "monomials", "index", "basis", "_by_weight")
 
     def __init__(self, d: int, n: int, M: int):
         self.d = d
@@ -92,6 +101,7 @@ class ComponentBasis:
         self.M = M
         self.monomials, self.index = monomial_space(d, n, M)
         self.basis = SparseRREF()
+        self._by_weight: Optional[tuple[int, dict[Weight, list[dict[int, Rational]]]]] = None
 
     @property
     def dim(self) -> int:
@@ -134,11 +144,65 @@ class ComponentBasis:
         pivots = set(self.basis.pivot_columns())
         return [key for i, key in enumerate(self.monomials) if i not in pivots]
 
+    def weight_rows(self) -> dict[Weight, list[dict[int, Rational]]]:
+        """The basis rows grouped by torus weight, each group in pivot order.
+
+        Valid for a graded component, whose rows are weight-homogeneous:
+        each row is weighed at its pivot only.  Grouped once per rank.
+        """
+        memo = self._by_weight
+        if memo is None or memo[0] != self.basis.rank:
+            N = self.M * self.d
+            groups: dict[Weight, list[dict[int, Rational]]] = {}
+            for row in self.basis.basis_rows():
+                groups.setdefault(weight(self.monomials[min(row)], N), []).append(row)
+            memo = self._by_weight = (self.basis.rank, groups)
+        return memo[1]
+
+    def weight_block(self, w: Weight) -> "ComponentBasis":
+        """The rows of weight w, as a component of their own (see `weight_rows`).
+
+        The rows of a graded component have disjoint weight blocks of
+        columns, so they are the reduced echelon basis of that block.
+        """
+        block = ComponentBasis(self.d, self.n, self.M)
+        block.basis = SparseRREF.from_reduced_rows(
+            (row.items() for row in self.weight_rows().get(w, ())), self.space_dim)
+        return block
+
 
 def _generator_hash(generators: Sequence[SymElement], M: int) -> str:
     payload = json.dumps([element_to_dict(g) for g in generators] + [M],
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _multiples(rows: Iterable[dict[int, Rational]], below: ComponentBasis,
+               target: ComponentBasis, factors: Sequence[Factor]):
+    """x * row for each row of `below`, each x of `factors` in turn, in the
+    columns of `target`.
+
+    A variable x has coefficient 1 and maps distinct monomials to distinct
+    monomials, so x * row is the row itself moved to the columns of
+    x * (its monomials); each column's images are looked up once per call.
+    """
+    below_keys = below.monomials
+    index = target.index
+    # column c of `below` -> the column of x * (its monomial), per x
+    shifts: dict[int, list[int]] = {}
+    for row in rows:
+        moved = [{} for _ in factors]
+        for c, v in row.items():
+            cols = shifts.get(c)
+            if cols is None:
+                key = below_keys[c]
+                cols = shifts[c] = []
+                for fac in factors:
+                    at = bisect_right(key, fac)
+                    cols.append(index[key[:at] + (fac,) + key[at:]])
+            for out, col in zip(moved, cols):
+                out[col] = v
+        yield from moved
 
 
 class DiIdeal:
@@ -160,6 +224,10 @@ class DiIdeal:
         self.gen_hash = _generator_hash(self.generators, self.M)
         self._components: dict[tuple[int, int], ComponentBasis] = {}
         self._stable: dict[tuple[int, int], bool] = {}
+        # weight blocks of components never built whole, and the star rows
+        # by weight; in memory only
+        self._blocks: dict[tuple[int, int, Weight], ComponentBasis] = {}
+        self._star_weights: dict[tuple[int, int], Optional[dict[Weight, list[SymElement]]]] = {}
         # disk cache reads of this ideal: files adopted, files absent, and
         # files refused, by the reason of the failed check
         self.cache_stats: dict = {"hits": 0, "misses": 0, "rejects": {}}
@@ -253,36 +321,57 @@ class DiIdeal:
         comp = ComponentBasis(d, n, self.M)
         if n == 0 or d == 0:
             return comp
-        # variable multiples of the previous tensor degree, in columns: x has
-        # coefficient 1 and maps distinct monomials to distinct monomials, so
-        # x * row is the row itself moved to the columns of x * (monomial)
         below = self.component(d, n - 1)
         if below.dim:
-            below_keys = below.monomials
-            index = comp.index
+            # row by row, each x in turn: adding all rows of one x before
+            # the next x was measured slower (more fill-in)
             add = comp.basis.add
             factors = list(iter_factors(d, self.M * d))
-            # column c of (d, n-1) -> the column of x * (its monomial), per x
-            shifts: dict[int, list[int]] = {}
-            for row in below.basis.basis_rows():
-                moved = [{} for _ in factors]
-                for c, v in row.items():
-                    cols = shifts.get(c)
-                    if cols is None:
-                        key = below_keys[c]
-                        cols = shifts[c] = []
-                        for fac in factors:
-                            at = bisect_right(key, fac)
-                            cols.append(index[key[:at] + (fac,) + key[at:]])
-                    for out, col in zip(moved, cols):
-                        out[col] = v
-                # row by row, each x in turn: adding all rows of one x
-                # before the next x was measured slower (more fill-in)
-                for out in moved:
-                    add(out)
+            for out in _multiples(below.basis.basis_rows(), below, comp, factors):
+                add(out)
         for prod in self._star_rows(d, n):
             comp.add(prod)
         return comp
+
+    def weight_block(self, d: int, n: int, w: Weight) -> ComponentBasis:
+        """The canonical reduced rows of C_(d,n) at the torus weight w.
+
+        Filters C_(d,n) when it is in memory; otherwise climbs the block
+        alone, as x * b for each variable x and each row b of C_(d,n-1) of
+        weight w - wt(x), plus the star rows of weight w.  That is the
+        weight-w part of C_(d,n) only when C_(d,n-1) is graded and the star
+        rows are weight-homogeneous, which `permutation_stable(d, n)`
+        certifies; callers check it.  Blocks are memoised per (d, n, w),
+        never cached on disk.
+        """
+        key = (d, n, w)
+        block = self._blocks.get(key)
+        if block is not None:
+            return block
+        comp = self._components.get((d, n))
+        if comp is not None:
+            block = comp.weight_block(w)
+        else:
+            block = ComponentBasis(d, n, self.M)
+            if n and d:
+                below = self.component(d, n - 1)
+                groups = below.weight_rows()
+                add = block.basis.add
+                for fac in iter_factors(d, self.M * d):
+                    u = list(w)
+                    for i in fac:
+                        u[i - 1] -= 1
+                    rows = groups.get(tuple(u))
+                    if rows:
+                        for out in _multiples(rows, below, block, [fac]):
+                            add(out)
+            stars = self._stars_by_weight(d, n)
+            if stars is None:
+                raise ValueError(f"the star rows at {(d, n)} are not weight-homogeneous")
+            for prod in stars.get(w, ()):
+                block.add(prod)
+        self._blocks[key] = block
+        return block
 
     def _star_rows(self, d: int, n: int):
         """Star products of the generators of tensor degree exactly n at width d."""
@@ -315,15 +404,40 @@ class DiIdeal:
             self._stable[key] = ok
         return ok
 
+    def _stars_by_weight(self, d: int, n: int) -> Optional[dict[Weight, list[SymElement]]]:
+        """The star rows at (d, n) by weight, or None when one mixes weights."""
+        key = (d, n)
+        if key not in self._star_weights:
+            N = self.M * d
+            groups: Optional[dict[Weight, list[SymElement]]] = {}
+            for row in self._star_rows(d, n):
+                ws = {weight(k, N) for k in row.terms}
+                if len(ws) > 1:
+                    groups = None
+                    break
+                groups.setdefault(ws.pop(), []).append(row)
+            self._star_weights[key] = groups
+        return self._star_weights[key]
+
     def _stars_stable(self, d: int, n: int) -> bool:
+        """Every star row is weight-homogeneous and each adjacent
+        transposition maps it into C_(d,n).
+
+        Called once C_(d,n-1) is certified, so the block of C_(d,n) at the
+        weight of an image is its `weight_block`, and the image lies in
+        C_(d,n) iff it lies in that block; C_(d,n) is never built whole.
+        """
+        stars = self._stars_by_weight(d, n)
+        if stars is None:
+            return False
         N = self.M * d
-        taus = adjacent_transpositions(N)
-        comp = self.component(d, n)
-        for row in self._star_rows(d, n):
-            if len({weight(key, N) for key in row.terms}) > 1:
-                return False
-            if not all(comp.contains(act(tau, row)) for tau in taus):
-                return False
+        for tau in adjacent_transpositions(N):
+            table = FactorTable(tau)
+            for rows in stars.values():
+                images = [act(table, row) for row in rows]
+                block = self.weight_block(d, n, weight(next(iter(images[0].terms)), N))
+                if not all(block.contains(image) for image in images):
+                    return False
         return True
 
     def raw_spanning_rows(self, d: int, n: int):

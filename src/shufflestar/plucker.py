@@ -15,8 +15,11 @@ character of its weight (how often each index occurs across its factors).
 When both ideals of a join certify `permutation_stable`, their components
 are graded and stable under the signed permutation action of S_N, and so
 is the join kernel: only its blocks at dominant weights are eliminated,
-and signed permutations carry them to the rest of their orbits.  Without
-the certificate the join eliminates all of the intersection as one block.
+and signed permutations carry them to the rest of their orbits.  Those
+blocks of the two inputs' top-degree components are taken one weight at a
+time (`weight_block`), so neither component is built whole; the quotient
+conditions read the lower degrees whole.  Without the certificate the
+join eliminates all of the intersection as one block.
 The evaluation kernel is the independent oracle: exact kernels of integer
 evaluation matrices at random sums of decomposables, re-sampled until
 stable.  The vanishing ideal is torus-stable, so it is the direct sum of
@@ -24,9 +27,10 @@ its weight pieces: blocking leaves the kernel unchanged while shrinking the
 dense eliminations from every monomial to the largest block.  The secant
 variety is stable under permutation matrices, so the ideal is stable under
 the signed S_N action as well, and the oracle solves only the dominant
-blocks; signed permutations carry their kernels to the rest of each orbit,
-and every carried vector is evaluated exactly at the last round's points,
-so the oracle does not take the action on trust.
+blocks, enumerating their monomials directly (`weights.dominant_weights`,
+`weights.monomials_of_weight`); signed permutations carry their kernels to
+the rest of each orbit, and every carried vector is evaluated exactly at
+the last round's points, so the oracle does not take the action on trust.
 """
 
 from __future__ import annotations
@@ -55,7 +59,8 @@ from .ideals import ComponentBasis, DiIdeal, monomial_space
 from .linalg import (CoeffLimitExceeded, RatMatrix, SparseRREF,
                      kernel_basis, sparse_rref_kernel)
 from .products import sym_star
-from .weights import act, is_dominant, orbit_permutations, weight, weight_blocks
+from .weights import (FactorTable, Weight, act, dominant_weights, monomials_of_weight,
+                      orbit_permutations)
 
 __all__ = [
     "GrassmannConfig", "basic_plucker", "weyman_quadrics", "plucker_ideal",
@@ -329,16 +334,16 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     M = cfg.require_multiplier()
     d, N, r = cfg.d, cfg.N, cfg.r
     monos, index = monomial_space(d, n, M)
+    # each dominant block's monomials, in column order
+    blocks = [(w, monomials_of_weight(w, d, n)) for w in dominant_weights(d, n, N)]
     # blocks of one orbit have one size, so the largest block is dominant
-    blocks = [(w, cols) for w, cols in weight_blocks(monos, N).items() if is_dominant(w)]
     if samples is None:
-        samples = max(len(cols) for _, cols in blocks) + 24
+        samples = max(len(keys) for _, keys in blocks) + 24
     points = _sampled_points(d, N, r, samples, random.Random(1_000_003 * seed))
     # (dominant weight, block monomials, kernel over the block's columns)
     kernels = []
-    for w, cols in blocks:
-        keys = [monos[c] for c in cols]
-        kernel = certified_kernel(_value_rows(keys, points), len(cols))
+    for w, keys in blocks:
+        kernel = certified_kernel(_value_rows(keys, points), len(keys))
         if kernel:
             kernels.append((w, keys, kernel))
     stable = 0
@@ -368,8 +373,9 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
         # the negated columns
         for sigma in list(orbit_permutations(w))[1:]:
             block = SparseRREF()
+            table = FactorTable(sigma)
             for e in elems:
-                image = act(sigma, e)
+                image = act(table, e)
                 if not _vanishes(image, points):
                     raise RuntimeError(
                         f"the image of a kernel vector of weight {w} under {sigma} "
@@ -563,37 +569,44 @@ def exact_join_component(I, J, d: int, n: int) -> ComponentBasis:
 
     When both ideals certify `permutation_stable(d, n)`, V and every
     quotient in the conditions are graded and S_N-stable, and so is the
-    kernel: only the dominant weight blocks of V are eliminated, and each
-    kernel vector is added as it is and carried to the other blocks of its
-    orbit by one signed permutation per other distinct rearrangement of its
-    weight.  Without the certificate the same loop runs once, over all of
-    V, and adds each kernel vector as it is.
+    kernel: only the dominant weight blocks of V are eliminated, each the
+    meet of the two inputs' `weight_block`s, taken in the order of their
+    first pivots.  Each kernel vector is added as it is and carried to the
+    other blocks of its orbit by one signed permutation per other distinct
+    rearrangement of its weight, each permutation mapping the whole block
+    kernel through one `FactorTable`.  Without the certificate the same
+    loop runs once, over all of V, and adds each kernel vector as it is.
     """
     if I.M != J.M:
         raise ValueError(f"multiplier mismatch: {I.M} vs {J.M}")
     M = I.M
     comp = ComponentBasis(d, n, M)
-    CI = I.component(d, n)
-    CJ = None if I is J else J.component(d, n)
     if I.permutation_stable(d, n) and J.permutation_stable(d, n):
-        # every row of CI is weight-homogeneous, so its lead gives its weight
-        N = M * d
-        blocks: dict[tuple[int, ...], list[SymElement]] = {}
-        for row in CI.basis.basis_rows():
-            w = weight(CI.monomials[min(row)], N)
-            if is_dominant(w):
-                blocks.setdefault(w, []).append(CI.element(row))
-        # for a dominant weight the identity comes first; e itself is added
-        orbits = [(rows, list(orbit_permutations(w))[1:]) for w, rows in blocks.items()]
+        # V is graded: its block at w is I's block at w met with J's, and
+        # neither component is built whole
+        blocks = [(w, I.weight_block(d, n, w)) for w in dominant_weights(d, n, M * d)]
+        orbits = []
+        for w, block in sorted(((w, b) for w, b in blocks if b.dim),
+                               key=lambda wb: min(wb[1].basis.pivots)):
+            rows = block.basis_elements()
+            if I is not J:
+                rows = _intersect(rows, J.weight_block(d, n, w))
+            # for a dominant weight the identity comes first; e itself is added
+            orbits.append((rows, list(orbit_permutations(w))[1:]))
     else:
-        orbits = [(CI.basis_elements(), [])]
+        rows = I.component(d, n).basis_elements()
+        if I is not J:
+            rows = _intersect(rows, J.component(d, n))
+        orbits = [(rows, [])]
     left_memo: dict = {}
-    for rows, others in orbits:
-        v_elems = rows if CJ is None else _intersect(rows, CJ)
-        for e in _join_kernel(I, J, d, n, v_elems, left_memo):
+    for v_elems, others in orbits:
+        kernel = _join_kernel(I, J, d, n, v_elems, left_memo)
+        for e in kernel:
             comp.add(e)
-            for sigma in others:
-                comp.add(act(sigma, e))
+        for sigma in others:
+            table = FactorTable(sigma)
+            for e in kernel:
+                comp.add(act(table, e))
     return comp
 
 
@@ -674,6 +687,10 @@ class JoinIdeal:
 
     def component_dim(self, d: int, n: int) -> int:
         return self.component(d, n).dim
+
+    def weight_block(self, d: int, n: int, w: Weight) -> ComponentBasis:
+        """The rows of weight w of the (d, n) component, filtered from it."""
+        return self.component(d, n).weight_block(w)
 
     def permutation_stable(self, d: int, n: int) -> bool:
         """Both inputs certified: every join component (d, k), k <= n, is then

@@ -12,6 +12,7 @@ symmetrization isomorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -122,38 +123,40 @@ def _check_star_shapes(f, h, g: IncFn) -> IncFn:
     return g.complement()
 
 
-def _star_sums(f, h, g: IncFn, matchings, canonical: bool) -> tuple[dict, int]:
-    """Integer numerators of the slotwise signed wedges, and their denominator.
-
-    Each matching lists, for every slot k of h, the slot of f wedged onto
-    it; `canonical` sorts the resulting slots of each key.
-    """
+def _relabelled_terms(f, h, g: IncFn) -> tuple[list, list, int]:
+    """The terms of f relabeled by g and of h by its complement, as integer
+    numerators, and the product of their denominators."""
     gc = _check_star_shapes(f, h, g)
     fnums, fden = to_numerators(f.terms)
     hnums, hden = to_numerators(h.terms)
-    out: dict[FactorTuple, int] = {}
     fready = [(tuple(relabel_factor(x, g) for x in kf), cf) for kf, cf in fnums.items()]
     hready = [(tuple(relabel_factor(x, gc) for x in kh), ch) for kh, ch in hnums.items()]
-    for rf, cf in fready:
-        for rh, ch in hready:
-            for match in matchings:
-                sign = cf * ch
-                slots = []
-                for k, j in enumerate(match):
-                    s, merged = merge_signed(rf[j], rh[k])
-                    if s == 0:
-                        break
-                    sign *= s
-                    slots.append(merged)
-                else:
-                    key = tuple(sorted(slots)) if canonical else tuple(slots)
-                    out[key] = out.get(key, 0) + sign
-    return out, fden * hden
+    return fready, hready, fden * hden
+
+
+@cache
+def _matchings(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every matching of n slots: entry k is the slot of f wedged onto slot k of h."""
+    return tuple(permutations(range(n)))
 
 
 def star_product(f: Element, h: Element, g: IncFn) -> Element:
     """Slotwise signed wedge of g-relabeled f with (g complement)-relabeled h."""
-    out, den = _star_sums(f, h, g, [tuple(range(f.n))], canonical=False)
+    fready, hready, den = _relabelled_terms(f, h, g)
+    out: dict[FactorTuple, int] = {}
+    for rf, cf in fready:
+        for rh, ch in hready:
+            sign = cf * ch
+            slots = []
+            for a, b in zip(rf, rh):
+                s, merged = merge_signed(a, b)
+                if s == 0:
+                    break
+                sign *= s
+                slots.append(merged)
+            else:
+                key = tuple(slots)
+                out[key] = out.get(key, 0) + sign
     return Element(f.d + h.d, f.n, f.M, from_numerators(out, den), _validated=True)
 
 
@@ -161,9 +164,29 @@ def sym_star(f: SymElement, h: SymElement, g: IncFn) -> SymElement:
     """Star product on symmetric elements.
 
     On monomials this is (1/n!) * sum over all matchings of f's factors to
-    h's slots of the product of signed wedges, then canonical sorting.
+    h's slots of the product of signed wedges, then canonical sorting.  Per
+    pair of terms, each factor of f is merged with each factor of h once,
+    into an n x n table that every matching reads.
     """
-    out, den = _star_sums(f, h, g, list(permutations(range(f.n))), canonical=True)
+    fready, hready, den = _relabelled_terms(f, h, g)
+    matchings = _matchings(f.n)
+    out: dict[FactorTuple, int] = {}
+    for rf, cf in fready:
+        for rh, ch in hready:
+            # table[k][j]: the wedge of slot j of f onto slot k of h
+            table = [[merge_signed(a, b) for a in rf] for b in rh]
+            for match in matchings:
+                sign = cf * ch
+                slots = []
+                for row, j in zip(table, match):
+                    s, merged = row[j]
+                    if s == 0:
+                        break
+                    sign *= s
+                    slots.append(merged)
+                else:
+                    key = tuple(sorted(slots))
+                    out[key] = out.get(key, 0) + sign
     return SymElement(f.d + h.d, f.n, f.M, from_numerators(out, den * factorial(f.n)),
                       _validated=True)
 

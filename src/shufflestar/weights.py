@@ -11,20 +11,27 @@ at the sign of that sort (basis vectors anticommute in a wedge), and the
 factors are sorted into the canonical multiset order.  This maps the block
 of weight w onto the block of the rearranged weight, so a graded subspace
 that is also S_N-stable is fixed by its blocks at the dominant weights,
-those whose content vector is weakly decreasing, one per S_N orbit.
+those whose content vector is weakly decreasing, one per S_N orbit.  The
+dominant weights of (d, n) are the partitions of d*n into at most N parts,
+each part at most n (an index occurs at most once per factor), and
+`monomials_of_weight` enumerates one block without weighing the others.
 
 Permutations are kept in one-line form: sigma[j] is the image of j + 1.
+A `FactorTable` holds the signed image of each factor under one
+permutation, so acting on a block of elements sorts each distinct factor
+once; `act` and `act_on_key` take either a permutation or its table.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .core import FactorTuple, SymElement
 
-__all__ = ["weight", "is_dominant", "weight_blocks", "act_on_key", "act",
-           "adjacent_transpositions", "orbit_permutations"]
+__all__ = ["weight", "is_dominant", "dominant_weights", "monomials_of_weight",
+           "FactorTable", "act_on_key", "act", "adjacent_transpositions",
+           "orbit_permutations"]
 
 Weight = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -43,36 +50,119 @@ def is_dominant(w: Weight) -> bool:
     return all(a >= b for a, b in zip(w, w[1:]))
 
 
-def weight_blocks(monos: Sequence[FactorTuple], N: int) -> dict[Weight, list[int]]:
-    """Column indices of monos grouped by weight, each group in column order."""
-    blocks: dict[Weight, list[int]] = {}
-    for c, key in enumerate(monos):
-        blocks.setdefault(weight(key, N), []).append(c)
-    return blocks
+def dominant_weights(d: int, n: int, N: int) -> list[Weight]:
+    """The dominant weights of the (d, n) monomials over [1..N].
+
+    These are the partitions of d*n into at most N parts, each at most n,
+    padded with zeros to length N, in decreasing lexicographic order.
+    Each is the weight of some monomial: n factors of size d with these
+    counts exist by the Gale-Ryser theorem, since no count exceeds n.
+    """
+    out: list[Weight] = []
+    parts: list[int] = []
+
+    def place(left: int, cap: int) -> None:
+        if not left:
+            out.append(tuple(parts) + (0,) * (N - len(parts)))
+            return
+        if len(parts) == N:
+            return
+        for p in range(min(cap, left), 0, -1):
+            parts.append(p)
+            place(left - p, p)
+            parts.pop()
+
+    place(d * n, n)
+    return out
 
 
-def act_on_key(sigma: Permutation, key: FactorTuple) -> tuple[int, FactorTuple]:
-    """(sign, monomial) with sigma . key = sign * monomial."""
-    sign = 1
-    out = []
-    for fac in key:
+def monomials_of_weight(w: Weight, d: int, n: int) -> list[FactorTuple]:
+    """The (d, n) monomials of weight w, in descending order.
+
+    Factors are chosen in increasing order from the indices still to be
+    used; an index still needed by every remaining factor must be in this
+    one.  Each step uses d of the counts, so when they sum to d * n the
+    last step leaves none.
+    """
+    counts = list(w)
+    out: list[FactorTuple] = []
+    key: list[tuple[int, ...]] = []
+
+    def place(left: int) -> None:
+        if not left:
+            out.append(tuple(key))
+            return
+        avail = [i + 1 for i, c in enumerate(counts) if c]
+        forced = [i + 1 for i, c in enumerate(counts) if c == left]
+        for fac in combinations(avail, d):
+            if key and fac < key[-1]:
+                continue
+            if any(i not in fac for i in forced):
+                continue
+            for i in fac:
+                counts[i - 1] -= 1
+            key.append(fac)
+            place(left - 1)
+            key.pop()
+            for i in fac:
+                counts[i - 1] += 1
+
+    place(n)
+    out.sort(reverse=True)
+    return out
+
+
+class FactorTable(dict):
+    """The signed action of one permutation on factors, filled on first use.
+
+    Maps a factor to (sign, sorted image): the sign is the parity of the
+    sort.  It holds at most one entry per factor of the alphabet, so build
+    one per permutation and block of elements, and let it go with them.
+    """
+
+    __slots__ = ("sigma",)
+
+    def __init__(self, sigma: Permutation):
+        super().__init__()
+        self.sigma = sigma
+
+    def __missing__(self, fac: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        sigma = self.sigma
         mapped = [sigma[i - 1] for i in fac]
+        sign = 1
         for a in range(len(mapped)):
             x = mapped[a]
             for y in mapped[a + 1:]:
                 if x > y:
                     sign = -sign
         mapped.sort()
-        out.append(tuple(mapped))
+        entry = self[fac] = (sign, tuple(mapped))
+        return entry
+
+
+def act_on_key(sigma: Permutation | FactorTable,
+               key: FactorTuple) -> tuple[int, FactorTuple]:
+    """(sign, monomial) with sigma . key = sign * monomial."""
+    table = sigma if sigma.__class__ is FactorTable else FactorTable(sigma)
+    sign = 1
+    out = []
+    for fac in key:
+        s, image = table[fac]
+        sign *= s
+        out.append(image)
     out.sort()
     return sign, tuple(out)
 
 
-def act(sigma: Permutation, f: SymElement) -> SymElement:
-    """sigma . f; sigma permutes the monomials, so no two terms collide."""
+def act(sigma: Permutation | FactorTable, f: SymElement) -> SymElement:
+    """sigma . f; sigma permutes the monomials, so no two terms collide.
+
+    Pass a `FactorTable` to share the factor images over many elements.
+    """
+    table = sigma if sigma.__class__ is FactorTable else FactorTable(sigma)
     terms = {}
     for key, c in f.terms.items():
-        sign, image = act_on_key(sigma, key)
+        sign, image = act_on_key(table, key)
         terms[image] = c if sign > 0 else -c
     return SymElement(f.d, f.n, f.M, terms, _validated=True)
 

@@ -250,7 +250,10 @@ def test_cached_coefficient_over_the_bit_budget_exits_3(tmp_path):
 # SHA-256 of the degree-5 `psa secant --d 2 --N 6 --r 1` cache files and of
 # its report's result (as the report writes it: sorted keys, no spaces),
 # recorded before the climb moved to column coordinates; any change of the
-# climb, the join or the cache format must leave them as they are
+# climb, the join or the cache format must leave them as they are.  The run
+# writes the Plucker components of degrees 0-4 only: the certified join
+# climbs the dominant weight blocks of degree 5 and never the whole
+# component, whose file is pinned by the next test
 _SECANT_GR26_DEGREE5 = {
     "result": "7bbde8cc8df019c0c8c60332018dac9d1ce460984821a0fef810df2d71161fc7",
     "component_M3_d2_n0_6c211f9835a34918.json":
@@ -263,8 +266,6 @@ _SECANT_GR26_DEGREE5 = {
         "6dc8cd903821c08093802b9d9b2328c3cb42b8a03c9e42fe033314302d2852ee",
     "component_M3_d2_n4_6c211f9835a34918.json":
         "a245df6310142d6abccc65fa1141bb64b2a85ce3f26c4adee6fafd2a6979a6fc",
-    "component_M3_d2_n5_6c211f9835a34918.json":
-        "a8d6922cdf6cd718ae159a46e166aaa19eb690cf9d487d367221219b4c4c9907",
 }
 
 
@@ -278,6 +279,15 @@ def test_degree5_secant_report_and_cache_files_are_byte_identical(tmp_path):
     for path in cache.iterdir():
         got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert got == _SECANT_GR26_DEGREE5
+
+
+def test_full_degree5_plucker_climb_writes_the_pinned_cache_file(tmp_path):
+    from shufflestar.plucker import plucker_ideal
+    assert plucker_ideal(3, 2, cache_dir=tmp_path).component(2, 5).dim == 6336
+    path, = tmp_path.glob("component_M3_d2_n5_*.json")
+    assert path.name == "component_M3_d2_n5_6c211f9835a34918.json"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "a8d6922cdf6cd718ae159a46e166aaa19eb690cf9d487d367221219b4c4c9907"
 
 
 # SHA-256 of the `result` of `psa secant --d 2 --oracle` (as the report

@@ -163,6 +163,38 @@ def test_climb_from_a_cached_component_equals_raw_elimination(tmp_path):
     _assert_same_basis(comp, _raw_elimination(I, 2, 4))
 
 
+@pytest.mark.parametrize("M,max_d,d,n", [(3, 2, 2, 5), (2, 3, 3, 3), (3, 2, 2, 2)],
+                         ids=["gr26-2-5", "gr36-3-3", "gr26-2-2-stars"])
+def test_weight_blocks_equal_the_full_component_at_every_weight(tmp_path, M, max_d, d, n):
+    from shufflestar.weights import weight
+    N = M * d
+    full = plucker_ideal(M, max_d).component(d, n)
+    by_weight = {}
+    for row in full.basis.basis_rows():
+        ws = {weight(full.monomials[c], N) for c in row}
+        assert len(ws) == 1
+        by_weight.setdefault(ws.pop(), []).append(row)
+    weights = {weight(key, N) for key in full.monomials}
+    climbed = plucker_ideal(M, max_d, cache_dir=tmp_path)
+    assert climbed.permutation_stable(d, n)
+    union = []
+    for w in weights:
+        # every weight, dominant or not: climbed alone, then filtered
+        block = climbed.weight_block(d, n, w)
+        assert block.basis.basis_rows() == by_weight.get(w, [])
+        assert full.weight_block(w).basis.basis_rows() == by_weight.get(w, [])
+        union.extend(block.basis.basis_rows())
+    assert sorted(union, key=min) == full.basis.basis_rows()
+    # the blocks never built the component, and never touched the disk for it
+    assert (d, n) not in climbed._components
+    assert not list(tmp_path.glob(f"component_M{M}_d{d}_n{n}_*.json"))
+    # once the component is in memory, the blocks are filtered from it
+    filtered = plucker_ideal(M, max_d)
+    filtered.component(d, n)
+    w = next(iter(by_weight))
+    assert filtered.weight_block(d, n, w).basis.basis_rows() == by_weight[w]
+
+
 def test_monomial_space_is_shared_and_sorted():
     keys, index = monomial_space(2, 3, 2)
     assert monomial_space(2, 3, 2) is monomial_space(2, 3, 2)

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, permutations
 
@@ -222,11 +223,14 @@ def _all_blocks_kernel(cfg, n, samples=None, seed=0):
     from shufflestar.certified import certified_kernel
     from shufflestar.ideals import monomial_space
     from shufflestar.plucker import _cut_kernel, _sampled_points, _value_rows
-    from shufflestar.weights import weight_blocks
+    from shufflestar.weights import weight
     M = cfg.require_multiplier()
     d, N, r = cfg.d, cfg.N, cfg.r
     monos = monomial_space(d, n, M)[0]
-    blocks = list(weight_blocks(monos, N).values())
+    groups = {}
+    for c, key in enumerate(monos):
+        groups.setdefault(weight(key, N), []).append(c)
+    blocks = list(groups.values())
     if samples is None:
         samples = max(len(cols) for cols in blocks) + 24
     points = _sampled_points(d, N, r, samples, random.Random(1_000_003 * seed))
@@ -406,6 +410,26 @@ def test_an_inhomogeneous_stable_generator_set_does_not_certify():
     f = SymElement(2, 2, 2, {((1, 2), (1, 2)): 1, ((1, 2), (3, 4)): 1})
     gens = [act(sigma, f) for sigma in permutations(range(1, 5))]
     assert not DiIdeal(2, gens).permutation_stable(2, 2)
+
+
+def test_certified_joins_never_build_their_top_degree_component(tmp_path, monkeypatch):
+    from shufflestar.cli import main
+    built = []
+    compute = DiIdeal._compute_component
+
+    def recording(self, d, n):
+        built.append((d, n))
+        return compute(self, d, n)
+
+    monkeypatch.setattr(DiIdeal, "_compute_component", recording)
+    P = plucker_ideal(3, 2)
+    assert P.permutation_stable(2, 2)
+    assert (2, 2) not in built
+    out = tmp_path / "r.json"
+    assert main(["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "5",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["dimension"] > 0
+    assert (2, 4) in built and (2, 5) not in built
 
 
 def _one_block_join(I, J, d, n):

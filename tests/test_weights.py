@@ -5,13 +5,15 @@ from math import factorial, prod
 from shufflestar.core import SymElement, iter_sym_keys
 from shufflestar.plucker import pfaffian
 from shufflestar.weights import (
+    FactorTable,
     act,
     act_on_key,
     adjacent_transpositions,
+    dominant_weights,
     is_dominant,
+    monomials_of_weight,
     orbit_permutations,
     weight,
-    weight_blocks,
 )
 
 
@@ -37,13 +39,27 @@ def test_weight_is_the_content_vector():
     assert not is_dominant((1, 2, 1, 1, 0, 0))
 
 
+def _weight_groups(monos, N):
+    """Column indices of monos grouped by weight, each group in column order."""
+    blocks = {}
+    for c, key in enumerate(monos):
+        blocks.setdefault(weight(key, N), []).append(c)
+    return blocks
+
+
 def test_weight_blocks_partition_the_columns_in_order():
-    monos = sorted(iter_sym_keys(2, 2, 2), reverse=True)
-    blocks = weight_blocks(monos, 4)
-    assert sorted(c for cols in blocks.values() for c in cols) == list(range(len(monos)))
-    for w, cols in blocks.items():
-        assert cols == sorted(cols)
-        assert all(weight(monos[c], 4) == w for c in cols)
+    # monomials_of_weight enumerates each block in column order, and the
+    # dominant weights are those of the blocks with a weakly decreasing weight
+    for d, n, M in ((2, 2, 2), (2, 3, 3), (3, 2, 2), (1, 4, 3), (3, 2, 3)):
+        N = M * d
+        monos = sorted(iter_sym_keys(d, n, M), reverse=True)
+        blocks = _weight_groups(monos, N)
+        assert sorted(c for cols in blocks.values() for c in cols) == list(range(len(monos)))
+        for w, cols in blocks.items():
+            assert monomials_of_weight(w, d, n) == [monos[c] for c in cols]
+        dominant = dominant_weights(d, n, N)
+        assert sorted(dominant, reverse=True) == dominant
+        assert set(dominant) == {w for w in blocks if is_dominant(w)}
 
 
 def test_action_composes_and_transpositions_are_involutions():
@@ -76,6 +92,43 @@ def test_action_moves_weight_blocks():
     assert (sign, key) == (-1, ((1, 3), (3, 4)))
     w = weight(((1, 2), (1, 4)), 4)
     assert weight(key, 4) == tuple(w[sigma.index(i + 1)] for i in range(4))
+
+
+def _reference_act_on_key(sigma, key):
+    """sigma . key one factor at a time, the sign by counting inversions."""
+    sign = 1
+    out = []
+    for fac in key:
+        mapped = [sigma[i - 1] for i in fac]
+        inversions = sum(1 for a in range(len(mapped)) for b in range(a + 1, len(mapped))
+                         if mapped[a] > mapped[b])
+        sign *= -1 if inversions % 2 else 1
+        out.append(tuple(sorted(mapped)))
+    return sign, tuple(sorted(out))
+
+
+def test_factor_table_action_matches_the_per_key_reference():
+    from itertools import permutations
+    keys = list(iter_sym_keys(2, 2, 2))
+    for sigma in permutations(range(1, 5)):
+        table = FactorTable(sigma)
+        for key in keys:
+            want = _reference_act_on_key(sigma, key)
+            assert act_on_key(sigma, key) == want
+            assert act_on_key(table, key) == want
+        assert len(table) <= 6   # one entry per factor of [1..4]
+    rng = random.Random(11)
+    keys = list(iter_sym_keys(3, 3, 3))
+    for _ in range(20):
+        sigma = _random_permutation(rng, 9)
+        table = FactorTable(sigma)
+        f = SymElement(3, 3, 3, {key: rng.randint(1, 5) for key in rng.sample(keys, 40)})
+        want = {}
+        for key, c in f.terms.items():
+            sign, image = _reference_act_on_key(sigma, key)
+            assert act_on_key(table, key) == (sign, image)
+            want[image] = sign * c
+        assert act(table, f) == act(sigma, f) == SymElement(3, 3, 3, want)
 
 
 def test_orbit_permutations_reach_each_rearrangement_once():

@@ -39,10 +39,11 @@ direct sum of its weight blocks over disjoint columns, so the union of the
 blocks' reduced echelon rows is its reduced echelon basis.
 `DiIdeal.weight_block` climbs one block alone from the full C_(d,n-1):
 x * b for each variable x and each row b of weight w - wt(x), plus the star
-rows of weight w.  The certificate and the certified join read the top
-degree only through these blocks, which are memoised per weight and never
-cached on disk; `component` still builds, reads and writes whole
-components.
+rows of weight w; it refuses an ideal whose C_(d,n-1) is not certified.
+The certificate and the certified join read the top degree only through
+these blocks, which are memoised per weight and never cached on disk, even
+when C_(d,n) is also built whole; `component` still builds, reads and
+writes whole components.
 """
 
 from __future__ import annotations
@@ -224,8 +225,8 @@ class DiIdeal:
         self.gen_hash = _generator_hash(self.generators, self.M)
         self._components: dict[tuple[int, int], ComponentBasis] = {}
         self._stable: dict[tuple[int, int], bool] = {}
-        # weight blocks of components never built whole, and the star rows
-        # by weight; in memory only
+        # weight blocks climbed alone, and the star rows by weight; in
+        # memory only
         self._blocks: dict[tuple[int, int, Weight], ComponentBasis] = {}
         self._star_weights: dict[tuple[int, int], Optional[dict[Weight, list[SymElement]]]] = {}
         # disk cache reads of this ideal: files adopted, files absent, and
@@ -336,40 +337,38 @@ class DiIdeal:
     def weight_block(self, d: int, n: int, w: Weight) -> ComponentBasis:
         """The canonical reduced rows of C_(d,n) at the torus weight w.
 
-        Filters C_(d,n) when it is in memory; otherwise climbs the block
-        alone, as x * b for each variable x and each row b of C_(d,n-1) of
-        weight w - wt(x), plus the star rows of weight w.  That is the
-        weight-w part of C_(d,n) only when C_(d,n-1) is graded and the star
-        rows are weight-homogeneous, which `permutation_stable(d, n)`
-        certifies; callers check it.  Blocks are memoised per (d, n, w),
-        never cached on disk.
+        Climbs the block alone, as x * b for each variable x and each row b
+        of C_(d,n-1) of weight w - wt(x), plus the star rows of weight w.
+        That is the weight-w part of C_(d,n) only when C_(d,n-1) is graded
+        and the star rows are weight-homogeneous: a ValueError is raised
+        unless `permutation_stable(d, n - 1)` holds and the star rows are
+        homogeneous.  Blocks are memoised per (d, n, w), never cached on
+        disk.
         """
         key = (d, n, w)
         block = self._blocks.get(key)
         if block is not None:
             return block
-        comp = self._components.get((d, n))
-        if comp is not None:
-            block = comp.weight_block(w)
-        else:
-            block = ComponentBasis(d, n, self.M)
-            if n and d:
-                below = self.component(d, n - 1)
-                groups = below.weight_rows()
-                add = block.basis.add
-                for fac in iter_factors(d, self.M * d):
-                    u = list(w)
-                    for i in fac:
-                        u[i - 1] -= 1
-                    rows = groups.get(tuple(u))
-                    if rows:
-                        for out in _multiples(rows, below, block, [fac]):
-                            add(out)
-            stars = self._stars_by_weight(d, n)
-            if stars is None:
-                raise ValueError(f"the star rows at {(d, n)} are not weight-homogeneous")
-            for prod in stars.get(w, ()):
-                block.add(prod)
+        block = ComponentBasis(d, n, self.M)
+        if n and d:
+            if not self.permutation_stable(d, n - 1):
+                raise ValueError(f"the component at {(d, n - 1)} is not certified graded")
+            below = self.component(d, n - 1)
+            groups = below.weight_rows()
+            add = block.basis.add
+            for fac in iter_factors(d, self.M * d):
+                u = list(w)
+                for i in fac:
+                    u[i - 1] -= 1
+                rows = groups.get(tuple(u))
+                if rows:
+                    for out in _multiples(rows, below, block, [fac]):
+                        add(out)
+        stars = self._stars_by_weight(d, n)
+        if stars is None:
+            raise ValueError(f"the star rows at {(d, n)} are not weight-homogeneous")
+        for prod in stars.get(w, ()):
+            block.add(prod)
         self._blocks[key] = block
         return block
 

@@ -19,7 +19,7 @@ each part at most n (an index occurs at most once per factor), and
 Permutations are kept in one-line form: sigma[j] is the image of j + 1.
 A `FactorTable` holds the signed image of each factor under one
 permutation, so acting on a block of elements sorts each distinct factor
-once; `act` and `act_on_key` take either a permutation or its table.
+once; `act` and `act_on_key` take the table of the permutation.
 """
 
 from __future__ import annotations
@@ -140,10 +140,9 @@ class FactorTable(dict):
         return entry
 
 
-def act_on_key(sigma: Permutation | FactorTable,
-               key: FactorTuple) -> tuple[int, FactorTuple]:
-    """(sign, monomial) with sigma . key = sign * monomial."""
-    table = sigma if sigma.__class__ is FactorTable else FactorTable(sigma)
+def act_on_key(table: FactorTable, key: FactorTuple) -> tuple[int, FactorTuple]:
+    """(sign, monomial) with sigma . key = sign * monomial, for the
+    permutation sigma of `table`."""
     sign = 1
     out = []
     for fac in key:
@@ -154,12 +153,10 @@ def act_on_key(sigma: Permutation | FactorTable,
     return sign, tuple(out)
 
 
-def act(sigma: Permutation | FactorTable, f: SymElement) -> SymElement:
-    """sigma . f; sigma permutes the monomials, so no two terms collide.
-
-    Pass a `FactorTable` to share the factor images over many elements.
-    """
-    table = sigma if sigma.__class__ is FactorTable else FactorTable(sigma)
+def act(table: FactorTable, f: SymElement) -> SymElement:
+    """sigma . f for the permutation sigma of `table`; sigma permutes the
+    monomials, so no two terms collide.  One table serves every element
+    that sigma acts on."""
     terms = {}
     for key, c in f.terms.items():
         sign, image = act_on_key(table, key)

@@ -188,11 +188,15 @@ def test_weight_blocks_equal_the_full_component_at_every_weight(tmp_path, M, max
     # the blocks never built the component, and never touched the disk for it
     assert (d, n) not in climbed._components
     assert not list(tmp_path.glob(f"component_M{M}_d{d}_n{n}_*.json"))
-    # once the component is in memory, the blocks are filtered from it
-    filtered = plucker_ideal(M, max_d)
-    filtered.component(d, n)
-    w = next(iter(by_weight))
-    assert filtered.weight_block(d, n, w).basis.basis_rows() == by_weight[w]
+
+
+def test_weight_block_refuses_an_ideal_not_certified_below():
+    # x12^2 is not S_4-stable, so C_(2,2) is not certified and its rows
+    # cannot be grouped by pivot weight into the blocks of C_(2,3)
+    square = DiIdeal(2, [sym_monomial(2, 2, 2, [(1, 2), (1, 2)])])
+    assert not square.permutation_stable(2, 2)
+    with pytest.raises(ValueError, match="not certified"):
+        square.weight_block(2, 3, (2, 2, 1, 1))
 
 
 def test_monomial_space_is_shared_and_sorted():

@@ -285,8 +285,8 @@ def test_orbit_oracle_raises_when_the_action_drops_its_sign(monkeypatch):
     from shufflestar import plucker
     from shufflestar.weights import act_on_key
 
-    def unsigned_act(sigma, f):
-        terms = {act_on_key(sigma, key)[1]: c for key, c in f.terms.items()}
+    def unsigned_act(table, f):
+        terms = {act_on_key(table, key)[1]: c for key, c in f.terms.items()}
         return SymElement(f.d, f.n, f.M, terms, _validated=True)
 
     cfg = GrassmannConfig(d=2, N=6, r=0)
@@ -406,14 +406,16 @@ def test_an_inhomogeneous_stable_generator_set_does_not_certify():
     # the S_4-orbit of x12^2 + x12 x34 is closed under permutations, but
     # its generators mix two weights, so the ideal is not graded
     from itertools import permutations
-    from shufflestar.weights import act
+    from shufflestar.weights import FactorTable, act
     f = SymElement(2, 2, 2, {((1, 2), (1, 2)): 1, ((1, 2), (3, 4)): 1})
-    gens = [act(sigma, f) for sigma in permutations(range(1, 5))]
+    gens = [act(FactorTable(sigma), f) for sigma in permutations(range(1, 5))]
     assert not DiIdeal(2, gens).permutation_stable(2, 2)
 
 
 def test_certified_joins_never_build_their_top_degree_component(tmp_path, monkeypatch):
     from shufflestar.cli import main
+    # a warm cache would load (2, 4) instead of computing it
+    monkeypatch.delenv("PSA_CACHE_DIR", raising=False)
     built = []
     compute = DiIdeal._compute_component
 

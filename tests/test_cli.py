@@ -307,3 +307,15 @@ def test_oracle_reports_are_byte_identical(tmp_path, N, r, degree, seed):
     assert code == 0 and rep["result"]["engine"] == "evaluation-kernel"
     result = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(result.encode()).hexdigest() == _ORACLE_RESULTS[(N, r, degree, seed)]
+
+
+def test_degree5_second_secant_report_is_byte_identical(tmp_path, monkeypatch):
+    # an r = 2 join of Gr(2,8): the outer join reads the inner join's
+    # degree-5 blocks; hashed as in _ORACLE_RESULTS
+    monkeypatch.delenv("PSA_CACHE_DIR", raising=False)
+    code, rep = _run(["secant", "--d", "2", "--N", "8", "--r", "2", "--degree", "5"],
+                     tmp_path / "r.json")
+    assert code == 0 and rep["result"]["dimension"] == 28
+    result = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(result.encode()).hexdigest() == \
+        "4ac7b685de9c5f30ccce86a1d99efb6a90b41f77ddd23560c9a371749ab75d16"

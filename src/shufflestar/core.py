@@ -241,34 +241,33 @@ class _BaseElement:
 
     def __init__(self, d: int, n: int, M: int, terms: Mapping[FactorTuple, Rational] | None = None,
                  _validated: bool = False):
-        """`_validated` terms are trusted: canonical keys and coefficients."""
+        """`_validated` terms are adopted as they are: a fresh dict with
+        canonical keys and coefficients and no zero coefficient."""
         self.d = int(d)
         self.n = int(n)
         self.M = int(M)
         if self.d < 0 or self.n < 0 or self.M < 0:
             raise ValueError(f"bad bidegree ({d},{n}) with multiplier {M}")
+        if _validated and terms is not None:
+            self.terms = terms
+            return
         tmap: dict[FactorTuple, Rational] = {}
         if terms:
-            if _validated:
-                for key, coeff in terms.items():
-                    if coeff:
-                        tmap[key] = coeff
-            else:
-                alphabet = self.M * self.d
-                for key, coeff in terms.items():
-                    c = exact(coeff)
-                    if not c:
-                        continue
-                    fs = tuple(_check_factor(f, self.d, alphabet) for f in key)
-                    if len(fs) != self.n:
-                        raise ValueError(f"monomial {fs} has {len(fs)} factors, expected {self.n}")
-                    if self._canonical:
-                        fs = canonicalize(fs)
-                    s = exact(tmap.get(fs, 0) + c)
-                    if s:
-                        tmap[fs] = s
-                    else:
-                        del tmap[fs]
+            alphabet = self.M * self.d
+            for key, coeff in terms.items():
+                c = exact(coeff)
+                if not c:
+                    continue
+                fs = tuple(_check_factor(f, self.d, alphabet) for f in key)
+                if len(fs) != self.n:
+                    raise ValueError(f"monomial {fs} has {len(fs)} factors, expected {self.n}")
+                if self._canonical:
+                    fs = canonicalize(fs)
+                s = exact(tmap.get(fs, 0) + c)
+                if s:
+                    tmap[fs] = s
+                else:
+                    del tmap[fs]
         self.terms = tmap
 
     @property

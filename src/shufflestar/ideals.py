@@ -40,10 +40,10 @@ blocks' reduced echelon rows is its reduced echelon basis.
 `DiIdeal.weight_block` climbs one block alone from the full C_(d,n-1):
 x * b for each variable x and each row b of weight w - wt(x), plus the star
 rows of weight w; it refuses an ideal whose C_(d,n-1) is not certified.
-The certificate and the certified join read the top degree only through
-these blocks, which are memoised per weight and never cached on disk, even
-when C_(d,n) is also built whole; `component` still builds, reads and
-writes whole components.
+The certificate and the certified join (`plucker.JoinIdeal.weight_block`)
+read the top degree only through these blocks, which are memoised per
+weight and never cached on disk, even when C_(d,n) is also built whole;
+`component` still builds, reads and writes whole components.
 """
 
 from __future__ import annotations
@@ -159,17 +159,6 @@ class ComponentBasis:
                 groups.setdefault(weight(self.monomials[min(row)], N), []).append(row)
             memo = self._by_weight = (self.basis.rank, groups)
         return memo[1]
-
-    def weight_block(self, w: Weight) -> "ComponentBasis":
-        """The rows of weight w, as a component of their own (see `weight_rows`).
-
-        The rows of a graded component have disjoint weight blocks of
-        columns, so they are the reduced echelon basis of that block.
-        """
-        block = ComponentBasis(self.d, self.n, self.M)
-        block.basis = SparseRREF.from_reduced_rows(
-            (row.items() for row in self.weight_rows().get(w, ())), self.space_dim)
-        return block
 
 
 def _generator_hash(generators: Sequence[SymElement], M: int) -> str:

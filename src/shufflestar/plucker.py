@@ -14,12 +14,14 @@ time (see `weights`).  The diagonal torus of GL_N acts on a monomial by the
 character of its weight (how often each index occurs across its factors).
 When both ideals of a join certify `permutation_stable`, their components
 are graded and stable under the signed permutation action of S_N, and so
-is the join kernel: only its blocks at dominant weights are eliminated,
-and signed permutations carry them to the rest of their orbits.  Those
-blocks of the two inputs' top-degree components are taken one weight at a
-time (`weight_block`), so neither component is built whole; the quotient
-conditions read the lower degrees whole.  Without the certificate the
-join eliminates all of the intersection as one block.
+is the join kernel.  Its block at a weight w (`JoinIdeal.weight_block`) is
+then the kernel over the meet of the two inputs' blocks at w, solved and
+memoised alone, so neither top-degree input is built whole; an r >= 2
+secant reads its inner join one block at a time too.  A whole component
+is put together from the blocks at dominant weights, which signed
+permutations carry to the rest of their orbits.  The quotient conditions
+read the lower degrees whole.  Without the certificate the join
+eliminates all of the intersection as one block.
 The evaluation kernel is the independent oracle: exact kernels of integer
 evaluation matrices at random sums of decomposables, re-sampled until
 stable.  The vanishing ideal is torus-stable, so it is the direct sum of
@@ -56,8 +58,7 @@ from .core import (
     to_numerators,
 )
 from .ideals import ComponentBasis, DiIdeal, monomial_space
-from .linalg import (CoeffLimitExceeded, RatMatrix, SparseRREF,
-                     kernel_basis, sparse_rref_kernel)
+from .linalg import CoeffLimitExceeded, SparseRREF, sparse_rref_kernel
 from .products import sym_star
 from .weights import (FactorTable, Weight, act, dominant_weights, monomials_of_weight,
                       orbit_permutations)
@@ -282,22 +283,22 @@ def _cut_kernel(keys: Sequence[FactorTuple], kernel: list[list[Fraction]],
     for vec in kernel:
         den = lcm(*(v.denominator for v in vec))
         scaled.append((den, [(c, int(v * den)) for c, v in enumerate(vec) if v]))
-    restricted = [[Fraction(sum(row[c] * a for c, a in support), den)
-                   for den, support in scaled]
-                  for row in _value_rows(keys, points)]
-    null = kernel_basis(RatMatrix.from_rows(restricted, cols=len(kernel)))
+    restricted = SparseRREF()
+    for row in _value_rows(keys, points):
+        restricted.add({t: Fraction(sum(row[c] * a for c, a in support), den)
+                        for t, (den, support) in enumerate(scaled)})
+    null = sparse_rref_kernel(restricted, len(kernel))
     if len(null) == len(kernel):
         return kernel  # every vector vanishes at the points
     ncols = len(keys)
     out = []
     for mu in null:
         vec = [Fraction(0)] * ncols
-        for t, c in enumerate(mu):
-            if c:
-                kt = kernel[t]
-                for col in range(ncols):
-                    if kt[col]:
-                        vec[col] += c * kt[col]
+        for t, c in mu.items():
+            kt = kernel[t]
+            for col in range(ncols):
+                if kt[col]:
+                    vec[col] += c * kt[col]
         out.append(vec)
     return out
 
@@ -371,7 +372,7 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
         # the identity comes first; the other blocks of the orbit are
         # re-echeloned with the largest column as pivot, the smallest of
         # the negated columns
-        for sigma in list(orbit_permutations(w))[1:]:
+        for sigma in orbit_permutations(w)[1:]:
             block = SparseRREF()
             table = FactorTable(sigma)
             for e in elems:
@@ -555,63 +556,41 @@ def _condition_coords(I, J, d: int, n: int, i: int, f: SymElement,
     return out
 
 
-def _join_conditions_ok(I, J, d: int, n: int, f: SymElement) -> bool:
-    """Exact check of all middle comultiplication conditions."""
-    memo: dict = {}
-    for i in range(1, n):
-        if _condition_coords(I, J, d, n, i, f, memo):
-            return False
-    return True
+def exact_join_component(join: JoinIdeal, d: int, n: int) -> ComponentBasis:
+    """The (d, n) component of a join, in canonical reduced form.
 
-
-def exact_join_component(I, J, d: int, n: int) -> ComponentBasis:
-    """The (d, n) component of the join of I and J, in canonical reduced form.
-
-    When both ideals certify `permutation_stable(d, n)`, V and every
-    quotient in the conditions are graded and S_N-stable, and so is the
-    kernel: only the dominant weight blocks of V are eliminated, each the
-    meet of the two inputs' `weight_block`s, taken in the order of their
-    first pivots.  Each kernel vector is added as it is and carried to the
-    other blocks of its orbit by one signed permutation per other distinct
-    rearrangement of its weight, each permutation mapping the whole block
-    kernel through one `FactorTable`.  Without the certificate the same
-    loop runs once, over all of V, and adds each kernel vector as it is.
+    When the join certifies `permutation_stable(d, n)`, the component is
+    put together from its blocks at the dominant weights
+    (`JoinIdeal.weight_block`): each block's rows are added as they are
+    and carried to the other blocks of their orbit by one signed
+    permutation per other distinct rearrangement of the weight, each
+    permutation mapping the whole block through one `FactorTable`.  The
+    blocks have disjoint columns, so the order they are added in does not
+    change the rows.  Without the certificate the kernel is eliminated
+    once, over all of V.
     """
-    if I.M != J.M:
-        raise ValueError(f"multiplier mismatch: {I.M} vs {J.M}")
-    M = I.M
-    comp = ComponentBasis(d, n, M)
-    if I.permutation_stable(d, n) and J.permutation_stable(d, n):
-        # V is graded: its block at w is I's block at w met with J's, and
-        # neither component is built whole
-        blocks = [(w, I.weight_block(d, n, w)) for w in dominant_weights(d, n, M * d)]
-        orbits = []
-        for w, block in sorted(((w, b) for w, b in blocks if b.dim),
-                               key=lambda wb: min(wb[1].basis.pivots)):
-            rows = block.basis_elements()
-            if I is not J:
-                rows = _intersect(rows, J.weight_block(d, n, w))
-            # for a dominant weight the identity comes first; e itself is added
-            orbits.append((rows, list(orbit_permutations(w))[1:]))
+    I, J = join.I, join.J
+    comp = ComponentBasis(d, n, join.M)
+    if join.permutation_stable(d, n):
+        for w in dominant_weights(d, n, join.M * d):
+            rows = join.weight_block(d, n, w).basis_elements()
+            for e in rows:
+                comp.add(e)
+            # for a dominant weight the identity comes first
+            for sigma in orbit_permutations(w)[1:]:
+                table = FactorTable(sigma)
+                for e in rows:
+                    comp.add(act(table, e))
     else:
         rows = I.component(d, n).basis_elements()
         if I is not J:
             rows = _intersect(rows, J.component(d, n))
-        orbits = [(rows, [])]
-    left_memo: dict = {}
-    for v_elems, others in orbits:
-        kernel = _join_kernel(I, J, d, n, v_elems, left_memo)
-        for e in kernel:
+        for e in _join_kernel(I, J, d, n, rows):
             comp.add(e)
-        for sigma in others:
-            table = FactorTable(sigma)
-            for e in kernel:
-                comp.add(act(table, e))
     return comp
 
 
-def _join_kernel(I, J, d: int, n: int, v_elems: Sequence[SymElement],
-                 left_memo: dict) -> list[SymElement]:
+def _join_kernel(I, J, d: int, n: int, v_elems: Sequence[SymElement]) -> list[SymElement]:
     """The combinations of v_elems that satisfy every middle condition.
 
     The conditions are streamed one summand i at a time; once the kernel
@@ -622,6 +601,7 @@ def _join_kernel(I, J, d: int, n: int, v_elems: Sequence[SymElement],
     if not nv:
         return []
     acc = SparseRREF()
+    left_memo: dict = {}
     blocks = list(range(1, n))
     if I is J:
         # the (n-i)-th condition is the slot swap of the i-th one
@@ -637,7 +617,8 @@ def _join_kernel(I, J, d: int, n: int, v_elems: Sequence[SymElement],
             return []
         elems = [_combine(v_elems, lam) for lam in sparse_rref_kernel(acc, nv)]
         if blk_idx + 1 == len(blocks) or all(
-                _join_conditions_ok(I, J, d, n, e) for e in elems):
+                not _condition_coords(I, J, d, n, k, e, left_memo)
+                for e in elems for k in range(1, n)):
             return elems
     return [_combine(v_elems, lam) for lam in sparse_rref_kernel(acc, nv)]
 
@@ -676,12 +657,14 @@ class JoinIdeal:
         self.J = J
         self.M = I.M
         self._components: dict[tuple[int, int], ComponentBasis] = {}
+        # weight blocks solved alone; in memory only
+        self._blocks: dict[tuple[int, int, Weight], ComponentBasis] = {}
 
     def component(self, d: int, n: int) -> ComponentBasis:
         key = (d, n)
         comp = self._components.get(key)
         if comp is None:
-            comp = exact_join_component(self.I, self.J, d, n)
+            comp = exact_join_component(self, d, n)
             self._components[key] = comp
         return comp
 
@@ -689,8 +672,29 @@ class JoinIdeal:
         return self.component(d, n).dim
 
     def weight_block(self, d: int, n: int, w: Weight) -> ComponentBasis:
-        """The rows of weight w of the (d, n) component, filtered from it."""
-        return self.component(d, n).weight_block(w)
+        """The canonical reduced rows of the (d, n) component at the torus weight w.
+
+        The kernel of the middle conditions over I's block at w met with
+        J's: the comultiplication and the quotient projections are
+        torus-equivariant, so this is the weight-w part of the component,
+        at every weight, once the join is graded.  A ValueError is raised
+        unless `permutation_stable(d, n)` holds.  Blocks are memoised per
+        (d, n, w), never cached on disk.
+        """
+        key = (d, n, w)
+        block = self._blocks.get(key)
+        if block is not None:
+            return block
+        if not self.permutation_stable(d, n):
+            raise ValueError(f"the join at {(d, n)} is not certified graded")
+        rows = self.I.weight_block(d, n, w).basis_elements()
+        if self.I is not self.J:
+            rows = _intersect(rows, self.J.weight_block(d, n, w))
+        block = ComponentBasis(d, n, self.M)
+        for e in _join_kernel(self.I, self.J, d, n, rows):
+            block.add(e)
+        self._blocks[key] = block
+        return block
 
     def permutation_stable(self, d: int, n: int) -> bool:
         """Both inputs certified: every join component (d, k), k <= n, is then
@@ -704,7 +708,7 @@ class JoinIdeal:
 
 
 def join_component(I, J, bidegree: tuple[int, int]) -> list[SymElement]:
-    return exact_join_component(I, J, *bidegree).basis_elements()
+    return exact_join_component(JoinIdeal(I, J), *bidegree).basis_elements()
 
 
 def secant_ideal(I, r: int):

@@ -24,6 +24,7 @@ once; `act` and `act_on_key` take the table of the permutation.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations
 from typing import Iterator
 
@@ -174,12 +175,13 @@ def adjacent_transpositions(N: int) -> list[Permutation]:
     return out
 
 
-def orbit_permutations(w: Weight) -> Iterator[Permutation]:
+@cache
+def orbit_permutations(w: Weight) -> tuple[Permutation, ...]:
     """One permutation per distinct rearrangement u of w, mapping block w to u.
 
     The indices sharing a count keep their relative order, so each distinct
     rearrangement is reached exactly once; for a dominant w the identity
-    comes first.
+    comes first.  Built once per weight in a process.
     """
     N = len(w)
     groups = [[j for j in range(N) if w[j] == v] for v in sorted(set(w), reverse=True)]
@@ -196,4 +198,4 @@ def orbit_permutations(w: Weight) -> Iterator[Permutation]:
             taken = set(slots)
             yield from place(g + 1, [s for s in free if s not in taken])
 
-    return place(0, list(range(N)))
+    return tuple(place(0, list(range(N))))

@@ -179,10 +179,10 @@ def test_weight_blocks_equal_the_full_component_at_every_weight(tmp_path, M, max
     assert climbed.permutation_stable(d, n)
     union = []
     for w in weights:
-        # every weight, dominant or not: climbed alone, then filtered
+        # every weight, dominant or not: climbed alone, then grouped
         block = climbed.weight_block(d, n, w)
         assert block.basis.basis_rows() == by_weight.get(w, [])
-        assert full.weight_block(w).basis.basis_rows() == by_weight.get(w, [])
+        assert full.weight_rows().get(w, []) == by_weight.get(w, [])
         union.extend(block.basis.basis_rows())
     assert sorted(union, key=min) == full.basis.basis_rows()
     # the blocks never built the component, and never touched the disk for it

@@ -400,6 +400,11 @@ def test_plucker_ideal_certifies_and_a_monomial_ideal_does_not(tmp_path):
     assert not square.permutation_stable(2, 2)
     assert not square.permutation_stable(2, 3)
     assert not JoinIdeal(plucker_ideal(2, 2), square).permutation_stable(2, 3)
+    # so the join refuses to solve a block alone, though square's own block
+    # at (2, 2) climbs from its certified (2, 1)
+    square.weight_block(2, 2, (2, 2, 0, 0))
+    with pytest.raises(ValueError, match="join at"):
+        JoinIdeal(plucker_ideal(2, 2), square).weight_block(2, 2, (2, 2, 0, 0))
 
 
 def test_an_inhomogeneous_stable_generator_set_does_not_certify():
@@ -441,7 +446,7 @@ def _one_block_join(I, J, d, n):
     if I is not J:
         v = _intersect(v, J.component(d, n))
     comp = ComponentBasis(d, n, I.M)
-    for e in _join_kernel(I, J, d, n, v, {}):
+    for e in _join_kernel(I, J, d, n, v):
         comp.add(e)
     return comp
 
@@ -453,10 +458,50 @@ def test_orbit_path_equals_the_one_block_path(M, r):
     P = plucker_ideal(M, 2)
     inner = secant_ideal(P, r - 1)
     assert P.permutation_stable(2, 4) and inner.permutation_stable(2, 4)
-    orbit = exact_join_component(P, inner, 2, 4)
+    orbit = exact_join_component(JoinIdeal(P, inner), 2, 4)
     one = _one_block_join(P, inner, 2, 4)
     assert orbit.dim == one.dim > 0
     assert orbit.basis.basis_rows() == one.basis.basis_rows()
+
+
+def test_join_weight_blocks_equal_the_whole_component_at_every_weight():
+    from shufflestar.weights import weight
+    P = plucker_ideal(3, 2)
+    # the whole component, eliminated as one block
+    whole = _one_block_join(P, P, 2, 4)
+    by_weight = whole.weight_rows()
+    join = JoinIdeal(P, P)
+    union = []
+    for w in {weight(key, 6) for key in whole.monomials}:
+        # every weight, dominant or not, solved alone
+        rows = join.weight_block(2, 4, w).basis.basis_rows()
+        assert rows == by_weight.get(w, [])
+        union.extend(rows)
+    assert sorted(union, key=min) == whole.basis.basis_rows()
+    assert (2, 4) not in join._components
+
+
+def test_second_secant_never_puts_its_inner_top_degree_join_together(tmp_path, monkeypatch):
+    from shufflestar import plucker
+    from shufflestar.cli import main
+    monkeypatch.delenv("PSA_CACHE_DIR", raising=False)
+    built = []
+    whole = plucker.exact_join_component
+
+    def recording(join, d, n):
+        built.append((join, d, n))
+        return whole(join, d, n)
+
+    monkeypatch.setattr(plucker, "exact_join_component", recording)
+    out = tmp_path / "r.json"
+    assert main(["secant", "--d", "2", "--N", "8", "--r", "2", "--degree", "4",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["dimension"] == 1
+    outer = [join for join, d, n in built if (d, n) == (2, 4)]
+    # only the outer join is put together at (2, 4); its inner join, the
+    # first secant, is read one block at a time
+    assert len(outer) == 1 and isinstance(outer[0].J, JoinIdeal)
+    assert all(join is not outer[0].J or n < 4 for join, d, n in built)
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])

@@ -319,3 +319,21 @@ def test_degree5_second_secant_report_is_byte_identical(tmp_path, monkeypatch):
     result = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(result.encode()).hexdigest() == \
         "4ac7b685de9c5f30ccce86a1d99efb6a90b41f77ddd23560c9a371749ab75d16"
+
+
+# SHA-256 of the `psa probe` report's result, hashed as in _ORACLE_RESULTS:
+# an r = 2 join of Gr(2,8), all 28 vectors of degree 5 from below, and
+# Gr(3,6), whose width-3 from-below span takes in the width-2 components
+_PROBE_RESULTS = {
+    ("2", "8", "2", "5"): "88bd4ef8ffed52544aace4bf6e2c5e94c056127ffec17fa79a2bf5b99f2d9ace",
+    ("3", "6", "0", "3"): "fad5c2216d0bf3d423c9e5092c2b1c8094c1e1d4f7b0b78105357706d1ef6d63",
+}
+
+
+@pytest.mark.parametrize("d, N, r, max_n", sorted(_PROBE_RESULTS))
+def test_probe_reports_are_byte_identical(tmp_path, d, N, r, max_n):
+    code, rep = _run(["probe", "--d", d, "--N", N, "--r", r, "--max-n", max_n],
+                     tmp_path / "r.json")
+    assert code == 0
+    result = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(result.encode()).hexdigest() == _PROBE_RESULTS[(d, N, r, max_n)]

@@ -151,8 +151,7 @@ def cmd_tree(args) -> dict:
 
 
 def cmd_plucker(args) -> dict:
-    cfg = GrassmannConfig(d=args.d, N=args.N, r=0,
-                          M=args.M if args.M else (args.N // args.d if args.N else None))
+    cfg = GrassmannConfig(d=args.d, N=args.N)
     out: dict = {"d": cfg.d, "N": cfg.N, "M": cfg.M}
     if args.basic:
         if cfg.d % 2:
@@ -172,17 +171,15 @@ def cmd_plucker(args) -> dict:
 
 
 def cmd_join(args) -> dict:
-    cfg = GrassmannConfig(d=args.d, N=args.N, r=0, M=args.M)
-    M = cfg.require_multiplier()
-    P = plucker_ideal(M, cfg.d, cache_dir=args.cache_dir)
+    cfg = GrassmannConfig(d=args.d, N=args.N)
+    P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
     basis = join_component(P, P, (cfg.d, args.degree))
     return {"result": {"d": cfg.d, "N": cfg.N, "degree": args.degree,
                        "dimension": len(basis), "basis": _elements_json(basis)}}
 
 
 def cmd_secant(args) -> dict:
-    cfg = GrassmannConfig(d=args.d, N=args.N, r=args.r, M=args.M)
-    M = cfg.require_multiplier()
+    cfg = GrassmannConfig(d=args.d, N=args.N, r=args.r)
     out: dict = {"d": cfg.d, "N": cfg.N, "r": cfg.r, "degree": args.degree}
     if args.oracle:
         kernel = evaluation_kernel(cfg, args.degree, samples=args.samples or None,
@@ -191,7 +188,7 @@ def cmd_secant(args) -> dict:
         out["basis"] = _elements_json(kernel)
         out["engine"] = "evaluation-kernel"
     else:
-        P = plucker_ideal(M, cfg.d, cache_dir=args.cache_dir)
+        P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
         ideal = secant_ideal(P, cfg.r)
         comp = ideal.component(cfg.d, args.degree)
         out["dimension"] = comp.dim
@@ -201,7 +198,7 @@ def cmd_secant(args) -> dict:
 
 
 def cmd_probe(args) -> dict:
-    cfg = GrassmannConfig(d=args.d, N=args.N, r=args.r, M=args.M)
+    cfg = GrassmannConfig(d=args.d, N=args.N, r=args.r)
     report = degree_probe(cfg, args.max_n, cache_dir=args.cache_dir)
     lines = [f"{'n':>3} {'dim':>6} {'below':>6} {'new':>5}"]
     for row in report["rows"]:
@@ -305,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plucker", help="quadric generators and evaluation kernels")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int)
-    p.add_argument("--M", type=int)
     p.add_argument("--weyman", action="store_true")
     p.add_argument("--basic", action="store_true")
     p.add_argument("--oracle", action="store_true")
@@ -316,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("join", help="self-join component of the quadric ideal")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int)
-    p.add_argument("--M", type=int)
     p.add_argument("--degree", type=int, required=True)
     _add_common(p)
     p.set_defaults(fn=cmd_join)
@@ -324,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("secant", help="secant-ideal component (join kernel or oracle)")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int)
-    p.add_argument("--M", type=int)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
@@ -334,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("probe", help="new-generator degrees of a secant ideal")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int)
-    p.add_argument("--M", type=int)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--max-n", type=int, required=True)
     _add_common(p)

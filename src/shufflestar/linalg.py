@@ -319,37 +319,3 @@ def sparse_rref_kernel(basis: SparseRREF, ncols: int) -> list[dict[int, Rational
                 vec[lead[i]] = -coeff
         out.append(vec)
     return out
-
-
-def matvec(A: RatMatrix, v: Sequence[Rational]) -> list[Fraction]:
-    if len(v) != A.cols:
-        raise ValueError(f"vector length {len(v)} != cols {A.cols}")
-    out = [Fraction(0)] * A.rows
-    for (r, c), val in A.entries.items():
-        if v[c]:
-            out[r] += val * v[c]
-    return out
-
-
-def in_span(v: Sequence[Rational], basis: Sequence[Sequence[Rational]]) -> Optional[list[Fraction]]:
-    """Exact solve of sum(c_i * basis_i) == v; returns coordinates or None."""
-    if not basis:
-        return [] if not any(v) else None
-    ncols = len(v)
-    for b in basis:
-        if len(b) != ncols:
-            raise ValueError(f"dimension mismatch: {len(b)} vs {ncols}")
-    nb = len(basis)
-    # augment with identity to track coordinates
-    acc = SparseRREF()
-    for i, b in enumerate(basis):
-        row = dict(enumerate(b))
-        row[ncols + i] = 1
-        acc.add(row)
-    red = acc.reduce(dict(enumerate(v)))
-    if any(c < ncols for c in red):
-        return None
-    coeffs = [Fraction(0)] * nb
-    for c, val in red.items():
-        coeffs[c - ncols] = Fraction(-val)
-    return coeffs

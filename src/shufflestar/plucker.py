@@ -58,7 +58,7 @@ from .core import (
     to_numerators,
 )
 from .ideals import ComponentBasis, DiIdeal, monomial_space
-from .linalg import CoeffLimitExceeded, SparseRREF, sparse_rref_kernel
+from .linalg import SparseRREF, sparse_rref_kernel
 from .products import sym_star
 from .weights import (FactorTable, Weight, act, dominant_weights, monomials_of_weight,
                       orbit_permutations)
@@ -73,29 +73,30 @@ __all__ = [
 
 @dataclass
 class GrassmannConfig:
-    """Target Grassmannian and secant index; alphabet multiplier M = N / d."""
+    """Target Grassmannian Gr(d, N) and secant index r.
+
+    N defaults to d * (r + 2).  The alphabet multiplier M = N / d is derived
+    here and nowhere else; N must be a multiple of d.
+    """
 
     d: int
     N: Optional[int] = None
     r: int = 0
-    M: Optional[int] = None
 
     def __post_init__(self):
-        if self.M is None:
-            self.M = self.N // self.d if self.N is not None else self.r + 2
         if self.N is None:
-            self.N = self.M * self.d
-        if not 0 <= self.d <= self.N:
-            raise ValueError(f"need 0 <= d <= N, got d={self.d}, N={self.N}")
+            self.N = self.d * (self.r + 2)
+        if not 1 <= self.d <= self.N:
+            raise ValueError(f"need 1 <= d <= N, got d={self.d}, N={self.N}")
         if self.r < 0:
             raise ValueError("secant index must be >= 0")
+        if self.N % self.d:
+            raise ValueError(f"N={self.N} is not a multiple of d={self.d}; "
+                             "symmetric-algebra machinery needs N = M*d")
 
-    def require_multiplier(self) -> int:
-        if self.N != self.M * self.d:
-            raise ValueError(
-                f"N={self.N} is not d*M (d={self.d}, M={self.M}); "
-                "symmetric-algebra machinery needs N = M*d")
-        return self.M
+    @property
+    def M(self) -> int:
+        return self.N // self.d
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +333,7 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     largest column of every other vector; the vectors are sorted by that
     column.  This is the reduced echelon basis of the whole kernel.
     """
-    M = cfg.require_multiplier()
-    d, N, r = cfg.d, cfg.N, cfg.r
+    d, N, r, M = cfg.d, cfg.N, cfg.r, cfg.M
     monos, index = monomial_space(d, n, M)
     # each dominant block's monomials, in column order
     blocks = [(w, monomials_of_weight(w, d, n)) for w in dominant_weights(d, n, N)]
@@ -852,51 +852,29 @@ def modp_self_join_upper(I: DiIdeal, d: int, n: int,
 def degree_probe(cfg: GrassmannConfig, max_n: int, cache_dir=None) -> dict:
     """Per-degree dimensions, generated-from-below dimensions and new-generator counts.
 
-    The from-below span at (d, n) is generated, with the full product
-    enumeration, by the secant-component bases at every (d', n') with
-    d' <= d, n' <= n other than (d, n) itself.
+    With C the secant ideal's components, the from-below span at (d, n) is
+    the (d, n) component of the two-product ideal generated by C_(d,n-1)
+    and the narrower C_(d',n), d' < d.  That is the span generated by every
+    C_(d',n') with d' <= d, n' <= n other than C_(d,n) itself, because the
+    secant ideal is closed under both products: a star product of
+    C_(d',n') lands in C_(d,n'), and a shuffle of C_(d,n') with n' < n lies
+    in x * C_(d,n-1).
     """
-    M = cfg.require_multiplier()
-    d, r = cfg.d, cfg.r
-    base = plucker_ideal(M, d, cache_dir=cache_dir)
-    ideal = secant_ideal(base, r)
-    known: dict[tuple[int, int], list[SymElement]] = {}
+    d, r, M = cfg.d, cfg.r, cfg.M
+    ideal = secant_ideal(plucker_ideal(M, d, cache_dir=cache_dir), r)
     rows = []
-    # narrower widths contribute generators too; their spaces are small
-    for dp in range(1, d):
-        for np_ in range(1, max_n + 1):
-            known[(dp, np_)] = ideal.component(dp, np_).basis_elements()
     largest_new = None
-    incomplete = False
     for n in range(1, max_n + 1):
-        try:
-            row, comp = _probe_row(ideal, known, d, n, M)
-        except CoeffLimitExceeded:
-            incomplete = True
-            break
-        known[(d, n)] = comp.basis_elements()
-        if row["new_generators"] > 0:
+        gens = ideal.component(d, n - 1).basis_elements()
+        for dp in range(1, d):
+            gens.extend(ideal.component(dp, n).basis_elements())
+        from_below = DiIdeal(M, gens).component(d, n).dim
+        dim = ideal.component(d, n).dim
+        rows.append({"n": n, "dim": dim, "from_below": from_below,
+                     "new_generators": dim - from_below})
+        if dim > from_below:
             largest_new = n
-        rows.append(row)
-    report = {
+    return {
         "d": d, "N": cfg.N, "r": r, "M": M, "max_n": max_n,
         "rows": rows, "largest_new_n": largest_new,
     }
-    if incomplete:
-        report["incomplete"] = True
-    return report
-
-
-def _probe_row(ideal, known, d: int, n: int, M: int):
-    gens: list[SymElement] = []
-    for (dp, np_), els in known.items():
-        if dp <= d and np_ <= n and (dp, np_) != (d, n):
-            gens.extend(els)
-    if gens:
-        from_below = DiIdeal(M, gens).component(d, n).dim
-    else:
-        from_below = 0
-    comp = ideal.component(d, n)
-    row = {"n": n, "dim": comp.dim, "from_below": from_below,
-           "new_generators": comp.dim - from_below}
-    return row, comp

@@ -405,15 +405,16 @@ def _same_span(a: ComponentBasis, b: ComponentBasis) -> bool:
 def check_plucker_degree2(seed: int = 0) -> dict:
     details = {}
     # smallest case: one quadric
-    K = evaluation_kernel(GrassmannConfig(d=2, N=4, r=0, M=2), 2, seed=seed)
+    K = evaluation_kernel(GrassmannConfig(d=2, N=4, r=0), 2, seed=seed)
     f1_span = _span_of([basic_plucker(1)], 2, 2, 2)
     ok1 = len(K) == 1 and _same_span(f1_span, _span_of(K, 2, 2, 2))
     details["gr24"] = {"kernel_dim": len(K), "equals_span_f1": ok1}
     passed = ok1
     for (d, N) in ((2, 6), (3, 6)):
-        M = N // d
+        cfg = GrassmannConfig(d=d, N=N)
+        M = cfg.M
         W = _span_of(weyman_quadrics(d, N), d, 2, M)
-        K = evaluation_kernel(GrassmannConfig(d=d, N=N, r=0, M=M), 2, seed=seed)
+        K = evaluation_kernel(cfg, 2, seed=seed)
         Kspan = _span_of(K, d, 2, M)
         same = _same_span(W, Kspan)
         details[f"gr{d}{N}"] = {"weyman_dim": W.dim, "kernel_dim": Kspan.dim, "equal": same}
@@ -433,7 +434,7 @@ def check_secant_gr26(seed: int = 0) -> dict:
     pf = pfaffian(range(1, 7), 6)
     pf_span = _span_of([pf], 2, 3, 3)
     join_ok = c22.dim == 0 and c23.dim == 1 and _same_span(pf_span, c23)
-    K = evaluation_kernel(GrassmannConfig(d=2, N=6, r=1, M=3), 3, seed=seed)
+    K = evaluation_kernel(GrassmannConfig(d=2, N=6, r=1), 3, seed=seed)
     oracle_ok = len(K) == 1 and _same_span(pf_span, _span_of(K, 2, 3, 3))
     return {
         "name": "secant_gr26",
@@ -496,9 +497,9 @@ def check_diideal_closure(seed: int = 0, products: int = 50, points: int = 20) -
 # ---------------------------------------------------------------------------
 
 def check_degree_probe(seed: int = 0) -> dict:
-    rep0 = degree_probe(GrassmannConfig(d=2, r=0, M=2), 4)
+    rep0 = degree_probe(GrassmannConfig(d=2, r=0), 4)
     new0 = [row["n"] for row in rep0["rows"] if row["new_generators"]]
-    rep1 = degree_probe(GrassmannConfig(d=2, N=6, r=1, M=3), 4)
+    rep1 = degree_probe(GrassmannConfig(d=2, N=6, r=1), 4)
     new1 = [row["n"] for row in rep1["rows"] if row["new_generators"]]
     passed = new0 == [2] and new1 == [3]
     return {

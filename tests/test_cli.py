@@ -104,7 +104,7 @@ def test_probe_command_and_cache_env(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     monkeypatch.setenv("PSA_CACHE_DIR", str(cache))
     out = tmp_path / "r.json"
-    code, rep = _run(["probe", "--d", "2", "--r", "0", "--M", "2", "--max-n", "2"], out)
+    code, rep = _run(["probe", "--d", "2", "--r", "0", "--max-n", "2"], out)
     assert code == 0
     assert rep["result"]["largest_new_n"] == 2
     assert list(cache.glob("component_*.json"))
@@ -136,6 +136,22 @@ def test_alphabet_not_a_multiple_of_the_width_is_an_input_error(tmp_path):
     assert set(rep) == {"command", "config", "error"}
     assert rep["command"] == "secant" and rep["config"]["N"] == 7
     assert "N=7" in rep["error"]
+
+
+def test_probe_input_errors_and_coefficient_abort_have_their_own_exit_codes(tmp_path):
+    out = tmp_path / "r.json"
+    code, rep = _run(["probe", "--d", "0", "--N", "4", "--max-n", "2"], out)
+    assert code == 2
+    assert set(rep) == {"command", "config", "error"} and "d=0" in rep["error"]
+    # the probe aborts like every other command: no partial report
+    code, rep = _run(["probe", "--d", "2", "--N", "6", "--r", "1", "--max-n", "4",
+                      "--max-coeff-bits", "1"], out)
+    assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
+    assert "result" not in rep
+    # M is derived from d and N, never named
+    with pytest.raises(SystemExit) as exc:
+        main(["probe", "--d", "2", "--M", "3", "--max-n", "2", "--out", str(out)])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("text", [
@@ -194,9 +210,8 @@ def test_max_coeff_bits_does_not_outlive_the_run(tmp_path):
     assert SparseRREF().max_bits is None
 
 
-def test_shared_parser_leaks_no_option_between_calls(tmp_path, monkeypatch):
+def test_shared_parser_leaks_no_option_between_calls(tmp_path):
     from shufflestar.cli import build_parser
-    monkeypatch.delenv("PSA_CACHE_DIR", raising=False)
     assert build_parser() is build_parser()
     out = tmp_path / "r.json"
     cache = tmp_path / "cache"
@@ -309,10 +324,9 @@ def test_oracle_reports_are_byte_identical(tmp_path, N, r, degree, seed):
     assert hashlib.sha256(result.encode()).hexdigest() == _ORACLE_RESULTS[(N, r, degree, seed)]
 
 
-def test_degree5_second_secant_report_is_byte_identical(tmp_path, monkeypatch):
+def test_degree5_second_secant_report_is_byte_identical(tmp_path):
     # an r = 2 join of Gr(2,8): the outer join reads the inner join's
     # degree-5 blocks; hashed as in _ORACLE_RESULTS
-    monkeypatch.delenv("PSA_CACHE_DIR", raising=False)
     code, rep = _run(["secant", "--d", "2", "--N", "8", "--r", "2", "--degree", "5"],
                      tmp_path / "r.json")
     assert code == 0 and rep["result"]["dimension"] == 28

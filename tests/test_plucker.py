@@ -1,11 +1,13 @@
 import json
 import random
+from dataclasses import fields
 from itertools import combinations, permutations
 
 import pytest
 from fractions import Fraction
 
-from shufflestar.core import SymElement, element_to_dict, iter_sym_keys, sym_monomial
+from shufflestar.core import (SymElement, element_to_dict, iter_factors, iter_sym_keys,
+                             sym_monomial)
 from shufflestar.ideals import ComponentBasis, DiIdeal
 from shufflestar.products import sym_shuffle, sym_star
 from shufflestar.plucker import (
@@ -122,13 +124,13 @@ def test_pfaffian():
 
 
 def test_oracle_small_cases():
-    K = evaluation_kernel(GrassmannConfig(d=2, N=4, r=0, M=2), 2, seed=1)
+    K = evaluation_kernel(GrassmannConfig(d=2, N=4, r=0), 2, seed=1)
     assert len(K) == 1
     span = ComponentBasis(2, 2, 2)
     span.add(basic_plucker(1))
     assert span.contains(K[0])
-    assert evaluation_kernel(GrassmannConfig(d=1, N=3, r=0, M=3), 2, seed=1) == []
-    assert evaluation_kernel(GrassmannConfig(d=2, N=6, r=1, M=3), 2, seed=1) == []
+    assert evaluation_kernel(GrassmannConfig(d=1, N=3, r=0), 2, seed=1) == []
+    assert evaluation_kernel(GrassmannConfig(d=2, N=6, r=1), 2, seed=1) == []
 
 
 def test_join_of_zero_ideals_is_zero():
@@ -188,7 +190,7 @@ def test_secant_gr26_small_degrees():
 def test_join_matches_oracle_for_the_klein_ideal():
     # components of the plain ideal agree with the evaluation kernel
     I = plucker_ideal(2, 2)
-    K = evaluation_kernel(GrassmannConfig(d=2, N=4, r=0, M=2), 3, seed=3)
+    K = evaluation_kernel(GrassmannConfig(d=2, N=4, r=0), 3, seed=3)
     comp = I.component(2, 3)
     assert comp.dim == len(K) == 6
     assert all(comp.contains(v) for v in K)
@@ -196,14 +198,14 @@ def test_join_matches_oracle_for_the_klein_ideal():
 
 def test_oracle_spans_the_plucker_component_gr26_degree3():
     comp = plucker_ideal(3, 2).component(2, 3)
-    K = evaluation_kernel(GrassmannConfig(d=2, N=6, r=0, M=3), 3, seed=2)
+    K = evaluation_kernel(GrassmannConfig(d=2, N=6, r=0), 3, seed=2)
     assert comp.dim == len(K) == 190
     assert all(comp.contains(v) for v in K)
 
 
 def test_oracle_spans_the_first_secant_component_gr26_degree4():
     comp = secant_ideal(plucker_ideal(3, 2), 1).component(2, 4)
-    K = evaluation_kernel(GrassmannConfig(d=2, N=6, r=1, M=3), 4, seed=5)
+    K = evaluation_kernel(GrassmannConfig(d=2, N=6, r=1), 4, seed=5)
     assert comp.dim == len(K) == 15
     assert all(comp.contains(v) for v in K)
 
@@ -212,7 +214,7 @@ def test_oracle_spans_the_first_secant_component_gr26_degree4():
 def test_oracle_rounds_reach_the_same_basis_from_two_first_points(r):
     # two first-round points leave most block kernels too big; the fresh
     # rounds must cut them to the same reduced basis
-    cfg = GrassmannConfig(d=2, N=6, r=r, M=3)
+    cfg = GrassmannConfig(d=2, N=6, r=r)
     assert (evaluation_kernel(cfg, 3, samples=2, seed=4)
             == evaluation_kernel(cfg, 3, seed=4))
 
@@ -224,8 +226,7 @@ def _all_blocks_kernel(cfg, n, samples=None, seed=0):
     from shufflestar.ideals import monomial_space
     from shufflestar.plucker import _cut_kernel, _sampled_points, _value_rows
     from shufflestar.weights import weight
-    M = cfg.require_multiplier()
-    d, N, r = cfg.d, cfg.N, cfg.r
+    d, N, r, M = cfg.d, cfg.N, cfg.r, cfg.M
     monos = monomial_space(d, n, M)[0]
     groups = {}
     for c, key in enumerate(monos):
@@ -297,9 +298,9 @@ def test_orbit_oracle_raises_when_the_action_drops_its_sign(monkeypatch):
 
 
 @pytest.mark.parametrize("cfg, n", [
-    (GrassmannConfig(d=2, N=6, r=0, M=3), 3),
-    (GrassmannConfig(d=2, N=6, r=1, M=3), 4),
-    (GrassmannConfig(d=3, N=6, r=0, M=2), 2),
+    (GrassmannConfig(d=2, N=6, r=0), 3),
+    (GrassmannConfig(d=2, N=6, r=1), 4),
+    (GrassmannConfig(d=3, N=6, r=0), 2),
 ])
 def test_oracle_basis_is_weight_homogeneous_and_reduced(cfg, n):
     K = evaluation_kernel(cfg, n, seed=1)
@@ -328,10 +329,9 @@ def test_secant_components_close_under_products():
     P = plucker_ideal(3, 2)
     S1 = secant_ideal(P, 1)
     p6 = S1.component(2, 3).basis_elements()[0]
-    rep = degree_probe(GrassmannConfig(d=2, N=6, r=1, M=3), 4)
+    rep = degree_probe(GrassmannConfig(d=2, N=6, r=1), 4)
     assert rep["rows"][3]["dim"] == 15
     c24 = S1.component(2, 4)  # exact join component; the probe built its own ideal
-    from shufflestar.core import iter_factors
     for fac in list(iter_factors(2, 6))[:5]:
         assert c24.contains(sym_shuffle(p6, sym_monomial(2, 1, 3, [fac])))
     from shufflestar.products import star_incfns
@@ -369,10 +369,10 @@ def test_generation_sum_next_degree_is_still_a_multiple():
 
 
 def test_probe_small():
-    rep = degree_probe(GrassmannConfig(d=2, r=0, M=2), 3)
+    rep = degree_probe(GrassmannConfig(d=2, r=0), 3)
     assert [row["new_generators"] for row in rep["rows"]] == [0, 1, 0]
     assert rep["largest_new_n"] == 2
-    rep = degree_probe(GrassmannConfig(d=1, r=0, M=2), 2)
+    rep = degree_probe(GrassmannConfig(d=1, r=0), 2)
     assert rep["largest_new_n"] is None
 
 
@@ -381,10 +381,20 @@ def test_config_defaults():
     assert cfg.M == 3 and cfg.N == 6
     cfg = GrassmannConfig(d=3, N=6)
     assert cfg.M == 2
+    cfg = GrassmannConfig(d=3, r=1)
+    assert cfg.N == 9 and cfg.M == 3
     with pytest.raises(ValueError):
         GrassmannConfig(d=5, N=3)
+    # validated once, at construction
+    with pytest.raises(ValueError, match="not a multiple"):
+        GrassmannConfig(d=2, N=5)
     with pytest.raises(ValueError):
-        GrassmannConfig(d=2, N=5, M=2).require_multiplier()
+        GrassmannConfig(d=0, N=4)
+    with pytest.raises(ValueError):
+        GrassmannConfig(d=2, r=-1)
+    with pytest.raises(AttributeError):
+        cfg.M = 4
+    assert [f.name for f in fields(GrassmannConfig)] == ["d", "N", "r"]
 
 
 def test_plucker_ideal_certifies_and_a_monomial_ideal_does_not(tmp_path):
@@ -419,8 +429,6 @@ def test_an_inhomogeneous_stable_generator_set_does_not_certify():
 
 def test_certified_joins_never_build_their_top_degree_component(tmp_path, monkeypatch):
     from shufflestar.cli import main
-    # a warm cache would load (2, 4) instead of computing it
-    monkeypatch.delenv("PSA_CACHE_DIR", raising=False)
     built = []
     compute = DiIdeal._compute_component
 
@@ -481,10 +489,28 @@ def test_join_weight_blocks_equal_the_whole_component_at_every_weight():
     assert (2, 4) not in join._components
 
 
+def test_a_certified_join_meets_its_inputs_weight_blocks():
+    # The i = 1 middle condition reads f modulo I_(d,1) on the left.  When
+    # I has no linear forms at width d, it puts every derivative df/dx in
+    # J_(d,n-1), and Euler's formula f = (1/n) sum_x x * df/dx then puts f
+    # in J: the meet with J's block changes nothing, so every such join
+    # (the secants, joins with the ideal of all squares) passes without it.
+    # Here I holds every variable, so the middle conditions are void and
+    # the join is I meet J = J; without the meet each dominant block would
+    # keep all of I's block.
+    I = DiIdeal(2, [sym_monomial(2, 1, 2, [f]) for f in iter_factors(2, 4)])
+    J = plucker_ideal(2, 2)
+    join = JoinIdeal(I, J)
+    for n, dim in ((2, 1), (3, 6)):
+        assert join.permutation_stable(2, n)
+        comp = join.component(2, n)
+        assert comp.dim == dim
+        assert comp.basis.basis_rows() == J.component(2, n).basis.basis_rows()
+
+
 def test_second_secant_never_puts_its_inner_top_degree_join_together(tmp_path, monkeypatch):
     from shufflestar import plucker
     from shufflestar.cli import main
-    monkeypatch.delenv("PSA_CACHE_DIR", raising=False)
     built = []
     whole = plucker.exact_join_component
 

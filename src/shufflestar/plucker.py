@@ -5,9 +5,10 @@ vectors; the quadratic generators come from the classical shuffle
 (exchange) relations, and the basic width-2n family pairs each half-size
 subset with its complement once.  Join components are exact kernels of the
 comultiplication followed by quotient projections, computed over the
-intersection of the two ideal components with a streamed-condition
-elimination whose candidates are verified against the full condition set,
-so early exits stay exact.
+intersection of the two ideal components in one elimination of every
+middle condition.  The conditions are linear, so each monomial's are
+tabled once from the normal forms of its slot splits, which are read off
+the canonical reduced quotient components with no elimination.
 
 Both the join and the evaluation oracle work one torus-weight block at a
 time (see `weights`).  The diagonal torus of GL_N acts on a monomial by the
@@ -52,7 +53,9 @@ from .core import (
     Factor,
     FactorTuple,
     IncFn,
+    Rational,
     SymElement,
+    exact,
     merge_signed,
     sym_monomial,
     to_numerators,
@@ -130,9 +133,7 @@ def weyman_quadrics(d: int, N: int) -> list[SymElement]:
     shuffles of the j-block split (d-u | d-v) with the shuffle sign.  The
     returned set spans the full degree-2 component of the vanishing ideal.
     """
-    if N % d != 0:
-        raise ValueError(f"width {d} must divide the alphabet size {N}")
-    M = N // d
+    M = GrassmannConfig(d=d, N=N).M
     if d < 2 or 2 * d > N:
         return []
     out: list[SymElement] = []
@@ -511,49 +512,47 @@ def gamma_count(n: int) -> int:
 # comultiplication followed, in each summand Sym^i x Sym^(n-i), by the
 # quotient projections modulo I_(d,i) and J_(d,n-i).  The i = 0 and i = n
 # summands force membership in J and I, so the kernel is computed inside
-# V = I_(d,n) intersect J_(d,n), streaming the middle conditions and
-# verifying every candidate against the full condition set before
-# accepting an early exit.
+# V = I_(d,n) intersect J_(d,n), adding the middle conditions of every
+# summand to one elimination.
 # ---------------------------------------------------------------------------
 
-def _delta_parts(f: SymElement, i: int) -> dict[FactorTuple, dict[FactorTuple, Fraction]]:
-    """Group the size-i slot splits of f by left monomial."""
+def _normal_form(comp: ComponentBasis, key: FactorTuple) -> dict[int, Rational]:
+    """`comp.reduce_coords({c: 1})` for the monomial key at column c, with no
+    elimination: in the canonical reduced basis it is the monomial itself
+    off the pivots, else minus the rest of its pivot row."""
+    c = comp.index[key]
+    at = comp.basis.pivots.get(c)
+    if at is None:
+        return {c: 1}
+    return {k: -v for k, v in comp.basis.rows[at].items() if k != c}
+
+
+def _condition_coords(QL: ComponentBasis, QR: ComponentBasis, i: int, f: SymElement,
+                      tables: dict) -> dict[tuple[int, int], Rational]:
+    """Quotient coordinates modulo QL and QR of the i-th comultiplication
+    summand of f.
+
+    They are linear in f: the sum of its monomials' tables, scaled by its
+    coefficients.  The table of a monomial, filled into `tables` on first
+    use and valid for this QL, QR and i only, sums the normal forms of left
+    and right multiplied out over its C(n, i) slot splits.
+    """
     n = f.n
-    splits = [(pos, tuple(t for t in range(n) if t not in pos))
-              for pos in combinations(range(n), i)]
-    out: dict[FactorTuple, dict[FactorTuple, Fraction]] = {}
+    out: dict[tuple[int, int], Rational] = {}
     for key, coeff in f.terms.items():
-        get = key.__getitem__
-        for pos, rest in splits:
-            slot = out.setdefault(tuple(map(get, pos)), {})
-            rkey = tuple(map(get, rest))
-            slot[rkey] = slot.get(rkey, 0) + coeff
-    return out
-
-
-def _condition_coords(I, J, d: int, n: int, i: int, f: SymElement,
-                      left_memo: dict) -> dict[tuple[int, int], Fraction]:
-    """Quotient coordinates of the i-th comultiplication summand of f."""
-    QL = I.component(d, i)
-    QR = J.component(d, n - i)
-    out: dict[tuple[int, int], Fraction] = {}
-    for lkey, rvec in _delta_parts(f, i).items():
-        rred = QR.reduce_coords({QR.index[rk]: c for rk, c in rvec.items()})
-        if not rred:
-            continue
-        lred = left_memo.get((i, lkey))
-        if lred is None:
-            lred = QL.reduce_coords({QL.index[lkey]: 1})
-            left_memo[(i, lkey)] = lred
-        for lc, lv in lred.items():
-            for rc, rv in rred.items():
-                key = (lc, rc)
-                c = out.get(key, 0) + lv * rv
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-    return out
+        table = tables.get(key)
+        if table is None:
+            table = {}
+            for pos in combinations(range(n), i):
+                left = _normal_form(QL, tuple(key[t] for t in pos))
+                right = _normal_form(QR, tuple(key[t] for t in range(n) if t not in pos))
+                for lc, lv in left.items():
+                    for rc, rv in right.items():
+                        table[(lc, rc)] = table.get((lc, rc), 0) + lv * rv
+            table = tables[key] = {k: v for k, v in table.items() if v}
+        for k, v in table.items():
+            out[k] = out.get(k, 0) + coeff * v
+    return {k: v for k, v in out.items() if v}
 
 
 def exact_join_component(join: JoinIdeal, d: int, n: int) -> ComponentBasis:
@@ -593,44 +592,41 @@ def exact_join_component(join: JoinIdeal, d: int, n: int) -> ComponentBasis:
 def _join_kernel(I, J, d: int, n: int, v_elems: Sequence[SymElement]) -> list[SymElement]:
     """The combinations of v_elems that satisfy every middle condition.
 
-    The conditions are streamed one summand i at a time; once the kernel
-    so far is nonzero, its vectors are checked against the full condition
-    set, and if all pass the elimination stops early.
+    The conditions of every summand i are added to one elimination, which
+    returns no kernel as soon as its rank reaches len(v_elems).
     """
     nv = len(v_elems)
     if not nv:
         return []
     acc = SparseRREF()
-    left_memo: dict = {}
-    blocks = list(range(1, n))
+    blocks = range(1, n)
     if I is J:
         # the (n-i)-th condition is the slot swap of the i-th one
         blocks = [i for i in blocks if i <= n - i]
-    for blk_idx, i in enumerate(blocks):
-        rows_map: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for i in blocks:
+        QL, QR = I.component(d, i), J.component(d, n - i)
+        tables: dict = {}
+        rows_map: dict[tuple[int, int], dict[int, Rational]] = {}
         for t, b in enumerate(v_elems):
-            for key, val in _condition_coords(I, J, d, n, i, b, left_memo).items():
+            for key, val in _condition_coords(QL, QR, i, b, tables).items():
                 rows_map.setdefault(key, {})[t] = val
         for key in sorted(rows_map):
-            acc.add(rows_map[key])
-        if acc.rank == nv:
-            return []
-        elems = [_combine(v_elems, lam) for lam in sparse_rref_kernel(acc, nv)]
-        if blk_idx + 1 == len(blocks) or all(
-                not _condition_coords(I, J, d, n, k, e, left_memo)
-                for e in elems for k in range(1, n)):
-            return elems
+            if acc.add(rows_map[key]) and acc.rank == nv:
+                return []
     return [_combine(v_elems, lam) for lam in sparse_rref_kernel(acc, nv)]
 
 
-def _combine(elems: Sequence[SymElement], lam: Mapping[int, Fraction]) -> SymElement:
+def _combine(elems: Sequence[SymElement], lam: Mapping[int, Rational]) -> SymElement:
+    """The sum of lam[t] * elems[t], accumulated in one dict."""
     if not elems:
         raise ValueError("empty combination")
-    first = elems[0]
-    out = SymElement(first.d, first.n, first.M)
+    terms: dict[FactorTuple, Rational] = {}
     for t, c in lam.items():
-        out = out.add_scale(elems[t], c)
-    return out
+        for key, v in elems[t].terms.items():
+            terms[key] = terms.get(key, 0) + c * v
+    first = elems[0]
+    return SymElement(first.d, first.n, first.M,
+                      {key: exact(v) for key, v in terms.items() if v}, _validated=True)
 
 
 def _intersect(ui: Sequence[SymElement], CJ: ComponentBasis) -> list[SymElement]:

@@ -447,6 +447,71 @@ def test_certified_joins_never_build_their_top_degree_component(tmp_path, monkey
     assert (2, 4) in built and (2, 5) not in built
 
 
+def _reference_delta_parts(f, i):
+    """The size-i slot splits of f grouped by left monomial."""
+    n = f.n
+    splits = [(pos, tuple(t for t in range(n) if t not in pos))
+              for pos in combinations(range(n), i)]
+    out = {}
+    for key, coeff in f.terms.items():
+        get = key.__getitem__
+        for pos, rest in splits:
+            slot = out.setdefault(tuple(map(get, pos)), {})
+            rkey = tuple(map(get, rest))
+            slot[rkey] = slot.get(rkey, 0) + coeff
+    return out
+
+
+def _reference_condition_coords(QL, QR, i, f):
+    """The i-th middle condition of f, one reduction per right vector and per
+    left monomial: the row-by-row route the per-monomial tables replace."""
+    out = {}
+    for lkey, rvec in _reference_delta_parts(f, i).items():
+        rred = QR.reduce_coords({QR.index[rk]: c for rk, c in rvec.items()})
+        if not rred:
+            continue
+        lred = QL.reduce_coords({QL.index[lkey]: 1})
+        for lc, lv in lred.items():
+            for rc, rv in rred.items():
+                c = out.get((lc, rc), 0) + lv * rv
+                if c:
+                    out[(lc, rc)] = c
+                else:
+                    out.pop((lc, rc), None)
+    return out
+
+
+def test_one_monomial_normal_form_is_read_from_its_column():
+    from shufflestar.plucker import _normal_form
+    comp = plucker_ideal(3, 2).component(2, 3)
+    assert 0 < comp.dim < comp.space_dim
+    for c, key in enumerate(comp.monomials):
+        assert _normal_form(comp, key) == comp.reduce_coords({c: 1})
+
+
+@pytest.mark.parametrize("M, r, n, summands", [
+    (3, 1, 4, (1, 2)),
+    (3, 1, 5, (1, 2)),
+    # I is not J, so the left quotient is nonzero for i >= 2
+    (4, 2, 4, (1, 2, 3)),
+])
+def test_condition_tables_equal_the_row_by_row_reduction(M, r, n, summands):
+    from shufflestar.plucker import _condition_coords
+    from shufflestar.weights import dominant_weights
+    P = plucker_ideal(M, 2)
+    join = JoinIdeal(P, secant_ideal(P, r - 1))
+    for i in summands:
+        QL, QR = join.I.component(2, i), join.J.component(2, n - i)
+        assert QL.dim or QR.dim
+        tables = {}
+        # I's block rows: the conditions are linear, so agreeing on them
+        # covers their meet with J as well
+        for w in dominant_weights(2, n, 2 * M):
+            for f in P.weight_block(2, n, w).basis_elements():
+                assert (_condition_coords(QL, QR, i, f, tables)
+                        == _reference_condition_coords(QL, QR, i, f))
+
+
 def _one_block_join(I, J, d, n):
     """The join component through the one-block path: all of V, identity only."""
     from shufflestar.plucker import _intersect, _join_kernel

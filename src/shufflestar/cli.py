@@ -225,6 +225,17 @@ _COMMON_DEFAULTS = {
     "max_coeff_bits": 0, "timings": False, "out": None,
 }
 
+# the least value of each count option; 0 means the default for --samples
+# and no guard for --max-coeff-bits
+_LEAST = {"degree": 0, "max_n": 0, "samples": 0, "max_coeff_bits": 0, "jobs": 1}
+
+
+def _check_counts(args) -> None:
+    for key, least in _LEAST.items():
+        value = getattr(args, key, least)
+        if value < least:
+            raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, got {value}")
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     # accepted both before and after the subcommand
@@ -355,6 +366,7 @@ def main(argv=None) -> int:
     # in the same process
     previous_bits = linalg.set_default_max_bits(args.max_coeff_bits or None)
     try:
+        _check_counts(args)
         body = args.fn(args)
     except CoeffLimitExceeded as exc:
         _emit({"command": args.command, "config": config,

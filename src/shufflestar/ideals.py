@@ -132,9 +132,6 @@ class ComponentBasis:
         """Canonical remainder of f modulo the component (standard coordinates)."""
         return self.element(self.basis.reduce(self.coords(f)))
 
-    def reduce_coords(self, vec: dict[int, Rational]) -> dict[int, Rational]:
-        return self.basis.reduce(vec)
-
     def basis_elements(self) -> list[SymElement]:
         return [self.element(row) for row in self.basis.basis_rows()]
 

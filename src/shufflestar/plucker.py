@@ -5,10 +5,11 @@ vectors; the quadratic generators come from the classical shuffle
 (exchange) relations, and the basic width-2n family pairs each half-size
 subset with its complement once.  Join components are exact kernels of the
 comultiplication followed by quotient projections, computed over the
-intersection of the two ideal components in one elimination of every
-middle condition.  The conditions are linear, so each monomial's are
-tabled once from the normal forms of its slot splits, which are read off
-the canonical reduced quotient components with no elimination.
+component of the second input in one elimination of every other summand,
+membership in the first input last.  The conditions are linear, so each
+monomial's are tabled once from the normal forms of its slot splits,
+which are read off the canonical reduced quotient components with no
+elimination.
 
 Both the join and the evaluation oracle work one torus-weight block at a
 time (see `weights`).  The diagonal torus of GL_N acts on a monomial by the
@@ -16,13 +17,14 @@ character of its weight (how often each index occurs across its factors).
 When both ideals of a join certify `permutation_stable`, their components
 are graded and stable under the signed permutation action of S_N, and so
 is the join kernel.  Its block at a weight w (`JoinIdeal.weight_block`) is
-then the kernel over the meet of the two inputs' blocks at w, solved and
-memoised alone, so neither top-degree input is built whole; an r >= 2
-secant reads its inner join one block at a time too.  A whole component
-is put together from the blocks at dominant weights, which signed
-permutations carry to the rest of their orbits.  The quotient conditions
-read the lower degrees whole.  Without the certificate the join
-eliminates all of the intersection as one block.
+then the kernel over the second input's block at w, with the first
+input's block at w as the membership quotient, solved and memoised alone,
+so neither top-degree input is built whole; an r >= 2 secant reads its
+inner join one block at a time too.  A whole component is put together
+from the blocks at dominant weights, which signed permutations carry to
+the rest of their orbits.  The quotient conditions read the lower degrees
+whole.  Without the certificate the join eliminates all of the second
+input's component as one block.
 The evaluation kernel is the independent oracle: exact kernels of integer
 evaluation matrices at random sums of decomposables, re-sampled until
 stable.  The vanishing ideal is torus-stable, so it is the direct sum of
@@ -55,7 +57,6 @@ from .core import (
     IncFn,
     Rational,
     SymElement,
-    exact,
     merge_signed,
     sym_monomial,
     to_numerators,
@@ -510,14 +511,14 @@ def gamma_count(n: int) -> int:
 #
 # The (d, n) component of the join of I and J is the kernel of the subset
 # comultiplication followed, in each summand Sym^i x Sym^(n-i), by the
-# quotient projections modulo I_(d,i) and J_(d,n-i).  The i = 0 and i = n
-# summands force membership in J and I, so the kernel is computed inside
-# V = I_(d,n) intersect J_(d,n), adding the middle conditions of every
-# summand to one elimination.
+# quotient projections modulo I_(d,i) and J_(d,n-i).  The i = 0 summand
+# forces membership in J, so the kernel is solved over V, J's part at
+# (d, n); the i = n summand, membership in I, is its last condition.  The
+# conditions of every summand go into one elimination.
 # ---------------------------------------------------------------------------
 
 def _normal_form(comp: ComponentBasis, key: FactorTuple) -> dict[int, Rational]:
-    """`comp.reduce_coords({c: 1})` for the monomial key at column c, with no
+    """`comp.basis.reduce({c: 1})` for the monomial key at column c, with no
     elimination: in the canonical reduced basis it is the monomial itself
     off the pivots, else minus the rest of its pivot row."""
     c = comp.index[key]
@@ -527,21 +528,23 @@ def _normal_form(comp: ComponentBasis, key: FactorTuple) -> dict[int, Rational]:
     return {k: -v for k, v in comp.basis.rows[at].items() if k != c}
 
 
-def _condition_coords(QL: ComponentBasis, QR: ComponentBasis, i: int, f: SymElement,
+def _condition_coords(QL: ComponentBasis, QR: ComponentBasis, i: int,
+                      row: Mapping[int, Rational], monomials: Sequence[FactorTuple],
                       tables: dict) -> dict[tuple[int, int], Rational]:
     """Quotient coordinates modulo QL and QR of the i-th comultiplication
-    summand of f.
+    summand of a row, whose column c holds the monomial monomials[c].
 
-    They are linear in f: the sum of its monomials' tables, scaled by its
-    coefficients.  The table of a monomial, filled into `tables` on first
+    They are linear in the row: the sum of its columns' tables, scaled by
+    its coefficients.  The table of a column, filled into `tables` on first
     use and valid for this QL, QR and i only, sums the normal forms of left
-    and right multiplied out over its C(n, i) slot splits.
+    and right multiplied out over the C(n, i) slot splits of its monomial.
     """
-    n = f.n
     out: dict[tuple[int, int], Rational] = {}
-    for key, coeff in f.terms.items():
-        table = tables.get(key)
+    for col, coeff in row.items():
+        table = tables.get(col)
         if table is None:
+            key = monomials[col]
+            n = len(key)
             table = {}
             for pos in combinations(range(n), i):
                 left = _normal_form(QL, tuple(key[t] for t in pos))
@@ -549,7 +552,7 @@ def _condition_coords(QL: ComponentBasis, QR: ComponentBasis, i: int, f: SymElem
                 for lc, lv in left.items():
                     for rc, rv in right.items():
                         table[(lc, rc)] = table.get((lc, rc), 0) + lv * rv
-            table = tables[key] = {k: v for k, v in table.items() if v}
+            table = tables[col] = {k: v for k, v in table.items() if v}
         for k, v in table.items():
             out[k] = out.get(k, 0) + coeff * v
     return {k: v for k, v in out.items() if v}
@@ -566,7 +569,7 @@ def exact_join_component(join: JoinIdeal, d: int, n: int) -> ComponentBasis:
     permutation mapping the whole block through one `FactorTable`.  The
     blocks have disjoint columns, so the order they are added in does not
     change the rows.  Without the certificate the kernel is eliminated
-    once, over all of V.
+    once, over all of J_(d,n).
     """
     I, J = join.I, join.J
     comp = ComponentBasis(d, n, join.M)
@@ -581,66 +584,48 @@ def exact_join_component(join: JoinIdeal, d: int, n: int) -> ComponentBasis:
                 for e in rows:
                     comp.add(act(table, e))
     else:
-        rows = I.component(d, n).basis_elements()
-        if I is not J:
-            rows = _intersect(rows, J.component(d, n))
-        for e in _join_kernel(I, J, d, n, rows):
-            comp.add(e)
+        for row in _join_kernel(I, J, d, n, J.component(d, n), I.component(d, n)):
+            comp.basis.add(row)
     return comp
 
 
-def _join_kernel(I, J, d: int, n: int, v_elems: Sequence[SymElement]) -> list[SymElement]:
-    """The combinations of v_elems that satisfy every middle condition.
+def _join_kernel(I, J, d: int, n: int, V: ComponentBasis,
+                 top: ComponentBasis) -> list[dict[int, Rational]]:
+    """The combinations of V's rows that satisfy every summand i >= 1, in columns.
 
-    The conditions of every summand i are added to one elimination, which
-    returns no kernel as soon as its rank reaches len(v_elems).
+    V is J's part at (d, n) and top is I's there: whole components, or
+    blocks at one weight.  Summand i reads I_(d,i), or top for i = n, on the
+    left and J_(d,n-i) on the right.  The conditions go into one
+    elimination, which returns no kernel once its rank reaches V.dim.
     """
-    nv = len(v_elems)
+    rows = V.basis.basis_rows()
+    nv = len(rows)
     if not nv:
         return []
     acc = SparseRREF()
-    blocks = range(1, n)
+    summands = range(1, n + 1)
     if I is J:
-        # the (n-i)-th condition is the slot swap of the i-th one
-        blocks = [i for i in blocks if i <= n - i]
-    for i in blocks:
-        QL, QR = I.component(d, i), J.component(d, n - i)
+        # V lies in I, and the (n-i)-th condition is the slot swap of the i-th one
+        summands = [i for i in range(1, n) if i <= n - i]
+    for i in summands:
+        QL = top if i == n else I.component(d, i)
+        QR = J.component(d, n - i)
         tables: dict = {}
         rows_map: dict[tuple[int, int], dict[int, Rational]] = {}
-        for t, b in enumerate(v_elems):
-            for key, val in _condition_coords(QL, QR, i, b, tables).items():
+        for t, row in enumerate(rows):
+            for key, val in _condition_coords(QL, QR, i, row, V.monomials, tables).items():
                 rows_map.setdefault(key, {})[t] = val
         for key in sorted(rows_map):
             if acc.add(rows_map[key]) and acc.rank == nv:
                 return []
-    return [_combine(v_elems, lam) for lam in sparse_rref_kernel(acc, nv)]
-
-
-def _combine(elems: Sequence[SymElement], lam: Mapping[int, Rational]) -> SymElement:
-    """The sum of lam[t] * elems[t], accumulated in one dict."""
-    if not elems:
-        raise ValueError("empty combination")
-    terms: dict[FactorTuple, Rational] = {}
-    for t, c in lam.items():
-        for key, v in elems[t].terms.items():
-            terms[key] = terms.get(key, 0) + c * v
-    first = elems[0]
-    return SymElement(first.d, first.n, first.M,
-                      {key: exact(v) for key, v in terms.items() if v}, _validated=True)
-
-
-def _intersect(ui: Sequence[SymElement], CJ: ComponentBasis) -> list[SymElement]:
-    """Basis of the intersection of span(ui) with a component subspace."""
-    if not ui or CJ.dim == 0:
-        return []
-    rows_map: dict[int, dict[int, Fraction]] = {}
-    for t, u in enumerate(ui):
-        for c, v in CJ.reduce_coords(CJ.coords(u)).items():
-            rows_map.setdefault(c, {})[t] = v
-    acc = SparseRREF()
-    for c in sorted(rows_map):
-        acc.add(rows_map[c])
-    return [_combine(ui, lam) for lam in sparse_rref_kernel(acc, len(ui))]
+    out = []
+    for lam in sparse_rref_kernel(acc, nv):
+        combo: dict[int, Rational] = {}
+        for t, c in lam.items():
+            for col, v in rows[t].items():
+                combo[col] = combo.get(col, 0) + c * v
+        out.append(combo)
+    return out
 
 
 class JoinIdeal:
@@ -670,12 +655,12 @@ class JoinIdeal:
     def weight_block(self, d: int, n: int, w: Weight) -> ComponentBasis:
         """The canonical reduced rows of the (d, n) component at the torus weight w.
 
-        The kernel of the middle conditions over I's block at w met with
-        J's: the comultiplication and the quotient projections are
-        torus-equivariant, so this is the weight-w part of the component,
-        at every weight, once the join is graded.  A ValueError is raised
-        unless `permutation_stable(d, n)` holds.  Blocks are memoised per
-        (d, n, w), never cached on disk.
+        The kernel over J's block at w of the middle conditions and of
+        membership in I, read off I's block at w: the comultiplication and
+        the quotient projections are torus-equivariant, so this is the
+        weight-w part of the component, at every weight, once the join is
+        graded.  A ValueError is raised unless `permutation_stable(d, n)`
+        holds.  Blocks are memoised per (d, n, w), never cached on disk.
         """
         key = (d, n, w)
         block = self._blocks.get(key)
@@ -683,12 +668,10 @@ class JoinIdeal:
             return block
         if not self.permutation_stable(d, n):
             raise ValueError(f"the join at {(d, n)} is not certified graded")
-        rows = self.I.weight_block(d, n, w).basis_elements()
-        if self.I is not self.J:
-            rows = _intersect(rows, self.J.weight_block(d, n, w))
         block = ComponentBasis(d, n, self.M)
-        for e in _join_kernel(self.I, self.J, d, n, rows):
-            block.add(e)
+        for row in _join_kernel(self.I, self.J, d, n, self.J.weight_block(d, n, w),
+                                self.I.weight_block(d, n, w)):
+            block.basis.add(row)
         self._blocks[key] = block
         return block
 

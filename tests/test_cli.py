@@ -154,6 +154,24 @@ def test_probe_input_errors_and_coefficient_abort_have_their_own_exit_codes(tmp_
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["secant", "--d", "2", "--degree", "-1"],
+    ["join", "--d", "2", "--degree", "-1"],
+    ["plucker", "--d", "2", "--oracle", "--degree", "-1"],
+    ["probe", "--d", "2", "--max-n", "-1"],
+    ["secant", "--d", "2", "--degree", "2", "--oracle", "--samples", "-3"],
+    ["probe", "--d", "2", "--max-n", "2", "--max-coeff-bits", "-1"],
+    # rejected before any work, so no worker process starts
+    ["verify", "--only", "census", "--jobs", "0"],
+])
+def test_out_of_range_count_flag_is_an_input_error(tmp_path, args):
+    flag, value = args[-2:]
+    code, rep = _run(args, tmp_path / "r.json")
+    assert code == 2
+    assert set(rep) == {"command", "config", "error"}
+    assert rep["error"].startswith(f"{flag} must be >= ") and rep["error"].endswith(value)
+
+
 @pytest.mark.parametrize("text", [
     "{broken",
     '{"bidegree": [2, 2, 2], "terms": [{"coeff": "1", "monomial": [[1, 9], [2, 3]]}]}',

@@ -467,10 +467,10 @@ def _reference_condition_coords(QL, QR, i, f):
     left monomial: the row-by-row route the per-monomial tables replace."""
     out = {}
     for lkey, rvec in _reference_delta_parts(f, i).items():
-        rred = QR.reduce_coords({QR.index[rk]: c for rk, c in rvec.items()})
+        rred = QR.basis.reduce({QR.index[rk]: c for rk, c in rvec.items()})
         if not rred:
             continue
-        lred = QL.reduce_coords({QL.index[lkey]: 1})
+        lred = QL.basis.reduce({QL.index[lkey]: 1})
         for lc, lv in lred.items():
             for rc, rv in rred.items():
                 c = out.get((lc, rc), 0) + lv * rv
@@ -486,48 +486,50 @@ def test_one_monomial_normal_form_is_read_from_its_column():
     comp = plucker_ideal(3, 2).component(2, 3)
     assert 0 < comp.dim < comp.space_dim
     for c, key in enumerate(comp.monomials):
-        assert _normal_form(comp, key) == comp.reduce_coords({c: 1})
+        assert _normal_form(comp, key) == comp.basis.reduce({c: 1})
 
 
 @pytest.mark.parametrize("M, r, n, summands", [
     (3, 1, 4, (1, 2)),
     (3, 1, 5, (1, 2)),
-    # I is not J, so the left quotient is nonzero for i >= 2
-    (4, 2, 4, (1, 2, 3)),
+    # I is not J, so the left quotient is nonzero for i >= 2, and the
+    # membership summand i = n reads I's block on the left
+    (4, 2, 4, (1, 2, 3, 4)),
 ])
 def test_condition_tables_equal_the_row_by_row_reduction(M, r, n, summands):
     from shufflestar.plucker import _condition_coords
     from shufflestar.weights import dominant_weights
     P = plucker_ideal(M, 2)
     join = JoinIdeal(P, secant_ideal(P, r - 1))
-    for i in summands:
-        QL, QR = join.I.component(2, i), join.J.component(2, n - i)
-        assert QL.dim or QR.dim
-        tables = {}
-        # I's block rows: the conditions are linear, so agreeing on them
-        # covers their meet with J as well
-        for w in dominant_weights(2, n, 2 * M):
-            for f in P.weight_block(2, n, w).basis_elements():
-                assert (_condition_coords(QL, QR, i, f, tables)
+    quotients = set()
+    for w in dominant_weights(2, n, 2 * M):
+        V, top = join.J.weight_block(2, n, w), join.I.weight_block(2, n, w)
+        for i in summands:
+            QL = top if i == n else join.I.component(2, i)
+            QR = join.J.component(2, n - i)
+            if QL.dim or QR.dim:
+                quotients.add(i)
+            tables = {}
+            # J's block rows, the rows the join kernel solves over
+            for row, f in zip(V.basis.basis_rows(), V.basis_elements()):
+                assert (_condition_coords(QL, QR, i, row, V.monomials, tables)
                         == _reference_condition_coords(QL, QR, i, f))
+    assert quotients == set(summands)
 
 
 def _one_block_join(I, J, d, n):
-    """The join component through the one-block path: all of V, identity only."""
-    from shufflestar.plucker import _intersect, _join_kernel
-    v = I.component(d, n).basis_elements()
-    if I is not J:
-        v = _intersect(v, J.component(d, n))
+    """The join component through the one-block path: all of J_(d,n), identity only."""
+    from shufflestar.plucker import _join_kernel
     comp = ComponentBasis(d, n, I.M)
-    for e in _join_kernel(I, J, d, n, v):
-        comp.add(e)
+    for row in _join_kernel(I, J, d, n, J.component(d, n), I.component(d, n)):
+        comp.basis.add(row)
     return comp
 
 
 @pytest.mark.parametrize("M, r", [(3, 1), (4, 2)])
 def test_orbit_path_equals_the_one_block_path(M, r):
-    # Gr(2,6) r=1 is a self-join; Gr(2,8) r=2 joins P with its first secant
-    # and so intersects block by block
+    # Gr(2,6) r=1 is a self-join; Gr(2,8) r=2 joins P with its first secant,
+    # so its membership summand reads P's blocks
     P = plucker_ideal(M, 2)
     inner = secant_ideal(P, r - 1)
     assert P.permutation_stable(2, 4) and inner.permutation_stable(2, 4)
@@ -535,6 +537,11 @@ def test_orbit_path_equals_the_one_block_path(M, r):
     one = _one_block_join(P, inner, 2, 4)
     assert orbit.dim == one.dim > 0
     assert orbit.basis.basis_rows() == one.basis.basis_rows()
+    if r > 1:
+        # the swapped join solves over P's blocks, with the inner join's
+        # blocks as the membership quotient
+        swapped = exact_join_component(JoinIdeal(inner, P), 2, 4)
+        assert swapped.basis.basis_rows() == orbit.basis.basis_rows()
 
 
 def test_join_weight_blocks_equal_the_whole_component_at_every_weight():
@@ -554,23 +561,28 @@ def test_join_weight_blocks_equal_the_whole_component_at_every_weight():
     assert (2, 4) not in join._components
 
 
-def test_a_certified_join_meets_its_inputs_weight_blocks():
-    # The i = 1 middle condition reads f modulo I_(d,1) on the left.  When
-    # I has no linear forms at width d, it puts every derivative df/dx in
-    # J_(d,n-1), and Euler's formula f = (1/n) sum_x x * df/dx then puts f
-    # in J: the meet with J's block changes nothing, so every such join
-    # (the secants, joins with the ideal of all squares) passes without it.
-    # Here I holds every variable, so the middle conditions are void and
-    # the join is I meet J = J; without the meet each dominant block would
-    # keep all of I's block.
-    I = DiIdeal(2, [sym_monomial(2, 1, 2, [f]) for f in iter_factors(2, 4)])
-    J = plucker_ideal(2, 2)
-    join = JoinIdeal(I, J)
+@pytest.mark.parametrize("other", ["plucker", "square"])
+@pytest.mark.parametrize("every_first", [True, False])
+def test_joining_the_ideal_of_every_variable_gives_the_other_input(every_first, other):
+    # Every middle condition reads a quotient by the ideal of every variable
+    # at width 2, which is zero, so the join is the meet of its inputs: the
+    # other input.  With that ideal second, the kernel solves over all
+    # monomials and only the membership summand i = n cuts them down to the
+    # other input.  The secants cannot show that summand is there: when the
+    # second input has no linear forms at width d, the i = n-1 summand and
+    # Euler's formula f = (1/n) sum_x x * df/dx already put f in the first.
+    # Joins with the Plucker ideal are certified and solve one weight block
+    # at a time; x12^2 is not S_4-stable, so joins with it take the
+    # one-block path.
+    every = DiIdeal(2, [sym_monomial(2, 1, 2, [f]) for f in iter_factors(2, 4)])
+    ideal = (plucker_ideal(2, 2) if other == "plucker"
+             else DiIdeal(2, [sym_monomial(2, 2, 2, [(1, 2), (1, 2)])]))
+    join = JoinIdeal(every, ideal) if every_first else JoinIdeal(ideal, every)
     for n, dim in ((2, 1), (3, 6)):
-        assert join.permutation_stable(2, n)
+        assert join.permutation_stable(2, n) == (other == "plucker")
         comp = join.component(2, n)
         assert comp.dim == dim
-        assert comp.basis.basis_rows() == J.component(2, n).basis.basis_rows()
+        assert comp.basis.basis_rows() == ideal.component(2, n).basis.basis_rows()
 
 
 def test_second_secant_never_puts_its_inner_top_degree_join_together(tmp_path, monkeypatch):

@@ -325,10 +325,13 @@ def test_full_degree5_plucker_climb_writes_the_pinned_cache_file(tmp_path):
 
 # SHA-256 of the `result` of `psa secant --d 2 --oracle` (as the report
 # writes it: sorted keys, no spaces) at (N, r, degree, seed), recorded
-# before the oracle solved only the dominant weight blocks
+# before the oracle solved only the dominant weight blocks; the N=8, r=1
+# report, 721 vectors over many orbit-filled blocks, was recorded before
+# the filled blocks went into one elimination
 _ORACLE_RESULTS = {
     ("6", "1", "3", "7"): "438707978f6bddeb542935c7a175f537e490d9607536cca9623ea2a9a569775c",
     ("6", "1", "4", "5"): "c2807e4899fd167c621fa85d703da882e96d61ddafcea95eea2572a1982dd184",
+    ("8", "1", "4", "3"): "ce92cf495664f22d448ad5b210a3e49dfe79cec5269eba03c046de3d889ee318",
     ("8", "2", "4", "0"): "86ee7545a70fa13c6a7e24182bf380a66f0ac8000af0294246e555dbe59ed8fa",
 }
 

@@ -9,16 +9,20 @@ integers.  A mod-p rank can only undershoot the true rank, so the mod-p
 kernel dimension bounds the true one from above; exhibiting that many
 exactly-verified independent kernel vectors therefore certifies the
 answer.  Nothing probabilistic survives into the result: a failed
-verification escalates to more primes and finally raises.
+verification escalates to more primes and finally raises.  Kernel vectors
+are sparse rows {column: coefficient}, each coefficient an int when it is
+integral, as everywhere in the library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
+
+from .core import Rational, to_numerators
 
 # primes just below 2**25: products of two residues fit comfortably in int64
 PRIMES = (33554393, 33554383, 33554371, 33554347, 33554341,
@@ -101,32 +105,38 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> tuple[int, int]:
     return r1 + m1 * t, m1 * m2
 
 
-def verify_kernel_vector(rows: Sequence[Sequence[int]], vec: Sequence[Fraction]) -> bool:
-    """Exact check that every integer row is orthogonal to the rational vector."""
-    den = 1
-    for v in vec:
-        den = den * v.denominator // gcd(den, v.denominator)
-    ints = [int(v * den) for v in vec]
-    support = [j for j, v in enumerate(ints) if v]
-    for row in rows:
-        s = 0
-        for j in support:
-            s += row[j] * ints[j]
-        if s:
-            return False
-    return True
+def _lift(group, idx: int, free: int, pivots: Sequence[int]) -> Optional[dict[int, Rational]]:
+    """The idx-th kernel vector, whose free column is `free`, lifted from its
+    residues by CRT and rational reconstruction; None when one fails."""
+    vec: dict[int, Rational] = {free: 1}
+    for col in pivots:
+        residue, modulus = 0, 1
+        for (p, _, K, _) in group:
+            residue, modulus = _crt_pair(residue, modulus, int(K[idx, col]), p)
+        f = rational_reconstruct(residue, modulus)
+        if f is None:
+            return None
+        if f:
+            vec[col] = f.numerator if f.denominator == 1 else f
+    return vec
 
 
-def certified_kernel(rows: Sequence[Sequence[int]], ncols: int,
-                     start_primes: int = 2) -> list[list[Fraction]]:
+def verify_kernel_vector(rows: Sequence[Sequence[int]], vec: Mapping[int, Rational]) -> bool:
+    """Exact check that every integer row is orthogonal to the sparse rational vector."""
+    nums, _ = to_numerators(vec)
+    return not any(sum(row[j] * v for j, v in nums.items()) for row in rows)
+
+
+def certified_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[dict[int, Rational]]:
     """Exact kernel basis of an integer matrix, certified by verification.
 
-    Returns the canonical reduced-echelon kernel basis (one vector per free
-    column of the row space).
+    Returns the canonical reduced-echelon kernel basis as sparse rows, one
+    per free column of the row space, in column order: 1 at the free column
+    and the lifted entries at the pivot columns, each an int when integral.
     """
     if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)] for j in range(ncols)]
-    nprimes = start_primes
+        return [{j: 1} for j in range(ncols)]
+    nprimes = 2
     while nprimes <= len(PRIMES):
         primes = PRIMES[:nprimes]
         per_prime = []
@@ -140,23 +150,8 @@ def certified_kernel(rows: Sequence[Sequence[int]], ncols: int,
         _, pivots, _, free = best
         if not free:
             return []  # full column rank mod p forces full rank exactly
-        ok = True
-        result: list[list[Fraction]] = []
-        for idx in range(len(free)):
-            vec: list[Fraction] = []
-            for col in range(ncols):
-                residue, modulus = 0, 1
-                for (p, _, K, _) in group:
-                    residue, modulus = _crt_pair(residue, modulus, int(K[idx, col]), p)
-                f = rational_reconstruct(residue, modulus)
-                if f is None:
-                    ok = False
-                    break
-                vec.append(f)
-            if not ok:
-                break
-            result.append(vec)
-        if ok and all(verify_kernel_vector(rows, v) for v in result):
+        result = [_lift(group, idx, j, pivots) for idx, j in enumerate(free)]
+        if None not in result and all(verify_kernel_vector(rows, v) for v in result):
             return result
         nprimes += 2
     raise KernelCertificationError(

@@ -237,6 +237,16 @@ def _check_counts(args) -> None:
             raise ValueError(f"--{key.replace('_', '-')} must be >= {least}, got {value}")
 
 
+def _check_out(args) -> None:
+    # an unwritable --out fails before any work; its error report goes to stdout
+    try:
+        if args.out:
+            open(args.out, "a").close()
+    except OSError:
+        args.out = None
+        raise
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     # accepted both before and after the subcommand
     s = argparse.SUPPRESS
@@ -367,6 +377,7 @@ def main(argv=None) -> int:
     previous_bits = linalg.set_default_max_bits(args.max_coeff_bits or None)
     try:
         _check_counts(args)
+        _check_out(args)
         body = args.fn(args)
     except CoeffLimitExceeded as exc:
         _emit({"command": args.command, "config": config,

@@ -5,7 +5,9 @@ All arithmetic is exact, and every routine eliminates through one engine,
 keeps a column index, so adding a row only touches the rows that hold the
 new pivot column, and it stores integral coefficients as `int`, making a
 `Fraction` only for a true fraction.  Pivoting is always first-nonzero in
-column order, so results are deterministic.
+column order, so results are deterministic.  Rows and kernel vectors are
+sparse dicts {column: coefficient} throughout, and `recombine` is the one
+place that turns kernel vectors back into combinations of rows.
 """
 
 from __future__ import annotations
@@ -49,49 +51,6 @@ def set_default_max_bits(bits: Optional[int]) -> Optional[int]:
 def _check_bits(value: int, max_bits: Optional[int]):
     if max_bits is not None and value.bit_length() > max_bits:
         raise CoeffLimitExceeded(f"coefficient reached {value.bit_length()} bits (limit {max_bits})")
-
-
-class RatMatrix:
-    """Sparse exact-rational matrix; entries stored as (row, col) -> Fraction."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int,
-                 entries: Mapping[tuple[int, int], Rational] | None = None):
-        self.rows = int(rows)
-        self.cols = int(cols)
-        self.entries: dict[tuple[int, int], Rational] = {}
-        if entries:
-            for (r, c), v in entries.items():
-                if not (0 <= r < self.rows and 0 <= c < self.cols):
-                    raise ValueError(f"entry ({r},{c}) outside {self.rows}x{self.cols}")
-                v = Fraction(v)
-                if v:
-                    self.entries[(r, c)] = v
-
-    @staticmethod
-    def from_rows(rows: Sequence[Sequence[Rational]], cols: int | None = None) -> "RatMatrix":
-        nrows = len(rows)
-        ncols = cols if cols is not None else (len(rows[0]) if rows else 0)
-        entries = {}
-        for r, row in enumerate(rows):
-            for c, v in enumerate(row):
-                if v:
-                    entries[(r, c)] = Fraction(v)
-        return RatMatrix(nrows, ncols, entries)
-
-    def row_dicts(self) -> list[dict[int, Rational]]:
-        out: list[dict[int, Rational]] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
-    def __eq__(self, other):
-        return (isinstance(other, RatMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.entries == other.entries)
-
-    def __repr__(self):
-        return f"RatMatrix({self.rows}x{self.cols}, {len(self.entries)} nonzeros)"
 
 
 class SparseRREF:
@@ -264,35 +223,35 @@ class SparseRREF:
         return [self.rows[self.pivots[c]] for c in sorted(self.pivots)]
 
 
-def rref_rank(A: RatMatrix, max_bits: Optional[int] = None) -> tuple[int, RatMatrix, list[int]]:
-    """Exact reduced row echelon form.
-
-    Returns (rank, reduced matrix, pivot columns).  The reduced matrix has
-    unit pivots and zero rows dropped to the bottom.
-    """
+def rref_rank(rows: Iterable[Mapping[int, Rational]], max_bits: Optional[int] = None
+              ) -> tuple[int, list[dict[int, Rational]], list[int]]:
+    """(rank, nonzero reduced rows in pivot order, pivot columns) of sparse rows."""
     basis = SparseRREF(max_bits=max_bits)
-    for row in A.row_dicts():
-        if row:
-            basis.add(row)
-    entries = {}
-    for r, row in enumerate(basis.basis_rows()):
-        for c, v in row.items():
-            entries[(r, c)] = v
-    return basis.rank, RatMatrix(A.rows, A.cols, entries), basis.pivot_columns()
+    for row in rows:
+        basis.add(row)
+    return basis.rank, basis.basis_rows(), basis.pivot_columns()
 
 
-def kernel_basis(A: RatMatrix, max_bits: Optional[int] = None) -> list[list[Fraction]]:
-    """Basis of the right null space; A * v == 0 exactly for every v."""
+def kernel_basis(rows: Iterable[Mapping[int, Rational]], ncols: int,
+                 max_bits: Optional[int] = None) -> list[dict[int, Rational]]:
+    """Basis of the right null space of sparse rows over ncols columns, one
+    sparse vector per free column (see `sparse_rref_kernel`)."""
     basis = SparseRREF(max_bits=max_bits)
-    for row in A.row_dicts():
-        if row:
-            basis.add(row)
+    for row in rows:
+        basis.add(row)
+    return sparse_rref_kernel(basis, ncols)
+
+
+def recombine(kernel: Iterable[Mapping[int, Rational]],
+              rows: Sequence[Mapping[int, Rational]]) -> list[dict[int, Rational]]:
+    """For each kernel vector lam, the sum of lam[t] * rows[t], in canonical form."""
     out = []
-    for vec in sparse_rref_kernel(basis, A.cols):
-        v = [Fraction(0)] * A.cols
-        for c, x in vec.items():
-            v[c] = Fraction(x)
-        out.append(v)
+    for lam in kernel:
+        combo: dict[int, Rational] = {}
+        for t, c in lam.items():
+            for col, v in rows[t].items():
+                combo[col] = combo.get(col, 0) + c * v
+        out.append({col: exact(v) for col, v in combo.items() if v})
     return out
 
 

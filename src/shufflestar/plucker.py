@@ -21,7 +21,7 @@ then the kernel over the second input's block at w, with the first
 input's block at w as the membership quotient, solved and memoised alone,
 so neither top-degree input is built whole; an r >= 2 secant reads its
 inner join one block at a time too.  A whole component is put together
-from the blocks at dominant weights, which signed permutations carry to
+from the blocks at dominant weights, which `weights.orbit_fill` carries to
 the rest of their orbits.  The quotient conditions read the lower degrees
 whole.  Without the certificate the join eliminates all of the second
 input's component as one block.
@@ -33,9 +33,11 @@ dense eliminations from every monomial to the largest block.  The secant
 variety is stable under permutation matrices, so the ideal is stable under
 the signed S_N action as well, and the oracle solves only the dominant
 blocks, enumerating their monomials directly (`weights.dominant_weights`,
-`weights.monomials_of_weight`); signed permutations carry their kernels to
-the rest of each orbit, and every carried vector is evaluated exactly at
-the last round's points, so the oracle does not take the action on trust.
+`weights.monomials_of_weight`); the same orbit fill carries their kernels
+to the rest of each orbit, and every carried vector is evaluated exactly
+at the last round's points, so the oracle does not take the action on
+trust.  Both paths keep kernels as sparse rows in canonical form and turn
+them back into rows with `linalg.recombine`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -62,10 +63,9 @@ from .core import (
     to_numerators,
 )
 from .ideals import ComponentBasis, DiIdeal, monomial_space
-from .linalg import SparseRREF, sparse_rref_kernel
+from .linalg import SparseRREF, kernel_basis, recombine, sparse_rref_kernel
 from .products import sym_star
-from .weights import (FactorTable, Weight, act, dominant_weights, monomials_of_weight,
-                      orbit_permutations)
+from .weights import Weight, dominant_weights, monomials_of_weight, orbit_fill
 
 __all__ = [
     "GrassmannConfig", "basic_plucker", "weyman_quadrics", "plucker_ideal",
@@ -235,19 +235,21 @@ def random_secant_point(rng: random.Random, d: int, N: int, r: int) -> dict[Fact
 
 
 def evaluate(f: SymElement, point: Mapping[Factor, int | Fraction]) -> Fraction:
-    """Exact value of f at a coordinate vector indexed by width-d subsets."""
-    N = f.M * f.d
-    total = Fraction(0)
-    for key, coeff in f.terms.items():
-        prod = Fraction(coeff)
-        for fac in key:
-            if fac not in point:
-                raise ValueError(f"point has no coordinate for {fac} (alphabet [1..{N}])")
-            prod *= point[fac]
-            if not prod:
-                break
-        total += prod
-    return total
+    """Exact value of f at a coordinate vector indexed by width-d subsets,
+    summed in integer numerators over one denominator."""
+    nums, den = to_numerators(f.terms)
+    total = 0
+    try:
+        for key, prod in nums.items():
+            for fac in key:
+                prod *= point[fac]
+                if not prod:
+                    break
+            total += prod
+    except KeyError as exc:
+        raise ValueError(f"point has no coordinate for {exc.args[0]} "
+                         f"(alphabet [1..{f.M * f.d}])") from None
+    return Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -275,35 +277,21 @@ def _value_rows(keys: Sequence[FactorTuple],
     return rows
 
 
-def _cut_kernel(keys: Sequence[FactorTuple], kernel: list[list[Fraction]],
-                points: Sequence[Mapping[Factor, int]]) -> list[list[Fraction]]:
-    """The combinations of the kernel vectors that also vanish at the points.
+def _cut_kernel(keys: Sequence[FactorTuple], kernel: list[dict[int, Rational]],
+                points: Sequence[Mapping[Factor, int]]) -> list[dict[int, Rational]]:
+    """The combinations of the sparse kernel vectors that also vanish at the points.
 
     The combinations keep the canonical form: each has coefficient 1 at its
     largest column and 0 at the largest column of every other vector.
     """
-    scaled = []
-    for vec in kernel:
-        den = lcm(*(v.denominator for v in vec))
-        scaled.append((den, [(c, int(v * den)) for c, v in enumerate(vec) if v]))
-    restricted = SparseRREF()
-    for row in _value_rows(keys, points):
-        restricted.add({t: Fraction(sum(row[c] * a for c, a in support), den)
-                        for t, (den, support) in enumerate(scaled)})
-    null = sparse_rref_kernel(restricted, len(kernel))
+    scaled = [to_numerators(vec) for vec in kernel]
+    values = [{t: Fraction(sum(row[c] * a for c, a in nums.items()), den)
+               for t, (nums, den) in enumerate(scaled)}
+              for row in _value_rows(keys, points)]
+    null = kernel_basis(values, len(kernel))
     if len(null) == len(kernel):
         return kernel  # every vector vanishes at the points
-    ncols = len(keys)
-    out = []
-    for mu in null:
-        vec = [Fraction(0)] * ncols
-        for t, c in mu.items():
-            kt = kernel[t]
-            for col in range(ncols):
-                if kt[col]:
-                    vec[col] += c * kt[col]
-        out.append(vec)
-    return out
+    return recombine(null, kernel)
 
 
 def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = None,
@@ -325,15 +313,17 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     largest block size plus 24).  Each later round draws max(64, 2k) fresh
     points, k the largest block kernel, and restricts them to every block
     whose kernel is not yet zero, until no block's kernel changes for two
-    consecutive rounds.  Then one signed permutation per other block of
-    the orbit carries each kernel there, and every carried vector is
-    evaluated exactly at the last round's points; one that does not vanish
-    raises.
+    consecutive rounds.  Then `weights.orbit_fill` carries each kernel to
+    the rest of its orbit, and every vector it yields is evaluated exactly
+    at the last round's points; one that does not vanish raises.
 
-    Each basis vector is weight-homogeneous, has coefficient 1 at its
-    largest column (in the reverse-sorted monomial order) and 0 at the
-    largest column of every other vector; the vectors are sorted by that
-    column.  This is the reduced echelon basis of the whole kernel.
+    The filled vectors go into one `SparseRREF` over the negated columns;
+    the blocks have disjoint columns, so each is echeloned alone, with its
+    largest column as pivot.  Each basis vector is weight-homogeneous, has
+    coefficient 1 at its largest column (in the reverse-sorted monomial
+    order), 0 at the largest column of every other vector and an int at
+    every integral one; the vectors are sorted by that column.  This is
+    the reduced echelon basis of the whole kernel.
     """
     d, N, r, M = cfg.d, cfg.N, cfg.r, cfg.M
     monos, index = monomial_space(d, n, M)
@@ -363,41 +353,17 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
         changed = any(len(new) < len(old) for (_, _, new), (_, _, old) in zip(cut, kernels))
         stable = 0 if changed else stable + 1
         kernels = [entry for entry in cut if entry[2]]
-    found = []
+    basis = SparseRREF()
     for w, keys, kernel in kernels:
-        elems = []
-        for vec in kernel:
-            lead = max(j for j, v in enumerate(vec) if v)
-            terms = {keys[j]: v for j, v in enumerate(vec) if v}
-            elems.append(SymElement(d, n, M, terms, _validated=True))
-            found.append((index[keys[lead]], elems[-1]))
-        # the identity comes first; the other blocks of the orbit are
-        # re-echeloned with the largest column as pivot, the smallest of
-        # the negated columns
-        for sigma in orbit_permutations(w)[1:]:
-            block = SparseRREF()
-            table = FactorTable(sigma)
-            for e in elems:
-                image = act(table, e)
-                if not _vanishes(image, points):
-                    raise RuntimeError(
-                        f"the image of a kernel vector of weight {w} under {sigma} "
-                        "does not vanish at the last round's points")
-                block.add({-index[key]: c for key, c in image.terms.items()})
-            for row in block.basis_rows():
-                terms = {monos[-c]: v for c, v in row.items()}
-                found.append((-min(row), SymElement(d, n, M, terms, _validated=True)))
-    found.sort(key=lambda t: t[0])
-    return [el for _, el in found]
-
-
-def _vanishes(f: SymElement, points: Sequence[Mapping[Factor, int]]) -> bool:
-    """Exact integer check that f is zero at every point."""
-    nums, _ = to_numerators(f.terms)
-    keys = list(nums)
-    coeffs = [nums[key] for key in keys]
-    return all(not sum(c * v for c, v in zip(coeffs, row))
-               for row in _value_rows(keys, points))
+        elems = [SymElement(d, n, M, {keys[j]: v for j, v in vec.items()}, _validated=True)
+                 for vec in kernel]
+        for e in orbit_fill(w, elems):
+            if any(evaluate(e, pt) for pt in points):
+                raise RuntimeError(f"a vector filled into the orbit of weight {w} "
+                                   "does not vanish at the last round's points")
+            basis.add({-index[key]: c for key, c in e.terms.items()})
+    return [SymElement(d, n, M, {monos[-c]: v for c, v in row.items()}, _validated=True)
+            for row in reversed(basis.basis_rows())]
 
 
 # ---------------------------------------------------------------------------
@@ -563,26 +529,18 @@ def exact_join_component(join: JoinIdeal, d: int, n: int) -> ComponentBasis:
 
     When the join certifies `permutation_stable(d, n)`, the component is
     put together from its blocks at the dominant weights
-    (`JoinIdeal.weight_block`): each block's rows are added as they are
-    and carried to the other blocks of their orbit by one signed
-    permutation per other distinct rearrangement of the weight, each
-    permutation mapping the whole block through one `FactorTable`.  The
-    blocks have disjoint columns, so the order they are added in does not
-    change the rows.  Without the certificate the kernel is eliminated
-    once, over all of J_(d,n).
+    (`JoinIdeal.weight_block`): `weights.orbit_fill` yields each block's
+    rows as they are, then carries them to the other blocks of their orbit,
+    one signed permutation per block.  The blocks have disjoint columns, so
+    the order they are added in does not change the rows.  Without the
+    certificate the kernel is eliminated once, over all of J_(d,n).
     """
     I, J = join.I, join.J
     comp = ComponentBasis(d, n, join.M)
     if join.permutation_stable(d, n):
         for w in dominant_weights(d, n, join.M * d):
-            rows = join.weight_block(d, n, w).basis_elements()
-            for e in rows:
+            for e in orbit_fill(w, join.weight_block(d, n, w).basis_elements()):
                 comp.add(e)
-            # for a dominant weight the identity comes first
-            for sigma in orbit_permutations(w)[1:]:
-                table = FactorTable(sigma)
-                for e in rows:
-                    comp.add(act(table, e))
     else:
         for row in _join_kernel(I, J, d, n, J.component(d, n), I.component(d, n)):
             comp.basis.add(row)
@@ -618,14 +576,7 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis,
         for key in sorted(rows_map):
             if acc.add(rows_map[key]) and acc.rank == nv:
                 return []
-    out = []
-    for lam in sparse_rref_kernel(acc, nv):
-        combo: dict[int, Rational] = {}
-        for t, c in lam.items():
-            for col, v in rows[t].items():
-                combo[col] = combo.get(col, 0) + c * v
-        out.append(combo)
-    return out
+    return recombine(sparse_rref_kernel(acc, nv), rows)
 
 
 class JoinIdeal:
@@ -648,9 +599,6 @@ class JoinIdeal:
             comp = exact_join_component(self, d, n)
             self._components[key] = comp
         return comp
-
-    def component_dim(self, d: int, n: int) -> int:
-        return self.component(d, n).dim
 
     def weight_block(self, d: int, n: int, w: Weight) -> ComponentBasis:
         """The canonical reduced rows of the (d, n) component at the torus weight w.
@@ -679,11 +627,6 @@ class JoinIdeal:
         """Both inputs certified: every join component (d, k), k <= n, is then
         graded and S_N-stable, since the comultiplication is equivariant."""
         return self.I.permutation_stable(d, n) and self.J.permutation_stable(d, n)
-
-    def membership(self, f: SymElement) -> bool:
-        if f.is_zero():
-            return True
-        return self.component(f.d, f.n).contains(f)
 
 
 def join_component(I, J, bidegree: tuple[int, int]) -> list[SymElement]:

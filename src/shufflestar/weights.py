@@ -19,20 +19,21 @@ each part at most n (an index occurs at most once per factor), and
 Permutations are kept in one-line form: sigma[j] is the image of j + 1.
 A `FactorTable` holds the signed image of each factor under one
 permutation, so acting on a block of elements sorts each distinct factor
-once; `act` and `act_on_key` take the table of the permutation.
+once; `act` and `act_on_key` take the table of the permutation, and
+`orbit_fill` carries the elements of a dominant block to its whole orbit.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from itertools import combinations
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import FactorTuple, SymElement
 
 __all__ = ["weight", "is_dominant", "dominant_weights", "monomials_of_weight",
            "FactorTable", "act_on_key", "act", "adjacent_transpositions",
-           "orbit_permutations"]
+           "orbit_permutations", "orbit_fill"]
 
 Weight = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -199,3 +200,14 @@ def orbit_permutations(w: Weight) -> tuple[Permutation, ...]:
             yield from place(g + 1, [s for s in free if s not in taken])
 
     return tuple(place(0, list(range(N))))
+
+
+def orbit_fill(w: Weight, elems: Sequence[SymElement]) -> Iterator[SymElement]:
+    """The elements, then sigma . elements for each sigma in
+    `orbit_permutations(w)[1:]`: from a block at the dominant weight w of a
+    graded, S_N-stable subspace, every block of w's orbit."""
+    yield from elems
+    for sigma in orbit_permutations(w)[1:]:
+        table = FactorTable(sigma)
+        for e in elems:
+            yield act(table, e)

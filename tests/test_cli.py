@@ -8,6 +8,9 @@ from fractions import Fraction
 from shufflestar.cli import main
 from shufflestar.core import element_from_dict, element_to_dict, sym_monomial, monomial
 from shufflestar.linalg import SparseRREF
+from shufflestar.plucker import weyman_quadrics
+from shufflestar.products import Split, invariant_shuffle, shuffle_product
+from shufflestar.symmetry import from_invariant, to_invariant
 
 
 @pytest.fixture()
@@ -77,6 +80,53 @@ def test_divides_and_tree(tmp_path):
     assert code == 0
     assert rep["result"]["root"] == [0, 0, [4, 4, 4]]
     assert rep["result"]["vertices"][0][0] == [1, 1, [1, 0, 3]]
+
+
+_INVARIANT = to_invariant(sym_monomial(2, 2, 2, [(1, 2), (3, 4)]))
+_TWO_TERMS = monomial(2, 2, 2, [(1, 2), (3, 4)]) + monomial(2, 2, 2, [(1, 3), (2, 4)])
+_WEYMAN_GR24 = {"d": 2, "N": 4, "M": 2,
+                "weyman": [element_to_dict(q) for q in weyman_quadrics(2, 4)]}
+
+
+@pytest.mark.parametrize("args, want", [
+    (["shuffle", "--tensor", "--lhs", "{inv}", "--rhs", "{inv}"],
+     lambda: element_to_dict(invariant_shuffle(_INVARIANT, _INVARIANT))),
+    (["shuffle", "--tensor", "--split", "1,3", "--lhs", "{inv}", "--rhs", "{inv}"],
+     lambda: element_to_dict(shuffle_product(_INVARIANT, _INVARIANT, Split(4, (1, 3))))),
+    (["gi", "--direction", "to-sym", "--input", "{inv}"],
+     lambda: element_to_dict(from_invariant(_INVARIANT))),
+    (["plucker", "--d", "2", "--N", "4", "--weyman"], lambda: _WEYMAN_GR24),
+    (["plucker", "--d", "2", "--N", "4"], lambda: _WEYMAN_GR24),
+    # errors: (d, N) = (3, 6) has odd width; divides reads single monomials
+    (["plucker", "--basic", "--d", "3"], "even width"),
+    (["divides", "--lhs", "{two}", "--rhs", "{two}"], "exactly one monomial"),
+])
+def test_command_paths_report_what_the_library_returns(tmp_path, args, want):
+    files = {"inv": tmp_path / "inv.json", "two": tmp_path / "two.json"}
+    files["inv"].write_text(json.dumps(element_to_dict(_INVARIANT)))
+    files["two"].write_text(json.dumps(element_to_dict(_TWO_TERMS)))
+    code, rep = _run([a.format(**files) for a in args], tmp_path / "r.json")
+    if isinstance(want, str):
+        assert code == 2 and set(rep) == {"command", "config", "error"}
+        assert want in rep["error"]
+    else:
+        assert code == 0 and rep["result"] == want()
+
+
+@pytest.mark.parametrize("args", [
+    ["plucker", "--d", "2", "--N", "4"],
+    # the command fails too, and its error must not hide the first one
+    ["secant", "--d", "2", "--N", "7", "--degree", "2", "--oracle"],
+])
+def test_unwritable_out_is_an_input_error_before_any_work(tmp_path, capsys, monkeypatch, args):
+    from shufflestar import cli
+    monkeypatch.setattr(cli, "weyman_quadrics", lambda *a: pytest.fail("the command ran"))
+    out = tmp_path / "missing" / "x.json"
+    assert main([*args, "--out", str(out)]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert set(rep) == {"command", "config", "error"}
+    assert rep["command"] == args[0] and "x.json" in rep["error"]
+    assert not out.parent.exists()
 
 
 def test_plucker_and_join_commands(tmp_path):

@@ -6,32 +6,46 @@ from fractions import Fraction
 from shufflestar.linalg import (
     CoeffLimitExceeded,
     NotReducedError,
-    RatMatrix,
     SparseRREF,
     kernel_basis,
+    recombine,
     rref_rank,
     sparse_rref_kernel,
 )
 
 
+def _sparse(data):
+    """Dense rows as sparse rows {column: entry}."""
+    return [{c: v for c, v in enumerate(row) if v} for row in data]
+
+
+def _annihilates(data, vec):
+    return all(sum(a * vec.get(c, 0) for c, a in enumerate(row)) == 0 for row in data)
+
+
 def test_rref_examples():
-    eye = RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    rank, _, piv = rref_rank(eye)
+    rank, _, piv = rref_rank(_sparse([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
     assert rank == 3 and piv == [0, 1, 2]
-    rank, _, _ = rref_rank(RatMatrix.from_rows([[1, 2], [2, 4]]))
+    rank, _, _ = rref_rank(_sparse([[1, 2], [2, 4]]))
     assert rank == 1
-    rank, _, _ = rref_rank(RatMatrix(3, 4))
+    rank, _, _ = rref_rank(_sparse([[0] * 4] * 3))
     assert rank == 0
 
 
 def test_kernel_examples():
-    k = kernel_basis(RatMatrix.from_rows([[1, 1]]))
-    assert len(k) == 1 and k[0][0] == -k[0][1] != 0
-    assert kernel_basis(RatMatrix.from_rows([[1, 0], [0, 1]])) == []
-    k = kernel_basis(RatMatrix.from_rows([[1, 2], [2, 4]]))
-    assert len(k) == 1
-    v = k[0]
-    assert v[0] * 1 + v[1] * 2 == 0
+    k = kernel_basis(_sparse([[1, 1]]), 2)
+    assert k == [{1: 1, 0: -1}]
+    assert kernel_basis(_sparse([[1, 0], [0, 1]]), 2) == []
+    k = kernel_basis(_sparse([[1, 2], [2, 4]]), 2)
+    assert len(k) == 1 and _annihilates([[1, 2]], k[0])
+    # no rows: every column is free
+    assert kernel_basis([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+
+
+def test_recombine_sums_the_rows_in_canonical_form():
+    rows = [{0: 1, 2: Fraction(1, 2)}, {1: 1, 2: Fraction(1, 2)}]
+    assert recombine([{0: 1, 1: -1}, {1: 2}], rows) == [{0: 1, 1: -1}, {1: 2, 2: 1}]
+    assert type(recombine([{1: 2}], rows)[0][2]) is int
 
 
 def test_kernel_is_exact():
@@ -41,12 +55,11 @@ def test_kernel_is_exact():
         cols = rng.randint(1, 8)
         data = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(cols)]
                 for _ in range(rows)]
-        A = RatMatrix.from_rows(data)
-        rank, R, piv = rref_rank(A)
-        kern = kernel_basis(A)
+        rank, R, piv = rref_rank(_sparse(data))
+        kern = kernel_basis(_sparse(data), cols)
         assert rank + len(kern) == cols
         for v in kern:
-            assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in data)
+            assert _annihilates(data, v)
         # rref is idempotent on its own rows
         rank2, _, piv2 = rref_rank(R)
         assert rank2 == rank and piv2 == piv
@@ -79,8 +92,7 @@ def test_rank_vs_naive_oracle():
         m = rng.randint(1, 7)
         n = rng.randint(1, 7)
         data = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
-        A = RatMatrix.from_rows(data)
-        rank, _, _ = rref_rank(A)
+        rank, _, _ = rref_rank(_sparse(data))
         assert rank == _naive_rank(data, n)
 
 
@@ -93,12 +105,12 @@ def test_sparse_path_used_and_correct():
     rows[1][0] = 2
     rows[1][79] = 4
     rows[2][5] = 1
-    rank, _, piv = rref_rank(RatMatrix.from_rows(rows))
+    rank, _, piv = rref_rank(_sparse(rows))
     assert rank == 2 and piv == [0, 5]
-    kern = kernel_basis(RatMatrix.from_rows(rows))
+    kern = kernel_basis(_sparse(rows), cols)
     assert len(kern) == cols - 2
     for v in kern:
-        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in rows)
+        assert _annihilates(rows, v)
 
 
 def _random_rows(rng, cols, count):

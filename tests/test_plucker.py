@@ -183,8 +183,8 @@ def test_secant_gr26_small_degrees():
     P = plucker_ideal(3, 2)
     S1 = secant_ideal(P, 1)
     assert isinstance(S1, JoinIdeal)
-    assert S1.component_dim(2, 1) == 0
-    assert S1.component_dim(2, 2) == 0
+    assert S1.component(2, 1).dim == 0
+    assert S1.component(2, 2).dim == 0
 
 
 def test_join_matches_oracle_for_the_klein_ideal():
@@ -257,9 +257,8 @@ def _all_blocks_kernel(cfg, n, samples=None, seed=0):
     found = []
     for cols, keys, kernel in kernels:
         for vec in kernel:
-            lead = max(j for j, v in enumerate(vec) if v)
-            terms = {keys[j]: vec[j] for j in range(len(cols)) if vec[j]}
-            found.append((cols[lead], SymElement(d, n, M, terms, _validated=True)))
+            terms = {keys[j]: v for j, v in vec.items()}
+            found.append((cols[max(vec)], SymElement(d, n, M, terms, _validated=True)))
     found.sort(key=lambda t: t[0])
     return [el for _, el in found]
 
@@ -283,7 +282,7 @@ def test_orbit_oracle_equals_the_all_blocks_loop(d, N, r, n, samples):
 
 def test_orbit_oracle_raises_when_the_action_drops_its_sign(monkeypatch):
     # the exact evaluation of every carried vector catches a wrong action
-    from shufflestar import plucker
+    from shufflestar import weights
     from shufflestar.weights import act_on_key
 
     def unsigned_act(table, f):
@@ -292,9 +291,31 @@ def test_orbit_oracle_raises_when_the_action_drops_its_sign(monkeypatch):
 
     cfg = GrassmannConfig(d=2, N=6, r=0)
     assert evaluation_kernel(cfg, 3, seed=1)
-    monkeypatch.setattr(plucker, "act", unsigned_act)
+    monkeypatch.setattr(weights, "act", unsigned_act)
     with pytest.raises(RuntimeError, match="does not vanish"):
         evaluation_kernel(cfg, 3, seed=1)
+
+
+def _canonical(c):
+    """`core`'s coefficient rule: an int when integral, else a Fraction."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+@pytest.mark.parametrize("d, N, r, n", [(2, 4, 0, 2), (2, 6, 1, 3), (3, 6, 0, 2)])
+def test_oracle_and_its_kernels_keep_canonical_coefficients(d, N, r, n):
+    from shufflestar.certified import certified_kernel
+    from shufflestar.plucker import _cut_kernel, _sampled_points, _value_rows
+    from shufflestar.weights import dominant_weights, monomials_of_weight
+    K = evaluation_kernel(GrassmannConfig(d=d, N=N, r=r), n, seed=1)
+    assert K and all(_canonical(c) for v in K for c in v.terms.values())
+    # two points leave big kernels, so the cut recombines them
+    rng = random.Random(0)
+    for w in dominant_weights(d, n, N):
+        keys = monomials_of_weight(w, d, n)
+        kernel = certified_kernel(_value_rows(keys, _sampled_points(d, N, r, 2, rng)),
+                                  len(keys))
+        cut = _cut_kernel(keys, kernel, _sampled_points(d, N, r, len(keys), rng))
+        assert all(_canonical(c) for vec in kernel + cut for c in vec.values())
 
 
 @pytest.mark.parametrize("cfg, n", [

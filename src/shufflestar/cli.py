@@ -178,6 +178,14 @@ def cmd_join(args) -> dict:
                        "dimension": len(basis), "basis": _elements_json(basis)}}
 
 
+def _with_cache(body: dict, ideal) -> dict:
+    """The report body, with the disk-cache reads of `ideal` beside its
+    result when the ideal has a cache directory."""
+    if ideal.cache_dir is not None:
+        body["cache"] = ideal.cache_stats
+    return body
+
+
 def cmd_secant(args) -> dict:
     cfg = GrassmannConfig(d=args.d, N=args.N, r=args.r)
     out: dict = {"d": cfg.d, "N": cfg.N, "r": cfg.r, "degree": args.degree}
@@ -187,25 +195,25 @@ def cmd_secant(args) -> dict:
         out["dimension"] = len(kernel)
         out["basis"] = _elements_json(kernel)
         out["engine"] = "evaluation-kernel"
-    else:
-        P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
-        ideal = secant_ideal(P, cfg.r)
-        comp = ideal.component(cfg.d, args.degree)
-        out["dimension"] = comp.dim
-        out["basis"] = _elements_json(comp.basis_elements())
-        out["engine"] = "join-kernel"
-    return {"result": out}
+        return {"result": out}
+    P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
+    comp = secant_ideal(P, cfg.r).component(cfg.d, args.degree)
+    out["dimension"] = comp.dim
+    out["basis"] = _elements_json(comp.basis_elements())
+    out["engine"] = "join-kernel"
+    return _with_cache({"result": out}, P)
 
 
 def cmd_probe(args) -> dict:
     cfg = GrassmannConfig(d=args.d, N=args.N, r=args.r)
-    report = degree_probe(cfg, args.max_n, cache_dir=args.cache_dir)
+    P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
+    report = degree_probe(cfg, args.max_n, base=P)
     lines = [f"{'n':>3} {'dim':>6} {'below':>6} {'new':>5}"]
     for row in report["rows"]:
         lines.append(f"{row['n']:>3} {row['dim']:>6} {row['from_below']:>6} "
                      f"{row['new_generators']:>5}")
     sys.stderr.write("\n".join(lines) + "\n")
-    return {"result": report}
+    return _with_cache({"result": report}, P)
 
 
 def cmd_verify(args) -> dict:

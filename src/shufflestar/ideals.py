@@ -23,13 +23,18 @@ never modified.
 Components are auto-reduced against a descending monomial order, so pivot
 monomials are the leading terms and non-pivots are the standard monomials
 of the quotient.  Components are cached in memory and optionally on disk:
-one JSON file per (M, d, n), named with a content hash of the generators,
-holding the canonical reduced echelon rows.  A read adopts those rows
-without eliminating them again, after a check linear in their nonzeros
-(`SparseRREF.from_reduced_rows`) and a check of the key and dimension; a
-file that fails any check is recomputed and overwritten, never trusted.
-Each `DiIdeal` counts its cache hits, misses and rejects by reason in
-`cache_stats`.
+one JSON file per (M, d, n), named with a content hash of the generators
+and of the file layout, holding the canonical reduced echelon rows as flat
+lists: `coeffs`, the distinct coefficients as "p/q" strings; `cols`, every
+row's columns in ascending order, so a row's first column is its pivot;
+`vals`, the index into `coeffs` of each entry; and `ends`, the cumulative
+row ends.  A read adopts those rows without eliminating them again, after
+checks over the whole lists (`SparseRREF.from_arrays`), a check that every
+coefficient string is the one the writer would write, and a check of the
+key and dimension; a file that fails any check is recomputed and
+overwritten, never trusted.  A file of an older layout has another name, so
+it is never read: it is a miss, not a reject.  Each `DiIdeal` counts its
+cache hits, misses and rejects by reason in `cache_stats`.
 
 `DiIdeal.permutation_stable` certifies that the components up to a tensor
 degree are graded by torus weight and stable under the signed permutation
@@ -158,8 +163,13 @@ class ComponentBasis:
         return memo[1]
 
 
+# part of every cache file name, so files of another layout are never read
+_LAYOUT = "flat-rows-1"
+_ARRAYS = ("coeffs", "cols", "vals", "ends")
+
+
 def _generator_hash(generators: Sequence[SymElement], M: int) -> str:
-    payload = json.dumps([element_to_dict(g) for g in generators] + [M],
+    payload = json.dumps([element_to_dict(g) for g in generators] + [M, _LAYOUT],
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
@@ -230,8 +240,9 @@ class DiIdeal:
         """The cached (d, n) component, or None when it must be computed.
 
         The stored rows are adopted as they are once they pass the checks of
-        `SparseRREF.from_reduced_rows`; a file that fails any check, or
-        whose key or dim does not match, is counted as a reject by reason.
+        `SparseRREF.from_arrays`; a file that fails any check, whose key or
+        dim does not match, or whose coefficient strings are not the ones
+        `_store_cached` writes, is counted as a reject by reason.
         """
         path = self._cache_path(d, n)
         if path is None:
@@ -244,12 +255,14 @@ class DiIdeal:
             if data.get("generator_hash") != self.gen_hash or \
                     [data.get("M"), data.get("d"), data.get("n")] != [self.M, d, n]:
                 return self._reject("stale key")
-            rows = data["basis"]
-            # the rows repeat a few coefficient strings: parse each once
-            parsed = {v: coeff_from_str(v) for v in {v for row in rows for _, v in row}}
+            strings, cols, vals, ends = arrays = [data[key] for key in _ARRAYS]
+            if any(type(a) is not list for a in arrays):
+                return self._reject("malformed")
+            coeffs = [coeff_from_str(v) for v in strings]
+            if list(map(coeff_to_str, coeffs)) != strings:
+                return self._reject("non-canonical entry")
             comp = ComponentBasis(d, n, self.M)
-            comp.basis = SparseRREF.from_reduced_rows(
-                ([(c, parsed[v]) for c, v in row] for row in rows), comp.space_dim)
+            comp.basis = SparseRREF.from_arrays(coeffs, cols, vals, ends, comp.space_dim)
         except NotReducedError as exc:
             return self._reject(exc.reason)
         except (ValueError, KeyError, TypeError, AttributeError):
@@ -270,14 +283,21 @@ class DiIdeal:
         if path is None:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
-        rows = comp.basis.basis_rows()
-        # the rows repeat a few coefficients: format each once
-        text = {v: coeff_to_str(v) for v in {v for row in rows for v in row.values()}}
+        # the rows repeat a few coefficients: each is tabled and formatted once
+        table: dict[Rational, int] = {}
+        cols: list[int] = []
+        vals: list[int] = []
+        ends: list[int] = []
+        for row in comp.basis.basis_rows():
+            keys = sorted(row)
+            cols += keys
+            vals += [table.setdefault(row[c], len(table)) for c in keys]
+            ends.append(len(cols))
         data = {
             "M": self.M, "d": comp.d, "n": comp.n,
             "generator_hash": self.gen_hash,
             "dim": comp.dim,
-            "basis": [sorted((c, text[v]) for c, v in row.items()) for row in rows],
+            "coeffs": [coeff_to_str(v) for v in table], "cols": cols, "vals": vals, "ends": ends,
         }
         # a private temporary file per write, so concurrent writers never
         # share one; os.replace then publishes it atomically

@@ -2,17 +2,21 @@
 
 All arithmetic is exact, and every routine eliminates through one engine,
 `SparseRREF`: an incremental reduced echelon basis with unit pivots.  It
-keeps a column index, so adding a row only touches the rows that hold the
-new pivot column, and it stores integral coefficients as `int`, making a
-`Fraction` only for a true fraction.  Pivoting is always first-nonzero in
-column order, so results are deterministic.  Rows and kernel vectors are
-sparse dicts {column: coefficient} throughout, and `recombine` is the one
-place that turns kernel vectors back into combinations of rows.
+keeps a column index, built lazily for adopted rows, so adding a row only
+touches the rows that hold the new pivot column, and it stores integral
+coefficients as `int`, making a `Fraction` only for a true fraction.
+Pivoting is always first-nonzero in column order, so results are
+deterministic.  Rows and kernel vectors are sparse dicts {column:
+coefficient} throughout, and `recombine` is the one place that turns
+kernel vectors back into combinations of rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import islice
+from operator import lt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Rational, exact, exact_div
@@ -64,12 +68,15 @@ class SparseRREF:
 
     `add` reduces an incoming row against the basis and, when something is
     left, scales it to a unit pivot and clears the new pivot column from the
-    rows that hold it.  Those rows are found through a column index: for
-    every non-pivot column, an append-only list of the rows that have held
-    an entry there.  An entry that later cancels leaves its row in the list,
-    and readers skip it.  `reduce` is the canonical linear projection onto
-    the non-pivot (standard) coordinates.  `from_reduced_rows` adopts rows
-    that already have this form, such as a cached basis, after checking it.
+    rows that hold it.  Those rows are found through a column index
+    (`column_index`): for every non-pivot column, an append-only list of the
+    rows that have held an entry there.  An entry that later cancels leaves
+    its row in the list, and readers skip it.  `reduce` is the canonical
+    linear projection onto the non-pivot (standard) coordinates.
+    `from_arrays` adopts rows that already have this form, such as a cached
+    basis, after checking them; their column index is built lazily, on the
+    first `add` or `sparse_rref_kernel`, so a basis that is only reduced
+    against never builds it.
     """
 
     __slots__ = ("pivots", "rows", "max_bits", "_cols")
@@ -77,71 +84,91 @@ class SparseRREF:
     def __init__(self, max_bits: Optional[int] = None):
         self.pivots: dict[int, int] = {}   # pivot col -> row index
         self.rows: list[dict[int, Rational]] = []
-        self._cols: dict[int, list[int]] = {}   # non-pivot col -> row indices
+        # non-pivot col -> row indices; None until first use for adopted rows
+        self._cols: Optional[dict[int, list[int]]] = {}
         self.max_bits = max_bits if max_bits is not None else _default_max_bits
 
     @classmethod
-    def from_reduced_rows(cls, rows: Iterable[Iterable[tuple[int, Rational]]], ncols: int,
-                          max_bits: Optional[int] = None) -> "SparseRREF":
+    def from_arrays(cls, coeffs: Sequence[Rational], cols: Sequence[int],
+                    vals: Sequence[int], ends: Sequence[int], ncols: int,
+                    max_bits: Optional[int] = None) -> "SparseRREF":
         """Adopt rows that already are a reduced echelon basis, after checking them.
 
-        Each row is a sequence of (column, coefficient) pairs, as written
-        from `basis_rows`.  In time linear in the nonzeros, it checks that every
-        column is an int in [0, ncols) and appears once in its row, that
-        every coefficient is a nonzero int or a non-integral Fraction (the
-        form `core.exact` gives), that every row is nonzero with the int 1 in
-        its smallest column, its pivot, that no two rows share a pivot, and
-        that no row has an entry in another row's pivot column.  Those are
-        the invariants `add` keeps, so the result is the basis that adding
-        the rows would build, without eliminating anything.  A failed check
-        raises `NotReducedError`; an entry over the bit budget raises
-        `CoeffLimitExceeded`, as `add` would.
+        The rows come as flat lists, as `ideals` stores them: row i holds the
+        entries k from ends[i-1] (0 for the first row) up to ends[i], entry k
+        at column cols[k] with the coefficient coeffs[vals[k]].  The checks
+        run over whole lists with builtins, and each coefficient is checked
+        once per entry of `coeffs`, not once per use.  Every coefficient must
+        be a nonzero int or a non-integral Fraction (the form `core.exact`
+        gives) within the bit budget; every column an int in [0, ncols); the
+        lists of matching lengths and every row nonempty; the columns of each
+        row strictly increasing, so its first column is its pivot; every
+        pivot the int 1; no two rows sharing a pivot; and no row with an entry
+        in another row's pivot column.  Those are the invariants `add` keeps,
+        so the result is the basis that adding the rows would build, without
+        eliminating anything.  A failed check raises `NotReducedError`; a
+        coefficient over the bit budget raises `CoeffLimitExceeded`, as `add`
+        would.  The column index is left to be built on first use.
         """
         basis = cls(max_bits)
         bits = basis.max_bits
-        pivots = basis.pivots
-        stored = basis.rows
-        cols = basis._cols
-        for idx, pairs in enumerate(rows):
-            row: dict[int, Rational] = {}
-            for c, v in pairs:
-                if c.__class__ is not int or not 0 <= c < ncols:
-                    raise NotReducedError("column out of range",
-                                          f"row {idx} has column {c!r} (ncols {ncols})")
-                if c in row:
-                    raise NotReducedError("repeated column", f"row {idx} repeats column {c}")
-                vcls = v.__class__
-                if vcls is int:
-                    if not v:
-                        raise NotReducedError("zero entry", f"row {idx} has 0 at column {c}")
-                elif vcls is not Fraction or v.denominator == 1:
-                    raise NotReducedError("non-canonical entry",
-                                          f"row {idx} has {v!r} at column {c}")
-                if bits is not None:
-                    _check_bits(v.numerator, bits)
-                    _check_bits(v.denominator, bits)
-                row[c] = v
-            if not row:
-                raise NotReducedError("zero row", f"row {idx} is empty")
-            lead = min(row)
-            p = row[lead]
-            if p != 1:
-                raise NotReducedError("non-unit pivot", f"row {idx} has {p!r} at its pivot {lead}")
-            if lead in pivots:
-                raise NotReducedError("repeated pivot",
-                                      f"rows {pivots[lead]} and {idx} share pivot {lead}")
-            pivots[lead] = idx
-            stored.append(row)
-            for c in row:
-                if c != lead:
-                    cols.setdefault(c, []).append(idx)
-        # every row is indexed under its non-pivot columns, so a pivot
-        # column in the index is an entry of another row there
-        for p, idx in pivots.items():
-            if p in cols:
-                raise NotReducedError("entry in pivot column",
-                                      f"row {cols[p][0]} has an entry in column {p}, "
-                                      f"the pivot of row {idx}")
+        for k, v in enumerate(coeffs):
+            vcls = v.__class__
+            if vcls is int:
+                if not v:
+                    raise NotReducedError("zero entry", f"coefficient {k} is 0")
+            elif vcls is not Fraction or v.denominator == 1:
+                raise NotReducedError("non-canonical entry", f"coefficient {k} is {v!r}")
+            if bits is not None:
+                _check_bits(v.numerator, bits)
+                _check_bits(v.denominator, bits)
+        if not set(map(type, cols)) <= {int} or cols and not 0 <= min(cols) <= max(cols) < ncols:
+            bad = next(c for c in cols if c.__class__ is not int or not 0 <= c < ncols)
+            raise NotReducedError("column out of range", f"column {bad!r} (ncols {ncols})")
+        total = len(cols)
+        if len(vals) != total or (ends[-1] if ends else 0) != total \
+                or not set(map(type, vals)) | set(map(type, ends)) <= {int} \
+                or vals and not 0 <= min(vals) <= max(vals) < len(coeffs):
+            raise NotReducedError("malformed", f"{len(ends)} row ends, {total} columns, "
+                                               f"{len(vals)} values of {len(coeffs)} coefficients")
+        starts = [0, *ends[:-1]] if ends else []
+        if not all(map(lt, starts, ends)):
+            i = next(i for i, (s, e) in enumerate(zip(starts, ends)) if s >= e)
+            if starts[i] == ends[i]:
+                raise NotReducedError("zero row", f"row {i} is empty")
+            raise NotReducedError("malformed", f"row {i} ends at {ends[i]}, before it starts")
+        ascending = list(map(lt, cols, islice(cols, 1, None)))
+        for e in ends[:-1]:
+            ascending[e - 1] = True   # the last entry of a row and the next row's first
+        if not all(ascending):
+            k = ascending.index(False)
+            i = bisect_right(ends, k)
+            if cols[k] == cols[k + 1]:
+                raise NotReducedError("repeated column", f"row {i} repeats column {cols[k]}")
+            raise NotReducedError("unsorted columns",
+                                  f"row {i} has column {cols[k + 1]} after {cols[k]}")
+        ones = {k for k, v in enumerate(coeffs) if v.__class__ is int and v == 1}
+        if not ones.issuperset(map(vals.__getitem__, starts)):
+            i, s = next((i, s) for i, s in enumerate(starts) if vals[s] not in ones)
+            raise NotReducedError("non-unit pivot",
+                                  f"row {i} has {coeffs[vals[s]]!r} at its pivot {cols[s]}")
+        lead = list(map(cols.__getitem__, starts))
+        pivots = dict(zip(lead, range(len(lead))))
+        if len(pivots) < len(lead):
+            i = next(i for i, p in enumerate(lead) if pivots[p] != i)
+            raise NotReducedError("repeated pivot",
+                                  f"rows {i} and {pivots[lead[i]]} share pivot {lead[i]}")
+        # each pivot column holds its own row's pivot, and nothing else
+        if sum(map(pivots.__contains__, cols)) > len(pivots):
+            heads = set(starts)
+            k = next(k for k, c in enumerate(cols) if c in pivots and k not in heads)
+            raise NotReducedError("entry in pivot column",
+                                  f"row {bisect_right(ends, k)} has an entry in column "
+                                  f"{cols[k]}, the pivot of row {pivots[cols[k]]}")
+        entries = zip(cols, map(coeffs.__getitem__, vals))
+        basis.rows = [dict(islice(entries, e - s)) for s, e in zip(starts, ends)]
+        basis.pivots = pivots
+        basis._cols = None
         return basis
 
     @property
@@ -186,6 +213,8 @@ class SparseRREF:
         idx = len(self.rows)
         rows = self.rows
         cols = self._cols
+        if cols is None:
+            cols = self.column_index()
         for c in row:
             if c != lead:
                 cols.setdefault(c, []).append(idx)
@@ -214,6 +243,21 @@ class SparseRREF:
 
     def contains(self, vec: Mapping[int, Rational]) -> bool:
         return not self.reduce(vec)
+
+    def column_index(self) -> dict[int, list[int]]:
+        """For every non-pivot column, the rows that have held an entry there.
+
+        Built on first use for adopted rows, then kept up to date by `add`.
+        """
+        cols = self._cols
+        if cols is None:
+            cols = self._cols = {}
+            pivots = self.pivots
+            for i, row in enumerate(self.rows):
+                for c in row:
+                    if c not in pivots:
+                        cols.setdefault(c, []).append(i)
+        return cols
 
     def pivot_columns(self) -> list[int]:
         return sorted(self.pivots)
@@ -263,7 +307,7 @@ def sparse_rref_kernel(basis: SparseRREF, ncols: int) -> list[dict[int, Rational
     """
     pivots = basis.pivots
     rows = basis.rows
-    cols = basis._cols
+    cols = basis.column_index()
     lead = [0] * len(rows)
     for p, i in pivots.items():
         lead[i] = p

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -193,6 +194,40 @@ def _plucker_generators(M: int, max_d: int) -> tuple[SymElement, ...]:
 # points and evaluation
 # ---------------------------------------------------------------------------
 
+@cache
+def _minor_plan(d: int, N: int) -> tuple[tuple[Factor, ...], tuple]:
+    """How to expand every d x d minor of a d x N matrix, bottom row first.
+
+    Level k covers the minors of the bottom k rows, one per k-subset S of
+    the columns in `combinations` order; the minor at S expands along the
+    top row of the k into the minors of level k-1.  For each position p of
+    S, a level lists the 0-based column at p of every S and the index in
+    level k-1 of S without that column.  Returns the width-d subsets (the
+    coordinates of a point, in order) and the levels.
+    """
+    index: dict[Factor, int] = {(): 0}
+    levels = []
+    for k in range(1, d + 1):
+        subsets = list(combinations(range(1, N + 1), k))
+        levels.append(tuple((tuple(S[p] - 1 for S in subsets),
+                             tuple(index[S[:p] + S[p + 1:]] for S in subsets))
+                            for p in range(k)))
+        index = {S: i for i, S in enumerate(subsets)}
+    return tuple(index), tuple(levels)
+
+
+def _minors(matrix: Sequence[Sequence[int]], levels: tuple) -> list[int]:
+    """The maximal minors of the matrix along the levels of `_minor_plan`."""
+    minors = [1]
+    for row, level in zip(reversed(matrix), levels):
+        terms = [list(map(mul, map(row.__getitem__, cols), map(minors.__getitem__, below)))
+                 for cols, below in level]
+        minors = terms[0]
+        for p in range(1, len(terms)):
+            minors = list(map(sub if p % 2 else add, minors, terms[p]))
+    return minors
+
+
 def decomposable_point(matrix: Sequence[Sequence[int]], d: int, N: int) -> dict[Factor, int]:
     """Minor coordinates of the span of d row vectors in k^N.
 
@@ -202,36 +237,25 @@ def decomposable_point(matrix: Sequence[Sequence[int]], d: int, N: int) -> dict[
     """
     if len(matrix) != d or any(len(row) != N for row in matrix):
         raise ValueError(f"need a {d}x{N} matrix")
-    minors: dict[Factor, int] = {(): 1}
-    for i in range(d - 1, -1, -1):
-        row = matrix[i]
-        above: dict[Factor, int] = {}
-        for cols in combinations(range(1, N + 1), d - i):
-            total = 0
-            sign = 1
-            for k, c in enumerate(cols):
-                a = row[c - 1]
-                if a:
-                    total += sign * a * minors[cols[:k] + cols[k + 1:]]
-                sign = -sign
-            above[cols] = total
-        minors = above
-    return minors
+    keys, levels = _minor_plan(d, N)
+    return dict(zip(keys, _minors(matrix, levels)))
+
+
+def _random_matrix(rng: random.Random, d: int, N: int) -> list[list[int]]:
+    return [[rng.randint(-9, 9) for _ in range(N)] for _ in range(d)]
 
 
 def random_decomposable(rng: random.Random, d: int, N: int) -> dict[Factor, int]:
-    matrix = [[rng.randint(-9, 9) for _ in range(N)] for _ in range(d)]
-    return decomposable_point(matrix, d, N)
+    return decomposable_point(_random_matrix(rng, d, N), d, N)
 
 
 def random_secant_point(rng: random.Random, d: int, N: int, r: int) -> dict[Factor, int]:
     """Coordinates of a sum of r+1 random decomposables."""
-    total: dict[Factor, int] = {}
-    for _ in range(r + 1):
-        pt = random_decomposable(rng, d, N)
-        for fac, v in pt.items():
-            total[fac] = total.get(fac, 0) + v
-    return total
+    keys, levels = _minor_plan(d, N)
+    total = _minors(_random_matrix(rng, d, N), levels)
+    for _ in range(r):
+        total = list(map(add, total, _minors(_random_matrix(rng, d, N), levels)))
+    return dict(zip(keys, total))
 
 
 def evaluate(f: SymElement, point: Mapping[Factor, int | Fraction]) -> Fraction:
@@ -771,7 +795,7 @@ def modp_self_join_upper(I: DiIdeal, d: int, n: int,
 # degree probe
 # ---------------------------------------------------------------------------
 
-def degree_probe(cfg: GrassmannConfig, max_n: int, cache_dir=None) -> dict:
+def degree_probe(cfg: GrassmannConfig, max_n: int, base: Optional[DiIdeal] = None) -> dict:
     """Per-degree dimensions, generated-from-below dimensions and new-generator counts.
 
     With C the secant ideal's components, the from-below span at (d, n) is
@@ -781,9 +805,13 @@ def degree_probe(cfg: GrassmannConfig, max_n: int, cache_dir=None) -> dict:
     secant ideal is closed under both products: a star product of
     C_(d',n') lands in C_(d,n'), and a shuffle of C_(d,n') with n' < n lies
     in x * C_(d,n-1).
+
+    `base` is the Plucker ideal `plucker_ideal(cfg.M, cfg.d)` whose secant
+    is probed, passed in to read its components from a disk cache and its
+    `cache_stats` afterwards; by default a new one without a cache.
     """
     d, r, M = cfg.d, cfg.r, cfg.M
-    ideal = secant_ideal(plucker_ideal(M, d, cache_dir=cache_dir), r)
+    ideal = secant_ideal(base if base is not None else plucker_ideal(M, d), r)
     rows = []
     largest_new = None
     for n in range(1, max_n + 1):

@@ -324,31 +324,74 @@ def test_cached_coefficient_over_the_bit_budget_exits_3(tmp_path):
     assert code == 0
     path, = cache.glob("component_M2_d2_n2_*.json")
     data = json.loads(path.read_text())
-    data["basis"][0][-1][1] = "1000/1"
+    data["coeffs"].append("1000/1")
+    data["vals"][-1] = len(data["coeffs"]) - 1
     path.write_text(json.dumps(data))
     code, rep = _run(args, out)
     assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
 
 
-# SHA-256 of the degree-5 `psa secant --d 2 --N 6 --r 1` cache files and of
-# its report's result (as the report writes it: sorted keys, no spaces),
-# recorded before the climb moved to column coordinates; any change of the
-# climb, the join or the cache format must leave them as they are.  The run
+@pytest.mark.parametrize("command", [["secant", "--degree", "3"], ["probe", "--max-n", "3"]])
+def test_cache_reads_are_reported_beside_the_result(tmp_path, command):
+    out = tmp_path / "r.json"
+    cache = tmp_path / "cache"
+    args = [*command, "--d", "2", "--N", "4"]
+    code, plain = _run(args, out)
+    assert code == 0 and "cache" not in plain
+    code, cold = _run([*args, "--cache-dir", str(cache)], out)
+    assert code == 0 and cold["result"] == plain["result"]
+    assert cold["cache"]["hits"] == 0 and cold["cache"]["misses"] > 0
+    code, warm = _run([*args, "--cache-dir", str(cache)], out)
+    assert code == 0 and warm["result"] == plain["result"]
+    assert warm["cache"]["hits"] > 0 and warm["cache"]["misses"] == 0
+    assert warm["cache"]["rejects"] == {}
+    # every file torn: each one the cold run wrote is read again and refused
+    for path in cache.iterdir():
+        path.write_text("{broken")
+    code, torn = _run([*args, "--cache-dir", str(cache)], out)
+    assert code == 0 and torn["result"] == plain["result"]
+    assert torn["cache"] == {"hits": 0, "misses": 0,
+                             "rejects": {"malformed": cold["cache"]["misses"]}}
+
+
+def _rows_digest(path):
+    """SHA-256 of a cache file's canonical rows, whatever the file layout:
+    each row as its [column, "p/q"] pairs in ascending column order, the rows
+    in pivot order, as compact JSON."""
+    data = json.loads(path.read_text())
+    coeffs, cols, vals, ends = (data[key] for key in ("coeffs", "cols", "vals", "ends"))
+    rows = [[[c, coeffs[v]] for c, v in zip(cols[s:e], vals[s:e])]
+            for s, e in zip([0, *ends], ends)]
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+
+
+# SHA-256 of the degree-5 `psa secant --d 2 --N 6 --r 1` report's result (as
+# the report writes it: sorted keys, no spaces), recorded before the climb
+# moved to column coordinates, and, per cache file, of its bytes and of its
+# rows (`_rows_digest`).  The file bytes were recorded when the flat layout
+# came in; the row digests and the result were recorded in the layout before
+# it, so a change of the climb or the join fails them whatever the layout,
+# and a change of the layout alone fails only the byte digests.  The run
 # writes the Plucker components of degrees 0-4 only: the certified join
 # climbs the dominant weight blocks of degree 5 and never the whole
 # component, whose file is pinned by the next test
-_SECANT_GR26_DEGREE5 = {
-    "result": "7bbde8cc8df019c0c8c60332018dac9d1ce460984821a0fef810df2d71161fc7",
-    "component_M3_d2_n0_6c211f9835a34918.json":
-        "ab40aac97b9bb500fdf00d6a79874ff6fe7ebe6d590685681c1b4b1536636b39",
-    "component_M3_d2_n1_6c211f9835a34918.json":
-        "221eb48456cf0eeb1c891bba8a9ac689d88103b50fb9d77007e8faffa143ee32",
-    "component_M3_d2_n2_6c211f9835a34918.json":
-        "ba979d710a725993c80fd482ac85bff1b86f7cee3c42240e1eea9cd0eb02beec",
-    "component_M3_d2_n3_6c211f9835a34918.json":
-        "6dc8cd903821c08093802b9d9b2328c3cb42b8a03c9e42fe033314302d2852ee",
-    "component_M3_d2_n4_6c211f9835a34918.json":
-        "a245df6310142d6abccc65fa1141bb64b2a85ce3f26c4adee6fafd2a6979a6fc",
+_SECANT_GR26_RESULT = "7bbde8cc8df019c0c8c60332018dac9d1ce460984821a0fef810df2d71161fc7"
+_SECANT_GR26_FILES = {
+    "component_M3_d2_n0_8ba9e0150c340179.json": (
+        "98504916cb739428d042c3a4a78f45e728789b4b52f4446e56540c263a062b80",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "component_M3_d2_n1_8ba9e0150c340179.json": (
+        "111add2565dd3094712e50437d5e09ffdce63794627c0f497c59155524f095d6",
+        "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    "component_M3_d2_n2_8ba9e0150c340179.json": (
+        "dfb5f85eadf27a9176a0a9a4fcfe85503ecf51fea78461c88f4308ac689e8aac",
+        "df26a54b2280959dc2fd8dda6875dc0cb9743556d9a7e6f6f74a52ae435d05de"),
+    "component_M3_d2_n3_8ba9e0150c340179.json": (
+        "b66e69ca5661deed1be217feed07f36de9588f4e828e11c8dd31fa6b13a4dea6",
+        "ad7829a1228391ef715007d6cb2fd3a7042013194b1fe6880336003a1ae03499"),
+    "component_M3_d2_n4_8ba9e0150c340179.json": (
+        "c582d424cace1a99a94fb20c8d4a2c4b48629b53ceebe2228c32de934c463137",
+        "fe635e761c8d8dfb77c3e65c896e393677ae0cff0ed6d1d2360cf9a4c1412a71"),
 }
 
 
@@ -358,19 +401,22 @@ def test_degree5_secant_report_and_cache_files_are_byte_identical(tmp_path):
                       "--cache-dir", str(cache)], tmp_path / "r.json")
     assert code == 0
     result = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
-    got = {"result": hashlib.sha256(result.encode()).hexdigest()}
-    for path in cache.iterdir():
-        got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert got == _SECANT_GR26_DEGREE5
+    assert hashlib.sha256(result.encode()).hexdigest() == _SECANT_GR26_RESULT
+    got = {path.name: (hashlib.sha256(path.read_bytes()).hexdigest(), _rows_digest(path))
+           for path in cache.iterdir()}
+    assert got == _SECANT_GR26_FILES
 
 
 def test_full_degree5_plucker_climb_writes_the_pinned_cache_file(tmp_path):
     from shufflestar.plucker import plucker_ideal
     assert plucker_ideal(3, 2, cache_dir=tmp_path).component(2, 5).dim == 6336
     path, = tmp_path.glob("component_M3_d2_n5_*.json")
-    assert path.name == "component_M3_d2_n5_6c211f9835a34918.json"
+    assert path.name == "component_M3_d2_n5_8ba9e0150c340179.json"
+    # the bytes in the flat layout; the rows as in the layout before it
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "a8d6922cdf6cd718ae159a46e166aaa19eb690cf9d487d367221219b4c4c9907"
+        "6371e8f2581d7801ad6a35a7587fe86e6339475ebba48eed6ae25783610e7a80"
+    assert _rows_digest(path) == \
+        "afe82a7e4ebebe3d7a7523855649fd395218f290eb523a58685173978f85dbf2"
 
 
 # SHA-256 of the `result` of `psa secant --d 2 --oracle` (as the report

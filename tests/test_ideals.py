@@ -1,10 +1,12 @@
+import hashlib
 import json
 import random
+from bisect import bisect_right
 
 import pytest
 from fractions import Fraction
 
-from shufflestar.core import SymElement, iter_factors, iter_sym_keys, sym_monomial
+from shufflestar.core import SymElement, element_to_dict, iter_factors, iter_sym_keys, sym_monomial
 from shufflestar.ideals import (
     ComponentBasis,
     DiIdeal,
@@ -309,8 +311,9 @@ def test_cache_read_parses_each_distinct_coefficient_once(tmp_path, monkeypatch)
     gens = [x(2).scale(2) + x(1).scale(3), x(3).scale(3) + x(1).scale(5)]
     rows = DiIdeal(3, gens, cache_dir=tmp_path).component(1, 3).basis.basis_rows()
     path = DiIdeal(3, gens, cache_dir=tmp_path)._cache_path(1, 3)
-    stored = [v for row in json.loads(path.read_text())["basis"] for _, v in row]
-    assert len(set(stored)) < len(stored)
+    data = json.loads(path.read_text())
+    stored = [data["coeffs"][v] for v in data["vals"]]
+    assert len(set(stored)) < len(stored) and sorted(set(stored)) == sorted(data["coeffs"])
     parsed = []
     real = ideals.coeff_from_str
     monkeypatch.setattr(ideals, "coeff_from_str", lambda s: parsed.append(s) or real(s))
@@ -336,26 +339,60 @@ def test_cache_write_formats_each_distinct_coefficient_once(tmp_path, monkeypatc
 
 
 def _unused_column(data, space_dim):
-    used = {c for row in data["basis"] for c, _ in row}
+    used = set(data["cols"])
     return next(c for c in range(space_dim) if c not in used)
 
 
-def _insert(row, col, coeff):
-    row.append([col, coeff])
-    row.sort()
+def _row(data, i):
+    """The slice of the flat lists that holds row i."""
+    ends = data["ends"]
+    return slice(ends[i - 1] if i else 0, ends[i])
 
 
-# each edit corrupts a stored (2, 3) component of the Klein quadric ideal
+def _code(data, coeff):
+    """The index of the coefficient string in the table, appended if new."""
+    if coeff not in data["coeffs"]:
+        data["coeffs"].append(coeff)
+    return data["coeffs"].index(coeff)
+
+
+def _set_row(data, i, cols, vals):
+    at = _row(data, i)
+    shift = len(cols) - (at.stop - at.start)
+    data["cols"][at] = cols
+    data["vals"][at] = vals
+    data["ends"][i:] = [e + shift for e in data["ends"][i:]]
+
+
+def _insert(data, i, col, coeff):
+    """Put the entry (col, coeff) into row i, keeping its columns ascending."""
+    at = _row(data, i)
+    cols, vals = data["cols"][at], data["vals"][at]
+    k = bisect_right(cols, col)
+    _set_row(data, i, cols[:k] + [col] + cols[k:], vals[:k] + [_code(data, coeff)] + vals[k:])
+
+
+def _swap(data, k):
+    data["cols"][k:k + 2] = data["cols"][k + 1], data["cols"][k]
+
+
+# each edit corrupts a stored (2, 3) component of the Klein quadric ideal,
+# whose rows have three entries each
 _CORRUPTIONS = {
-    "non-unit pivot": lambda data, dim: data["basis"][0][0].__setitem__(1, "2/1"),
-    "repeated pivot": lambda data, dim: data["basis"].__setitem__(1, list(data["basis"][0])),
+    "non-unit pivot": lambda data, dim: data["vals"].__setitem__(0, _code(data, "2/1")),
+    "repeated pivot": lambda data, dim: _set_row(
+        data, 1, data["cols"][_row(data, 0)], data["vals"][_row(data, 0)]),
     "entry in pivot column": lambda data, dim: _insert(
-        data["basis"][0], data["basis"][1][0][0], "1/1"),
-    "zero entry": lambda data, dim: _insert(
-        data["basis"][0], _unused_column(data, dim), "0/1"),
+        data, 0, data["cols"][_row(data, 1)][0], "1/1"),
+    "zero entry": lambda data, dim: _insert(data, 0, _unused_column(data, dim), "0/1"),
     "dim mismatch": lambda data, dim: data.__setitem__("dim", data["dim"] + 1),
-    "column out of range": lambda data, dim: _insert(data["basis"][0], dim, "1/1"),
-    "malformed": lambda data, dim: data["basis"][0][-1].__setitem__(1, "1/0"),
+    "column out of range": lambda data, dim: _insert(data, 0, dim, "1/1"),
+    "malformed": lambda data, dim: data["coeffs"].__setitem__(data["vals"][-1], "1/0"),
+    "repeated column": lambda data, dim: _insert(data, 0, data["cols"][1], "1/1"),
+    "zero row": lambda data, dim: data["ends"].insert(0, 0),
+    # "2/2" reads as 1, but the writer writes "1/1"
+    "non-canonical entry": lambda data, dim: data["vals"].__setitem__(1, _code(data, "2/2")),
+    "unsorted columns": lambda data, dim: _swap(data, 1),
 }
 
 
@@ -385,8 +422,40 @@ def test_cached_column_out_of_range_is_not_adopted(tmp_path, column):
     assert comp.pivot_monomials() == [((1, 4), (2, 3))]
     path = I1._cache_path(2, 2)
     data = json.loads(path.read_text())
-    data["basis"][0][0][0] = comp.space_dim if column == "space_dim" else column
+    data["cols"][0] = comp.space_dim if column == "space_dim" else column
     path.write_text(json.dumps(data))
     I2 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
     assert I2.component(2, 2).pivot_monomials() == [((1, 4), (2, 3))]
     assert I2.cache_stats["rejects"] == {"column out of range": 1}
+
+
+def test_dimension_zero_components_round_trip(tmp_path):
+    I1 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
+    assert I1.component_dim(2, 1) == 0
+    data = json.loads(I1._cache_path(2, 1).read_text())
+    assert [data[key] for key in ("dim", "coeffs", "cols", "vals", "ends")] == [0, [], [], [], []]
+    I2 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
+    empty = I2.component(2, 1)
+    assert I2.cache_stats == {"hits": 1, "misses": 0, "rejects": {}}
+    assert empty.dim == 0 and len(empty.standard_monomials()) == empty.space_dim
+    # the climb above it reads the adopted (empty) rows
+    assert I2.component_dim(2, 2) == 1
+
+
+def test_old_layout_file_is_neither_read_nor_rejected(tmp_path):
+    # a file written before the flat layout, under the name it had then: the
+    # hash of the generators and M without the layout tag
+    gens = [basic_plucker(1)]
+    payload = json.dumps([element_to_dict(g) for g in gens] + [2],
+                         sort_keys=True, separators=(",", ":"))
+    old_hash = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    old = tmp_path / f"component_M2_d2_n2_{old_hash}.json"
+    old.write_text(json.dumps({"M": 2, "d": 2, "n": 2, "generator_hash": old_hash, "dim": 1,
+                               "basis": [[[2, "1/1"], [5, "-1/1"], [9, "1/1"]]]}))
+    before = old.read_bytes()
+    I = DiIdeal(2, gens, cache_dir=tmp_path)
+    assert I.gen_hash != old_hash
+    assert I.component_dim(2, 2) == 1
+    assert I.cache_stats == {"hits": 0, "misses": 3, "rejects": {}}
+    assert old.read_bytes() == before
+    assert I._cache_path(2, 2).is_file() and I._cache_path(2, 2) != old

@@ -1,4 +1,5 @@
 import random
+from itertools import accumulate
 
 import pytest
 from fractions import Fraction
@@ -133,6 +134,7 @@ def _random_rows(rng, cols, count):
 
 def _check_invariants(acc):
     pivots = acc.pivots
+    index = acc.column_index()
     for p, i in pivots.items():
         row = acc.rows[i]
         assert min(row) == p and row[p] == 1
@@ -143,8 +145,8 @@ def _check_invariants(acc):
                 assert v.denominator != 1
             assert c == p or c not in pivots
             # the column index lists every row under each non-pivot column
-            assert c == p or i in acc._cols[c]
-    assert not set(acc._cols) & set(pivots)
+            assert c == p or i in index[c]
+    assert not set(index) & set(pivots)
 
 
 def test_sparse_rref_matches_sympy_rref_over_qq():
@@ -200,7 +202,7 @@ def test_kernel_after_cancelled_entries():
         _check_invariants(acc)
     assert acc.rows == [{0: 1}, {1: 1}, {2: 1, 3: 1}]
     # the cleared column-3 entries of the first two rows are still indexed
-    assert any(3 not in acc.rows[i] for i in acc._cols[3])
+    assert any(3 not in acc.rows[i] for i in acc.column_index()[3])
     kern = sparse_rref_kernel(acc, 5)
     assert kern == [{3: 1, 2: -1}, {4: 1}]
     for k in kern:
@@ -233,7 +235,8 @@ def test_adopted_rows_behave_as_the_eliminated_basis():
         fresh = SparseRREF()
         for v in _random_rows(rng, cols, rng.randint(1, 10)):
             fresh.add(v)
-        loaded = SparseRREF.from_reduced_rows([row.items() for row in fresh.basis_rows()], cols)
+        rows = [sorted(row.items()) for row in fresh.basis_rows()]
+        loaded = SparseRREF.from_arrays(*_arrays(rows), cols)
         _check_invariants(loaded)
         assert loaded.basis_rows() == fresh.basis_rows()
         assert loaded.pivot_columns() == fresh.pivot_columns()
@@ -244,33 +247,58 @@ def test_adopted_rows_behave_as_the_eliminated_basis():
             _check_invariants(loaded)
             assert loaded.basis_rows() == fresh.basis_rows()
             assert sparse_rref_kernel(loaded, cols) == sparse_rref_kernel(fresh, cols)
+    # no rows at all, as a cached dimension-0 component holds
+    empty = SparseRREF.from_arrays([], [], [], [], 3)
+    assert empty.rank == 0 and sparse_rref_kernel(empty, 3) == [{0: 1}, {1: 1}, {2: 1}]
+    assert empty.add({1: 2, 2: 1}) and empty.basis_rows() == [{1: 1, 2: Fraction(1, 2)}]
 
 
+def _arrays(rows):
+    """Rows of (column, coefficient) pairs as the flat lists `from_arrays`
+    takes, with one coefficient entry per pair."""
+    rows = [list(row) for row in rows]
+    cols = [c for row in rows for c, _ in row]
+    return ([v for row in rows for _, v in row], cols, list(range(len(cols))),
+            list(accumulate(map(len, rows))))
+
+
+# each case is rows as the flat lists `from_arrays` takes
 @pytest.mark.parametrize("rows, reason", [
-    ([[(0, 1), (2, 3)], []], "zero row"),
-    ([[(0, 2), (2, 3)]], "non-unit pivot"),
-    ([[(0, Fraction(1)), (2, 3)]], "non-canonical entry"),
-    ([[(0, 1), (2, Fraction(4, 2))]], "non-canonical entry"),
-    ([[(0, 1), (2, 1.5)]], "non-canonical entry"),
-    ([[(0, 1), (2, True)]], "non-canonical entry"),
-    ([[(0, 1), (2, 0)]], "zero entry"),
-    ([[(0, 1), (2, 3)], [(0, 1), (3, 1)]], "repeated pivot"),
-    ([[(0, 1), (2, 3)], [(2, 1), (3, 1)]], "entry in pivot column"),
-    ([[(1, 1), (3, 1)], [(0, 1), (1, 5)]], "entry in pivot column"),
-    ([[(-1, 1), (2, 3)]], "column out of range"),
-    ([[(0, 1), (5, 3)]], "column out of range"),
-    ([[(0, 1), ("2", 3)]], "column out of range"),
-    ([[(0, 1), (2, 3), (2, 4)]], "repeated column"),
+    (_arrays([[(0, 1), (2, 3)], []]), "zero row"),
+    (_arrays([[(0, 2), (2, 3)]]), "non-unit pivot"),
+    (_arrays([[(0, Fraction(1)), (2, 3)]]), "non-canonical entry"),
+    (_arrays([[(0, 1), (2, Fraction(4, 2))]]), "non-canonical entry"),
+    (_arrays([[(0, 1), (2, 1.5)]]), "non-canonical entry"),
+    (_arrays([[(0, 1), (2, True)]]), "non-canonical entry"),
+    (_arrays([[(0, 1), (2, 0)]]), "zero entry"),
+    (_arrays([[(0, 1), (2, 3)], [(0, 1), (3, 1)]]), "repeated pivot"),
+    (_arrays([[(0, 1), (2, 3)], [(2, 1), (3, 1)]]), "entry in pivot column"),
+    (_arrays([[(1, 1), (3, 1)], [(0, 1), (1, 5)]]), "entry in pivot column"),
+    (_arrays([[(-1, 1), (2, 3)]]), "column out of range"),
+    (_arrays([[(0, 1), (5, 3)]]), "column out of range"),
+    (_arrays([[(0, 1), ("2", 3)]]), "column out of range"),
+    (_arrays([[(0, 1), (2, 3), (2, 4)]]), "repeated column"),
+    # the first column is the pivot, so the columns must ascend
+    (_arrays([[(0, 1), (3, 1), (2, 1)]]), "unsorted columns"),
+    (_arrays([[(2, 1), (0, 1)]]), "unsorted columns"),
+    # lists that do not describe rows: a value index outside the table,
+    # lengths that disagree, row ends that fall short or go backwards
+    (([1], [0], [1], [1]), "malformed"),
+    (([1], [0], [-1], [1]), "malformed"),
+    (([1], [0], [0.0], [1]), "malformed"),
+    (([1], [0, 2], [0], [2]), "malformed"),
+    (([1, 3], [0, 2], [0, 1], [1]), "malformed"),
+    (([1, 3], [0, 2, 3], [0, 1, 0], [2, 1, 3]), "malformed"),
 ])
 def test_rows_that_are_not_reduced_are_refused_with_a_reason(rows, reason):
     with pytest.raises(NotReducedError) as info:
-        SparseRREF.from_reduced_rows(rows, 5)
+        SparseRREF.from_arrays(*rows, 5)
     assert info.value.reason == reason
     assert str(info.value).startswith(reason + ": ")
 
 
 def test_adopted_rows_keep_the_bit_budget():
-    rows = [[(0, 1), (1, Fraction(1, 2 ** 20))], [(2, 1), (3, 7)]]
-    assert SparseRREF.from_reduced_rows(rows, 4, max_bits=21).rank == 2
+    rows = _arrays([[(0, 1), (1, Fraction(1, 2 ** 20))], [(2, 1), (3, 7)]])
+    assert SparseRREF.from_arrays(*rows, 4, max_bits=21).rank == 2
     with pytest.raises(CoeffLimitExceeded):
-        SparseRREF.from_reduced_rows(rows, 4, max_bits=20)
+        SparseRREF.from_arrays(*rows, 4, max_bits=20)

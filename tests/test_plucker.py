@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from dataclasses import fields
@@ -26,6 +27,7 @@ from shufflestar.plucker import (
     plucker_ideal,
     quadric_generation_sum,
     random_decomposable,
+    random_secant_point,
     secant_component,
     secant_ideal,
     weyman_quadrics,
@@ -106,12 +108,31 @@ def test_shared_minors_match_the_leibniz_formula(d):
     rng = random.Random(d)
     N = d + 3
     for _ in range(5):
-        # some zero entries exercise the skipped terms of the expansion
+        # some zero entries, as a sampled matrix can have
         matrix = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(N)] for _ in range(d)]
         pt = decomposable_point(matrix, d, N)
         assert list(pt) == list(combinations(range(1, N + 1), d))
         for fac, v in pt.items():
             assert v == _leibniz_det([[row[c - 1] for c in fac] for row in matrix])
+
+
+# SHA-256 of the first 50 `random_secant_point(random.Random(0), d, N, r)`
+# draws, each as its [factor, value] pairs in key order, as compact JSON;
+# recorded before the minors were expanded from a per-(d, N) plan, so every
+# seed must keep drawing the same points
+_SECANT_POINTS = {
+    (2, 6, 1): "0192b14e306521f035e58752ec52f2e86e9a55f6e3b102ec342564037384b379",
+    (3, 9, 1): "2d4a157598be467809a593b6dd69899ad368e63aa78943d752f055b57e5a13a4",
+}
+
+
+@pytest.mark.parametrize("d, N, r", sorted(_SECANT_POINTS))
+def test_secant_points_are_the_pinned_draws(d, N, r):
+    rng = random.Random(0)
+    points = [random_secant_point(rng, d, N, r) for _ in range(50)]
+    text = json.dumps([[[list(fac), v] for fac, v in pt.items()] for pt in points],
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == _SECANT_POINTS[(d, N, r)]
 
 
 def test_pfaffian():

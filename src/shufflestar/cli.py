@@ -174,8 +174,8 @@ def cmd_join(args) -> dict:
     cfg = GrassmannConfig(d=args.d, N=args.N)
     P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
     basis = join_component(P, P, (cfg.d, args.degree))
-    return {"result": {"d": cfg.d, "N": cfg.N, "degree": args.degree,
-                       "dimension": len(basis), "basis": _elements_json(basis)}}
+    return _with_cache({"result": {"d": cfg.d, "N": cfg.N, "degree": args.degree,
+                                   "dimension": len(basis), "basis": _elements_json(basis)}}, P)
 
 
 def _with_cache(body: dict, ideal) -> dict:

@@ -12,7 +12,10 @@ greater than 1, never a float.  `exact` applies this rule to one value.
 Products and maps follow it by working integer-first: `to_numerators`
 brings their input to integer numerators over one common denominator, the
 integers are summed in a plain dict, and `from_numerators` divides each
-output once.  The one exception is `products.sym_shuffle`, a plain loop
+distinct numerator once per call: keys with equal coefficients share one
+quotient object (ints and Fractions are immutable, so sharing is safe),
+which also lets `is_sym_invariant` settle most comparisons by identity.
+The one exception is `products.sym_shuffle`, a plain loop
 that spans the unreduced rows checking the ideal climb
 (`ideals.DiIdeal.raw_spanning_rows`): it multiplies and adds coefficients
 as they come, so integral inputs give ints but Fraction inputs may give a
@@ -70,10 +73,22 @@ def to_numerators(terms: Mapping) -> tuple[Mapping, int]:
 
 
 def from_numerators(nums: Mapping, den: int) -> dict:
-    """The coefficients nums / den in canonical form, zeros dropped."""
+    """The coefficients nums / den in canonical form, zeros dropped.
+
+    Each distinct numerator is divided once, and its quotient object is
+    shared by every key that has it.
+    """
     if den == 1:
         return {k: v for k, v in nums.items() if v}
-    return {k: exact_div(v, den) for k, v in nums.items() if v}
+    quotients: dict = {}
+    out = {}
+    for k, v in nums.items():
+        if v:
+            q = quotients.get(v)
+            if q is None:
+                q = quotients[v] = exact_div(v, den)
+            out[k] = q
+    return out
 
 
 def _check_factor(factor: Iterable[int], width: int, alphabet: int) -> Factor:
@@ -392,8 +407,10 @@ def is_sym_invariant(f: Element) -> bool:
     for key, coeff in terms.items():
         for i in range(f.n - 1):
             a, b = key[i], key[i + 1]
-            if a != b and terms.get(key[:i] + (b, a) + key[i + 2:]) != coeff:
-                return False
+            if a != b:
+                got = terms.get(key[:i] + (b, a) + key[i + 2:])
+                if got is not coeff and got != coeff:
+                    return False
     return True
 
 

@@ -59,6 +59,7 @@ import os
 import tempfile
 from bisect import bisect_right
 from functools import cache
+from math import gcd
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -72,6 +73,7 @@ from .core import (
     element_to_dict,
     iter_factors,
     iter_sym_keys,
+    to_numerators,
 )
 from .linalg import NotReducedError, SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
@@ -379,7 +381,12 @@ class DiIdeal:
         return block
 
     def _star_rows(self, d: int, n: int):
-        """Star products of the generators of tensor degree exactly n at width d."""
+        """Star products of the generators of tensor degree exactly n at width d,
+        each scaled to a primitive integer vector.
+
+        Scaling keeps the span, and it keeps elimination on these rows in
+        ints: a star product carries the 1/n! of `sym_star`.
+        """
         for f in self.generators:
             if f.n != n or f.d > d:
                 continue
@@ -389,7 +396,10 @@ class DiIdeal:
                     a = SymElement(ext, n, self.M, {akey: 1}, _validated=True)
                     prod = sym_star(f, a, g)
                     if prod:
-                        yield prod
+                        nums, _ = to_numerators(prod.terms)
+                        common = gcd(*nums.values())
+                        yield SymElement(d, n, self.M, {k: v // common for k, v in nums.items()},
+                                         _validated=True)
 
     def permutation_stable(self, d: int, n: int) -> bool:
         """Certificate that every component (d, k), k <= n, is graded and S_N-stable.

@@ -59,33 +59,30 @@ class RLWitness:
         return True
 
 
-def _greedy_assign(slot_sets: Sequence[frozenset], letter_sigs: Sequence[frozenset],
-                   codomain: int, exact: bool) -> Optional[tuple[int, ...]]:
+def _greedy_assign(value_slots: Sequence[int], chosen: int, letter_slots: Sequence[int],
+                   exact: bool) -> Optional[tuple[int, ...]]:
     """Least increasing assignment with per-letter membership constraints.
 
-    letter_sigs[l] is the set of slot indices whose factor contains letter
-    l+1.  A value v is allowed for that letter when v lies in every listed
-    slot set and (in exact mode) in no other.  Greedy minimal choice is
-    complete here: any valid assignment dominates the greedy one pointwise.
+    Slot sets are bitmasks over the slots of the larger monomial:
+    value_slots[v-1] holds the slots whose factor contains v, chosen the
+    slots matched to the smaller monomial, and letter_slots[l] the chosen
+    slots whose matched factor contains letter l+1.  A value v is allowed
+    for that letter when v lies in every slot of letter_slots[l] and (in
+    exact mode) in no other chosen slot.  Greedy minimal choice is complete
+    here: any valid assignment dominates the greedy one pointwise.
     """
-    # signature of each codomain value: which slot sets contain it
-    nslots = len(slot_sets)
-    val_sig = []
-    for v in range(1, codomain + 1):
-        val_sig.append(frozenset(i for i in range(nslots) if v in slot_sets[i]))
     out = []
-    prev = 0
-    for sig in letter_sigs:
-        choice = None
-        for v in range(prev + 1, codomain + 1):
-            ok = val_sig[v - 1] == sig if exact else sig <= val_sig[v - 1]
-            if ok:
-                choice = v
+    v = 0
+    codomain = len(value_slots)
+    for sig in letter_slots:
+        while True:
+            if v == codomain:
+                return None
+            slots = value_slots[v]
+            v += 1
+            if (slots & chosen if exact else slots & sig) == sig:
                 break
-        if choice is None:
-            return None
-        out.append(choice)
-        prev = choice
+        out.append(v)
     return tuple(out)
 
 
@@ -95,13 +92,21 @@ def _rl_search(S: TensorMonomial, T: TensorMonomial, exact: bool) -> Optional[RL
     if S.d > T.d or S.n > T.n:
         return None
     dom, cod = S.alphabet, T.alphabet
-    letter_sigs = [frozenset(i for i in range(S.n) if (l + 1) in set(S.factors[i]))
-                   for l in range(dom)]
-    for pos in combinations(range(1, T.n + 1), S.n):
-        slot_sets = [frozenset(T.factors[k - 1]) for k in pos]
-        image = _greedy_assign(slot_sets, letter_sigs, cod, exact)
+    value_slots = [0] * cod
+    for k, factor in enumerate(T.factors):
+        for v in factor:
+            value_slots[v - 1] |= 1 << k
+    for pos in combinations(range(T.n), S.n):
+        chosen = 0
+        letter_slots = [0] * dom
+        for factor, k in zip(S.factors, pos):
+            bit = 1 << k
+            chosen |= bit
+            for l in factor:
+                letter_slots[l - 1] |= bit
+        image = _greedy_assign(value_slots, chosen, letter_slots, exact)
         if image is not None:
-            return RLWitness(pos, IncFn(dom, cod, image))
+            return RLWitness(tuple(k + 1 for k in pos), IncFn(dom, cod, image))
     return None
 
 

@@ -7,6 +7,12 @@ symmetric side the shuffle becomes multiset concatenation and the star
 product averages over slot matchings (1/n! times the sum over the
 symmetric group), which is the monomial form of conjugating by the
 symmetrization isomorphism.
+
+Coefficients are summed as integer numerators (see `core`).  The tensor
+star product merges each pair of wedge factors once per call: a table
+keyed by the (f-factor, h-factor) pair holds the signed merge, and every
+pair of terms that meets the same two factors in one slot reads it.  The
+table lives only for the call.
 """
 
 from __future__ import annotations
@@ -141,15 +147,23 @@ def _matchings(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def star_product(f: Element, h: Element, g: IncFn) -> Element:
-    """Slotwise signed wedge of g-relabeled f with (g complement)-relabeled h."""
+    """Slotwise signed wedge of g-relabeled f with (g complement)-relabeled h.
+
+    Each (f-factor, h-factor) pair is merged once per call: the merges are
+    kept in a table that every pair of terms reads.
+    """
     fready, hready, den = _relabelled_terms(f, h, g)
+    merges: dict = {}
     out: dict[FactorTuple, int] = {}
     for rf, cf in fready:
         for rh, ch in hready:
             sign = cf * ch
             slots = []
-            for a, b in zip(rf, rh):
-                s, merged = merge_signed(a, b)
+            for ab in zip(rf, rh):
+                got = merges.get(ab)
+                if got is None:
+                    got = merges[ab] = merge_signed(*ab)
+                s, merged = got
                 if s == 0:
                     break
                 sign *= s
@@ -166,7 +180,9 @@ def sym_star(f: SymElement, h: SymElement, g: IncFn) -> SymElement:
     On monomials this is (1/n!) * sum over all matchings of f's factors to
     h's slots of the product of signed wedges, then canonical sorting.  Per
     pair of terms, each factor of f is merged with each factor of h once,
-    into an n x n table that every matching reads.
+    into an n x n table that every matching reads.  (A per-call table of
+    merges, as in `star_product`, does not pay here: most calls multiply
+    two monomials, so no pair of factors repeats.)
     """
     fready, hready, den = _relabelled_terms(f, h, g)
     matchings = _matchings(f.n)

@@ -268,13 +268,15 @@ def _monomial_results(fn, cls, *widths):
     Called with one key per width; a result that is None or zero gives None.
     """
     memo: dict = {}
+    missing = object()
 
     def result(*keys):
-        if keys not in memo:
+        got = memo.get(keys, missing)
+        if got is missing:
             res = fn(*(cls(w, len(k), M, {k: 1}, _validated=True)
                        for (w, M), k in zip(widths, keys)))
-            memo[keys] = to_numerators(res.terms) if res else None
-        return memo[keys]
+            got = memo[keys] = to_numerators(res.terms) if res else None
+        return got
 
     return result
 
@@ -284,12 +286,8 @@ def pair_star_invariant(x: PairElement, y: PairElement, g: IncFn) -> PairElement
     if x.symmetric or y.symmetric:
         raise ValueError("pair_star_invariant acts on tensor pair elements")
 
-    def op(a: Element, b: Element):
-        if a.n != b.n:
-            return None
-        return star_product(a, b, g)
-
-    return _pair_product(x, y, op, d_out=x.d + y.d, total=x.total)
+    return _pair_product(x, y, lambda a, b: star_product(a, b, g), d_out=x.d + y.d,
+                         total=x.total, slot_matched=True)
 
 
 def pair_shuffle_invariant(x: PairElement, y: PairElement) -> PairElement:
@@ -302,16 +300,28 @@ def pair_shuffle_invariant(x: PairElement, y: PairElement) -> PairElement:
                          d_out=x.d, total=x.total + y.total)
 
 
-def _pair_product(x: PairElement, y: PairElement, op, d_out: int, total: int) -> PairElement:
+def _pair_product(x: PairElement, y: PairElement, op, d_out: int, total: int,
+                  slot_matched: bool = False) -> PairElement:
+    """The componentwise product op on both sides of every pair of terms.
+
+    With slot_matched, op is zero unless its two inputs have the same slot
+    count, so each term of x meets only the terms of y whose left and right
+    sides have the slot counts of its own.
+    """
     if x.M != y.M or x.symmetric != y.symmetric:
         raise ValueError("pair element shape mismatch")
     cls = SymElement if x.symmetric else Element
     side = _monomial_results(op, cls, (x.d, x.M), (y.d, y.M))
     xnums, xden = to_numerators(x.terms)
     ynums, yden = to_numerators(y.terms)
+    partners: dict = {}
+    for (yl, yr), cy in ynums.items():
+        shape = (len(yl), len(yr)) if slot_matched else None
+        partners.setdefault(shape, []).append((yl, yr, cy))
     sums = _PairSums()
     for (xl, xr), cx in xnums.items():
-        for (yl, yr), cy in ynums.items():
+        shape = (len(xl), len(xr)) if slot_matched else None
+        for yl, yr, cy in partners.get(shape, ()):
             left = side(xl, yl)
             if left is None:
                 continue
@@ -330,12 +340,8 @@ def pair_star(x: PairElement, y: PairElement, g: IncFn) -> PairElement:
     if not (x.symmetric and y.symmetric):
         raise ValueError("pair_star is defined on symmetric pair elements")
 
-    def op(a: SymElement, b: SymElement):
-        if a.n != b.n:
-            return None
-        return sym_star(a, b, g)
-
-    return _pair_product(x, y, op, d_out=x.d + y.d, total=x.total)
+    return _pair_product(x, y, lambda a, b: sym_star(a, b, g), d_out=x.d + y.d,
+                         total=x.total, slot_matched=True)
 
 
 def pair_shuffle(x: PairElement, y: PairElement) -> PairElement:

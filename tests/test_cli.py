@@ -331,7 +331,8 @@ def test_cached_coefficient_over_the_bit_budget_exits_3(tmp_path):
     assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
 
 
-@pytest.mark.parametrize("command", [["secant", "--degree", "3"], ["probe", "--max-n", "3"]])
+@pytest.mark.parametrize("command", [["secant", "--degree", "3"], ["probe", "--max-n", "3"],
+                                     ["join", "--degree", "3"]])
 def test_cache_reads_are_reported_beside_the_result(tmp_path, command):
     out = tmp_path / "r.json"
     cache = tmp_path / "cache"

@@ -275,6 +275,32 @@ def test_symmetric_products_match_reference(seed):
         assert_same(sym_shuffle(xi, vi), ref_sym_shuffle(xi.terms, vi.terms))
 
 
+def test_star_products_of_terms_that_repeat_factors_match_reference():
+    # every term of f shares its factors with the others, and so does every
+    # term of h, so each (f-factor, h-factor) merge is met by many term
+    # pairs; (1, 2) against (2,)-relabelled factors also meets zero merges
+    M, d, e, n = 2, 2, 1, 3
+    fac = [(1, 2), (1, 3), (2, 4), (3, 4)]
+    rng = random.Random(5)
+    f = Element(d, n, M, {tuple(rng.choice(fac) for _ in range(n)): Fraction(rng.choice([1, 3]), 2)
+                          for _ in range(12)})
+    h = Element(e, n, M, {tuple(rng.choice([(1,), (2,)]) for _ in range(n)):
+                          Fraction(rng.choice([-1, 1]), rng.choice([1, 2, 3])) for _ in range(6)})
+    for image in [(1, 2, 3, 4), (1, 2, 4, 5), (2, 3, 5, 6), (1, 3, 5, 6)]:
+        g = IncFn(M * d, M * (d + e), image)
+        assert_same(star_product(f, h, g), ref_star(f.terms, h.terms, n, g))
+        x, w = SymElement(d, n, M, f.terms), SymElement(e, n, M, h.terms)
+        assert_same(sym_star(x, w, g), ref_sym_star(x.terms, w.terms, n, g))
+    # halves times twos come back as ints, beside the products that stay halves
+    g = IncFn(4, 6, (1, 2, 3, 4))
+    halves = Element(d, n, M, {((1, 2), (3, 4), (1, 2)): Fraction(1, 2),
+                               ((1, 2), (3, 4), (1, 3)): Fraction(1, 2)})
+    mixed = Element(e, n, M, {((1,), (2,), (1,)): 2, ((1,), (2,), (2,)): 1})
+    got = star_product(halves, mixed, g)
+    assert_same(got, ref_star(halves.terms, mixed.terms, n, g))
+    assert {type(v) for v in got.terms.values()} == {int, Fraction}
+
+
 def test_products_of_zero_and_cancelling_inputs():
     f = _cancelling(1, 2)
     zero = Element(1, 2, 2)
@@ -368,6 +394,28 @@ def test_pair_products_match_reference(seed):
         assert_same(pair_map(dy, to_invariant, symmetric_out=False), ref)
 
 
+def test_pair_star_of_components_with_no_matching_slot_counts_is_zero():
+    # x's left sides hold 0 or 2 slots, y's hold 1: no component pair matches
+    a, b = ((1,), (2,)), ((1,), (3,))
+    xs = PairElement(1, 2, 2, True, {(a, ()): Fraction(1, 2), ((), b): 3})
+    ys = PairElement(1, 2, 2, True, {(((1,),), ((2,),)): Fraction(2, 3)})
+    xt = PairElement(1, 2, 2, False, {(a, ()): Fraction(1, 2), ((), b[::-1]): 3})
+    yt = PairElement(1, 2, 2, False, {(((1,),), ((4,),)): Fraction(2, 3)})
+    g = IncFn(2, 4, (1, 3))
+    for got in (pair_star(xs, ys, g), pair_star(ys, xs, g)):
+        assert got.terms == ref_pair_product(xs.terms, ys.terms, lambda a, b: (
+            ref_sym_star({a: 1}, {b: 1}, len(a), g) if len(a) == len(b) else None)) == {}
+        assert (got.d, got.M, got.total, got.symmetric) == (2, 2, 2, True)
+    for got in (pair_star_invariant(xt, yt, g), pair_star_invariant(yt, xt, g)):
+        assert got.terms == ref_pair_product(xt.terms, yt.terms, lambda a, b: (
+            ref_star({a: 1}, {b: 1}, len(a), g) if len(a) == len(b) else None)) == {}
+        assert (got.d, got.M, got.total, got.symmetric) == (2, 2, 2, False)
+    # one matching component among the unmatched ones still multiplies
+    xs.terms[(((2,),), ((1,),))] = 5
+    assert_same(pair_star(xs, ys, g), ref_pair_product(xs.terms, ys.terms, lambda a, b: (
+        ref_sym_star({a: 1}, {b: 1}, len(a), g) if len(a) == len(b) else None)))
+
+
 def test_pair_products_of_zero():
     empty = PairElement(1, 2, 2, True)
     full = delta_sym(SymElement(1, 2, 2, {((1,), (2,)): Fraction(2, 3)}))
@@ -400,6 +448,21 @@ def test_is_sym_invariant_matches_permute_slots(seed):
         del missing[key]
         bad = Element(d, n, M, missing)
         assert not is_sym_invariant(bad) and not ref_is_sym_invariant(bad)
+
+
+def test_invariance_compares_equal_values_held_by_distinct_objects():
+    keys = list(permutations(((1,), (2,), (3,))))
+    # equal coefficients, each its own Fraction object
+    f = Element(1, 3, 3, {k: Fraction(2, 3) for k in keys})
+    assert len({id(v) for v in f.terms.values()}) == len(keys)
+    assert is_sym_invariant(f) and ref_is_sym_invariant(f)
+    # one coefficient that differs by value only in its sign
+    g = Element(1, 3, 3, {k: Fraction(2, 3) for k in keys})
+    g.terms[keys[3]] = Fraction(-2, 3)
+    assert not is_sym_invariant(g) and not ref_is_sym_invariant(g)
+    # the library's own outputs share one object per distinct value
+    inv = pi(Element(1, 3, 3, {keys[0]: Fraction(1, 5)}))
+    assert len({id(v) for v in inv.terms.values()}) == 1 and is_sym_invariant(inv)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -448,3 +511,9 @@ def test_numerator_round_trip():
     assert to_numerators({"a": 3}) == ({"a": 3}, 1)
     back = from_numerators({"a": 4, "b": 0, "c": 3}, 2)
     assert back == {"a": 2, "c": Fraction(3, 2)} and type(back["a"]) is int
+    # each distinct numerator is divided once, and its quotient is shared
+    shared = from_numerators({"a": 3, "b": 6, "c": 3, "d": 6, "e": -3}, 6)
+    assert shared == {"a": Fraction(1, 2), "b": 1, "c": Fraction(1, 2), "d": 1,
+                      "e": Fraction(-1, 2)}
+    assert shared["a"] is shared["c"] and shared["b"] is shared["d"]
+    assert_canonical(shared)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from bisect import bisect_right
+from math import gcd
 
 import pytest
 from fractions import Fraction
@@ -154,6 +155,20 @@ def test_fraction_climb_with_stars_equals_raw_elimination():
     assert I.component(2, 3).dim > 6 * I.component(2, 2).dim
     assert any(type(v) is Fraction
                for row in I.component(2, 3).basis.basis_rows() for v in row.values())
+
+
+@pytest.mark.parametrize("ideal,d,n", [
+    (lambda: plucker_ideal(2, 3), 3, 2),
+    (_fraction_ideal, 2, 3),
+    # each star row of these generators has a common factor, 3 or 6, to divide out
+    (lambda: DiIdeal(2, [g.scale(6) for g in plucker_ideal(2, 3).generators]), 3, 2),
+], ids=["gr36-3-2", "fractions-2-3", "common-factor-3-2"])
+def test_star_rows_are_primitive_integer_vectors(ideal, d, n):
+    rows = list(ideal()._star_rows(d, n))
+    assert rows
+    for row in rows:
+        assert all(type(v) is int for v in row.terms.values())
+        assert gcd(*row.terms.values()) == 1
 
 
 def test_climb_from_a_cached_component_equals_raw_elimination(tmp_path):

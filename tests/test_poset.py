@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 from fractions import Fraction
@@ -196,3 +197,65 @@ def test_order_monotone_under_products():
                     ka = TensorMonomial(1, 2, M, next(iter(sa.terms)))
                     kb = TensorMonomial(1, 2, M, next(iter(sb.terms)))
                     assert monomial_cmp(ka, kb) == LT
+
+
+def _reference_rl_search(S, T, exact):
+    """The frozenset form of the divisibility search, kept as the reference
+    for the bitmask search of `rl_leq` and `rl_leq_inclusion`."""
+    if S.d > T.d or S.n > T.n:
+        return None
+    dom, cod = S.alphabet, T.alphabet
+    letter_sigs = [frozenset(i for i in range(S.n) if (l + 1) in set(S.factors[i]))
+                   for l in range(dom)]
+    for pos in combinations(range(1, T.n + 1), S.n):
+        slot_sets = [frozenset(T.factors[k - 1]) for k in pos]
+        val_sig = [frozenset(i for i in range(S.n) if v in slot_sets[i])
+                   for v in range(1, cod + 1)]
+        out, prev = [], 0
+        for sig in letter_sigs:
+            choice = next((v for v in range(prev + 1, cod + 1)
+                           if (val_sig[v - 1] == sig if exact else sig <= val_sig[v - 1])),
+                          None)
+            if choice is None:
+                break
+            out.append(choice)
+            prev = choice
+        else:
+            return pos, tuple(out)
+    return None
+
+
+def _random_pair(rng):
+    M = rng.randint(1, 3)
+    d, n = rng.randint(0, 2), rng.randint(0, 3)
+    e, m = rng.randint(d, 3), rng.randint(n, 4)
+    S = TensorMonomial(d, n, M, tuple(tuple(sorted(rng.sample(range(1, M * d + 1), d)))
+                                      for _ in range(n)))
+    if rng.random() < 0.5 and d:
+        # plant a relabelled copy of S in T so that many pairs are comparable
+        letters = sorted(rng.sample(range(1, M * e + 1), M * d))
+        slots = [tuple(sorted(rng.sample(range(1, M * e + 1), e))) for _ in range(m)]
+        for fac, k in zip(S.factors, sorted(rng.sample(range(m), n))):
+            rest = [v for v in range(1, M * e + 1) if v not in letters]
+            mapped = [letters[i - 1] for i in fac]
+            slots[k] = tuple(sorted(mapped + rng.sample(rest, e - d)))
+        return S, TensorMonomial(e, m, M, tuple(slots))
+    return S, TensorMonomial(e, m, M, tuple(tuple(sorted(rng.sample(range(1, M * e + 1), e)))
+                                            for _ in range(m)))
+
+
+@pytest.mark.parametrize("search,exact", [(rl_leq, True), (rl_leq_inclusion, False)])
+def test_bitmask_search_gives_the_reference_witnesses(search, exact):
+    rng = random.Random(17)
+    found = 0
+    for _ in range(3000):
+        S, T = _random_pair(rng)
+        want = _reference_rl_search(S, T, exact)
+        got = search(S, T)
+        if want is None:
+            assert got is None, (S.factors, T.factors)
+            continue
+        found += 1
+        assert got is not None and (got.positions, got.g.image) == want, (S.factors, T.factors)
+        assert got.check(S, T, exact=exact)
+    assert 500 < found < 2900

@@ -37,7 +37,8 @@ blocks, enumerating their monomials directly (`weights.dominant_weights`,
 to the rest of each orbit, and every carried vector is evaluated exactly
 at the last round's points, so the oracle does not take the action on
 trust.  Both paths keep kernels as sparse rows in canonical form and turn
-them back into rows with `linalg.recombine`.
+them back into rows with `linalg.recombine`.  The oracle loads `certified`,
+the one module that imports numpy, on first use.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ from itertools import combinations
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
-from .certified import certified_kernel, modp_kernel, PRIMES
 from .core import (
     Factor,
     FactorTuple,
@@ -349,6 +347,8 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     every integral one; the vectors are sorted by that column.  This is
     the reduced echelon basis of the whole kernel.
     """
+    from .certified import certified_kernel
+
     d, N, r, M = cfg.d, cfg.N, cfg.r, cfg.M
     monos, index = monomial_space(d, n, M)
     # each dominant block's monomials, in column order
@@ -677,7 +677,8 @@ def secant_component(I, r: int, bidegree: tuple[int, int]) -> list[SymElement]:
 # Ranks can only drop mod p, so a mod-p kernel of the join conditions can
 # only be too big.  The library does not call this: the degree probe takes
 # the exact join component, which is faster.  It stays because
-# bench/tracing.py wraps `modp_self_join_upper` by name.
+# bench/tracing.py wraps `modp_self_join_upper` by name.  It imports numpy
+# only if it is called.
 # ---------------------------------------------------------------------------
 
 def _std_extraction_modp(comp: ComponentBasis, p: int) -> tuple[np.ndarray, list[int]]:
@@ -687,6 +688,8 @@ def _std_extraction_modp(comp: ComponentBasis, p: int) -> tuple[np.ndarray, list
     component space; reduce(e_col) has standard coordinates equal to the
     column of the result.
     """
+    import numpy as np
+
     space = comp.space_dim
     pivots = comp.basis.pivot_columns()
     std_cols = [c for c in range(space) if c not in set(pivots)]
@@ -715,6 +718,8 @@ def _gcd(a: int, b: int) -> int:
 
 def _rows_to_modp_matrix(rows: Iterable[SymElement], comp: ComponentBasis,
                          p: int) -> np.ndarray:
+    import numpy as np
+
     mat = []
     for el in rows:
         den = 1
@@ -729,13 +734,20 @@ def _rows_to_modp_matrix(rows: Iterable[SymElement], comp: ComponentBasis,
 
 def modp_self_join_upper(I: DiIdeal, d: int, n: int,
                          must_contain: Sequence[SymElement] = (),
-                         p: int = PRIMES[0]) -> Optional[int]:
+                         p: Optional[int] = None) -> Optional[int]:
     """Mod-p upper bound for dim of the self-join component at (d, n).
 
     Returns None when the bound cannot be formed (an element of
     must_contain escapes the component, or a block would not fit in
-    memory); callers then fall back to the exact elimination.
+    memory); callers then fall back to the exact elimination.  p defaults
+    to the first of `certified.PRIMES`.
     """
+    import numpy as np
+
+    from .certified import modp_kernel, PRIMES
+
+    if p is None:
+        p = PRIMES[0]
     comp = I.component(d, n)
     if comp.dim == 0:
         return 0

@@ -220,6 +220,10 @@ def check_poset_oracle(seed: int = 0) -> dict:
     pairs = 0
     disagreements = []
     inclusion_disagreements = 0
+    # each target monomial is built (and validated) once, not once per S
+    targets = {(e, m): [(tkey, TensorMonomial(e, m, M, tkey))
+                        for tkey in iter_tensor_keys(e, m, M)]
+               for e in range(0, 4) for m in range(0, 4)}
     for d in range(0, 3):
         for n in range(0, 3):
             for skey in iter_tensor_keys(d, n, M):
@@ -227,8 +231,7 @@ def check_poset_oracle(seed: int = 0) -> dict:
                 for e in range(0, 4):
                     for m in range(0, 4):
                         member_keys = _brute_force_keys(S, e, m, M)
-                        for tkey in iter_tensor_keys(e, m, M):
-                            T = TensorMonomial(e, m, M, tkey)
+                        for tkey, T in targets[e, m]:
                             pairs += 1
                             member = tkey in member_keys
                             decided = rl_leq(S, T) is not None

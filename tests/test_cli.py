@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from fractions import Fraction
@@ -469,3 +472,35 @@ def test_probe_reports_are_byte_identical(tmp_path, d, N, r, max_n):
     assert code == 0
     result = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(result.encode()).hexdigest() == _PROBE_RESULTS[(d, N, r, max_n)]
+
+
+# Run in a fresh interpreter, since this one has loaded numpy by now.
+_NUMPY_BOUNDARY = """
+import json, sys
+from pathlib import Path
+from shufflestar.cli import main
+from shufflestar.core import element_to_dict, sym_monomial
+
+tmp = Path(sys.argv[1])
+a = tmp / "a.json"
+a.write_text(json.dumps(element_to_dict(sym_monomial(2, 2, 2, [(1, 2), (3, 4)]))))
+out = ["--out", str(tmp / "r.json")]
+for args in (["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2",
+              "--cache-dir", str(tmp / "cache")],
+             ["probe", "--d", "2", "--r", "0", "--max-n", "2"],
+             ["join", "--d", "2", "--N", "4", "--degree", "2"],
+             ["star", "--lhs", str(a), "--rhs", str(a), "--g", "1,2,3,4"]):
+    assert main([*args, *out]) == 0, args
+    assert "numpy" not in sys.modules, args[0]
+assert main(["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2",
+             "--oracle", *out]) == 0
+assert "numpy" in sys.modules
+"""
+
+
+def test_only_the_oracle_loads_numpy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_BOUNDARY, str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

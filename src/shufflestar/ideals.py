@@ -385,21 +385,27 @@ class DiIdeal:
         each scaled to a primitive integer vector.
 
         Scaling keeps the span, and it keeps elimination on these rows in
-        ints: a star product carries the 1/n! of `sym_star`.
+        ints: a star product carries the 1/n! of `sym_star`.  A generator of
+        width d is its own star row: its one star product, with the width-0
+        unit along the identity, is f itself.
         """
+        M = self.M
         for f in self.generators:
             if f.n != n or f.d > d:
                 continue
             ext = d - f.d
-            for g in star_incfns(f.d, ext, self.M):
-                for akey in iter_sym_keys(ext, n, self.M):
-                    a = SymElement(ext, n, self.M, {akey: 1}, _validated=True)
-                    prod = sym_star(f, a, g)
-                    if prod:
-                        nums, _ = to_numerators(prod.terms)
-                        common = gcd(*nums.values())
-                        yield SymElement(d, n, self.M, {k: v // common for k, v in nums.items()},
-                                         _validated=True)
+            if ext:
+                prods = (sym_star(f, SymElement(ext, n, M, {akey: 1}, _validated=True), g)
+                         for g in star_incfns(f.d, ext, M)
+                         for akey in iter_sym_keys(ext, n, M))
+            else:
+                prods = (f,)
+            for prod in prods:
+                if prod:
+                    nums, _ = to_numerators(prod.terms)
+                    common = gcd(*nums.values())
+                    yield SymElement(d, n, M, {k: v // common for k, v in nums.items()},
+                                     _validated=True)
 
     def permutation_stable(self, d: int, n: int) -> bool:
         """Certificate that every component (d, k), k <= n, is graded and S_N-stable.

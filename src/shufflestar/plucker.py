@@ -5,9 +5,10 @@ vectors; the quadratic generators come from the classical shuffle
 (exchange) relations, and the basic width-2n family pairs each half-size
 subset with its complement once.  Join components are exact kernels of the
 comultiplication followed by quotient projections, computed over the
-component of the second input in one elimination of every other summand,
-membership in the first input last.  The conditions are linear, so each
-monomial's are tabled once from the normal forms of its slot splits,
+component of the second input one summand after another, the balanced
+split first and membership in the first input last, each on the
+combinations the summands before it left.  The conditions are linear, so
+each monomial's are tabled once from the normal forms of its slot splits,
 which are read off the canonical reduced quotient components with no
 elimination.
 
@@ -240,7 +241,23 @@ def decomposable_point(matrix: Sequence[Sequence[int]], d: int, N: int) -> dict[
 
 
 def _random_matrix(rng: random.Random, d: int, N: int) -> list[list[int]]:
-    return [[rng.randint(-9, 9) for _ in range(N)] for _ in range(d)]
+    """A d x N matrix of entries in [-9, 9], row by row.
+
+    Each entry is 5 random bits, redrawn while 19 or more, minus 9: the
+    draws `rng.randint(-9, 9)` makes in CPython, so a seed picks the same
+    matrices, at a quarter of the cost.
+    """
+    bits = rng.getrandbits
+    rows = []
+    for _ in range(d):
+        row = []
+        for _ in range(N):
+            v = bits(5)
+            while v >= 19:
+                v = bits(5)
+            row.append(v - 9)
+        rows.append(row)
+    return rows
 
 
 def random_decomposable(rng: random.Random, d: int, N: int) -> dict[Factor, int]:
@@ -336,8 +353,9 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     points, k the largest block kernel, and restricts them to every block
     whose kernel is not yet zero, until no block's kernel changes for two
     consecutive rounds.  Then `weights.orbit_fill` carries each kernel to
-    the rest of its orbit, and every vector it yields is evaluated exactly
-    at the last round's points; one that does not vanish raises.
+    the rest of its orbit, and every vector it carries is evaluated exactly
+    at the last round's points, at which the last round has just cut the
+    kernel itself; one that does not vanish raises.
 
     The filled vectors go into one `SparseRREF` over the negated columns;
     the blocks have disjoint columns, so each is echeloned alone, with its
@@ -381,8 +399,10 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     for w, keys, kernel in kernels:
         elems = [SymElement(d, n, M, {keys[j]: v for j, v in vec.items()}, _validated=True)
                  for vec in kernel]
-        for e in orbit_fill(w, elems):
-            if any(evaluate(e, pt) for pt in points):
+        # the last cut made the block's own vectors vanish at these points,
+        # so only the carried ones are evaluated
+        for k, e in enumerate(orbit_fill(w, elems)):
+            if k >= len(elems) and any(evaluate(e, pt) for pt in points):
                 raise RuntimeError(f"a vector filled into the orbit of weight {w} "
                                    "does not vanish at the last round's points")
             basis.add({-index[key]: c for key, c in e.terms.items()})
@@ -504,7 +524,8 @@ def gamma_count(n: int) -> int:
 # quotient projections modulo I_(d,i) and J_(d,n-i).  The i = 0 summand
 # forces membership in J, so the kernel is solved over V, J's part at
 # (d, n); the i = n summand, membership in I, is its last condition.  The
-# conditions of every summand go into one elimination.
+# summands are solved in a chain, each in its own elimination over the
+# combinations of V's rows that the ones before it left.
 # ---------------------------------------------------------------------------
 
 def _normal_form(comp: ComponentBasis, key: FactorTuple) -> dict[int, Rational]:
@@ -577,19 +598,23 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis,
 
     V is J's part at (d, n) and top is I's there: whole components, or
     blocks at one weight.  Summand i reads I_(d,i), or top for i = n, on the
-    left and J_(d,n-i) on the right.  The conditions go into one
-    elimination, which returns no kernel once its rank reaches V.dim.
+    left and J_(d,n-i) on the right.  The summands are solved one after the
+    other, in increasing |n - 2i|: the balanced split, which cuts the most
+    for the least work, first, and membership in I last.  Each summand's
+    conditions on the rows left so far go into one elimination; at full
+    rank no kernel is left, else its kernel recombines those rows, and the
+    next summand reads only the combinations.  The rows returned span the
+    kernel but are not reduced.
     """
     rows = V.basis.basis_rows()
-    nv = len(rows)
-    if not nv:
-        return []
-    acc = SparseRREF()
     summands = range(1, n + 1)
     if I is J:
         # V lies in I, and the (n-i)-th condition is the slot swap of the i-th one
         summands = [i for i in range(1, n) if i <= n - i]
-    for i in summands:
+    for i in sorted(summands, key=lambda i: abs(n - 2 * i)):
+        nv = len(rows)
+        if not nv:
+            break
         QL = top if i == n else I.component(d, i)
         QR = J.component(d, n - i)
         tables: dict = {}
@@ -597,10 +622,13 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis,
         for t, row in enumerate(rows):
             for key, val in _condition_coords(QL, QR, i, row, V.monomials, tables).items():
                 rows_map.setdefault(key, {})[t] = val
+        acc = SparseRREF()
         for key in sorted(rows_map):
             if acc.add(rows_map[key]) and acc.rank == nv:
                 return []
-    return recombine(sparse_rref_kernel(acc, nv), rows)
+        if acc.rank:
+            rows = recombine(sparse_rref_kernel(acc, nv), rows)
+    return rows
 
 
 class JoinIdeal:

@@ -7,7 +7,8 @@ from math import gcd
 import pytest
 from fractions import Fraction
 
-from shufflestar.core import SymElement, element_to_dict, iter_factors, iter_sym_keys, sym_monomial
+from shufflestar.core import (SymElement, element_to_dict, iter_factors, iter_sym_keys, sym_monomial,
+                             to_numerators)
 from shufflestar.ideals import (
     ComponentBasis,
     DiIdeal,
@@ -169,6 +170,38 @@ def test_star_rows_are_primitive_integer_vectors(ideal, d, n):
     for row in rows:
         assert all(type(v) is int for v in row.terms.values())
         assert gcd(*row.terms.values()) == 1
+
+
+def _random_generators(seed, d, n, M, count):
+    rng = random.Random(seed)
+    keys = list(iter_sym_keys(d, n, M))
+    return [SymElement(d, n, M, {k: Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+                                 for k in rng.sample(keys, min(len(keys), rng.randint(1, 5)))})
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("gens,d,n", [
+    (lambda: plucker_ideal(3, 2).generators, 2, 2),
+    (lambda: [g for g in plucker_ideal(2, 3).generators if g.d == 3], 3, 2),
+    (lambda: _random_generators(1, 1, 3, 3, 4), 1, 3),
+    (lambda: _random_generators(2, 2, 2, 3, 6), 2, 2),
+    (lambda: _random_generators(3, 2, 4, 2, 5), 2, 4),
+    (lambda: _random_generators(4, 3, 3, 2, 3), 3, 3),
+], ids=["gr26-2-2", "gr36-3-2", "random-1-3", "random-2-2", "random-2-4", "random-3-3"])
+def test_a_generator_of_full_width_is_its_own_star_row(gens, d, n):
+    # every generator has width d, so each star row is read off the
+    # generator; it must be its one star product through `sym_star`, with
+    # the width-0 unit along the identity, scaled to a primitive integer vector
+    gens = gens()
+    M = gens[0].M
+    unit = SymElement(0, n, M, {((),) * n: 1})
+    (identity,) = star_incfns(d, 0, M)
+    want = []
+    for f in gens:
+        nums, _ = to_numerators(sym_star(f, unit, identity).terms)
+        common = gcd(*nums.values())
+        want.append(SymElement(d, n, M, {k: v // common for k, v in nums.items()}))
+    assert list(DiIdeal(M, gens)._star_rows(d, n)) == want
 
 
 def test_climb_from_a_cached_component_equals_raw_elimination(tmp_path):

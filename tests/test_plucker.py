@@ -32,6 +32,7 @@ from shufflestar.plucker import (
     secant_ideal,
     weyman_quadrics,
 )
+from shufflestar.weights import dominant_weights
 
 
 def test_basic_plucker():
@@ -133,6 +134,19 @@ def test_secant_points_are_the_pinned_draws(d, N, r):
     text = json.dumps([[[list(fac), v] for fac, v in pt.items()] for pt in points],
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == _SECANT_POINTS[(d, N, r)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_random_matrices_are_the_randint_draws(seed):
+    # the draws `rng.randint(-9, 9)` makes, entry by entry, leaving the
+    # generator where it leaves it
+    from shufflestar.plucker import _random_matrix
+    for d, N in ((1, 1), (2, 6), (3, 9), (2, 10), (4, 3)):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(50):
+            assert (_random_matrix(rng, d, N)
+                    == [[ref.randint(-9, 9) for _ in range(N)] for _ in range(d)])
+        assert rng.random() == ref.random()
 
 
 def test_pfaffian():
@@ -326,7 +340,7 @@ def _canonical(c):
 def test_oracle_and_its_kernels_keep_canonical_coefficients(d, N, r, n):
     from shufflestar.certified import certified_kernel
     from shufflestar.plucker import _cut_kernel, _sampled_points, _value_rows
-    from shufflestar.weights import dominant_weights, monomials_of_weight
+    from shufflestar.weights import monomials_of_weight
     K = evaluation_kernel(GrassmannConfig(d=d, N=N, r=r), n, seed=1)
     assert K and all(_canonical(c) for v in K for c in v.terms.values())
     # two points leave big kernels, so the cut recombines them
@@ -540,7 +554,6 @@ def test_one_monomial_normal_form_is_read_from_its_column():
 ])
 def test_condition_tables_equal_the_row_by_row_reduction(M, r, n, summands):
     from shufflestar.plucker import _condition_coords
-    from shufflestar.weights import dominant_weights
     P = plucker_ideal(M, 2)
     join = JoinIdeal(P, secant_ideal(P, r - 1))
     quotients = set()
@@ -559,13 +572,92 @@ def test_condition_tables_equal_the_row_by_row_reduction(M, r, n, summands):
     assert quotients == set(summands)
 
 
+def _reference_join_kernel(I, J, d, n, V, top, summands=None):
+    """The join kernel as one elimination: the conditions of every summand
+    (or of the given ones), smallest i first, on every row of V, recombined
+    once at the end.  The solver before the summand chain, kept as an
+    independent reference."""
+    from shufflestar.linalg import SparseRREF, recombine, sparse_rref_kernel
+    from shufflestar.plucker import _condition_coords
+    rows = V.basis.basis_rows()
+    nv = len(rows)
+    if not nv:
+        return []
+    acc = SparseRREF()
+    if summands is None:
+        summands = range(1, n + 1)
+        if I is J:
+            summands = [i for i in range(1, n) if i <= n - i]
+    for i in summands:
+        QL = top if i == n else I.component(d, i)
+        QR = J.component(d, n - i)
+        tables = {}
+        rows_map = {}
+        for t, row in enumerate(rows):
+            for key, val in _condition_coords(QL, QR, i, row, V.monomials, tables).items():
+                rows_map.setdefault(key, {})[t] = val
+        for key in sorted(rows_map):
+            if acc.add(rows_map[key]) and acc.rank == nv:
+                return []
+    return recombine(sparse_rref_kernel(acc, nv), rows)
+
+
+def _reference_block(I, J, d, n, V, top):
+    block = ComponentBasis(d, n, I.M)
+    for row in _reference_join_kernel(I, J, d, n, V, top):
+        block.basis.add(row)
+    return block
+
+
 def _one_block_join(I, J, d, n):
-    """The join component through the one-block path: all of J_(d,n), identity only."""
-    from shufflestar.plucker import _join_kernel
-    comp = ComponentBasis(d, n, I.M)
-    for row in _join_kernel(I, J, d, n, J.component(d, n), I.component(d, n)):
-        comp.basis.add(row)
-    return comp
+    """The join component through the reference solver: all of J_(d,n), identity only."""
+    return _reference_block(I, J, d, n, J.component(d, n), I.component(d, n))
+
+
+@pytest.mark.parametrize("M, r, n", [(3, 1, 4), (3, 1, 5), (4, 2, 4)],
+                         ids=["sigma1-gr26-4", "sigma1-gr26-5", "sigma2-gr28-4"])
+def test_join_blocks_equal_the_one_elimination_reference(M, r, n):
+    # sigma_1 is a self-join; sigma_2 joins P with sigma_1, so I is not J and
+    # the membership summand i = n runs
+    join = secant_ideal(plucker_ideal(M, 2), r)
+    assert join.permutation_stable(2, n)
+    found = 0
+    for w in dominant_weights(2, n, 2 * M):
+        block = join.weight_block(2, n, w)
+        want = _reference_block(join.I, join.J, 2, n, join.J.weight_block(2, n, w),
+                                join.I.weight_block(2, n, w))
+        assert block.basis.basis_rows() == want.basis.basis_rows()
+        found += block.dim
+    assert found
+
+
+def test_a_self_join_where_the_balanced_summand_alone_leaves_a_kernel():
+    # sigma_1(Gr(3,6)) is zero at (3, 4), but at some dominant weights the
+    # balanced summand i = 2 alone leaves combinations that only i = 1 cuts
+    join = secant_ideal(plucker_ideal(2, 3), 1)
+    assert join.I is join.J and join.permutation_stable(3, 4)
+    balanced_only = 0
+    for w in dominant_weights(3, 4, 6):
+        V = join.J.weight_block(3, 4, w)
+        assert join.weight_block(3, 4, w).dim == 0
+        assert _reference_join_kernel(join.I, join.J, 3, 4, V, V) == []
+        balanced_only += len(_reference_join_kernel(join.I, join.J, 3, 4, V, V, summands=(2,)))
+    assert balanced_only > 0
+
+
+@pytest.mark.parametrize("order", ["square-first", "square-second", "square-self"])
+def test_uncertified_joins_equal_the_one_elimination_reference(order):
+    # x12^2 is not S_4-stable, so these joins are solved over the whole
+    # second input, in one block
+    square = DiIdeal(2, [sym_monomial(2, 2, 2, [(1, 2), (1, 2)])])
+    P = plucker_ideal(2, 2)
+    I, J = {"square-first": (square, P), "square-second": (P, square),
+            "square-self": (square, square)}[order]
+    join = JoinIdeal(I, J)
+    for n in (2, 3, 4):
+        assert not join.permutation_stable(2, n)
+        got = join.component(2, n)
+        assert got.basis.basis_rows() == _one_block_join(I, J, 2, n).basis.basis_rows()
 
 
 @pytest.mark.parametrize("M, r", [(3, 1), (4, 2)])

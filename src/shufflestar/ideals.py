@@ -25,16 +25,22 @@ monomials are the leading terms and non-pivots are the standard monomials
 of the quotient.  Components are cached in memory and optionally on disk:
 one JSON file per (M, d, n), named with a content hash of the generators
 and of the file layout, holding the canonical reduced echelon rows as flat
-lists: `coeffs`, the distinct coefficients as "p/q" strings; `cols`, every
+arrays: `coeffs`, the distinct coefficients as "p/q" strings; `cols`, every
 row's columns in ascending order, so a row's first column is its pivot;
 `vals`, the index into `coeffs` of each entry; and `ends`, the cumulative
-row ends.  A read adopts those rows without eliminating them again, after
-checks over the whole lists (`SparseRREF.from_arrays`), a check that every
-coefficient string is the one the writer would write, and a check of the
-key and dimension; a file that fails any check is recomputed and
-overwritten, never trusted.  A file of an older layout has another name, so
-it is never read: it is a miss, not a reject.  Each `DiIdeal` counts its
-cache hits, misses and rejects by reason in `cache_stats`.
+row ends.  The three index arrays are packed (`_pack`): each is stored as
+[typecode, base64 text] of a little-endian unsigned `array` of the
+narrowest typecode of B, H and I that holds its values, and index data
+that does not decode is refused as malformed.  A read adopts those rows
+without eliminating them again, after checks over the whole arrays
+(`SparseRREF.from_arrays`), a check that every coefficient string is the
+one the writer would write, and a check of the key and dimension; a file
+that fails any check is recomputed and overwritten, never trusted.  The
+adopted rows are built on first read, so a membership query builds only
+the rows its reduction hits and a quotient basis none.  A file of an older
+layout has another name, so it is never read: it is a miss, not a reject.
+Each `DiIdeal` counts its cache hits, misses and rejects by reason in
+`cache_stats`.
 
 `DiIdeal.permutation_stable` certifies that the components up to a tensor
 degree are graded by torus weight and stable under the signed permutation
@@ -53,10 +59,13 @@ weight and never cached on disk, even when C_(d,n) is also built whole;
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import os
+import sys
 import tempfile
+from array import array
 from bisect import bisect_right
 from functools import cache
 from math import gcd
@@ -146,7 +155,7 @@ class ComponentBasis:
         return [self.monomials[c] for c in self.basis.pivot_columns()]
 
     def standard_monomials(self) -> list[FactorTuple]:
-        pivots = set(self.basis.pivot_columns())
+        pivots = self.basis.pivots
         return [key for i, key in enumerate(self.monomials) if i not in pivots]
 
     def weight_rows(self) -> dict[Weight, list[dict[int, Rational]]]:
@@ -166,8 +175,33 @@ class ComponentBasis:
 
 
 # part of every cache file name, so files of another layout are never read
-_LAYOUT = "flat-rows-1"
-_ARRAYS = ("coeffs", "cols", "vals", "ends")
+_LAYOUT = "packed-rows-1"
+_INDEX_ARRAYS = ("cols", "vals", "ends")
+# unsigned array typecodes a file may use, narrowest first
+_TYPECODES = ("B", "H", "I")
+
+
+def _pack(values: list[int]) -> list[str]:
+    """[typecode, base64 text] of values as a little-endian array of the
+    narrowest unsigned typecode that holds them."""
+    top = max(values, default=0)
+    code = next(t for t in _TYPECODES if top < 1 << 8 * array(t).itemsize)
+    packed = array(code, values)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return [code, base64.b64encode(packed.tobytes()).decode("ascii")]
+
+
+def _unpack(field) -> array:
+    """The array `_pack` wrote; a ValueError or TypeError when it does not decode."""
+    code, text = field
+    if code not in _TYPECODES:
+        raise ValueError(f"typecode {code!r}")
+    packed = array(code)
+    packed.frombytes(base64.b64decode(text, validate=True))
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return packed
 
 
 def _generator_hash(generators: Sequence[SymElement], M: int) -> str:
@@ -257,9 +291,10 @@ class DiIdeal:
             if data.get("generator_hash") != self.gen_hash or \
                     [data.get("M"), data.get("d"), data.get("n")] != [self.M, d, n]:
                 return self._reject("stale key")
-            strings, cols, vals, ends = arrays = [data[key] for key in _ARRAYS]
-            if any(type(a) is not list for a in arrays):
+            strings = data["coeffs"]
+            if type(strings) is not list:
                 return self._reject("malformed")
+            cols, vals, ends = [_unpack(data[key]) for key in _INDEX_ARRAYS]
             coeffs = [coeff_from_str(v) for v in strings]
             if list(map(coeff_to_str, coeffs)) != strings:
                 return self._reject("non-canonical entry")
@@ -268,7 +303,8 @@ class DiIdeal:
         except NotReducedError as exc:
             return self._reject(exc.reason)
         except (ValueError, KeyError, TypeError, AttributeError):
-            # unreadable JSON or text, a missing field, a bad coefficient
+            # unreadable JSON or text, a missing field, a bad coefficient,
+            # index data that does not decode
             return self._reject("malformed")
         if comp.dim != data.get("dim"):
             return self._reject("dim mismatch")
@@ -299,7 +335,8 @@ class DiIdeal:
             "M": self.M, "d": comp.d, "n": comp.n,
             "generator_hash": self.gen_hash,
             "dim": comp.dim,
-            "coeffs": [coeff_to_str(v) for v in table], "cols": cols, "vals": vals, "ends": ends,
+            "coeffs": [coeff_to_str(v) for v in table],
+            "cols": _pack(cols), "vals": _pack(vals), "ends": _pack(ends),
         }
         # a private temporary file per write, so concurrent writers never
         # share one; os.replace then publishes it atomically

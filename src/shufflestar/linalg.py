@@ -13,13 +13,18 @@ kernel vectors back into combinations of rows.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import islice
+from itertools import compress, count, islice
 from operator import lt
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import Rational, exact, exact_div
+
+
+# the array typecodes of unsigned integers, the index arrays `from_arrays` takes
+_UNSIGNED = frozenset("BHILQ")
 
 
 class CoeffLimitExceeded(RuntimeError):
@@ -74,41 +79,49 @@ class SparseRREF:
     its row in the list, and readers skip it.  `reduce` is the canonical
     linear projection onto the non-pivot (standard) coordinates.
     `from_arrays` adopts rows that already have this form, such as a cached
-    basis, after checking them; their column index is built lazily, on the
-    first `add` or `sparse_rref_kernel`, so a basis that is only reduced
-    against never builds it.
+    basis, after checking them.  Adopted rows are built on first read: the
+    basis keeps the flat lists it was given, `reduce` builds only the rows of
+    the pivots it hits, and `add`, `column_index`, `basis_rows` and
+    `sparse_rref_kernel` first build every row not yet built, in place, in
+    the same `rows` list.  Their column index is likewise built lazily, on
+    the first `add` or `sparse_rref_kernel`, so a basis that is only reduced
+    against builds neither.  `row` reads one row, building it if need be.
     """
 
-    __slots__ = ("pivots", "rows", "max_bits", "_cols")
+    __slots__ = ("pivots", "rows", "max_bits", "_cols", "_flat")
 
     def __init__(self, max_bits: Optional[int] = None):
         self.pivots: dict[int, int] = {}   # pivot col -> row index
-        self.rows: list[dict[int, Rational]] = []
+        # None for an adopted row not built yet
+        self.rows: list[Optional[dict[int, Rational]]] = []
         # non-pivot col -> row indices; None until first use for adopted rows
         self._cols: Optional[dict[int, list[int]]] = {}
+        # the adopted (coeffs, cols, vals, ends) while a row is not built
+        self._flat: Optional[tuple[Sequence[Rational], list[int], list[int], list[int]]] = None
         self.max_bits = max_bits if max_bits is not None else _default_max_bits
 
     @classmethod
-    def from_arrays(cls, coeffs: Sequence[Rational], cols: Sequence[int],
-                    vals: Sequence[int], ends: Sequence[int], ncols: int,
-                    max_bits: Optional[int] = None) -> "SparseRREF":
+    def from_arrays(cls, coeffs: Sequence[Rational], cols: array, vals: array, ends: array,
+                    ncols: int, max_bits: Optional[int] = None) -> "SparseRREF":
         """Adopt rows that already are a reduced echelon basis, after checking them.
 
-        The rows come as flat lists, as `ideals` stores them: row i holds the
-        entries k from ends[i-1] (0 for the first row) up to ends[i], entry k
-        at column cols[k] with the coefficient coeffs[vals[k]].  The checks
-        run over whole lists with builtins, and each coefficient is checked
-        once per entry of `coeffs`, not once per use.  Every coefficient must
-        be a nonzero int or a non-integral Fraction (the form `core.exact`
-        gives) within the bit budget; every column an int in [0, ncols); the
-        lists of matching lengths and every row nonempty; the columns of each
-        row strictly increasing, so its first column is its pivot; every
-        pivot the int 1; no two rows sharing a pivot; and no row with an entry
-        in another row's pivot column.  Those are the invariants `add` keeps,
-        so the result is the basis that adding the rows would build, without
-        eliminating anything.  A failed check raises `NotReducedError`; a
-        coefficient over the bit budget raises `CoeffLimitExceeded`, as `add`
-        would.  The column index is left to be built on first use.
+        The rows come flat, as `ideals` stores them: row i holds the entries
+        k from ends[i-1] (0 for the first row) up to ends[i], entry k at
+        column cols[k] with the coefficient coeffs[vals[k]].  `cols`, `vals`
+        and `ends` are arrays of an unsigned integer type, so each entry is
+        an int >= 0 by its type.  The checks run over whole lists with
+        builtins, and each coefficient is checked once per entry of
+        `coeffs`, not once per use.  Every coefficient must be a nonzero int
+        or a non-integral Fraction (the form `core.exact` gives) within the
+        bit budget; every column below ncols; the arrays of matching lengths
+        and every row nonempty; the columns of each row strictly increasing,
+        so its first column is its pivot; every pivot the int 1; no two rows
+        sharing a pivot; and no row with an entry in another row's pivot
+        column.  Those are the invariants `add` keeps, so the result is the
+        basis that adding the rows would build, without eliminating
+        anything.  A failed check raises `NotReducedError`; a coefficient
+        over the bit budget raises `CoeffLimitExceeded`, as `add` would.
+        Rows are built on first read and the column index on first use.
         """
         basis = cls(max_bits)
         bits = basis.max_bits
@@ -122,13 +135,15 @@ class SparseRREF:
             if bits is not None:
                 _check_bits(v.numerator, bits)
                 _check_bits(v.denominator, bits)
-        if not set(map(type, cols)) <= {int} or cols and not 0 <= min(cols) <= max(cols) < ncols:
-            bad = next(c for c in cols if c.__class__ is not int or not 0 <= c < ncols)
+        if not all(a.__class__ is array and a.typecode in _UNSIGNED for a in (cols, vals, ends)):
+            raise NotReducedError("malformed", "cols, vals and ends must be arrays of an unsigned type")
+        cols, vals, ends = cols.tolist(), vals.tolist(), ends.tolist()
+        if cols and max(cols) >= ncols:
+            bad = next(c for c in cols if c >= ncols)
             raise NotReducedError("column out of range", f"column {bad!r} (ncols {ncols})")
         total = len(cols)
         if len(vals) != total or (ends[-1] if ends else 0) != total \
-                or not set(map(type, vals)) | set(map(type, ends)) <= {int} \
-                or vals and not 0 <= min(vals) <= max(vals) < len(coeffs):
+                or vals and max(vals) >= len(coeffs):
             raise NotReducedError("malformed", f"{len(ends)} row ends, {total} columns, "
                                                f"{len(vals)} values of {len(coeffs)} coefficients")
         starts = [0, *ends[:-1]] if ends else []
@@ -165,11 +180,34 @@ class SparseRREF:
             raise NotReducedError("entry in pivot column",
                                   f"row {bisect_right(ends, k)} has an entry in column "
                                   f"{cols[k]}, the pivot of row {pivots[cols[k]]}")
-        entries = zip(cols, map(coeffs.__getitem__, vals))
-        basis.rows = [dict(islice(entries, e - s)) for s, e in zip(starts, ends)]
+        basis.rows = [None] * len(ends)
         basis.pivots = pivots
         basis._cols = None
+        if ends:
+            basis._flat = (list(coeffs), cols, vals, ends)
         return basis
+
+    def row(self, i: int) -> dict[int, Rational]:
+        """Row i; an adopted row is built from the flat lists on first read."""
+        row = self.rows[i]
+        if row is None:
+            coeffs, cols, vals, ends = self._flat
+            s = ends[i - 1] if i else 0
+            e = ends[i]
+            row = self.rows[i] = dict(zip(cols[s:e], map(coeffs.__getitem__, vals[s:e])))
+        return row
+
+    def _build_rows(self) -> None:
+        """Build every adopted row not built yet, in place in `rows`."""
+        coeffs, cols, vals, ends = self._flat
+        entries = zip(cols, map(coeffs.__getitem__, vals))
+        built = [dict(islice(entries, e - s)) for s, e in zip([0, *ends], ends)]
+        rows = self.rows
+        # a row built on an earlier read stays the same object
+        for i in compress(count(), rows):
+            built[i] = rows[i]
+        rows[:] = built
+        self._flat = None
 
     @property
     def rank(self) -> int:
@@ -187,7 +225,10 @@ class SparseRREF:
         hits.sort()
         for p in hits:
             coef = out[p]
-            for c, v in rows[pivots[p]].items():
+            row = rows[pivots[p]]
+            if row is None:
+                row = self.row(pivots[p])
+            for c, v in row.items():
                 s = out.get(c, 0) - coef * v
                 if s:
                     out[c] = s
@@ -200,6 +241,8 @@ class SparseRREF:
 
     def add(self, vec: Mapping[int, Rational]) -> bool:
         """Insert a row; returns True when the rank grows."""
+        if self._flat is not None:
+            self._build_rows()
         red = self.reduce(vec)
         if not red:
             return False
@@ -251,6 +294,8 @@ class SparseRREF:
         """
         cols = self._cols
         if cols is None:
+            if self._flat is not None:
+                self._build_rows()
             cols = self._cols = {}
             pivots = self.pivots
             for i, row in enumerate(self.rows):
@@ -264,6 +309,8 @@ class SparseRREF:
 
     def basis_rows(self) -> list[dict[int, Rational]]:
         """Rows ordered by pivot column."""
+        if self._flat is not None:
+            self._build_rows()
         return [self.rows[self.pivots[c]] for c in sorted(self.pivots)]
 
 

@@ -536,7 +536,7 @@ def _normal_form(comp: ComponentBasis, key: FactorTuple) -> dict[int, Rational]:
     at = comp.basis.pivots.get(c)
     if at is None:
         return {c: 1}
-    return {k: -v for k, v in comp.basis.rows[at].items() if k != c}
+    return {k: -v for k, v in comp.basis.row(at).items() if k != c}
 
 
 def _condition_coords(QL: ComponentBasis, QR: ComponentBasis, i: int,
@@ -720,13 +720,13 @@ def _std_extraction_modp(comp: ComponentBasis, p: int) -> tuple[np.ndarray, list
 
     space = comp.space_dim
     pivots = comp.basis.pivot_columns()
-    std_cols = [c for c in range(space) if c not in set(pivots)]
+    std_cols = [c for c in range(space) if c not in comp.basis.pivots]
     pos = {c: k for k, c in enumerate(std_cols)}
     E = np.zeros((len(std_cols), space), dtype=np.int64)
     for k, c in enumerate(std_cols):
         E[k, c] = 1
     for pcol in pivots:
-        row = comp.basis.rows[comp.basis.pivots[pcol]]
+        row = comp.basis.row(comp.basis.pivots[pcol])
         den = 1
         for v in row.values():
             den = den * v.denominator // _gcd(den, v.denominator)

@@ -1,6 +1,8 @@
+import base64
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ from fractions import Fraction
 
 from shufflestar.cli import main
 from shufflestar.core import element_from_dict, element_to_dict, sym_monomial, monomial
+from shufflestar.ideals import _pack, _unpack
 from shufflestar.linalg import SparseRREF
 from shufflestar.plucker import weyman_quadrics
 from shufflestar.products import Split, invariant_shuffle, shuffle_product
@@ -328,7 +331,9 @@ def test_cached_coefficient_over_the_bit_budget_exits_3(tmp_path):
     path, = cache.glob("component_M2_d2_n2_*.json")
     data = json.loads(path.read_text())
     data["coeffs"].append("1000/1")
-    data["vals"][-1] = len(data["coeffs"]) - 1
+    vals = _unpack(data["vals"]).tolist()
+    vals[-1] = len(data["coeffs"]) - 1
+    data["vals"] = _pack(vals)
     path.write_text(json.dumps(data))
     code, rep = _run(args, out)
     assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
@@ -358,12 +363,21 @@ def test_cache_reads_are_reported_beside_the_result(tmp_path, command):
                              "rejects": {"malformed": cold["cache"]["misses"]}}
 
 
+def _index_list(field):
+    """A packed index array of a cache file, [typecode, base64 text] of
+    little-endian items, decoded with `struct`."""
+    code, text = field
+    raw = base64.b64decode(text)
+    return list(struct.unpack(f"<{len(raw) // struct.calcsize(code)}{code}", raw))
+
+
 def _rows_digest(path):
     """SHA-256 of a cache file's canonical rows, whatever the file layout:
     each row as its [column, "p/q"] pairs in ascending column order, the rows
     in pivot order, as compact JSON."""
     data = json.loads(path.read_text())
-    coeffs, cols, vals, ends = (data[key] for key in ("coeffs", "cols", "vals", "ends"))
+    coeffs = data["coeffs"]
+    cols, vals, ends = (_index_list(data[key]) for key in ("cols", "vals", "ends"))
     rows = [[[c, coeffs[v]] for c, v in zip(cols[s:e], vals[s:e])]
             for s, e in zip([0, *ends], ends)]
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
@@ -372,29 +386,29 @@ def _rows_digest(path):
 # SHA-256 of the degree-5 `psa secant --d 2 --N 6 --r 1` report's result (as
 # the report writes it: sorted keys, no spaces), recorded before the climb
 # moved to column coordinates, and, per cache file, of its bytes and of its
-# rows (`_rows_digest`).  The file bytes were recorded when the flat layout
-# came in; the row digests and the result were recorded in the layout before
-# it, so a change of the climb or the join fails them whatever the layout,
-# and a change of the layout alone fails only the byte digests.  The run
-# writes the Plucker components of degrees 0-4 only: the certified join
-# climbs the dominant weight blocks of degree 5 and never the whole
-# component, whose file is pinned by the next test
+# rows (`_rows_digest`).  The file names and bytes were recorded when the
+# packed layout came in; the row digests and the result were recorded two
+# layouts before it, so a change of the climb or the join fails them
+# whatever the layout, and a change of the layout alone fails only the names
+# and byte digests.  The run writes the Plucker components of degrees 0-4
+# only: the certified join climbs the dominant weight blocks of degree 5 and
+# never the whole component, whose file is pinned by the next test
 _SECANT_GR26_RESULT = "7bbde8cc8df019c0c8c60332018dac9d1ce460984821a0fef810df2d71161fc7"
 _SECANT_GR26_FILES = {
-    "component_M3_d2_n0_8ba9e0150c340179.json": (
-        "98504916cb739428d042c3a4a78f45e728789b4b52f4446e56540c263a062b80",
+    "component_M3_d2_n0_fbfc83c6440fc0a4.json": (
+        "4bb9b22f2e6a7d478f03b90feee2191660bf09558476b31062e5afaf5b5d46d5",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    "component_M3_d2_n1_8ba9e0150c340179.json": (
-        "111add2565dd3094712e50437d5e09ffdce63794627c0f497c59155524f095d6",
+    "component_M3_d2_n1_fbfc83c6440fc0a4.json": (
+        "bc73fa616d9f76a5c62094cf4a8dc03cc01b7d21140facca1653731cff306bbd",
         "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
-    "component_M3_d2_n2_8ba9e0150c340179.json": (
-        "dfb5f85eadf27a9176a0a9a4fcfe85503ecf51fea78461c88f4308ac689e8aac",
+    "component_M3_d2_n2_fbfc83c6440fc0a4.json": (
+        "35309315871ff8054b728155278642642b85f6808071cbde32f4f38851939d0c",
         "df26a54b2280959dc2fd8dda6875dc0cb9743556d9a7e6f6f74a52ae435d05de"),
-    "component_M3_d2_n3_8ba9e0150c340179.json": (
-        "b66e69ca5661deed1be217feed07f36de9588f4e828e11c8dd31fa6b13a4dea6",
+    "component_M3_d2_n3_fbfc83c6440fc0a4.json": (
+        "e8fba735e891a05793669a2271c58bbb0f5c98e80b71029f2d00ef2a379cbca5",
         "ad7829a1228391ef715007d6cb2fd3a7042013194b1fe6880336003a1ae03499"),
-    "component_M3_d2_n4_8ba9e0150c340179.json": (
-        "c582d424cace1a99a94fb20c8d4a2c4b48629b53ceebe2228c32de934c463137",
+    "component_M3_d2_n4_fbfc83c6440fc0a4.json": (
+        "8feebc7d534600e2ce02e6215bc6c676f61c5165dc19b6dd0a70db59dd489772",
         "fe635e761c8d8dfb77c3e65c896e393677ae0cff0ed6d1d2360cf9a4c1412a71"),
 }
 
@@ -415,10 +429,10 @@ def test_full_degree5_plucker_climb_writes_the_pinned_cache_file(tmp_path):
     from shufflestar.plucker import plucker_ideal
     assert plucker_ideal(3, 2, cache_dir=tmp_path).component(2, 5).dim == 6336
     path, = tmp_path.glob("component_M3_d2_n5_*.json")
-    assert path.name == "component_M3_d2_n5_8ba9e0150c340179.json"
-    # the bytes in the flat layout; the rows as in the layout before it
+    assert path.name == "component_M3_d2_n5_fbfc83c6440fc0a4.json"
+    # the name and bytes in the packed layout; the rows as two layouts before it
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
-        "6371e8f2581d7801ad6a35a7587fe86e6339475ebba48eed6ae25783610e7a80"
+        "01e17177453bbc7b5c2f1568275e1446e16ca23c777fc2ca4706e686fbd322fd"
     assert _rows_digest(path) == \
         "afe82a7e4ebebe3d7a7523855649fd395218f290eb523a58685173978f85dbf2"
 
@@ -485,13 +499,19 @@ tmp = Path(sys.argv[1])
 a = tmp / "a.json"
 a.write_text(json.dumps(element_to_dict(sym_monomial(2, 2, 2, [(1, 2), (3, 4)]))))
 out = ["--out", str(tmp / "r.json")]
-for args in (["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2",
-              "--cache-dir", str(tmp / "cache")],
+cache_reads = []
+cached = ["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2",
+          "--cache-dir", str(tmp / "cache")]
+for args in (cached, cached,   # the second run reads the packed files back
              ["probe", "--d", "2", "--r", "0", "--max-n", "2"],
              ["join", "--d", "2", "--N", "4", "--degree", "2"],
              ["star", "--lhs", str(a), "--rhs", str(a), "--g", "1,2,3,4"]):
     assert main([*args, *out]) == 0, args
     assert "numpy" not in sys.modules, args[0]
+    if args is cached:
+        report = json.loads((tmp / "r.json").read_text())
+        cache_reads.append((report["cache"]["hits"], report["cache"]["misses"]))
+assert cache_reads[0][0] == 0 and cache_reads[1][0] > 0 == cache_reads[1][1], cache_reads
 assert main(["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2",
              "--oracle", *out]) == 0
 assert "numpy" in sys.modules

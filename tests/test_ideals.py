@@ -1,6 +1,8 @@
+import base64
 import hashlib
 import json
 import random
+import struct
 from bisect import bisect_right
 from math import gcd
 
@@ -12,6 +14,8 @@ from shufflestar.core import (SymElement, element_to_dict, iter_factors, iter_sy
 from shufflestar.ideals import (
     ComponentBasis,
     DiIdeal,
+    _pack,
+    _unpack,
     component_span,
     initial_component,
     membership,
@@ -360,7 +364,7 @@ def test_cache_read_parses_each_distinct_coefficient_once(tmp_path, monkeypatch)
     rows = DiIdeal(3, gens, cache_dir=tmp_path).component(1, 3).basis.basis_rows()
     path = DiIdeal(3, gens, cache_dir=tmp_path)._cache_path(1, 3)
     data = json.loads(path.read_text())
-    stored = [data["coeffs"][v] for v in data["vals"]]
+    stored = [data["coeffs"][v] for v in _unpack(data["vals"])]
     assert len(set(stored)) < len(stored) and sorted(set(stored)) == sorted(data["coeffs"])
     parsed = []
     real = ideals.coeff_from_str
@@ -384,6 +388,22 @@ def test_cache_write_formats_each_distinct_coefficient_once(tmp_path, monkeypatc
     I._store_cached(comp)
     assert sorted(formatted) == sorted(set(values))
     assert I._cache_path(2, 3).read_bytes() == original
+
+
+_INDEX_ARRAYS = ("cols", "vals", "ends")
+
+
+def _read_flat(path):
+    """A cache file with its packed index arrays unpacked to lists."""
+    data = json.loads(path.read_text())
+    for key in _INDEX_ARRAYS:
+        data[key] = _unpack(data[key]).tolist()
+    return data
+
+
+def _write_flat(path, data):
+    """Pack the index lists of `_read_flat` again and write the file."""
+    path.write_text(json.dumps({**data, **{key: _pack(data[key]) for key in _INDEX_ARRAYS}}))
 
 
 def _unused_column(data, space_dim):
@@ -450,9 +470,9 @@ def test_corrupt_cache_file_is_recomputed(tmp_path, reason):
     comp = I1.component(2, 3)
     path = I1._cache_path(2, 3)
     original = path.read_bytes()
-    data = json.loads(original)
+    data = _read_flat(path)
     _CORRUPTIONS[reason](data, comp.space_dim)
-    path.write_text(json.dumps(data))
+    _write_flat(path, data)
     I2 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
     again = I2.component(2, 3)
     assert I2.cache_stats == {"hits": 1, "misses": 0, "rejects": {reason: 1}}
@@ -469,9 +489,10 @@ def test_cached_column_out_of_range_is_not_adopted(tmp_path, column):
     comp = I1.component(2, 2)
     assert comp.pivot_monomials() == [((1, 4), (2, 3))]
     path = I1._cache_path(2, 2)
-    data = json.loads(path.read_text())
-    data["cols"][0] = comp.space_dim if column == "space_dim" else column
-    path.write_text(json.dumps(data))
+    data = _read_flat(path)
+    # -1 as the file's unsigned 32-bit array reads it
+    data["cols"][0] = comp.space_dim if column == "space_dim" else column % 2 ** 32
+    _write_flat(path, data)
     I2 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
     assert I2.component(2, 2).pivot_monomials() == [((1, 4), (2, 3))]
     assert I2.cache_stats["rejects"] == {"column out of range": 1}
@@ -481,7 +502,8 @@ def test_dimension_zero_components_round_trip(tmp_path):
     I1 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
     assert I1.component_dim(2, 1) == 0
     data = json.loads(I1._cache_path(2, 1).read_text())
-    assert [data[key] for key in ("dim", "coeffs", "cols", "vals", "ends")] == [0, [], [], [], []]
+    assert [data[key] for key in ("dim", "coeffs", "cols", "vals", "ends")] == \
+        [0, [], ["B", ""], ["B", ""], ["B", ""]]
     I2 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
     empty = I2.component(2, 1)
     assert I2.cache_stats == {"hits": 1, "misses": 0, "rejects": {}}
@@ -490,20 +512,85 @@ def test_dimension_zero_components_round_trip(tmp_path):
     assert I2.component_dim(2, 2) == 1
 
 
+def _as_16_bit(field, extra=b""):
+    """A packed index array as little-endian 16-bit items, then `extra` bytes."""
+    values = _unpack(field)
+    raw = struct.pack(f"<{len(values)}H", *values) + extra
+    return ["H", base64.b64encode(raw).decode()]
+
+
+# edits of the packed index data of a stored (2, 3) component, and the
+# reject each gives: all but the control leave data that does not decode
+_UNDECODABLE = {
+    "bad base64": (lambda data: data["cols"].__setitem__(1, "!" + data["cols"][1][1:]),
+                   "malformed"),
+    "partial item": (lambda data: data.__setitem__("ends", _as_16_bit(data["ends"], b"\0")),
+                     "malformed"),
+    "signed typecode": (lambda data: data["vals"].__setitem__(0, "b"), "malformed"),
+    # the control: a wider type than the writer picks still decodes
+    "wider typecode": (lambda data: data.__setitem__("ends", _as_16_bit(data["ends"])), None),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_UNDECODABLE))
+def test_index_data_that_does_not_decode_is_malformed(tmp_path, edit):
+    I1 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
+    comp = I1.component(2, 3)
+    path = I1._cache_path(2, 3)
+    original = path.read_bytes()
+    data = json.loads(original)
+    assert [data[key][0] for key in _INDEX_ARRAYS] == ["B", "B", "B"]
+    change, reason = _UNDECODABLE[edit]
+    change(data)
+    path.write_text(json.dumps(data))
+    I2 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
+    assert I2.component(2, 3).basis.basis_rows() == comp.basis.basis_rows()
+    assert I2.cache_stats == {"hits": 1, "misses": 0,
+                              "rejects": {reason: 1} if reason else {}}
+    if reason:
+        assert path.read_bytes() == original
+
+
+def test_a_membership_query_builds_only_the_rows_it_reads(tmp_path):
+    fresh = plucker_ideal(3, 2, cache_dir=tmp_path)
+    rows = fresh.component(2, 5).basis.basis_rows()
+    P = plucker_ideal(3, 2, cache_dir=tmp_path)
+    comp = P.component(2, 5)
+    assert P.cache_stats == {"hits": 1, "misses": 0, "rejects": {}}
+    assert comp.dim == len(rows) == 6336 and comp.basis.rows == [None] * comp.dim
+    # the quotient basis reads the pivots only
+    assert quotient_basis(P, (2, 5)) == quotient_basis(fresh, (2, 5))
+    assert comp.basis.rows == [None] * comp.dim
+    x = lambda *facs: sym_monomial(2, 5, 3, list(facs))
+    member = comp.element(rows[100]) + comp.element(rows[4000]).scale(Fraction(2, 3))
+    outside = member + x(*[(5, 6)] * 5)
+    assert P.membership(member) and not P.membership(outside)
+    built = sum(row is not None for row in comp.basis.rows)
+    assert 0 < built < comp.dim
+    assert comp.basis.basis_rows() == rows
+
+
 def test_old_layout_file_is_neither_read_nor_rejected(tmp_path):
-    # a file written before the flat layout, under the name it had then: the
-    # hash of the generators and M without the layout tag
+    # files of the two layouts before this one, under the names they had
+    # then: the hash of the generators and M, without a layout tag (the
+    # nested-list layout) and with the tag of the flat-list layout
     gens = [basic_plucker(1)]
-    payload = json.dumps([element_to_dict(g) for g in gens] + [2],
-                         sort_keys=True, separators=(",", ":"))
-    old_hash = hashlib.sha256(payload.encode()).hexdigest()[:16]
+    dicts = [element_to_dict(g) for g in gens]
+    old_hash, flat_hash = (
+        hashlib.sha256(json.dumps(dicts + tail, sort_keys=True,
+                                  separators=(",", ":")).encode()).hexdigest()[:16]
+        for tail in ([2], [2, "flat-rows-1"]))
     old = tmp_path / f"component_M2_d2_n2_{old_hash}.json"
     old.write_text(json.dumps({"M": 2, "d": 2, "n": 2, "generator_hash": old_hash, "dim": 1,
                                "basis": [[[2, "1/1"], [5, "-1/1"], [9, "1/1"]]]}))
-    before = old.read_bytes()
+    flat = tmp_path / f"component_M2_d2_n2_{flat_hash}.json"
+    flat.write_text(json.dumps({"M": 2, "d": 2, "n": 2, "generator_hash": flat_hash, "dim": 1,
+                                "coeffs": ["1/1", "-1/1"], "cols": [2, 5, 9],
+                                "vals": [0, 1, 0], "ends": [3]}))
+    before = old.read_bytes(), flat.read_bytes()
     I = DiIdeal(2, gens, cache_dir=tmp_path)
-    assert I.gen_hash != old_hash
+    assert I.gen_hash not in (old_hash, flat_hash)
     assert I.component_dim(2, 2) == 1
     assert I.cache_stats == {"hits": 0, "misses": 3, "rejects": {}}
-    assert old.read_bytes() == before
-    assert I._cache_path(2, 2).is_file() and I._cache_path(2, 2) != old
+    assert (old.read_bytes(), flat.read_bytes()) == before
+    assert I._cache_path(2, 2).is_file() and I._cache_path(2, 2) not in (old, flat)

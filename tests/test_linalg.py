@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import accumulate
 
 import pytest
@@ -248,21 +249,76 @@ def test_adopted_rows_behave_as_the_eliminated_basis():
             assert loaded.basis_rows() == fresh.basis_rows()
             assert sparse_rref_kernel(loaded, cols) == sparse_rref_kernel(fresh, cols)
     # no rows at all, as a cached dimension-0 component holds
-    empty = SparseRREF.from_arrays([], [], [], [], 3)
+    empty = SparseRREF.from_arrays([], _u([]), _u([]), _u([]), 3)
     assert empty.rank == 0 and sparse_rref_kernel(empty, 3) == [{0: 1}, {1: 1}, {2: 1}]
     assert empty.add({1: 2, 2: 1}) and empty.basis_rows() == [{1: 1, 2: Fraction(1, 2)}]
 
 
+def _typed(rows):
+    """Rows as lists of (column, type, value), so that an int and an equal
+    Fraction differ, and so does the order of the columns."""
+    return [[(c, type(v), v) for c, v in row.items()] for row in rows]
+
+
+def test_adopted_rows_are_built_on_first_read():
+    rng = random.Random(5)
+    checked = 0
+    while checked < 30:
+        cols = rng.randint(3, 12)
+        fresh = SparseRREF()
+        for v in _random_rows(rng, cols, rng.randint(2, 10)):
+            fresh.add(v)
+        if fresh.rank < 2:
+            continue
+        checked += 1
+        # the rows eager adoption gives: ascending columns, pivot order
+        eager = [dict(sorted(row.items())) for row in fresh.basis_rows()]
+        arrays = _arrays([list(row.items()) for row in eager])
+        basis = SparseRREF.from_arrays(*arrays, cols)
+        assert _typed(map(basis.row, range(len(eager)))) == _typed(eager)
+        probe = _random_rows(rng, cols, 1)[0]
+        for read in ("basis_rows", "kernel", "add"):
+            basis = SparseRREF.from_arrays(*arrays, cols)
+            assert basis.rows == [None] * len(eager)
+            # reducing the first pivot's monomial builds that row alone
+            first = min(basis.pivots)
+            assert basis.reduce({first: 1}) == {c: -v for c, v in eager[0].items() if c != first}
+            rows = basis.rows
+            built = rows[0]
+            assert _typed([built]) == _typed(eager[:1]) and rows[1:] == [None] * (len(eager) - 1)
+            want = eager
+            if read == "basis_rows":
+                assert _typed(basis.basis_rows()) == _typed(eager)
+            elif read == "kernel":
+                assert sparse_rref_kernel(basis, cols) == sparse_rref_kernel(fresh, cols)
+            else:
+                # against a basis adopted with every row built at once
+                ref = SparseRREF.from_arrays(*arrays, cols)
+                ref.basis_rows()
+                assert basis.add(dict(probe)) == ref.add(dict(probe))
+                _check_invariants(basis)
+                want = ref.rows
+            # filled in place: the reference taken before the fill sees every
+            # row, and the row built first is still the same object
+            assert basis.rows is rows and rows[0] is built
+            assert _typed(rows) == _typed(want)
+
+
+def _u(values, code="I"):
+    """An unsigned index array, as `from_arrays` takes them."""
+    return array(code, values)
+
+
 def _arrays(rows):
-    """Rows of (column, coefficient) pairs as the flat lists `from_arrays`
+    """Rows of (column, coefficient) pairs as the flat arrays `from_arrays`
     takes, with one coefficient entry per pair."""
     rows = [list(row) for row in rows]
     cols = [c for row in rows for c, _ in row]
-    return ([v for row in rows for _, v in row], cols, list(range(len(cols))),
-            list(accumulate(map(len, rows))))
+    return ([v for row in rows for _, v in row], _u(cols), _u(range(len(cols))),
+            _u(accumulate(map(len, rows))))
 
 
-# each case is rows as the flat lists `from_arrays` takes
+# each case is rows as the flat arrays `from_arrays` takes
 @pytest.mark.parametrize("rows, reason", [
     (_arrays([[(0, 1), (2, 3)], []]), "zero row"),
     (_arrays([[(0, 2), (2, 3)]]), "non-unit pivot"),
@@ -274,21 +330,26 @@ def _arrays(rows):
     (_arrays([[(0, 1), (2, 3)], [(0, 1), (3, 1)]]), "repeated pivot"),
     (_arrays([[(0, 1), (2, 3)], [(2, 1), (3, 1)]]), "entry in pivot column"),
     (_arrays([[(1, 1), (3, 1)], [(0, 1), (1, 5)]]), "entry in pivot column"),
-    (_arrays([[(-1, 1), (2, 3)]]), "column out of range"),
+    # a column of -1, as an unsigned 32-bit array reads it
+    (_arrays([[(2 ** 32 - 1, 1), (2, 3)]]), "column out of range"),
     (_arrays([[(0, 1), (5, 3)]]), "column out of range"),
-    (_arrays([[(0, 1), ("2", 3)]]), "column out of range"),
+    (_arrays([[(0, 1), (2, 3)], [(3, 1), (7, 1)]]), "column out of range"),
     (_arrays([[(0, 1), (2, 3), (2, 4)]]), "repeated column"),
     # the first column is the pivot, so the columns must ascend
     (_arrays([[(0, 1), (3, 1), (2, 1)]]), "unsorted columns"),
     (_arrays([[(2, 1), (0, 1)]]), "unsorted columns"),
-    # lists that do not describe rows: a value index outside the table,
-    # lengths that disagree, row ends that fall short or go backwards
-    (([1], [0], [1], [1]), "malformed"),
-    (([1], [0], [-1], [1]), "malformed"),
-    (([1], [0], [0.0], [1]), "malformed"),
-    (([1], [0, 2], [0], [2]), "malformed"),
-    (([1, 3], [0, 2], [0, 1], [1]), "malformed"),
-    (([1, 3], [0, 2, 3], [0, 1, 0], [2, 1, 3]), "malformed"),
+    # arrays that do not describe rows: a value index outside the table
+    # (the second one -1 read unsigned), an index array that is not of an
+    # unsigned type, lengths that disagree, row ends that fall short or go
+    # backwards, and index lists that are not arrays
+    (([1], _u([0]), _u([1]), _u([1])), "malformed"),
+    (([1], _u([0]), _u([2 ** 32 - 1]), _u([1])), "malformed"),
+    (([1], _u([0]), array("d", [0.0]), _u([1])), "malformed"),
+    (([1], _u([0, 2]), _u([0]), _u([2])), "malformed"),
+    (([1, 3], _u([0, 2]), _u([0, 1]), _u([1])), "malformed"),
+    (([1, 3], _u([0, 2, 3]), _u([0, 1, 0]), _u([2, 1, 3])), "malformed"),
+    (([1], [0], _u([0]), _u([1])), "malformed"),
+    (([1], _u([0]), _u([0]), array("i", [1])), "malformed"),
 ])
 def test_rows_that_are_not_reduced_are_refused_with_a_reason(rows, reason):
     with pytest.raises(NotReducedError) as info:

@@ -183,8 +183,7 @@ class SparseRREF:
         basis.rows = [None] * len(ends)
         basis.pivots = pivots
         basis._cols = None
-        if ends:
-            basis._flat = (list(coeffs), cols, vals, ends)
+        basis._flat = (coeffs, cols, vals, ends)
         return basis
 
     def row(self, i: int) -> dict[int, Rational]:

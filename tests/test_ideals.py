@@ -522,7 +522,8 @@ def _as_16_bit(field, extra=b""):
 # edits of the packed index data of a stored (2, 3) component, and the
 # reject each gives: all but the control leave data that does not decode
 _UNDECODABLE = {
-    "bad base64": (lambda data: data["cols"].__setitem__(1, "!" + data["cols"][1][1:]),
+    # a lenient decoder would skip the "!" and read the rest as it was
+    "bad base64": (lambda data: data["cols"].__setitem__(1, "!" + data["cols"][1]),
                    "malformed"),
     "partial item": (lambda data: data.__setitem__("ends", _as_16_bit(data["ends"], b"\0")),
                      "malformed"),

@@ -277,7 +277,7 @@ def test_adopted_rows_are_built_on_first_read():
         basis = SparseRREF.from_arrays(*arrays, cols)
         assert _typed(map(basis.row, range(len(eager)))) == _typed(eager)
         probe = _random_rows(rng, cols, 1)[0]
-        for read in ("basis_rows", "kernel", "add"):
+        for read in ("basis_rows", "kernel", "add", "add in the span"):
             basis = SparseRREF.from_arrays(*arrays, cols)
             assert basis.rows == [None] * len(eager)
             # reducing the first pivot's monomial builds that row alone
@@ -291,6 +291,9 @@ def test_adopted_rows_are_built_on_first_read():
                 assert _typed(basis.basis_rows()) == _typed(eager)
             elif read == "kernel":
                 assert sparse_rref_kernel(basis, cols) == sparse_rref_kernel(fresh, cols)
+            elif read == "add in the span":
+                # a row that adds nothing still leaves every row built
+                assert not basis.add({c: 2 * v for c, v in eager[-1].items()})
             else:
                 # against a basis adopted with every row built at once
                 ref = SparseRREF.from_arrays(*arrays, cols)

@@ -14,6 +14,7 @@ from shufflestar.core import (SymElement, element_to_dict, iter_factors, iter_sy
 from shufflestar.ideals import (
     ComponentBasis,
     DiIdeal,
+    _INDEX_ARRAYS,
     _pack,
     _unpack,
     component_span,
@@ -388,9 +389,6 @@ def test_cache_write_formats_each_distinct_coefficient_once(tmp_path, monkeypatc
     I._store_cached(comp)
     assert sorted(formatted) == sorted(set(values))
     assert I._cache_path(2, 3).read_bytes() == original
-
-
-_INDEX_ARRAYS = ("cols", "vals", "ends")
 
 
 def _read_flat(path):

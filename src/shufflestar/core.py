@@ -203,10 +203,6 @@ def relabel_factor(factor: Factor, g: IncFn) -> Factor:
     return tuple(out)
 
 
-def relabel(a: ExteriorMonomial, g: IncFn) -> ExteriorMonomial:
-    return ExteriorMonomial(g.codomain, relabel_factor(a.indices, g))
-
-
 def canonicalize(factors: Iterable[Factor]) -> FactorTuple:
     """Sort wedge factors into the canonical nondecreasing-lex representative."""
     fs = tuple(tuple(f) for f in factors)
@@ -388,6 +384,9 @@ def permute_slots(f: Element, perm: Sequence[int]) -> Element:
     """Reorder tensor slots: slot k of the result is slot perm[k] of f (0-based).
 
     The reordering is a bijection on keys, so coefficients carry over as they are.
+    The library does not call it; it stays public as the definition of slot
+    invariance that `is_sym_invariant` is tested against, and because the
+    benchmark's tracer wraps it by name.
     """
     if sorted(perm) != list(range(f.n)):
         raise ValueError(f"{perm} is not a permutation of range({f.n})")

@@ -59,7 +59,6 @@ weight and never cached on disk, even when C_(d,n) is also built whole;
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import os
@@ -183,7 +182,10 @@ _TYPECODES = ("B", "H", "I")
 
 def _pack(values: list[int]) -> list[str]:
     """[typecode, base64 text] of values as a little-endian array of the
-    narrowest unsigned typecode that holds them."""
+    narrowest unsigned typecode that holds them.  Only cache reads and
+    writes load `base64`."""
+    import base64
+
     top = max(values, default=0)
     code = next(t for t in _TYPECODES if top < 1 << 8 * array(t).itemsize)
     packed = array(code, values)
@@ -194,6 +196,8 @@ def _pack(values: list[int]) -> list[str]:
 
 def _unpack(field) -> array:
     """The array `_pack` wrote; a ValueError or TypeError when it does not decode."""
+    import base64
+
     code, text = field
     if code not in _TYPECODES:
         raise ValueError(f"typecode {code!r}")
@@ -531,9 +535,6 @@ class DiIdeal:
         if f.is_zero():
             return True
         return self.component(f.d, f.n).contains(f)
-
-    def component_dim(self, d: int, n: int) -> int:
-        return self.component(d, n).dim
 
 
 def component_span(I: DiIdeal, bidegree: tuple[int, int]) -> list[SymElement]:

@@ -49,6 +49,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -191,40 +192,92 @@ def _plucker_generators(M: int, max_d: int) -> tuple[SymElement, ...]:
 
 # ---------------------------------------------------------------------------
 # points and evaluation
+#
+# A batch of sampled points is held as one list per minor coordinate, its
+# value at every point.  The batch's matrix entries are drawn at once, and
+# each minor is expanded over all its matrices at once.  A monomial's values
+# are the elementwise product of its factors' lists, and a polynomial's one
+# integer combination of its monomials' lists.
 # ---------------------------------------------------------------------------
+
+# `rng.randint(-9, 9)` takes the top 5 bits of a 32-bit word and redraws
+# while they are 19 or more: per top byte its 5 bits, the bytes redrawn,
+# and the entry an accepted value stands for
+_TOP5 = bytes(b >> 3 for b in range(256))
+_REDRAWN = bytes(range(19 << 3, 256))
+_ENTRY = range(-9, 10)
+
+
+def _draw_entries(rng: random.Random, count: int) -> list[int]:
+    """The values of the next count `rng.randint(-9, 9)` calls, drawn in bulk.
+
+    `getrandbits(32 * m)` holds the next m words, the first least
+    significant, so its little-endian bytes [3::4] are their top bytes in
+    draw order.  A word gives at most one value, so asking for no more
+    words than values still missing takes exactly the words the calls
+    take, and leaves the generator where they leave it.
+    """
+    drawn = b""
+    while len(drawn) < count:
+        m = count - len(drawn)
+        drawn += rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4].translate(
+            _TOP5, _REDRAWN)
+    return list(map(_ENTRY.__getitem__, drawn))
+
 
 @cache
 def _minor_plan(d: int, N: int) -> tuple[tuple[Factor, ...], tuple]:
     """How to expand every d x d minor of a d x N matrix, bottom row first.
 
     Level k covers the minors of the bottom k rows, one per k-subset S of
-    the columns in `combinations` order; the minor at S expands along the
-    top row of the k into the minors of level k-1.  For each position p of
-    S, a level lists the 0-based column at p of every S and the index in
-    level k-1 of S without that column.  Returns the width-d subsets (the
-    coordinates of a point, in order) and the levels.
+    the columns in `combinations` order; level 1 is the bottom row itself,
+    and for k >= 2 the minor at S expands along the top row of the k into
+    the minors of level k-1.  For each S, level k lists per position p of
+    S the 0-based column at p and the index in level k-1 of S without that
+    column.  Returns the width-d subsets (the coordinates of a point, in
+    order) and the levels from 2 up.
     """
-    index: dict[Factor, int] = {(): 0}
+    index = {(c,): c - 1 for c in range(1, N + 1)}
     levels = []
-    for k in range(1, d + 1):
+    for k in range(2, d + 1):
         subsets = list(combinations(range(1, N + 1), k))
-        levels.append(tuple((tuple(S[p] - 1 for S in subsets),
-                             tuple(index[S[:p] + S[p + 1:]] for S in subsets))
-                            for p in range(k)))
+        levels.append(tuple(tuple((S[p] - 1, index[S[:p] + S[p + 1:]]) for p in range(k))
+                            for S in subsets))
         index = {S: i for i, S in enumerate(subsets)}
     return tuple(index), tuple(levels)
 
 
-def _minors(matrix: Sequence[Sequence[int]], levels: tuple) -> list[int]:
-    """The maximal minors of the matrix along the levels of `_minor_plan`."""
-    minors = [1]
-    for row, level in zip(reversed(matrix), levels):
-        terms = [list(map(mul, map(row.__getitem__, cols), map(minors.__getitem__, below)))
-                 for cols, below in level]
-        minors = terms[0]
-        for p in range(1, len(terms)):
-            minors = list(map(sub if p % 2 else add, minors, terms[p]))
+def _minor_columns(entries: Sequence[int], d: int, N: int) -> list[list[int]]:
+    """The maximal minors of a batch of d x N matrices, one list over the
+    matrices per minor, in the order of `_minor_plan`; `entries` holds the
+    matrices one after another, each row by row."""
+    size = d * N
+    minors = [entries[(d - 1) * N + c::size] for c in range(N)]
+    for i, level in zip(reversed(range(d - 1)), _minor_plan(d, N)[1]):
+        row = [entries[i * N + c::size] for c in range(N)]
+        expanded = []
+        for (c, below), *rest in level:
+            minor = list(map(mul, row[c], minors[below]))
+            for p, (c, below) in enumerate(rest, 1):
+                minor = list(map(sub if p % 2 else add, minor, map(mul, row[c], minors[below])))
+            expanded.append(minor)
+        minors = expanded
     return minors
+
+
+def _secant_columns(rng: random.Random, d: int, N: int, r: int,
+                    count: int) -> dict[Factor, list[int]]:
+    """count random sums of r+1 decomposables, as one list over the points
+    per coordinate: the points of count `random_secant_point` calls."""
+    keys, _ = _minor_plan(d, N)
+    k = r + 1
+    out = {}
+    for key, minor in zip(keys, _minor_columns(_draw_entries(rng, count * k * d * N), d, N)):
+        total = minor[::k]
+        for t in range(1, k):
+            total = list(map(add, total, minor[t::k]))
+        out[key] = total
+    return out
 
 
 def decomposable_point(matrix: Sequence[Sequence[int]], d: int, N: int) -> dict[Factor, int]:
@@ -236,41 +289,24 @@ def decomposable_point(matrix: Sequence[Sequence[int]], d: int, N: int) -> dict[
     """
     if len(matrix) != d or any(len(row) != N for row in matrix):
         raise ValueError(f"need a {d}x{N} matrix")
-    keys, levels = _minor_plan(d, N)
-    return dict(zip(keys, _minors(matrix, levels)))
+    keys, _ = _minor_plan(d, N)
+    minors = _minor_columns([x for row in matrix for x in row], d, N)
+    return {key: minor for key, (minor,) in zip(keys, minors)}
 
 
 def _random_matrix(rng: random.Random, d: int, N: int) -> list[list[int]]:
-    """A d x N matrix of entries in [-9, 9], row by row.
-
-    Each entry is 5 random bits, redrawn while 19 or more, minus 9: the
-    draws `rng.randint(-9, 9)` makes in CPython, so a seed picks the same
-    matrices, at a quarter of the cost.
-    """
-    bits = rng.getrandbits
-    rows = []
-    for _ in range(d):
-        row = []
-        for _ in range(N):
-            v = bits(5)
-            while v >= 19:
-                v = bits(5)
-            row.append(v - 9)
-        rows.append(row)
-    return rows
+    """A d x N matrix of the next d * N `rng.randint(-9, 9)` values, row by row."""
+    entries = _draw_entries(rng, d * N)
+    return [entries[i * N:(i + 1) * N] for i in range(d)]
 
 
 def random_decomposable(rng: random.Random, d: int, N: int) -> dict[Factor, int]:
-    return decomposable_point(_random_matrix(rng, d, N), d, N)
+    return random_secant_point(rng, d, N, 0)
 
 
 def random_secant_point(rng: random.Random, d: int, N: int, r: int) -> dict[Factor, int]:
     """Coordinates of a sum of r+1 random decomposables."""
-    keys, levels = _minor_plan(d, N)
-    total = _minors(_random_matrix(rng, d, N), levels)
-    for _ in range(r):
-        total = list(map(add, total, _minors(_random_matrix(rng, d, N), levels)))
-    return dict(zip(keys, total))
+    return {key: values[0] for key, values in _secant_columns(rng, d, N, r, 1).items()}
 
 
 def evaluate(f: SymElement, point: Mapping[Factor, int | Fraction]) -> Fraction:
@@ -291,46 +327,65 @@ def evaluate(f: SymElement, point: Mapping[Factor, int | Fraction]) -> Fraction:
     return Fraction(total, den)
 
 
+class _Values(dict):
+    """Monomials' values at a batch of points (`_secant_columns`), filled on
+    first use: a monomial's list is the elementwise product of its factors'
+    lists, kept for every vector that has the monomial.  Build one per
+    block of monomials, and let it go with them."""
+
+    __slots__ = ()
+
+    def __init__(self, points: Mapping[Factor, list[int]]):
+        super().__init__(((fac,), values) for fac, values in points.items())
+        self[()] = [1] * len(next(iter(points.values())))
+
+    def __missing__(self, key: FactorTuple) -> list[int]:
+        values = self[key[:1]]
+        for fac in key[1:]:
+            values = list(map(mul, values, self[(fac,)]))
+        self[key] = values
+        return values
+
+
+def _combination(values: Mapping[FactorTuple, list[int]],
+                 terms: Iterable[tuple[FactorTuple, int]]) -> list[int]:
+    """The sum of a * values[key] over nonempty (key, a) terms, at every point."""
+    total = None
+    for key, a in terms:
+        column = values[key]
+        if total is None:
+            total = column if a == 1 else list(map(a.__mul__, column))
+        elif a == 1:
+            total = list(map(add, total, column))
+        elif a == -1:
+            total = list(map(sub, total, column))
+        else:
+            total = list(map(add, total, map(a.__mul__, column)))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # evaluation-kernel oracle
 # ---------------------------------------------------------------------------
 
-def _sampled_points(d: int, N: int, r: int, count: int,
-                    rng: random.Random) -> list[dict[Factor, int]]:
-    return [random_secant_point(rng, d, N, r) for _ in range(count)]
-
-
-def _value_rows(keys: Sequence[FactorTuple],
-                points: Sequence[Mapping[Factor, int]]) -> list[list[int]]:
-    rows = []
-    for pt in points:
-        row = []
-        for key in keys:
-            v = 1
-            for fac in key:
-                v *= pt[fac]
-                if not v:
-                    break
-            row.append(v)
-        rows.append(row)
-    return rows
-
-
 def _cut_kernel(keys: Sequence[FactorTuple], kernel: list[dict[int, Rational]],
-                points: Sequence[Mapping[Factor, int]]) -> list[dict[int, Rational]]:
+                values: _Values) -> list[dict[int, Rational]]:
     """The combinations of the sparse kernel vectors that also vanish at the points.
 
+    `values` holds the points for the block whose monomials are `keys`.
+    Each vector's values times the lcm L of the denominators are one
+    integer combination; scaling each point's row by L keeps its kernel.
     The combinations keep the canonical form: each has coefficient 1 at its
     largest column and 0 at the largest column of every other vector.
     """
     scaled = [to_numerators(vec) for vec in kernel]
-    values = [{t: Fraction(sum(row[c] * a for c, a in nums.items()), den)
-               for t, (nums, den) in enumerate(scaled)}
-              for row in _value_rows(keys, points)]
-    null = kernel_basis(values, len(kernel))
-    if len(null) == len(kernel):
+    common = lcm(*(den for _, den in scaled))
+    at_points = [_combination(values, [(keys[c], a * (common // den)) for c, a in nums.items()])
+                 for nums, den in scaled]
+    if not any(map(any, at_points)):
         return kernel  # every vector vanishes at the points
-    return recombine(null, kernel)
+    rows = ({t: v for t, v in enumerate(row) if v} for row in zip(*at_points))
+    return recombine(kernel_basis(rows, len(kernel)), kernel)
 
 
 def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = None,
@@ -374,11 +429,13 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     # blocks of one orbit have one size, so the largest block is dominant
     if samples is None:
         samples = max(len(keys) for _, keys in blocks) + 24
-    points = _sampled_points(d, N, r, samples, random.Random(1_000_003 * seed))
+    points = _secant_columns(random.Random(1_000_003 * seed), d, N, r, samples)
     # (dominant weight, block monomials, kernel over the block's columns)
     kernels = []
     for w, keys in blocks:
-        kernel = certified_kernel(_value_rows(keys, points), len(keys))
+        # one row per point; the value lists go before the kernel is solved
+        rows = list(zip(*map(_Values(points).__getitem__, keys)))
+        kernel = certified_kernel(rows, len(keys))
         if kernel:
             kernels.append((w, keys, kernel))
     stable = 0
@@ -389,8 +446,8 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
             raise RuntimeError("evaluation kernel failed to stabilize")
         rng = random.Random(1_000_003 * seed + round_no)
         largest = max(len(kernel) for _, _, kernel in kernels)
-        points = _sampled_points(d, N, r, max(64, 2 * largest), rng)
-        cut = [(w, keys, _cut_kernel(keys, kernel, points))
+        points = _secant_columns(rng, d, N, r, max(64, 2 * largest))
+        cut = [(w, keys, _cut_kernel(keys, kernel, _Values(points)))
                for w, keys, kernel in kernels]
         changed = any(len(new) < len(old) for (_, _, new), (_, _, old) in zip(cut, kernels))
         stable = 0 if changed else stable + 1
@@ -400,11 +457,15 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
         elems = [SymElement(d, n, M, {keys[j]: v for j, v in vec.items()}, _validated=True)
                  for vec in kernel]
         # the last cut made the block's own vectors vanish at these points,
-        # so only the carried ones are evaluated
+        # so only the carried ones are evaluated, from the values of each
+        # sigma's block of monomials, built once
         for k, e in enumerate(orbit_fill(w, elems)):
-            if k >= len(elems) and any(evaluate(e, pt) for pt in points):
-                raise RuntimeError(f"a vector filled into the orbit of weight {w} "
-                                   "does not vanish at the last round's points")
+            if k >= len(elems):
+                if k % len(elems) == 0:
+                    values = _Values(points)
+                if any(_combination(values, to_numerators(e.terms)[0].items())):
+                    raise RuntimeError(f"a vector filled into the orbit of weight {w} "
+                                       "does not vanish at the last round's points")
             basis.add({-index[key]: c for key, c in e.terms.items()})
     return [SymElement(d, n, M, {monos[-c]: v for c, v in row.items()}, _validated=True)
             for row in reversed(basis.basis_rows())]

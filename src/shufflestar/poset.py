@@ -25,8 +25,8 @@ from itertools import combinations
 from .core import Element, IncFn, SymElement, TensorMonomial
 
 __all__ = [
-    "RLWitness", "LabeledTree", "rl_leq", "rl_leq_inclusion", "monomial_cmp",
-    "leading_term", "encode_tree", "decode_tree", "tree_leq",
+    "RLWitness", "LabeledTree", "rl_leq", "rl_leq_inclusion", "rl_search", "value_slots",
+    "monomial_cmp", "leading_term", "encode_tree", "decode_tree", "tree_leq",
     "minimal_elements", "LT", "EQ", "GT",
 ]
 
@@ -86,16 +86,26 @@ def _greedy_assign(value_slots: Sequence[int], chosen: int, letter_slots: Sequen
     return tuple(out)
 
 
-def _rl_search(S: TensorMonomial, T: TensorMonomial, exact: bool) -> Optional[RLWitness]:
+def value_slots(T: TensorMonomial) -> list[int]:
+    """Per value v of T's alphabet, the bitmask of the slots of T whose
+    factor contains v; one list serves every search against T."""
+    slots = [0] * T.alphabet
+    for k, factor in enumerate(T.factors):
+        for v in factor:
+            slots[v - 1] |= 1 << k
+    return slots
+
+
+def rl_search(S: TensorMonomial, T: TensorMonomial, exact: bool,
+               slots: Sequence[int]) -> Optional[RLWitness]:
+    """The first witness that S divides T (exact) or that its factors map
+    into T's (not exact), or None.  `slots` is `value_slots(T)`, built once
+    per T by callers that search one T for many S."""
     if S.M != T.M:
         raise ValueError(f"multiplier mismatch: {S.M} vs {T.M}")
     if S.d > T.d or S.n > T.n:
         return None
     dom, cod = S.alphabet, T.alphabet
-    value_slots = [0] * cod
-    for k, factor in enumerate(T.factors):
-        for v in factor:
-            value_slots[v - 1] |= 1 << k
     for pos in combinations(range(T.n), S.n):
         chosen = 0
         letter_slots = [0] * dom
@@ -104,7 +114,7 @@ def _rl_search(S: TensorMonomial, T: TensorMonomial, exact: bool) -> Optional[RL
             chosen |= bit
             for l in factor:
                 letter_slots[l - 1] |= bit
-        image = _greedy_assign(value_slots, chosen, letter_slots, exact)
+        image = _greedy_assign(slots, chosen, letter_slots, exact)
         if image is not None:
             return RLWitness(tuple(k + 1 for k in pos), IncFn(dom, cod, image))
     return None
@@ -112,12 +122,12 @@ def _rl_search(S: TensorMonomial, T: TensorMonomial, exact: bool) -> Optional[RL
 
 def rl_leq(S: TensorMonomial, T: TensorMonomial) -> Optional[RLWitness]:
     """Divisibility of reading lists; a witness iff T is a product multiple of S."""
-    return _rl_search(S, T, exact=True)
+    return rl_search(S, T, True, value_slots(T))
 
 
 def rl_leq_inclusion(S: TensorMonomial, T: TensorMonomial) -> Optional[RLWitness]:
     """The containment-only variant: g(S^i) inside T^{k_i}, nothing more."""
-    return _rl_search(S, T, exact=False)
+    return rl_search(S, T, False, value_slots(T))
 
 
 def monomial_cmp(a: TensorMonomial, b: TensorMonomial) -> int:

@@ -120,15 +120,6 @@ class PairElement:
         return (f"PairElement(d={self.d},M={self.M},total={self.total},"
                 f"sym={self.symmetric},{len(self.terms)} terms)")
 
-    def side_elements(self):
-        """Group terms by slot-count split, yielding (left, right) element pairs."""
-        cls = SymElement if self.symmetric else Element
-        grouped: dict[tuple[int, int], dict] = {}
-        for (lk, rk), coeff in self.terms.items():
-            grouped.setdefault((len(lk), len(rk)), {})[(lk, rk)] = coeff
-        for (nl, nr), sub in sorted(grouped.items()):
-            yield (nl, nr), sub, cls
-
     def swap(self) -> "PairElement":
         out = PairElement(self.d, self.M, self.total, self.symmetric)
         for (lk, rk), coeff in self.terms.items():

@@ -32,8 +32,9 @@ from .poset import (
     LabeledTree,
     encode_tree,
     rl_leq,
-    rl_leq_inclusion,
+    rl_search,
     tree_leq,
+    value_slots,
 )
 from .products import (
     Split,
@@ -220,10 +221,13 @@ def check_poset_oracle(seed: int = 0) -> dict:
     pairs = 0
     disagreements = []
     inclusion_disagreements = 0
-    # each target monomial is built (and validated) once, not once per S
-    targets = {(e, m): [(tkey, TensorMonomial(e, m, M, tkey))
-                        for tkey in iter_tensor_keys(e, m, M)]
-               for e in range(0, 4) for m in range(0, 4)}
+    # each target monomial is built (and validated) once, not once per S,
+    # and so are its value bitmasks, which both searches read
+    targets = {}
+    for e in range(0, 4):
+        for m in range(0, 4):
+            built = [(tkey, TensorMonomial(e, m, M, tkey)) for tkey in iter_tensor_keys(e, m, M)]
+            targets[e, m] = [(tkey, T, value_slots(T)) for tkey, T in built]
     for d in range(0, 3):
         for n in range(0, 3):
             for skey in iter_tensor_keys(d, n, M):
@@ -231,13 +235,14 @@ def check_poset_oracle(seed: int = 0) -> dict:
                 for e in range(0, 4):
                     for m in range(0, 4):
                         member_keys = _brute_force_keys(S, e, m, M)
-                        for tkey, T in targets[e, m]:
+                        for tkey, T, slots in targets[e, m]:
                             pairs += 1
                             member = tkey in member_keys
-                            decided = rl_leq(S, T) is not None
+                            # rl_leq and rl_leq_inclusion, on T's bitmasks
+                            decided = rl_search(S, T, True, slots) is not None
                             if decided != member:
                                 disagreements.append((skey, tkey))
-                            if (rl_leq_inclusion(S, T) is not None) != member:
+                            if (rl_search(S, T, False, slots) is not None) != member:
                                 inclusion_disagreements += 1
     return {
         "name": "poset_oracle",

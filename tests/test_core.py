@@ -20,7 +20,6 @@ from shufflestar.core import (
     merge_signed,
     monomial,
     permute_slots,
-    relabel,
     relabel_factor,
     sym_monomial,
     wedge,
@@ -58,10 +57,10 @@ def test_wedge_anticommutativity():
 
 def test_relabel_examples():
     g = IncFn(4, 5, (2, 3, 4, 5))
-    assert relabel(ExteriorMonomial(4, (1, 2)), g).indices == (2, 3)
+    assert relabel_factor((1, 2), g) == (2, 3)
     # worked relabeling: 2 -> 3 and 3 -> 4
-    assert relabel(ExteriorMonomial(4, (2, 3)), g).indices == (3, 4)
-    assert relabel(ExteriorMonomial(4, ()), g).indices == ()
+    assert relabel_factor((2, 3), g) == (3, 4)
+    assert relabel_factor((), g) == ()
     with pytest.raises(ValueError):
         relabel_factor((5,), g)
 

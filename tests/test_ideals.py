@@ -35,7 +35,7 @@ def klein():
 
 def test_empty_component(klein):
     assert component_span(klein, (1, 1)) == []
-    assert klein.component_dim(2, 1) == 0
+    assert klein.component(2, 1).dim == 0
 
 
 def test_component_2_3_is_variable_multiples(klein):
@@ -66,7 +66,7 @@ def test_quotient_and_initial(klein):
     assert len(init) == 1
     _, lead = leading_term(basic_plucker(1))
     assert init[0] == lead.factors
-    assert len(initial_component(klein, (2, 3))) == klein.component_dim(2, 3)
+    assert len(initial_component(klein, (2, 3))) == klein.component(2, 3).dim
     assert initial_component(klein, (1, 1)) == []
 
 
@@ -283,12 +283,12 @@ def test_generator_validation():
 
 def test_disk_cache_round_trip(tmp_path):
     I1 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
-    dim = I1.component_dim(2, 3)
+    dim = I1.component(2, 3).dim
     files = list(tmp_path.glob("component_*.json"))
     assert files
     # a second ideal object reuses the files
     I2 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
-    assert I2.component_dim(2, 3) == dim
+    assert I2.component(2, 3).dim == dim
     # cache coherence: recomputing without the cache gives the same space
     I3 = DiIdeal(2, [basic_plucker(1)])
     a = I3.component(2, 3)
@@ -300,23 +300,23 @@ def test_disk_cache_round_trip(tmp_path):
 
 def test_disk_cache_tamper_detection(tmp_path):
     I1 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
-    dim = I1.component_dim(2, 2)
+    dim = I1.component(2, 2).dim
     path = I1._cache_path(2, 2)
     data = json.loads(path.read_text())
     data["dim"] = 99
     path.write_text(json.dumps(data))
     I2 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
-    assert I2.component_dim(2, 2) == dim
+    assert I2.component(2, 2).dim == dim
     path.write_text("{not json")
     I3 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
-    assert I3.component_dim(2, 2) == dim
+    assert I3.component(2, 2).dim == dim
 
 
 def test_cache_distinguishes_generators(tmp_path):
     I1 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
     I2 = DiIdeal(2, [basic_plucker(1).scale(2)], cache_dir=tmp_path)
     assert I1.gen_hash != I2.gen_hash
-    assert I1.component_dim(2, 2) == I2.component_dim(2, 2) == 1
+    assert I1.component(2, 2).dim == I2.component(2, 2).dim == 1
 
 
 def test_cache_write_uses_a_private_temporary_file(tmp_path):
@@ -498,7 +498,7 @@ def test_cached_column_out_of_range_is_not_adopted(tmp_path, column):
 
 def test_dimension_zero_components_round_trip(tmp_path):
     I1 = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
-    assert I1.component_dim(2, 1) == 0
+    assert I1.component(2, 1).dim == 0
     data = json.loads(I1._cache_path(2, 1).read_text())
     assert [data[key] for key in ("dim", "coeffs", "cols", "vals", "ends")] == \
         [0, [], ["B", ""], ["B", ""], ["B", ""]]
@@ -507,7 +507,7 @@ def test_dimension_zero_components_round_trip(tmp_path):
     assert I2.cache_stats == {"hits": 1, "misses": 0, "rejects": {}}
     assert empty.dim == 0 and len(empty.standard_monomials()) == empty.space_dim
     # the climb above it reads the adopted (empty) rows
-    assert I2.component_dim(2, 2) == 1
+    assert I2.component(2, 2).dim == 1
 
 
 def _as_16_bit(field, extra=b""):
@@ -589,7 +589,7 @@ def test_old_layout_file_is_neither_read_nor_rejected(tmp_path):
     before = old.read_bytes(), flat.read_bytes()
     I = DiIdeal(2, gens, cache_dir=tmp_path)
     assert I.gen_hash not in (old_hash, flat_hash)
-    assert I.component_dim(2, 2) == 1
+    assert I.component(2, 2).dim == 1
     assert I.cache_stats == {"hits": 0, "misses": 3, "rejects": {}}
     assert (old.read_bytes(), flat.read_bytes()) == before
     assert I._cache_path(2, 2).is_file() and I._cache_path(2, 2) not in (old, flat)

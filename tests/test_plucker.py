@@ -149,6 +149,89 @@ def test_random_matrices_are_the_randint_draws(seed):
         assert rng.random() == ref.random()
 
 
+def _leibniz_point(matrices):
+    """The minor coordinates of the sum of the matrices' row spans, by the
+    Leibniz formula."""
+    d, N = len(matrices[0]), len(matrices[0][0])
+    return {fac: sum(_leibniz_det([[row[c - 1] for c in fac] for row in m]) for m in matrices)
+            for fac in combinations(range(1, N + 1), d)}
+
+
+@pytest.mark.parametrize("d, N, r", [(2, 6, 1), (3, 9, 1), (2, 8, 2), (2, 4, 0), (3, 6, 0)])
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_bulk_points_are_the_one_at_a_time_draws(d, N, r, seed):
+    # coordinate lists over the points, drawn in bulk, hold the points that
+    # as many one-point draws give, and leave the generator where they do;
+    # both are the sums of Leibniz minors of the `randint(-9, 9)` matrices
+    from shufflestar.plucker import _secant_columns
+    for count in (0, 1, 2, 64, 167):
+        rng, one, ref = (random.Random(seed) for _ in range(3))
+        columns = _secant_columns(rng, d, N, r, count)
+        assert list(columns) == list(combinations(range(1, N + 1), d))
+        assert all(len(values) == count for values in columns.values())
+        points = [{fac: values[j] for fac, values in columns.items()} for j in range(count)]
+        assert points == [random_secant_point(one, d, N, r) for _ in range(count)]
+        following = rng.random()
+        assert following == one.random()
+        if count <= 64:
+            assert points == [_leibniz_point([[[ref.randint(-9, 9) for _ in range(N)]
+                                               for _ in range(d)] for _ in range(r + 1)])
+                              for _ in range(count)]
+            assert following == ref.random()
+
+
+@pytest.mark.parametrize("d, N, r, n", [(2, 6, 1, 1), (2, 6, 1, 3), (2, 6, 0, 4), (3, 6, 0, 2),
+                                        (3, 9, 1, 2)])
+def test_value_columns_equal_the_evaluation_point_by_point(d, N, r, n):
+    from shufflestar.ideals import monomial_space
+    from shufflestar.plucker import _secant_columns, _Values
+    count = 9
+    columns = _secant_columns(random.Random(n), d, N, r, count)
+    points = [{fac: values[j] for fac, values in columns.items()} for j in range(count)]
+    values = _Values(columns)
+    for key in monomial_space(d, n, N // d)[0]:
+        mono = SymElement(d, n, N // d, {key: 1}, _validated=True)
+        assert values[key] == [evaluate(mono, pt) for pt in points]
+
+
+@pytest.mark.parametrize("d, N, r, n", [(2, 6, 1, 3), (2, 6, 0, 3), (3, 6, 0, 2)])
+def test_cut_kernel_equals_the_point_by_point_cut(d, N, r, n):
+    # two points leave big kernels with fractions in them; the cut at the
+    # next points, one combination per vector, is the point-by-point one
+    from shufflestar.certified import certified_kernel
+    from shufflestar.plucker import _cut_kernel, _secant_columns, _Values
+    from shufflestar.weights import monomials_of_weight
+    recombined = 0
+    for w in dominant_weights(d, n, N):
+        keys = monomials_of_weight(w, d, n)
+        rng = random.Random(len(keys))
+        kernel = certified_kernel(_reference_value_rows(keys, _reference_points(d, N, r, 2, rng)),
+                                  len(keys))
+        state = rng.getstate()
+        got = _cut_kernel(keys, kernel, _Values(_secant_columns(rng, d, N, r, len(keys) // 2)))
+        rng.setstate(state)
+        want = _reference_cut_kernel(keys, kernel, _reference_points(d, N, r, len(keys) // 2, rng))
+        assert got == want
+        recombined += got is not kernel
+    assert recombined
+
+
+def test_the_oracle_draws_no_point_alone(monkeypatch):
+    # every round draws its points in one batch, as coordinate lists
+    from shufflestar import plucker
+
+    def refuse(*args):
+        raise AssertionError("a point drawn alone")
+
+    cfg = GrassmannConfig(d=2, N=6, r=1)
+    want = evaluation_kernel(cfg, 3, seed=1)
+    monkeypatch.setattr(plucker, "random_secant_point", refuse)
+    monkeypatch.setattr(plucker, "random_decomposable", refuse)
+    monkeypatch.setattr(plucker, "decomposable_point", refuse)
+    assert evaluation_kernel(cfg, 3, seed=1) == want
+    assert evaluation_kernel(GrassmannConfig(d=3, N=6, r=0), 2, seed=1)
+
+
 def test_pfaffian():
     assert pfaffian((1, 2, 3, 4), 4) == basic_plucker(1)
     p6 = pfaffian(range(1, 7), 6)
@@ -211,7 +294,7 @@ def test_secant_base_case():
     I = DiIdeal(2, [basic_plucker(1)])
     assert secant_ideal(I, 0) is I
     b0 = secant_component(I, 0, (2, 2))
-    assert len(b0) == I.component_dim(2, 2) == 1
+    assert len(b0) == I.component(2, 2).dim == 1
 
 
 def test_secant_gr26_small_degrees():
@@ -254,12 +337,44 @@ def test_oracle_rounds_reach_the_same_basis_from_two_first_points(r):
             == evaluation_kernel(cfg, 3, seed=4))
 
 
+def _reference_points(d, N, r, count, rng):
+    """Sampled points one at a time, each a dict of its coordinates."""
+    return [random_secant_point(rng, d, N, r) for _ in range(count)]
+
+
+def _reference_value_rows(keys, points):
+    """One row per point: each monomial's value there, factor by factor."""
+    rows = []
+    for pt in points:
+        row = []
+        for key in keys:
+            v = 1
+            for fac in key:
+                v *= pt[fac]
+            row.append(v)
+        rows.append(row)
+    return rows
+
+
+def _reference_cut_kernel(keys, kernel, points):
+    """The combinations of the kernel vectors that vanish at the points, with
+    every vector's value computed point by point in fractions."""
+    from shufflestar.linalg import kernel_basis, recombine
+    values = [{t: sum(Fraction(row[c]) * a for c, a in vec.items())
+               for t, vec in enumerate(kernel)}
+              for row in _reference_value_rows(keys, points)]
+    null = kernel_basis(values, len(kernel))
+    if len(null) == len(kernel):
+        return kernel
+    return recombine(null, kernel)
+
+
 def _all_blocks_kernel(cfg, n, samples=None, seed=0):
     """The oracle as it was before the orbit reduction: every weight block
-    goes through the certified kernels and the re-sampling rounds."""
+    goes through the certified kernels and the re-sampling rounds, with the
+    points drawn, held and evaluated one at a time."""
     from shufflestar.certified import certified_kernel
     from shufflestar.ideals import monomial_space
-    from shufflestar.plucker import _cut_kernel, _sampled_points, _value_rows
     from shufflestar.weights import weight
     d, N, r, M = cfg.d, cfg.N, cfg.r, cfg.M
     monos = monomial_space(d, n, M)[0]
@@ -269,11 +384,11 @@ def _all_blocks_kernel(cfg, n, samples=None, seed=0):
     blocks = list(groups.values())
     if samples is None:
         samples = max(len(cols) for cols in blocks) + 24
-    points = _sampled_points(d, N, r, samples, random.Random(1_000_003 * seed))
+    points = _reference_points(d, N, r, samples, random.Random(1_000_003 * seed))
     kernels = []
     for cols in blocks:
         keys = [monos[c] for c in cols]
-        kernel = certified_kernel(_value_rows(keys, points), len(cols))
+        kernel = certified_kernel(_reference_value_rows(keys, points), len(cols))
         if kernel:
             kernels.append((cols, keys, kernel))
     stable = 0
@@ -283,8 +398,8 @@ def _all_blocks_kernel(cfg, n, samples=None, seed=0):
         assert round_no <= 16
         rng = random.Random(1_000_003 * seed + round_no)
         largest = max(len(kernel) for _, _, kernel in kernels)
-        points = _sampled_points(d, N, r, max(64, 2 * largest), rng)
-        cut = [(cols, keys, _cut_kernel(keys, kernel, points))
+        points = _reference_points(d, N, r, max(64, 2 * largest), rng)
+        cut = [(cols, keys, _reference_cut_kernel(keys, kernel, points))
                for cols, keys, kernel in kernels]
         changed = any(len(new) < len(old) for (_, _, new), (_, _, old) in zip(cut, kernels))
         stable = 0 if changed else stable + 1
@@ -339,7 +454,7 @@ def _canonical(c):
 @pytest.mark.parametrize("d, N, r, n", [(2, 4, 0, 2), (2, 6, 1, 3), (3, 6, 0, 2)])
 def test_oracle_and_its_kernels_keep_canonical_coefficients(d, N, r, n):
     from shufflestar.certified import certified_kernel
-    from shufflestar.plucker import _cut_kernel, _sampled_points, _value_rows
+    from shufflestar.plucker import _cut_kernel, _secant_columns, _Values
     from shufflestar.weights import monomials_of_weight
     K = evaluation_kernel(GrassmannConfig(d=d, N=N, r=r), n, seed=1)
     assert K and all(_canonical(c) for v in K for c in v.terms.values())
@@ -347,9 +462,9 @@ def test_oracle_and_its_kernels_keep_canonical_coefficients(d, N, r, n):
     rng = random.Random(0)
     for w in dominant_weights(d, n, N):
         keys = monomials_of_weight(w, d, n)
-        kernel = certified_kernel(_value_rows(keys, _sampled_points(d, N, r, 2, rng)),
+        kernel = certified_kernel(_reference_value_rows(keys, _reference_points(d, N, r, 2, rng)),
                                   len(keys))
-        cut = _cut_kernel(keys, kernel, _sampled_points(d, N, r, len(keys), rng))
+        cut = _cut_kernel(keys, kernel, _Values(_secant_columns(rng, d, N, r, len(keys))))
         assert all(_canonical(c) for vec in kernel + cut for c in vec.values())
 
 

@@ -143,7 +143,7 @@ def test_delta_invariant_requires_invariance():
 def test_pair_element_grouping():
     f = sym_monomial(2, 2, 2, [(1, 2), (3, 4)])
     D = delta_sym(f)
-    shapes = sorted(shape for shape, _, _ in D.side_elements())
+    shapes = sorted({(len(lk), len(rk)) for lk, rk in D.terms})
     assert shapes == [(0, 2), (1, 1), (2, 0)]
 
 

@@ -86,6 +86,11 @@ class SparseRREF:
     the same `rows` list.  Their column index is likewise built lazily, on
     the first `add` or `sparse_rref_kernel`, so a basis that is only reduced
     against builds neither.  `row` reads one row, building it if need be.
+
+    `add`, `reduce`, `contains` and `basis_rows` only order and hash their
+    columns, so they take any ordered, hashable column keys, such as the
+    monomials themselves; `from_arrays` and `sparse_rref_kernel` need `int`
+    columns from 0 to ncols - 1.
     """
 
     __slots__ = ("pivots", "rows", "max_bits", "_cols", "_flat")
@@ -325,10 +330,15 @@ def rref_rank(rows: Iterable[Mapping[int, Rational]], max_bits: Optional[int] = 
 def kernel_basis(rows: Iterable[Mapping[int, Rational]], ncols: int,
                  max_bits: Optional[int] = None) -> list[dict[int, Rational]]:
     """Basis of the right null space of sparse rows over ncols columns, one
-    sparse vector per free column (see `sparse_rref_kernel`)."""
+    sparse vector per free column (see `sparse_rref_kernel`).
+
+    Once the rank reaches ncols the kernel is empty, and no further row is
+    read from `rows`.
+    """
     basis = SparseRREF(max_bits=max_bits)
     for row in rows:
-        basis.add(row)
+        if basis.add(row) and basis.rank == ncols:
+            return []
     return sparse_rref_kernel(basis, ncols)
 
 

@@ -63,8 +63,8 @@ from .core import (
     sym_monomial,
     to_numerators,
 )
-from .ideals import ComponentBasis, DiIdeal, monomial_space
-from .linalg import SparseRREF, kernel_basis, recombine, sparse_rref_kernel
+from .ideals import ComponentBasis, DiIdeal
+from .linalg import SparseRREF, kernel_basis, recombine
 from .products import sym_star
 from .weights import Weight, dominant_weights, monomials_of_weight, orbit_fill
 
@@ -294,12 +294,6 @@ def decomposable_point(matrix: Sequence[Sequence[int]], d: int, N: int) -> dict[
     return {key: minor for key, (minor,) in zip(keys, minors)}
 
 
-def _random_matrix(rng: random.Random, d: int, N: int) -> list[list[int]]:
-    """A d x N matrix of the next d * N `rng.randint(-9, 9)` values, row by row."""
-    entries = _draw_entries(rng, d * N)
-    return [entries[i * N:(i + 1) * N] for i in range(d)]
-
-
 def random_decomposable(rng: random.Random, d: int, N: int) -> dict[Factor, int]:
     return random_secant_point(rng, d, N, 0)
 
@@ -412,18 +406,19 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
     at the last round's points, at which the last round has just cut the
     kernel itself; one that does not vanish raises.
 
-    The filled vectors go into one `SparseRREF` over the negated columns;
-    the blocks have disjoint columns, so each is echeloned alone, with its
-    largest column as pivot.  Each basis vector is weight-homogeneous, has
-    coefficient 1 at its largest column (in the reverse-sorted monomial
-    order), 0 at the largest column of every other vector and an int at
-    every integral one; the vectors are sorted by that column.  This is
-    the reduced echelon basis of the whole kernel.
+    The filled vectors go into one `SparseRREF` whose columns are the
+    monomials themselves, with no index over the whole monomial space; the
+    blocks have disjoint columns, so each is echeloned alone, with its
+    smallest monomial as pivot.  Each basis vector is weight-homogeneous,
+    has coefficient 1 at its smallest monomial, the largest column in the
+    descending order of `ideals.monomial_space`, 0 at the pivot of every
+    other vector and an int at every integral coefficient; the vectors are
+    sorted by pivot, largest first.  This is the reduced echelon basis of
+    the whole kernel.
     """
     from .certified import certified_kernel
 
     d, N, r, M = cfg.d, cfg.N, cfg.r, cfg.M
-    monos, index = monomial_space(d, n, M)
     # each dominant block's monomials, in column order
     blocks = [(w, monomials_of_weight(w, d, n)) for w in dominant_weights(d, n, N)]
     # blocks of one orbit have one size, so the largest block is dominant
@@ -466,9 +461,8 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
                 if any(_combination(values, to_numerators(e.terms)[0].items())):
                     raise RuntimeError(f"a vector filled into the orbit of weight {w} "
                                        "does not vanish at the last round's points")
-            basis.add({-index[key]: c for key, c in e.terms.items()})
-    return [SymElement(d, n, M, {monos[-c]: v for c, v in row.items()}, _validated=True)
-            for row in reversed(basis.basis_rows())]
+            basis.add(e.terms)
+    return [SymElement(d, n, M, row, _validated=True) for row in reversed(basis.basis_rows())]
 
 
 # ---------------------------------------------------------------------------
@@ -662,8 +656,8 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis,
     left and J_(d,n-i) on the right.  The summands are solved one after the
     other, in increasing |n - 2i|: the balanced split, which cuts the most
     for the least work, first, and membership in I last.  Each summand's
-    conditions on the rows left so far go into one elimination; at full
-    rank no kernel is left, else its kernel recombines those rows, and the
+    conditions on the rows left so far go into one `linalg.kernel_basis`,
+    which stops at full rank; its kernel recombines those rows, and the
     next summand reads only the combinations.  The rows returned span the
     kernel but are not reduced.
     """
@@ -683,12 +677,7 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis,
         for t, row in enumerate(rows):
             for key, val in _condition_coords(QL, QR, i, row, V.monomials, tables).items():
                 rows_map.setdefault(key, {})[t] = val
-        acc = SparseRREF()
-        for key in sorted(rows_map):
-            if acc.add(rows_map[key]) and acc.rank == nv:
-                return []
-        if acc.rank:
-            rows = recombine(sparse_rref_kernel(acc, nv), rows)
+        rows = recombine(kernel_basis(map(rows_map.__getitem__, sorted(rows_map)), nv), rows)
     return rows
 
 
@@ -760,136 +749,19 @@ def secant_component(I, r: int, bidegree: tuple[int, int]) -> list[SymElement]:
     return secant_ideal(I, r).component(*bidegree).basis_elements()
 
 
-# ---------------------------------------------------------------------------
-# mod-p upper bound for self-join component dimensions
-#
-# Ranks can only drop mod p, so a mod-p kernel of the join conditions can
-# only be too big.  The library does not call this: the degree probe takes
-# the exact join component, which is faster.  It stays because
-# bench/tracing.py wraps `modp_self_join_upper` by name.  It imports numpy
-# only if it is called.
-# ---------------------------------------------------------------------------
-
-def _std_extraction_modp(comp: ComponentBasis, p: int) -> tuple[np.ndarray, list[int]]:
-    """Matrix of the quotient projection onto standard coordinates, mod p.
-
-    Rows are indexed by standard monomials, columns by all monomials of the
-    component space; reduce(e_col) has standard coordinates equal to the
-    column of the result.
-    """
-    import numpy as np
-
-    space = comp.space_dim
-    pivots = comp.basis.pivot_columns()
-    std_cols = [c for c in range(space) if c not in comp.basis.pivots]
-    pos = {c: k for k, c in enumerate(std_cols)}
-    E = np.zeros((len(std_cols), space), dtype=np.int64)
-    for k, c in enumerate(std_cols):
-        E[k, c] = 1
-    for pcol in pivots:
-        row = comp.basis.row(comp.basis.pivots[pcol])
-        den = 1
-        for v in row.values():
-            den = den * v.denominator // _gcd(den, v.denominator)
-        inv_den = pow(den % p, -1, p)
-        for c, v in row.items():
-            if c == pcol:
-                continue
-            E[pos[c], pcol] = (-int(v * den) * inv_den) % p
-    return E % p, std_cols
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _rows_to_modp_matrix(rows: Iterable[SymElement], comp: ComponentBasis,
-                         p: int) -> np.ndarray:
-    import numpy as np
-
-    mat = []
-    for el in rows:
-        den = 1
-        for v in el.terms.values():
-            den = den * v.denominator // _gcd(den, v.denominator)
-        vec = [0] * comp.space_dim
-        for key, v in el.terms.items():
-            vec[comp.index[key]] = int(v * den) % p
-        mat.append(vec)
-    return np.array(mat, dtype=np.int64)
-
-
 def modp_self_join_upper(I: DiIdeal, d: int, n: int,
-                         must_contain: Sequence[SymElement] = (),
-                         p: Optional[int] = None) -> Optional[int]:
-    """Mod-p upper bound for dim of the self-join component at (d, n).
+                         must_contain: Sequence[SymElement] = ()) -> Optional[int]:
+    """The dimension of the self-join component at (d, n), or None when an
+    element of must_contain is not in I's (d, n) component.
 
-    Returns None when the bound cannot be formed (an element of
-    must_contain escapes the component, or a block would not fit in
-    memory); callers then fall back to the exact elimination.  p defaults
-    to the first of `certified.PRIMES`.
+    The library does not call it: it stays only because bench/tracing.py
+    wraps it by name, and the benchmark change of ROADMAP item 1 deletes it
+    with that entry.
     """
-    import numpy as np
-
-    from .certified import modp_kernel, PRIMES
-
-    if p is None:
-        p = PRIMES[0]
     comp = I.component(d, n)
-    if comp.dim == 0:
-        return 0
-    for el in must_contain:
-        if not comp.contains(el):
-            return None
-    R = _rows_to_modp_matrix(comp.basis_elements(), comp, p)
-    Z = R.T.copy() % p  # space_dim x k, columns span the component mod p
-    mono_keys = comp.monomials
-    for i in range(1, n // 2 + 1):
-        QL = I.component(d, i)
-        QR = I.component(d, n - i)
-        ER, _ = _std_extraction_modp(QR, p)
-        if i == 1 and QL.dim == 0:
-            # per-variable slices: left factors are single variables
-            for var_key in QL.monomials:
-                var = var_key[0]
-                Y = np.zeros((QR.space_dim, Z.shape[1]), dtype=np.int64)
-                for c, key in enumerate(mono_keys):
-                    if not np.any(Z[c]):
-                        continue
-                    for t, fac in enumerate(key):
-                        if fac == var:
-                            rkey = key[:t] + key[t + 1:]
-                            Y[QR.index[rkey]] = (Y[QR.index[rkey]] + Z[c]) % p
-                S = (ER @ Y) % p
-                K, _, _ = modp_kernel(S, p)
-                if K.shape[0] == 0:
-                    return 0
-                Z = (Z @ K.T) % p
-        else:
-            EL, _ = _std_extraction_modp(QL, p)
-            k = Z.shape[1]
-            if QL.space_dim * QR.space_dim * k > 80_000_000:
-                return None  # block would not fit; let the caller go exact
-            T = np.zeros((QL.space_dim, QR.space_dim, k), dtype=np.int64)
-            for c, key in enumerate(mono_keys):
-                if not np.any(Z[c]):
-                    continue
-                for pos in combinations(range(n), i):
-                    inside = set(pos)
-                    lkey = tuple(key[t] for t in pos)
-                    rkey = tuple(key[t] for t in range(n) if t not in inside)
-                    T[QL.index[lkey], QR.index[rkey]] = \
-                        (T[QL.index[lkey], QR.index[rkey]] + Z[c]) % p
-            G = np.tensordot(EL, T, axes=(1, 0)) % p
-            H = np.tensordot(ER, G, axes=(1, 1)) % p   # (std_R, std_L, k)
-            flat = H.reshape(-1, Z.shape[1]) % p
-            K, _, _ = modp_kernel(flat, p)
-            if K.shape[0] == 0:
-                return 0
-            Z = (Z @ K.T) % p
-    return Z.shape[1]
+    if not all(map(comp.contains, must_contain)):
+        return None
+    return JoinIdeal(I, I).component(d, n).dim
 
 
 # ---------------------------------------------------------------------------

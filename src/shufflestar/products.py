@@ -36,7 +36,7 @@ from .core import (
 )
 
 __all__ = [
-    "IncFn", "Split", "complement", "shuffle_product", "star_product",
+    "IncFn", "Split", "shuffle_product", "star_product",
     "sym_star", "sym_shuffle", "invariant_shuffle", "all_splits",
     "all_incfns", "star_incfns",
 ]
@@ -62,10 +62,6 @@ class Split:
     def right(self) -> tuple[int, ...]:
         inside = set(self.left)
         return tuple(i for i in range(1, self.total + 1) if i not in inside)
-
-
-def complement(g: IncFn) -> IncFn:
-    return g.complement()
 
 
 def all_splits(n: int, m: int):

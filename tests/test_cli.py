@@ -284,6 +284,18 @@ def test_max_coeff_bits_does_not_outlive_the_run(tmp_path):
     assert SparseRREF().max_bits is None
 
 
+def test_parallel_verify_equals_the_serial_run(tmp_path):
+    from shufflestar.verify import run_checks
+    only = ["gamma", "census", "tree", "fonesum"]
+    assert run_checks(only=only, jobs=2)["checks"] == run_checks(only=only, jobs=1)["checks"]
+    # the coefficient guard reaches the workers too
+    out = tmp_path / "r.json"
+    for jobs in ("1", "2"):
+        code, rep = _run(["verify", "--only", "gamma,degree_probe", "--jobs", jobs,
+                          "--max-coeff-bits", "1"], out)
+        assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
+
+
 def test_shared_parser_leaks_no_option_between_calls(tmp_path):
     from shufflestar.cli import build_parser
     assert build_parser() is build_parser()

@@ -44,6 +44,18 @@ def test_kernel_examples():
     assert kernel_basis([], 3) == [{0: 1}, {1: 1}, {2: 1}]
 
 
+def test_kernel_basis_reads_no_row_past_full_rank():
+    def rows():
+        yield {0: 1, 1: 1}
+        yield {0: 2, 1: 2}
+        yield {1: 3}
+        raise AssertionError("a row was read after the rank reached ncols")
+
+    assert kernel_basis(rows(), 2) == []
+    # short of full rank every row is read
+    assert kernel_basis(iter([{0: 1, 1: 1}, {0: 2, 1: 2}]), 2) == [{1: 1, 0: -1}]
+
+
 def test_recombine_sums_the_rows_in_canonical_form():
     rows = [{0: 1, 2: Fraction(1, 2)}, {1: 1, 2: Fraction(1, 2)}]
     assert recombine([{0: 1, 1: -1}, {1: 2}], rows) == [{0: 1, 1: -1}, {1: 2, 2: 1}]

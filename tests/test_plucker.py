@@ -140,12 +140,11 @@ def test_secant_points_are_the_pinned_draws(d, N, r):
 def test_random_matrices_are_the_randint_draws(seed):
     # the draws `rng.randint(-9, 9)` makes, entry by entry, leaving the
     # generator where it leaves it
-    from shufflestar.plucker import _random_matrix
+    from shufflestar.plucker import _draw_entries
     for d, N in ((1, 1), (2, 6), (3, 9), (2, 10), (4, 3)):
         rng, ref = random.Random(seed), random.Random(seed)
         for _ in range(50):
-            assert (_random_matrix(rng, d, N)
-                    == [[ref.randint(-9, 9) for _ in range(N)] for _ in range(d)])
+            assert _draw_entries(rng, d * N) == [ref.randint(-9, 9) for _ in range(d * N)]
         assert rng.random() == ref.random()
 
 
@@ -882,3 +881,15 @@ def test_plucker_ideal_calls_share_no_state(tmp_path):
     b.component(2, 3)
     assert b.cache_stats["misses"] and not a._components
     assert a.cache_stats == {"hits": 0, "misses": 0, "rejects": {}}
+
+
+def test_modp_self_join_upper_is_the_exact_self_join_dimension():
+    from shufflestar.plucker import modp_self_join_upper
+    P = plucker_ideal(3, 2)
+    assert [modp_self_join_upper(P, 2, n) for n in (2, 3, 4)] == [0, 1, 15]
+    # x12^3 is not in P's (2, 3) component, so no bound is formed
+    cube = sym_monomial(2, 3, 3, [(1, 2)] * 3)
+    assert not P.component(2, 3).contains(cube)
+    assert modp_self_join_upper(P, 2, 3, must_contain=[cube]) is None
+    members = P.component(2, 3).basis_elements()[:3]
+    assert modp_self_join_upper(P, 2, 3, must_contain=members) == 1

@@ -16,7 +16,6 @@ from shufflestar.products import (
     Split,
     all_incfns,
     all_splits,
-    complement,
     invariant_shuffle,
     shuffle_product,
     star_incfns,
@@ -28,9 +27,9 @@ from shufflestar.symmetry import from_invariant, pi_prime, to_invariant
 
 
 def test_complement_examples():
-    assert complement(IncFn(4, 8, (1, 2, 3, 4))).image == (5, 6, 7, 8)
-    assert complement(IncFn(4, 8, (1, 4, 6, 8))).image == (2, 3, 5, 7)
-    assert complement(IncFn(0, 5, ())).image == (1, 2, 3, 4, 5)
+    assert IncFn(4, 8, (1, 2, 3, 4)).complement().image == (5, 6, 7, 8)
+    assert IncFn(4, 8, (1, 4, 6, 8)).complement().image == (2, 3, 5, 7)
+    assert IncFn(0, 5, ()).complement().image == (1, 2, 3, 4, 5)
 
 
 def test_shuffle_examples():

@@ -44,10 +44,12 @@ Each `DiIdeal` counts its cache hits, misses and rejects by reason in
 
 `DiIdeal.permutation_stable` certifies that the components up to a tensor
 degree are graded by torus weight and stable under the signed permutation
-action of S_N on the alphabet (see `weights`); joins of certified ideals
-then solve one weight block per S_N orbit.  A certified C_(d,n) is the
-direct sum of its weight blocks over disjoint columns, so the union of the
-blocks' reduced echelon rows is its reduced echelon basis.
+action of S_N on the alphabet (see `weights`), by mapping each star row
+through the two generators of S_N in `weights.generators`; joins of
+certified ideals then solve one weight block per S_N orbit.  A certified
+C_(d,n) is the direct sum of its weight blocks over disjoint columns, so
+the union of the blocks' reduced echelon rows is its reduced echelon
+basis.
 `DiIdeal.weight_block` climbs one block alone from the full C_(d,n-1):
 x * b for each variable x and each row b of weight w - wt(x), plus the star
 rows of weight w; it refuses an ideal whose C_(d,n-1) is not certified.
@@ -85,7 +87,7 @@ from .core import (
 )
 from .linalg import NotReducedError, SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
-from .weights import FactorTable, Weight, act, adjacent_transpositions, weight
+from .weights import FactorTable, Weight, act, generators, weight
 
 __all__ = ["ComponentBasis", "DiIdeal", "component_span", "membership",
            "quotient_basis", "initial_component", "monomial_space"]
@@ -455,8 +457,10 @@ class DiIdeal:
         component is x * C_(d,n-1) plus the star rows of `_star_rows`, and a
         permutation maps x * C_(d,n-1) into itself once C_(d,n-1) is stable.
         So it suffices that C_(d,n-1) is certified, that every star row is
-        weight-homogeneous, and that each adjacent transposition, which
-        together generate S_N, maps every star row into C_(d,n).
+        weight-homogeneous, and that the transposition (1 2) and the N-cycle
+        (1 2 ... N) map every star row into C_(d,n): the permutations that
+        map C_(d,n) into itself are closed under composition, so they form
+        a subgroup, and these two generate S_N (`weights.generators`).
         """
         key = (d, n)
         ok = self._stable.get(key)
@@ -482,8 +486,8 @@ class DiIdeal:
         return self._star_weights[key]
 
     def _stars_stable(self, d: int, n: int) -> bool:
-        """Every star row is weight-homogeneous and each adjacent
-        transposition maps it into C_(d,n).
+        """Every star row is weight-homogeneous and each of the two
+        generators of S_N, (1 2) and (1 2 ... N), maps it into C_(d,n).
 
         Called once C_(d,n-1) is certified, so the block of C_(d,n) at the
         weight of an image is its `weight_block`, and the image lies in
@@ -493,7 +497,7 @@ class DiIdeal:
         if stars is None:
             return False
         N = self.M * d
-        for tau in adjacent_transpositions(N):
+        for tau in generators(N):
             table = FactorTable(tau)
             for rows in stars.values():
                 images = [act(table, row) for row in rows]

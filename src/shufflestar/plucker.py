@@ -10,7 +10,7 @@ split first and membership in the first input last, each on the
 combinations the summands before it left.  The conditions are linear, so
 each monomial's are tabled once from the normal forms of its slot splits,
 which are read off the canonical reduced quotient components with no
-elimination.
+elimination, once per sub-monomial and side in each summand's solve.
 
 Both the join and the evaluation oracle work one torus-weight block at a
 time (see `weights`).  The diagonal torus of GL_N acts on a monomial by the
@@ -594,32 +594,69 @@ def _normal_form(comp: ComponentBasis, key: FactorTuple) -> dict[int, Rational]:
     return {k: -v for k, v in comp.basis.row(at).items() if k != c}
 
 
-def _condition_coords(QL: ComponentBasis, QR: ComponentBasis, i: int,
-                      row: Mapping[int, Rational], monomials: Sequence[FactorTuple],
-                      tables: dict) -> dict[tuple[int, int], Rational]:
+@cache
+def _slot_splits(n: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Every split of n slots into i on the left and the rest on the right,
+    each side in increasing order; built once per (n, i) in a process."""
+    return tuple((pos, tuple(t for t in range(n) if t not in pos))
+                 for pos in combinations(range(n), i))
+
+
+class _ConditionTables(dict):
+    """The condition table of each column of one summand, filled on first use.
+
+    The table of the column c, whose monomial is monomials[c], sums the
+    normal forms of left and right multiplied out over the C(n, i) slot
+    splits of its monomial, left modulo QL and right modulo QR.  The normal
+    forms are memoised per sub-monomial, one memo per side: when i = n - i
+    and QL is not QR, one sub-monomial has two.  Build one per summand's
+    solve, and let it go with it.
+    """
+
+    __slots__ = ("QL", "QR", "monomials", "splits", "left", "right")
+
+    def __init__(self, QL: ComponentBasis, QR: ComponentBasis, i: int,
+                 monomials: Sequence[FactorTuple]):
+        super().__init__()
+        self.QL, self.QR, self.monomials = QL, QR, monomials
+        self.splits = _slot_splits(QL.n + QR.n, i)
+        self.left: dict[FactorTuple, dict[int, Rational]] = {}
+        self.right: dict[FactorTuple, dict[int, Rational]] = {}
+
+    def __missing__(self, col: int) -> dict[tuple[int, int], Rational]:
+        get = self.monomials[col].__getitem__
+        left, right = self.left, self.right
+        table: dict[tuple[int, int], Rational] = {}
+        for pos, rest in self.splits:
+            lkey = tuple(map(get, pos))
+            lnf = left.get(lkey)
+            if lnf is None:
+                lnf = left[lkey] = _normal_form(self.QL, lkey)
+            rkey = tuple(map(get, rest))
+            rnf = right.get(rkey)
+            if rnf is None:
+                rnf = right[rkey] = _normal_form(self.QR, rkey)
+            for lc, lv in lnf.items():
+                for rc, rv in rnf.items():
+                    table[(lc, rc)] = table.get((lc, rc), 0) + lv * rv
+        table = self[col] = {k: v for k, v in table.items() if v}
+        return table
+
+
+def _condition_coords(tables: _ConditionTables,
+                      row: Mapping[int, Rational]) -> dict[tuple[int, int], Rational]:
     """Quotient coordinates modulo QL and QR of the i-th comultiplication
-    summand of a row, whose column c holds the monomial monomials[c].
+    summand of a row, for the QL, QR, i and column monomials of `tables`.
 
     They are linear in the row: the sum of its columns' tables, scaled by
-    its coefficients.  The table of a column, filled into `tables` on first
-    use and valid for this QL, QR and i only, sums the normal forms of left
-    and right multiplied out over the C(n, i) slot splits of its monomial.
+    its coefficients.  Each column's table, and the normal form of each
+    sub-monomial it reads, is computed once per `_ConditionTables`, that is
+    once per summand of one `_join_kernel` call, and kept no longer; only
+    the split plan `_slot_splits(n, i)` outlives the call.
     """
     out: dict[tuple[int, int], Rational] = {}
     for col, coeff in row.items():
-        table = tables.get(col)
-        if table is None:
-            key = monomials[col]
-            n = len(key)
-            table = {}
-            for pos in combinations(range(n), i):
-                left = _normal_form(QL, tuple(key[t] for t in pos))
-                right = _normal_form(QR, tuple(key[t] for t in range(n) if t not in pos))
-                for lc, lv in left.items():
-                    for rc, rv in right.items():
-                        table[(lc, rc)] = table.get((lc, rc), 0) + lv * rv
-            table = tables[col] = {k: v for k, v in table.items() if v}
-        for k, v in table.items():
+        for k, v in tables[col].items():
             out[k] = out.get(k, 0) + coeff * v
     return {k: v for k, v in out.items() if v}
 
@@ -672,10 +709,10 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis,
             break
         QL = top if i == n else I.component(d, i)
         QR = J.component(d, n - i)
-        tables: dict = {}
+        tables = _ConditionTables(QL, QR, i, V.monomials)
         rows_map: dict[tuple[int, int], dict[int, Rational]] = {}
         for t, row in enumerate(rows):
-            for key, val in _condition_coords(QL, QR, i, row, V.monomials, tables).items():
+            for key, val in _condition_coords(tables, row).items():
                 rows_map.setdefault(key, {})[t] = val
         rows = recombine(kernel_basis(map(rows_map.__getitem__, sorted(rows_map)), nv), rows)
     return rows

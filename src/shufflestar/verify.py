@@ -27,6 +27,7 @@ from .core import (
     relabel_factor,
     sym_monomial,
 )
+from . import linalg
 from .ideals import ComponentBasis
 from .poset import (
     LabeledTree,
@@ -549,8 +550,9 @@ def run_checks(only=None, seed: int = 0, with_timings: bool = False,
                jobs: int = 1) -> dict:
     """Run the acceptance checks (all, or the named subset).
 
-    With jobs > 1 the independent checks run in a process pool; the report
-    order stays fixed either way.
+    With jobs > 1 the independent checks run in a process pool, each worker
+    under this process's coefficient guard, whatever the start method; the
+    report order stays fixed either way.
     """
     wanted = set(only) if only else None
     if wanted:
@@ -563,7 +565,8 @@ def run_checks(only=None, seed: int = 0, with_timings: bool = False,
     items = [(fn, seed) for fn in selected]
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=jobs, initializer=linalg.set_default_max_bits,
+                                 initargs=(linalg._default_max_bits,)) as pool:
             outcomes = list(pool.map(_run_one, items))
     else:
         outcomes = [_run_one(item) for item in items]

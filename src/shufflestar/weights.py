@@ -14,13 +14,18 @@ that is also S_N-stable is fixed by its blocks at the dominant weights,
 those whose content vector is weakly decreasing, one per S_N orbit.  The
 dominant weights of (d, n) are the partitions of d*n into at most N parts,
 each part at most n (an index occurs at most once per factor), and
-`monomials_of_weight` enumerates one block without weighing the others.
+`monomials_of_weight` enumerates one block without weighing the others,
+once per block in a process.
 
 Permutations are kept in one-line form: sigma[j] is the image of j + 1.
 A `FactorTable` holds the signed image of each factor under one
 permutation, so acting on a block of elements sorts each distinct factor
 once; `act` and `act_on_key` take the table of the permutation, and
 `orbit_fill` carries the elements of a dominant block to its whole orbit.
+A subspace is S_N-stable once each of `generators(N)`, the transposition
+(1 2) and the N-cycle (1 2 ... N), maps it into itself: the permutations
+that do are closed under composition, so they form a subgroup, and these
+two generate S_N.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Iterator, Sequence
 from .core import FactorTuple, SymElement
 
 __all__ = ["weight", "is_dominant", "dominant_weights", "monomials_of_weight",
-           "FactorTable", "act_on_key", "act", "adjacent_transpositions",
+           "FactorTable", "act_on_key", "act", "generators",
            "orbit_permutations", "orbit_fill"]
 
 Weight = tuple[int, ...]
@@ -78,13 +83,14 @@ def dominant_weights(d: int, n: int, N: int) -> list[Weight]:
     return out
 
 
-def monomials_of_weight(w: Weight, d: int, n: int) -> list[FactorTuple]:
+@cache
+def monomials_of_weight(w: Weight, d: int, n: int) -> tuple[FactorTuple, ...]:
     """The (d, n) monomials of weight w, in descending order.
 
     Factors are chosen in increasing order from the indices still to be
     used; an index still needed by every remaining factor must be in this
     one.  Each step uses d of the counts, so when they sum to d * n the
-    last step leaves none.
+    last step leaves none.  Built once per (w, d, n) in a process.
     """
     counts = list(w)
     out: list[FactorTuple] = []
@@ -111,7 +117,7 @@ def monomials_of_weight(w: Weight, d: int, n: int) -> list[FactorTuple]:
 
     place(n)
     out.sort(reverse=True)
-    return out
+    return tuple(out)
 
 
 class FactorTable(dict):
@@ -166,14 +172,14 @@ def act(table: FactorTable, f: SymElement) -> SymElement:
     return SymElement(f.d, f.n, f.M, terms, _validated=True)
 
 
-def adjacent_transpositions(N: int) -> list[Permutation]:
-    """The N - 1 swaps (j j+1), which generate S_N."""
-    out = []
-    for j in range(N - 1):
-        sigma = list(range(1, N + 1))
-        sigma[j], sigma[j + 1] = sigma[j + 1], sigma[j]
-        out.append(tuple(sigma))
-    return out
+def generators(N: int) -> list[Permutation]:
+    """The transposition (1 2) and the N-cycle (1 2 ... N), which generate
+    S_N: the swap alone for N = 2, none for N <= 1."""
+    if N < 2:
+        return []
+    swap = (2, 1) + tuple(range(3, N + 1))
+    cycle = tuple(range(2, N + 1)) + (1,)
+    return [swap] if N == 2 else [swap, cycle]
 
 
 @cache
@@ -205,7 +211,10 @@ def orbit_permutations(w: Weight) -> tuple[Permutation, ...]:
 def orbit_fill(w: Weight, elems: Sequence[SymElement]) -> Iterator[SymElement]:
     """The elements, then sigma . elements for each sigma in
     `orbit_permutations(w)[1:]`: from a block at the dominant weight w of a
-    graded, S_N-stable subspace, every block of w's orbit."""
+    graded, S_N-stable subspace, every block of w's orbit.  An empty block
+    yields nothing and builds no table."""
+    if not elems:
+        return
     yield from elems
     for sigma in orbit_permutations(w)[1:]:
         table = FactorTable(sigma)

@@ -296,6 +296,32 @@ def test_parallel_verify_equals_the_serial_run(tmp_path):
         assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
 
 
+# Spawned workers start from a fresh interpreter and copy no module global,
+# so the guard must be handed to them.
+_SPAWNED_VERIFY = """
+import multiprocessing
+import sys
+from shufflestar.cli import main
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    sys.exit(main(["verify", "--only", "gamma,degree_probe", "--jobs", "2",
+                   "--max-coeff-bits", "1", "--out", sys.argv[1]]))
+"""
+
+
+def test_the_coefficient_guard_reaches_spawned_verify_workers(tmp_path):
+    script = tmp_path / "spawned_verify.py"
+    script.write_text(_SPAWNED_VERIFY)
+    out = tmp_path / "r.json"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, str(script), str(out)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert json.loads(out.read_text())["aborted"] == "coefficient-bits-exceeded"
+
+
 def test_shared_parser_leaks_no_option_between_calls(tmp_path):
     from shufflestar.cli import build_parser
     assert build_parser() is build_parser()

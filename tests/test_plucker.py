@@ -32,7 +32,7 @@ from shufflestar.plucker import (
     secant_ideal,
     weyman_quadrics,
 )
-from shufflestar.weights import dominant_weights
+from shufflestar.weights import FactorTable, act, dominant_weights, generators, weight
 
 
 def test_basic_plucker():
@@ -374,7 +374,6 @@ def _all_blocks_kernel(cfg, n, samples=None, seed=0):
     points drawn, held and evaluated one at a time."""
     from shufflestar.certified import certified_kernel
     from shufflestar.ideals import monomial_space
-    from shufflestar.weights import weight
     d, N, r, M = cfg.d, cfg.N, cfg.r, cfg.M
     monos = monomial_space(d, n, M)[0]
     groups = {}
@@ -587,14 +586,64 @@ def test_plucker_ideal_certifies_and_a_monomial_ideal_does_not(tmp_path):
         JoinIdeal(plucker_ideal(2, 2), square).weight_block(2, 2, (2, 2, 0, 0))
 
 
-def test_an_inhomogeneous_stable_generator_set_does_not_certify():
-    # the S_4-orbit of x12^2 + x12 x34 is closed under permutations, but
-    # its generators mix two weights, so the ideal is not graded
-    from itertools import permutations
-    from shufflestar.weights import FactorTable, act
+def _inhomogeneous_stable_generators():
+    """The S_4-orbit of x12^2 + x12 x34: closed under permutations, but each
+    generator mixes two weights."""
     f = SymElement(2, 2, 2, {((1, 2), (1, 2)): 1, ((1, 2), (3, 4)): 1})
-    gens = [act(FactorTable(sigma), f) for sigma in permutations(range(1, 5))]
-    assert not DiIdeal(2, gens).permutation_stable(2, 2)
+    return [act(FactorTable(sigma), f) for sigma in permutations(range(1, 5))]
+
+
+def test_an_inhomogeneous_stable_generator_set_does_not_certify():
+    # its generators mix two weights, so the ideal is not graded
+    assert not DiIdeal(2, _inhomogeneous_stable_generators()).permutation_stable(2, 2)
+
+
+def _adjacent_transpositions(N):
+    return [tuple(range(1, j + 1)) + (j + 2, j + 1) + tuple(range(j + 3, N + 1))
+            for j in range(N - 1)]
+
+
+def _reference_certificate(I, d, n):
+    """permutation_stable(d, n) through every adjacent transposition, each
+    image of a star row looked up in its whole component."""
+    N = I.M * d
+    for k in range(1, n + 1):
+        stars = list(I._star_rows(d, k))
+        if any(len({weight(key, N) for key in row.terms}) > 1 for row in stars):
+            return False
+        comp = I.component(d, k)
+        for tau in _adjacent_transpositions(N):
+            table = FactorTable(tau)
+            if not all(comp.contains(act(table, row)) for row in stars):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("make, d, verdicts", [
+    (lambda: plucker_ideal(3, 2), 2, [True] * 5),
+    (lambda: plucker_ideal(3, 3), 3, [True] * 3),
+    (lambda: DiIdeal(2, [sym_monomial(2, 2, 2, [(1, 2), (1, 2)])]), 2, [True, True, False, False]),
+    (lambda: DiIdeal(2, _inhomogeneous_stable_generators()), 2, [True, True, False]),
+], ids=["plucker-2-6", "plucker-3-9", "square", "inhomogeneous"])
+def test_two_generator_certificate_agrees_with_every_adjacent_transposition(make, d, verdicts):
+    I, reference = make(), make()
+    for n, verdict in enumerate(verdicts):
+        assert I.permutation_stable(d, n) == _reference_certificate(reference, d, n) == verdict
+
+
+def test_neither_generator_of_s_n_can_be_dropped_from_the_certificate():
+    # spans of monomials at (1, 2) over [1..4]: x1 x2 is fixed by (1 2) and
+    # moved by the 4-cycle, while the edges of the cycle 1-2-3-4-1 are
+    # permuted by the 4-cycle and moved by (1 2), which sends x2 x3 to x1 x3
+    swap, cycle = generators(4)
+    edge = [sym_monomial(1, 2, 4, [(1,), (2,)])]
+    edges = [sym_monomial(1, 2, 4, [(a,), (b,)]) for a, b in ((1, 2), (2, 3), (3, 4), (1, 4))]
+    for gens, fixing, moving in ((edge, swap, cycle), (edges, cycle, swap)):
+        I = DiIdeal(4, gens)
+        comp = I.component(1, 2)
+        assert all(comp.contains(act(FactorTable(fixing), g)) for g in gens)
+        assert not all(comp.contains(act(FactorTable(moving), g)) for g in gens)
+        assert not I.permutation_stable(1, 2)
 
 
 def test_certified_joins_never_build_their_top_degree_component(tmp_path, monkeypatch):
@@ -667,7 +716,7 @@ def test_one_monomial_normal_form_is_read_from_its_column():
     (4, 2, 4, (1, 2, 3, 4)),
 ])
 def test_condition_tables_equal_the_row_by_row_reduction(M, r, n, summands):
-    from shufflestar.plucker import _condition_coords
+    from shufflestar.plucker import _ConditionTables, _condition_coords
     P = plucker_ideal(M, 2)
     join = JoinIdeal(P, secant_ideal(P, r - 1))
     quotients = set()
@@ -678,12 +727,56 @@ def test_condition_tables_equal_the_row_by_row_reduction(M, r, n, summands):
             QR = join.J.component(2, n - i)
             if QL.dim or QR.dim:
                 quotients.add(i)
-            tables = {}
+            tables = _ConditionTables(QL, QR, i, V.monomials)
             # J's block rows, the rows the join kernel solves over
             for row, f in zip(V.basis.basis_rows(), V.basis_elements()):
-                assert (_condition_coords(QL, QR, i, row, V.monomials, tables)
+                assert (_condition_coords(tables, row)
                         == _reference_condition_coords(QL, QR, i, f))
     assert quotients == set(summands)
+
+
+def test_condition_tables_on_repeated_factors_equal_the_row_by_row_reduction():
+    # I is not J: at i = 2 the half x14 x23 of x14^2 x23^2 is the pivot of
+    # the quadric modulo QL = I_(2,2) but standard modulo QR = J_(2,2) = 0,
+    # so its left and right normal forms differ
+    from shufflestar.ideals import monomial_space
+    from shufflestar.plucker import _ConditionTables, _condition_coords
+    P = plucker_ideal(4, 2)
+    J = JoinIdeal(P, P)
+    monomials, index = monomial_space(2, 4, 4)
+    keys = [((1, 4), (1, 4), (2, 3), (2, 3)), ((1, 2), (1, 2), (1, 2), (3, 4)),
+            ((1, 3), (1, 3), (2, 4), (2, 4)), ((1, 4),) * 4]
+    half = ((1, 4), (2, 3))
+    for i in (1, 2, 3):
+        QL, QR = P.component(2, i), J.component(2, 4 - i)
+        if i == 2:
+            assert QL.index[half] in QL.basis.pivots and QR.dim == 0
+        tables = _ConditionTables(QL, QR, i, monomials)
+        for key in keys:
+            assert (_condition_coords(tables, {index[key]: 1})
+                    == _reference_condition_coords(QL, QR, i, SymElement(2, 4, 4, {key: 1})))
+
+
+def test_certificate_and_condition_tables_count_their_work(monkeypatch):
+    # deterministic counts: mapping every star row through each adjacent
+    # transposition (75 images) or reducing each split of each column afresh
+    # (828 normal forms) fails here, not only in a timing
+    from collections import Counter
+    from shufflestar import ideals, plucker
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(ideals, "act", counting("act", ideals.act))
+    monkeypatch.setattr(plucker, "_normal_form", counting("normal_form", plucker._normal_form))
+    assert plucker_ideal(3, 2).permutation_stable(2, 4)
+    assert calls["act"] == 30   # 15 star rows, 2 generators
+    assert secant_ideal(plucker_ideal(3, 2), 1).component(2, 4).dim == 15
+    assert calls["normal_form"] == 482
 
 
 def _reference_join_kernel(I, J, d, n, V, top, summands=None):
@@ -692,7 +785,7 @@ def _reference_join_kernel(I, J, d, n, V, top, summands=None):
     once at the end.  The solver before the summand chain, kept as an
     independent reference."""
     from shufflestar.linalg import SparseRREF, recombine, sparse_rref_kernel
-    from shufflestar.plucker import _condition_coords
+    from shufflestar.plucker import _ConditionTables, _condition_coords
     rows = V.basis.basis_rows()
     nv = len(rows)
     if not nv:
@@ -705,10 +798,10 @@ def _reference_join_kernel(I, J, d, n, V, top, summands=None):
     for i in summands:
         QL = top if i == n else I.component(d, i)
         QR = J.component(d, n - i)
-        tables = {}
+        tables = _ConditionTables(QL, QR, i, V.monomials)
         rows_map = {}
         for t, row in enumerate(rows):
-            for key, val in _condition_coords(QL, QR, i, row, V.monomials, tables).items():
+            for key, val in _condition_coords(tables, row).items():
                 rows_map.setdefault(key, {})[t] = val
         for key in sorted(rows_map):
             if acc.add(rows_map[key]) and acc.rank == nv:
@@ -793,7 +886,6 @@ def test_orbit_path_equals_the_one_block_path(M, r):
 
 
 def test_join_weight_blocks_equal_the_whole_component_at_every_weight():
-    from shufflestar.weights import weight
     P = plucker_ideal(3, 2)
     # the whole component, eliminated as one block
     whole = _one_block_join(P, P, 2, 4)

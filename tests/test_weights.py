@@ -8,10 +8,10 @@ from shufflestar.weights import (
     FactorTable,
     act,
     act_on_key,
-    adjacent_transpositions,
     dominant_weights,
     is_dominant,
     monomials_of_weight,
+    orbit_fill,
     orbit_permutations,
     weight,
 )
@@ -25,6 +25,12 @@ def _random_element(rng, d, n, M, terms=6):
 def compose(sigma, tau):
     """sigma tau in one-line form: first tau, then sigma."""
     return tuple(sigma[t - 1] for t in tau)
+
+
+def adjacent_transpositions(N):
+    """The N - 1 swaps (j j+1) in one-line form."""
+    return [tuple(range(1, j + 1)) + (j + 2, j + 1) + tuple(range(j + 3, N + 1))
+            for j in range(N - 1)]
 
 
 def _random_permutation(rng, N):
@@ -56,7 +62,7 @@ def test_weight_blocks_partition_the_columns_in_order():
         blocks = _weight_groups(monos, N)
         assert sorted(c for cols in blocks.values() for c in cols) == list(range(len(monos)))
         for w, cols in blocks.items():
-            assert monomials_of_weight(w, d, n) == [monos[c] for c in cols]
+            assert monomials_of_weight(w, d, n) == tuple(monos[c] for c in cols)
         dominant = dominant_weights(d, n, N)
         assert sorted(dominant, reverse=True) == dominant
         assert set(dominant) == {w for w in blocks if is_dominant(w)}
@@ -144,3 +150,20 @@ def test_orbit_permutations_reach_each_rearrangement_once():
                 u[s - 1] = w[j]
             images.add(tuple(u))
         assert len(images) == len(perms)
+
+
+def test_orbit_fill_of_an_empty_block_builds_no_table(monkeypatch):
+    from shufflestar import weights
+    built = []
+
+    class CountingTable(FactorTable):
+        def __init__(self, sigma):
+            super().__init__(sigma)
+            built.append(sigma)
+
+    monkeypatch.setattr(weights, "FactorTable", CountingTable)
+    w = (2, 2, 1, 1, 0, 0)
+    assert list(orbit_fill(w, [])) == [] and built == []
+    f = SymElement(2, 3, 3, {((1, 2), (1, 3), (2, 4)): 1})
+    assert weight(next(iter(f.terms)), 6) == w
+    assert len(list(orbit_fill(w, [f]))) == len(orbit_permutations(w)) == len(built) + 1

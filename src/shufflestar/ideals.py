@@ -45,7 +45,7 @@ Each `DiIdeal` counts its cache hits, misses and rejects by reason in
 `DiIdeal.permutation_stable` certifies that the components up to a tensor
 degree are graded by torus weight and stable under the signed permutation
 action of S_N on the alphabet (see `weights`), by mapping each star row
-through the two generators of S_N in `weights.generators`; joins of
+through the two generators of S_N in `weights.sn_generators`; joins of
 certified ideals then solve one weight block per S_N orbit.  A certified
 C_(d,n) is the direct sum of its weight blocks over disjoint columns, so
 the union of the blocks' reduced echelon rows is its reduced echelon
@@ -87,7 +87,7 @@ from .core import (
 )
 from .linalg import NotReducedError, SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
-from .weights import FactorTable, Weight, act, generators, weight
+from .weights import FactorTable, Weight, act, sn_generators, weight
 
 __all__ = ["ComponentBasis", "DiIdeal", "component_span", "membership",
            "quotient_basis", "initial_component", "monomial_space"]
@@ -460,7 +460,7 @@ class DiIdeal:
         weight-homogeneous, and that the transposition (1 2) and the N-cycle
         (1 2 ... N) map every star row into C_(d,n): the permutations that
         map C_(d,n) into itself are closed under composition, so they form
-        a subgroup, and these two generate S_N (`weights.generators`).
+        a subgroup, and these two generate S_N (`weights.sn_generators`).
         """
         key = (d, n)
         ok = self._stable.get(key)
@@ -497,7 +497,7 @@ class DiIdeal:
         if stars is None:
             return False
         N = self.M * d
-        for tau in generators(N):
+        for tau in sn_generators(N):
             table = FactorTable(tau)
             for rows in stars.values():
                 images = [act(table, row) for row in rows]

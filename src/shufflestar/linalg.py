@@ -57,6 +57,11 @@ def set_default_max_bits(bits: Optional[int]) -> Optional[int]:
     return previous
 
 
+def default_max_bits() -> Optional[int]:
+    """The guard `set_default_max_bits` last set, None when there is none."""
+    return _default_max_bits
+
+
 def _check_bits(value: int, max_bits: Optional[int]):
     if max_bits is not None and value.bit_length() > max_bits:
         raise CoeffLimitExceeded(f"coefficient reached {value.bit_length()} bits (limit {max_bits})")

@@ -594,14 +594,6 @@ def _normal_form(comp: ComponentBasis, key: FactorTuple) -> dict[int, Rational]:
     return {k: -v for k, v in comp.basis.row(at).items() if k != c}
 
 
-@cache
-def _slot_splits(n: int, i: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Every split of n slots into i on the left and the rest on the right,
-    each side in increasing order; built once per (n, i) in a process."""
-    return tuple((pos, tuple(t for t in range(n) if t not in pos))
-                 for pos in combinations(range(n), i))
-
-
 class _ConditionTables(dict):
     """The condition table of each column of one summand, filled on first use.
 
@@ -619,7 +611,9 @@ class _ConditionTables(dict):
                  monomials: Sequence[FactorTuple]):
         super().__init__()
         self.QL, self.QR, self.monomials = QL, QR, monomials
-        self.splits = _slot_splits(QL.n + QR.n, i)
+        n = QL.n + QR.n
+        self.splits = [(pos, tuple(t for t in range(n) if t not in pos))
+                       for pos in combinations(range(n), i)]
         self.left: dict[FactorTuple, dict[int, Rational]] = {}
         self.right: dict[FactorTuple, dict[int, Rational]] = {}
 
@@ -651,8 +645,7 @@ def _condition_coords(tables: _ConditionTables,
     They are linear in the row: the sum of its columns' tables, scaled by
     its coefficients.  Each column's table, and the normal form of each
     sub-monomial it reads, is computed once per `_ConditionTables`, that is
-    once per summand of one `_join_kernel` call, and kept no longer; only
-    the split plan `_slot_splits(n, i)` outlives the call.
+    once per summand of one `_join_kernel` call, and kept no longer.
     """
     out: dict[tuple[int, int], Rational] = {}
     for col, coeff in row.items():

@@ -566,7 +566,7 @@ def run_checks(only=None, seed: int = 0, with_timings: bool = False,
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs, initializer=linalg.set_default_max_bits,
-                                 initargs=(linalg._default_max_bits,)) as pool:
+                                 initargs=(linalg.default_max_bits(),)) as pool:
             outcomes = list(pool.map(_run_one, items))
     else:
         outcomes = [_run_one(item) for item in items]

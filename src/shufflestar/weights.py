@@ -14,15 +14,14 @@ that is also S_N-stable is fixed by its blocks at the dominant weights,
 those whose content vector is weakly decreasing, one per S_N orbit.  The
 dominant weights of (d, n) are the partitions of d*n into at most N parts,
 each part at most n (an index occurs at most once per factor), and
-`monomials_of_weight` enumerates one block without weighing the others,
-once per block in a process.
+`monomials_of_weight` enumerates one block without weighing the others.
 
 Permutations are kept in one-line form: sigma[j] is the image of j + 1.
 A `FactorTable` holds the signed image of each factor under one
 permutation, so acting on a block of elements sorts each distinct factor
 once; `act` and `act_on_key` take the table of the permutation, and
 `orbit_fill` carries the elements of a dominant block to its whole orbit.
-A subspace is S_N-stable once each of `generators(N)`, the transposition
+A subspace is S_N-stable once each of `sn_generators(N)`, the transposition
 (1 2) and the N-cycle (1 2 ... N), maps it into itself: the permutations
 that do are closed under composition, so they form a subgroup, and these
 two generate S_N.
@@ -37,7 +36,7 @@ from typing import Iterator, Sequence
 from .core import FactorTuple, SymElement
 
 __all__ = ["weight", "is_dominant", "dominant_weights", "monomials_of_weight",
-           "FactorTable", "act_on_key", "act", "generators",
+           "FactorTable", "act_on_key", "act", "sn_generators",
            "orbit_permutations", "orbit_fill"]
 
 Weight = tuple[int, ...]
@@ -83,14 +82,13 @@ def dominant_weights(d: int, n: int, N: int) -> list[Weight]:
     return out
 
 
-@cache
 def monomials_of_weight(w: Weight, d: int, n: int) -> tuple[FactorTuple, ...]:
     """The (d, n) monomials of weight w, in descending order.
 
     Factors are chosen in increasing order from the indices still to be
     used; an index still needed by every remaining factor must be in this
     one.  Each step uses d of the counts, so when they sum to d * n the
-    last step leaves none.  Built once per (w, d, n) in a process.
+    last step leaves none.
     """
     counts = list(w)
     out: list[FactorTuple] = []
@@ -172,7 +170,7 @@ def act(table: FactorTable, f: SymElement) -> SymElement:
     return SymElement(f.d, f.n, f.M, terms, _validated=True)
 
 
-def generators(N: int) -> list[Permutation]:
+def sn_generators(N: int) -> list[Permutation]:
     """The transposition (1 2) and the N-cycle (1 2 ... N), which generate
     S_N: the swap alone for N = 2, none for N <= 1."""
     if N < 2:

@@ -32,7 +32,7 @@ from shufflestar.plucker import (
     secant_ideal,
     weyman_quadrics,
 )
-from shufflestar.weights import FactorTable, act, dominant_weights, generators, weight
+from shufflestar.weights import FactorTable, act, dominant_weights, sn_generators, weight
 
 
 def test_basic_plucker():
@@ -635,7 +635,7 @@ def test_neither_generator_of_s_n_can_be_dropped_from_the_certificate():
     # spans of monomials at (1, 2) over [1..4]: x1 x2 is fixed by (1 2) and
     # moved by the 4-cycle, while the edges of the cycle 1-2-3-4-1 are
     # permuted by the 4-cycle and moved by (1 2), which sends x2 x3 to x1 x3
-    swap, cycle = generators(4)
+    swap, cycle = sn_generators(4)
     edge = [sym_monomial(1, 2, 4, [(1,), (2,)])]
     edges = [sym_monomial(1, 2, 4, [(a,), (b,)]) for a, b in ((1, 2), (2, 3), (3, 4), (1, 4))]
     for gens, fixing, moving in ((edge, swap, cycle), (edges, cycle, swap)):

@@ -50,13 +50,17 @@ certified ideals then solve one weight block per S_N orbit.  A certified
 C_(d,n) is the direct sum of its weight blocks over disjoint columns, so
 the union of the blocks' reduced echelon rows is its reduced echelon
 basis.
-`DiIdeal.weight_block` climbs one block alone from the full C_(d,n-1):
-x * b for each variable x and each row b of weight w - wt(x), plus the star
-rows of weight w; it refuses an ideal whose C_(d,n-1) is not certified.
-The certificate and the certified join (`plucker.JoinIdeal.weight_block`)
-read the top degree only through these blocks, which are memoised per
-weight and never cached on disk, even when C_(d,n) is also built whole;
-`component` still builds, reads and writes whole components.
+`DiIdeal.weight_block` climbs one block from blocks: x * b for each
+variable x inside the support of w and each row b of the block of
+C_(d,n-1) at weight w - wt(x), plus the star rows of weight w; it refuses
+an ideal whose C_(d,n-1) is not certified.  `DiIdeal.quotient_reader`
+maps a monomial to the basis its normal form is read from: its block when
+the component is certified, else the whole component.  The certificate
+and the certified join (`plucker.JoinIdeal.weight_block` and its condition
+tables) read the ideal only through these blocks, which are memoised per
+weight and never cached on disk, so a certified join builds no whole
+component and touches no cache file.  `component` still builds, reads and
+writes whole components, climbed whole by `_compute_component`.
 """
 
 from __future__ import annotations
@@ -69,9 +73,10 @@ import tempfile
 from array import array
 from bisect import bisect_right
 from functools import cache
+from itertools import combinations
 from math import gcd
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (
     Factor,
@@ -111,7 +116,7 @@ class ComponentBasis:
     bidegree; only `basis` belongs to this component.
     """
 
-    __slots__ = ("d", "n", "M", "monomials", "index", "basis", "_by_weight")
+    __slots__ = ("d", "n", "M", "monomials", "index", "basis")
 
     def __init__(self, d: int, n: int, M: int):
         self.d = d
@@ -119,7 +124,6 @@ class ComponentBasis:
         self.M = M
         self.monomials, self.index = monomial_space(d, n, M)
         self.basis = SparseRREF()
-        self._by_weight: Optional[tuple[int, dict[Weight, list[dict[int, Rational]]]]] = None
 
     @property
     def dim(self) -> int:
@@ -158,21 +162,6 @@ class ComponentBasis:
     def standard_monomials(self) -> list[FactorTuple]:
         pivots = self.basis.pivots
         return [key for i, key in enumerate(self.monomials) if i not in pivots]
-
-    def weight_rows(self) -> dict[Weight, list[dict[int, Rational]]]:
-        """The basis rows grouped by torus weight, each group in pivot order.
-
-        Valid for a graded component, whose rows are weight-homogeneous:
-        each row is weighed at its pivot only.  Grouped once per rank.
-        """
-        memo = self._by_weight
-        if memo is None or memo[0] != self.basis.rank:
-            N = self.M * self.d
-            groups: dict[Weight, list[dict[int, Rational]]] = {}
-            for row in self.basis.basis_rows():
-                groups.setdefault(weight(self.monomials[min(row)], N), []).append(row)
-            memo = self._by_weight = (self.basis.rank, groups)
-        return memo[1]
 
 
 # part of every cache file name, so files of another layout are never read
@@ -261,6 +250,8 @@ class DiIdeal:
             self.generators.append(g)
         self.cache_dir = Path(cache_dir) if cache_dir else None
         self.gen_hash = _generator_hash(self.generators, self.M)
+        # every component below this tensor degree is zero
+        self._first_degree = min((g.n for g in self.generators), default=0)
         self._components: dict[tuple[int, int], ComponentBasis] = {}
         self._stable: dict[tuple[int, int], bool] = {}
         # weight blocks climbed alone, and the star rows by weight; in
@@ -388,40 +379,64 @@ class DiIdeal:
     def weight_block(self, d: int, n: int, w: Weight) -> ComponentBasis:
         """The canonical reduced rows of C_(d,n) at the torus weight w.
 
-        Climbs the block alone, as x * b for each variable x and each row b
-        of C_(d,n-1) of weight w - wt(x), plus the star rows of weight w.
-        That is the weight-w part of C_(d,n) only when C_(d,n-1) is graded
-        and the star rows are weight-homogeneous: a ValueError is raised
-        unless `permutation_stable(d, n - 1)` holds and the star rows are
+        Climbs the block from blocks: x * b for each variable x and each
+        row b of the block of C_(d,n-1) at weight w - wt(x), plus the star
+        rows of weight w.  Only the variables inside the support of w can
+        reach it, and those must hold every index that w counts n times;
+        nothing is climbed when C_(d,n-1) lies below the least tensor
+        degree of a generator, where it is zero.  That is the weight-w part
+        of C_(d,n) only when C_(d,n-1) is graded and the star rows are
+        weight-homogeneous: a ValueError is raised unless
+        `permutation_stable(d, n - 1)` holds and the star rows are
         homogeneous.  Blocks are memoised per (d, n, w), never cached on
-        disk.
+        disk, and no component is built whole.
         """
-        key = (d, n, w)
-        block = self._blocks.get(key)
+        blocks = self._blocks
+        block = blocks.get((d, n, w))
         if block is not None:
             return block
         block = ComponentBasis(d, n, self.M)
-        if n and d:
+        if d and n > self._first_degree:
             if not self.permutation_stable(d, n - 1):
                 raise ValueError(f"the component at {(d, n - 1)} is not certified graded")
-            below = self.component(d, n - 1)
-            groups = below.weight_rows()
+            support = [i for i, c in enumerate(w, 1) if c]
+            forced = {i for i, c in enumerate(w, 1) if c == n}
             add = block.basis.add
-            for fac in iter_factors(d, self.M * d):
+            for fac in combinations(support, d):
+                if not forced.issubset(fac):
+                    continue
                 u = list(w)
                 for i in fac:
                     u[i - 1] -= 1
-                rows = groups.get(tuple(u))
-                if rows:
-                    for out in _multiples(rows, below, block, [fac]):
+                u = tuple(u)
+                below = blocks.get((d, n - 1, u)) or self.weight_block(d, n - 1, u)
+                if below.dim:
+                    for out in _multiples(below.basis.basis_rows(), below, block, [fac]):
                         add(out)
         stars = self._stars_by_weight(d, n)
         if stars is None:
             raise ValueError(f"the star rows at {(d, n)} are not weight-homogeneous")
         for prod in stars.get(w, ()):
             block.add(prod)
-        self._blocks[key] = block
+        blocks[(d, n, w)] = block
         return block
+
+    def quotient_reader(self, d: int, k: int) -> Callable[[FactorTuple], ComponentBasis]:
+        """A function from a (d, k) monomial to a basis whose reduction of it
+        is its normal form modulo C_(d,k): the block at the monomial's
+        weight when `permutation_stable(d, k)` holds, else the whole
+        component."""
+        if not self.permutation_stable(d, k):
+            comp = self.component(d, k)
+            return lambda key: comp
+        N = self.M * d
+        blocks, climb = self._blocks, self.weight_block
+
+        def read(key: FactorTuple) -> ComponentBasis:
+            w = weight(key, N)
+            # a memoised block skips the call: this runs once per normal form
+            return blocks.get((d, k, w)) or climb(d, k, w)
+        return read
 
     def _star_rows(self, d: int, n: int):
         """Star products of the generators of tensor degree exactly n at width d,

@@ -23,9 +23,12 @@ input's block at w as the membership quotient, solved and memoised alone,
 so neither top-degree input is built whole; an r >= 2 secant reads its
 inner join one block at a time too.  A whole component is put together
 from the blocks at dominant weights, which `weights.orbit_fill` carries to
-the rest of their orbits.  The quotient conditions read the lower degrees
-whole.  Without the certificate the join eliminates all of the second
-input's component as one block.
+the rest of their orbits.  The quotient conditions read each
+sub-monomial's normal form off the basis its input's `quotient_reader`
+gives: a `DiIdeal`'s block at the sub-monomial's weight, climbed from
+blocks, or a join's whole lower-degree component.  Without the certificate
+the join eliminates all of the second input's component as one block, and
+reads its quotients whole.
 The evaluation kernel is the independent oracle: exact kernels of integer
 evaluation matrices at random sums of decomposables, re-sampled until
 stable.  The vanishing ideal is torus-stable, so it is the direct sum of
@@ -51,7 +54,7 @@ from functools import cache
 from itertools import combinations
 from math import lcm
 from operator import add, mul, sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .core import (
     Factor,
@@ -580,7 +583,11 @@ def gamma_count(n: int) -> int:
 # forces membership in J, so the kernel is solved over V, J's part at
 # (d, n); the i = n summand, membership in I, is its last condition.  The
 # summands are solved in a chain, each in its own elimination over the
-# combinations of V's rows that the ones before it left.
+# combinations of V's rows that the ones before it left.  The quotients are
+# read one sub-monomial at a time, through `quotient_reader`: a certified
+# `DiIdeal` hands out the block at the sub-monomial's weight, so a certified
+# join never builds a whole component of a `DiIdeal` input, at any degree,
+# and reads or writes no cache file for it.
 # ---------------------------------------------------------------------------
 
 def _normal_form(comp: ComponentBasis, key: FactorTuple) -> dict[int, Rational]:
@@ -599,23 +606,28 @@ class _ConditionTables(dict):
 
     The table of the column c, whose monomial is monomials[c], sums the
     normal forms of left and right multiplied out over the C(n, i) slot
-    splits of its monomial, left modulo QL and right modulo QR.  The normal
-    forms are memoised per sub-monomial, one memo per side: when i = n - i
-    and QL is not QR, one sub-monomial has two.  Build one per summand's
-    solve, and let it go with it.
+    splits of its monomial, left modulo QL and right modulo QR.  Each side
+    is a function from a sub-monomial to the basis its normal form is read
+    from (an ideal's `quotient_reader`): the block of its quotient at the
+    sub-monomial's weight, or the whole quotient.  The normal forms are
+    memoised per sub-monomial, one memo per side: when i = n - i and QL is
+    not QR, one sub-monomial has two.  When QL is QR, as in the balanced
+    summand of a self-join, both sides share one memo.  Build one per
+    summand's solve, and let it go with it.
     """
 
     __slots__ = ("QL", "QR", "monomials", "splits", "left", "right")
 
-    def __init__(self, QL: ComponentBasis, QR: ComponentBasis, i: int,
+    def __init__(self, QL: Callable[[FactorTuple], ComponentBasis],
+                 QR: Callable[[FactorTuple], ComponentBasis], i: int,
                  monomials: Sequence[FactorTuple]):
         super().__init__()
         self.QL, self.QR, self.monomials = QL, QR, monomials
-        n = QL.n + QR.n
+        n = len(monomials[0])
         self.splits = [(pos, tuple(t for t in range(n) if t not in pos))
                        for pos in combinations(range(n), i)]
         self.left: dict[FactorTuple, dict[int, Rational]] = {}
-        self.right: dict[FactorTuple, dict[int, Rational]] = {}
+        self.right = self.left if QR is QL else {}
 
     def __missing__(self, col: int) -> dict[tuple[int, int], Rational]:
         get = self.monomials[col].__getitem__
@@ -625,11 +637,11 @@ class _ConditionTables(dict):
             lkey = tuple(map(get, pos))
             lnf = left.get(lkey)
             if lnf is None:
-                lnf = left[lkey] = _normal_form(self.QL, lkey)
+                lnf = left[lkey] = _normal_form(self.QL(lkey), lkey)
             rkey = tuple(map(get, rest))
             rnf = right.get(rkey)
             if rnf is None:
-                rnf = right[rkey] = _normal_form(self.QR, rkey)
+                rnf = right[rkey] = _normal_form(self.QR(rkey), rkey)
             for lc, lv in lnf.items():
                 for rc, rv in rnf.items():
                     table[(lc, rc)] = table.get((lc, rc), 0) + lv * rv
@@ -700,8 +712,9 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis,
         nv = len(rows)
         if not nv:
             break
-        QL = top if i == n else I.component(d, i)
-        QR = J.component(d, n - i)
+        QL = (lambda key: top) if i == n else I.quotient_reader(d, i)
+        # a self-join's balanced summand reads one quotient on both sides
+        QR = QL if I is J and i == n - i else J.quotient_reader(d, n - i)
         tables = _ConditionTables(QL, QR, i, V.monomials)
         rows_map: dict[tuple[int, int], dict[int, Rational]] = {}
         for t, row in enumerate(rows):
@@ -754,6 +767,13 @@ class JoinIdeal:
             block.basis.add(row)
         self._blocks[key] = block
         return block
+
+    def quotient_reader(self, d: int, k: int) -> Callable[[FactorTuple], ComponentBasis]:
+        """A function from a (d, k) monomial to the basis its normal form is
+        read from: the whole (d, k) component, orbit-filled when certified,
+        for every monomial."""
+        comp = self.component(d, k)
+        return lambda key: comp
 
     def permutation_stable(self, d: int, n: int) -> bool:
         """Both inputs certified: every join component (d, k), k <= n, is then

@@ -251,18 +251,33 @@ def test_missing_element_file_is_an_input_error(tmp_path):
 
 
 def test_cache_tamper_recovery(tmp_path):
+    # r = 0 reads the Plucker components whole, through the cache
     out = tmp_path / "r.json"
     cache = tmp_path / "cache"
-    code, rep = _run(["join", "--d", "2", "--N", "4", "--degree", "3",
-                      "--cache-dir", str(cache)], out)
+    args = ["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "3",
+            "--cache-dir", str(cache)]
+    code, rep = _run(args, out)
     assert code == 0
     dim = rep["result"]["dimension"]
     files = list(cache.glob("component_*.json"))
     assert files
     files[0].write_text("{broken")
-    code, rep = _run(["join", "--d", "2", "--N", "4", "--degree", "3",
-                      "--cache-dir", str(cache)], out)
+    code, rep = _run(args, out)
     assert code == 0 and rep["result"]["dimension"] == dim
+
+
+def test_certified_join_reads_and_writes_no_cache_file(tmp_path):
+    # the join reads the Plucker ideal's weight blocks only, which are never
+    # cached, so the cache directory is neither read nor written
+    out = tmp_path / "r.json"
+    cache = tmp_path / "cache"
+    args = ["join", "--d", "2", "--N", "4", "--degree", "3", "--cache-dir", str(cache)]
+    code, plain = _run(args[:-2], out)
+    assert code == 0
+    code, rep = _run(args, out)
+    assert code == 0 and rep["result"] == plain["result"]
+    assert rep["cache"] == {"hits": 0, "misses": 0, "rejects": {}}
+    assert not cache.exists() or not list(cache.iterdir())
 
 
 def test_timings_flag(tmp_path):
@@ -377,8 +392,10 @@ def test_cached_coefficient_over_the_bit_budget_exits_3(tmp_path):
     assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
 
 
+# commands that read the Plucker components whole: r = 0 (the default of
+# `secant` and `probe`); a certified join, r >= 1, reads no cache file
 @pytest.mark.parametrize("command", [["secant", "--degree", "3"], ["probe", "--max-n", "3"],
-                                     ["join", "--degree", "3"]])
+                                     ["secant", "--r", "0", "--degree", "4"]])
 def test_cache_reads_are_reported_beside_the_result(tmp_path, command):
     out = tmp_path / "r.json"
     cache = tmp_path / "cache"
@@ -428,9 +445,11 @@ def _rows_digest(path):
 # packed layout came in; the row digests and the result were recorded two
 # layouts before it, so a change of the climb or the join fails them
 # whatever the layout, and a change of the layout alone fails only the names
-# and byte digests.  The run writes the Plucker components of degrees 0-4
-# only: the certified join climbs the dominant weight blocks of degree 5 and
-# never the whole component, whose file is pinned by the next test
+# and byte digests.  The secant run reads and writes no cache file: its
+# certified join reads the Plucker ideal's weight blocks only, climbed from
+# blocks.  The files are those of the Plucker components of degrees 0-4,
+# built whole through `component`; the degree-5 file is pinned by the next
+# test
 _SECANT_GR26_RESULT = "7bbde8cc8df019c0c8c60332018dac9d1ce460984821a0fef810df2d71161fc7"
 _SECANT_GR26_FILES = {
     "component_M3_d2_n0_fbfc83c6440fc0a4.json": (
@@ -458,6 +477,10 @@ def test_degree5_secant_report_and_cache_files_are_byte_identical(tmp_path):
     assert code == 0
     result = json.dumps(rep["result"], sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(result.encode()).hexdigest() == _SECANT_GR26_RESULT
+    assert rep["cache"] == {"hits": 0, "misses": 0, "rejects": {}}
+    assert not cache.exists() or not list(cache.iterdir())
+    from shufflestar.plucker import plucker_ideal
+    assert plucker_ideal(3, 2, cache_dir=cache).component(2, 4).dim == 1296
     got = {path.name: (hashlib.sha256(path.read_bytes()).hexdigest(), _rows_digest(path))
            for path in cache.iterdir()}
     assert got == _SECANT_GR26_FILES

@@ -223,26 +223,29 @@ def test_climb_from_a_cached_component_equals_raw_elimination(tmp_path):
 def test_weight_blocks_equal_the_full_component_at_every_weight(tmp_path, M, max_d, d, n):
     from shufflestar.weights import weight
     N = M * d
-    full = plucker_ideal(M, max_d).component(d, n)
-    by_weight = {}
-    for row in full.basis.basis_rows():
-        ws = {weight(full.monomials[c], N) for c in row}
-        assert len(ws) == 1
-        by_weight.setdefault(ws.pop(), []).append(row)
-    weights = {weight(key, N) for key in full.monomials}
+    # the blocks are climbed from blocks on an ideal that never builds a
+    # whole component; the whole components come from a second instance
     climbed = plucker_ideal(M, max_d, cache_dir=tmp_path)
     assert climbed.permutation_stable(d, n)
-    union = []
-    for w in weights:
-        # every weight, dominant or not: climbed alone, then grouped
-        block = climbed.weight_block(d, n, w)
-        assert block.basis.basis_rows() == by_weight.get(w, [])
-        assert full.weight_rows().get(w, []) == by_weight.get(w, [])
-        union.extend(block.basis.basis_rows())
-    assert sorted(union, key=min) == full.basis.basis_rows()
-    # the blocks never built the component, and never touched the disk for it
-    assert (d, n) not in climbed._components
-    assert not list(tmp_path.glob(f"component_M{M}_d{d}_n{n}_*.json"))
+    whole = plucker_ideal(M, max_d)
+    for k in range(n + 1):
+        full = whole.component(d, k)
+        by_weight = {}
+        for row in full.basis.basis_rows():
+            ws = {weight(full.monomials[c], N) for c in row}
+            assert len(ws) == 1
+            by_weight.setdefault(ws.pop(), []).append(row)
+        union = []
+        for w in {weight(key, N) for key in full.monomials}:
+            # every weight, dominant or not
+            block = climbed.weight_block(d, k, w)
+            assert block.basis.basis_rows() == by_weight.get(w, [])
+            union.extend(block.basis.basis_rows())
+        assert sorted(union, key=min) == full.basis.basis_rows()
+    # the blocks never built a component, and never touched the disk
+    assert climbed._components == {}
+    assert climbed.cache_stats == {"hits": 0, "misses": 0, "rejects": {}}
+    assert not list(tmp_path.iterdir())
 
 
 def test_weight_block_refuses_an_ideal_not_certified_below():

@@ -658,12 +658,31 @@ def test_certified_joins_never_build_their_top_degree_component(tmp_path, monkey
     monkeypatch.setattr(DiIdeal, "_compute_component", recording)
     P = plucker_ideal(3, 2)
     assert P.permutation_stable(2, 2)
-    assert (2, 2) not in built
     out = tmp_path / "r.json"
     assert main(["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "5",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["result"]["dimension"] > 0
-    assert (2, 4) in built and (2, 5) not in built
+    # the join's blocks and condition tables read the base ideal's blocks
+    # only, climbed from blocks: no whole component is built at any degree
+    assert built == []
+
+
+def test_certified_secant_counts_its_eliminations(tmp_path, monkeypatch):
+    # a deterministic work count: climbing the base ideal's components of
+    # degrees 0-4 whole, as the join's quotients once were, took 4,126
+    # `SparseRREF.add` calls here
+    from shufflestar import linalg
+    from shufflestar.cli import main
+    plucker_ideal(3, 2)   # the quadric basis is built once per process
+    calls = []
+    add = linalg.SparseRREF.add
+    monkeypatch.setattr(linalg.SparseRREF, "add",
+                        lambda self, vec: calls.append(1) or add(self, vec))
+    out = tmp_path / "r.json"
+    assert main(["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "5",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["dimension"] == 120
+    assert len(calls) == 1765
 
 
 def _reference_delta_parts(f, i):
@@ -727,7 +746,10 @@ def test_condition_tables_equal_the_row_by_row_reduction(M, r, n, summands):
             QR = join.J.component(2, n - i)
             if QL.dim or QR.dim:
                 quotients.add(i)
-            tables = _ConditionTables(QL, QR, i, V.monomials)
+            # the normal forms are read from P's blocks, the reference
+            # reduces against the whole components
+            left = (lambda key: top) if i == n else join.I.quotient_reader(2, i)
+            tables = _ConditionTables(left, join.J.quotient_reader(2, n - i), i, V.monomials)
             # J's block rows, the rows the join kernel solves over
             for row, f in zip(V.basis.basis_rows(), V.basis_elements()):
                 assert (_condition_coords(tables, row)
@@ -751,7 +773,8 @@ def test_condition_tables_on_repeated_factors_equal_the_row_by_row_reduction():
         QL, QR = P.component(2, i), J.component(2, 4 - i)
         if i == 2:
             assert QL.index[half] in QL.basis.pivots and QR.dim == 0
-        tables = _ConditionTables(QL, QR, i, monomials)
+        tables = _ConditionTables(P.quotient_reader(2, i), J.quotient_reader(2, 4 - i),
+                                  i, monomials)
         for key in keys:
             assert (_condition_coords(tables, {index[key]: 1})
                     == _reference_condition_coords(QL, QR, i, SymElement(2, 4, 4, {key: 1})))
@@ -760,7 +783,8 @@ def test_condition_tables_on_repeated_factors_equal_the_row_by_row_reduction():
 def test_certificate_and_condition_tables_count_their_work(monkeypatch):
     # deterministic counts: mapping every star row through each adjacent
     # transposition (75 images) or reducing each split of each column afresh
-    # (828 normal forms) fails here, not only in a timing
+    # (828 normal forms) fails here, not only in a timing; so does keeping
+    # two memos for the one quotient of a self-join's balanced summand (482)
     from collections import Counter
     from shufflestar import ideals, plucker
     calls = Counter()
@@ -776,7 +800,7 @@ def test_certificate_and_condition_tables_count_their_work(monkeypatch):
     assert plucker_ideal(3, 2).permutation_stable(2, 4)
     assert calls["act"] == 30   # 15 star rows, 2 generators
     assert secant_ideal(plucker_ideal(3, 2), 1).component(2, 4).dim == 15
-    assert calls["normal_form"] == 482
+    assert calls["normal_form"] == 277
 
 
 def _reference_join_kernel(I, J, d, n, V, top, summands=None):
@@ -798,7 +822,7 @@ def _reference_join_kernel(I, J, d, n, V, top, summands=None):
     for i in summands:
         QL = top if i == n else I.component(d, i)
         QR = J.component(d, n - i)
-        tables = _ConditionTables(QL, QR, i, V.monomials)
+        tables = _ConditionTables(lambda key: QL, lambda key: QR, i, V.monomials)
         rows_map = {}
         for t, row in enumerate(rows):
             for key, val in _condition_coords(tables, row).items():
@@ -889,7 +913,9 @@ def test_join_weight_blocks_equal_the_whole_component_at_every_weight():
     P = plucker_ideal(3, 2)
     # the whole component, eliminated as one block
     whole = _one_block_join(P, P, 2, 4)
-    by_weight = whole.weight_rows()
+    by_weight = {}
+    for row in whole.basis.basis_rows():
+        by_weight.setdefault(weight(whole.monomials[min(row)], 6), []).append(row)
     join = JoinIdeal(P, P)
     union = []
     for w in {weight(key, 6) for key in whole.monomials}:
@@ -945,6 +971,24 @@ def test_second_secant_never_puts_its_inner_top_degree_join_together(tmp_path, m
     # first secant, is read one block at a time
     assert len(outer) == 1 and isinstance(outer[0].J, JoinIdeal)
     assert all(join is not outer[0].J or n < 4 for join, d, n in built)
+
+
+@pytest.mark.parametrize("d, N, r, n", [(2, 6, 1, 4), (2, 8, 2, 5)],
+                         ids=["sigma1-gr26-4", "sigma2-gr28-5"])
+def test_oracle_and_join_agree_block_by_block(d, N, r, n):
+    # the independent oracle's kernel, split by weight, has at each
+    # dominant weight exactly as many vectors as the join's block there
+    counts = {}
+    for e in evaluation_kernel(GrassmannConfig(d=d, N=N, r=r), n, seed=1):
+        ws = {weight(key, N) for key in e.terms}
+        assert len(ws) == 1
+        w = ws.pop()
+        counts[w] = counts.get(w, 0) + 1
+    join = secant_ideal(plucker_ideal(N // d, d), r)
+    assert join.permutation_stable(d, n)
+    dims = {w: join.weight_block(d, n, w).dim for w in dominant_weights(d, n, N)}
+    assert any(dims.values())
+    assert {w: counts.get(w, 0) for w in dims} == dims
 
 
 @pytest.mark.parametrize("r", [0, 1, 2])

@@ -477,8 +477,12 @@ def element_from_dict(data: Mapping, symmetric: bool = False) -> Element | SymEl
         raise ValueError(f"bad or missing bidegree: {exc}") from exc
     cls = SymElement if symmetric else Element
     terms: dict[FactorTuple, Rational] = {}
-    for entry in data.get("terms", []):
-        coeff = coeff_from_str(entry["coeff"])
-        key = tuple(tuple(int(i) for i in factor) for factor in entry["monomial"])
-        terms[key] = terms.get(key, 0) + coeff
+    try:
+        for entry in data.get("terms", []):
+            coeff = coeff_from_str(entry["coeff"])
+            key = tuple(tuple(int(i) for i in factor) for factor in entry["monomial"])
+            terms[key] = terms.get(key, 0) + coeff
+    except (KeyError, TypeError) as exc:
+        # a term without a field, or terms, a term or an index of another type
+        raise ValueError(f"bad term: {exc!r}") from exc
     return cls(d, n, M, terms)

@@ -55,7 +55,8 @@ variable x inside the support of w and each row b of the block of
 C_(d,n-1) at weight w - wt(x), plus the star rows of weight w; it refuses
 an ideal whose C_(d,n-1) is not certified.  `DiIdeal.quotient_reader`
 maps a monomial to the basis its normal form is read from: its block when
-the component is certified, else the whole component.  The certificate
+the component is certified, else the whole component; a join reads its
+own quotients with the same method.  The certificate
 and the certified join (`plucker.JoinIdeal.weight_block` and its condition
 tables) read the ideal only through these blocks, which are memoised per
 weight and never cached on disk, so a certified join builds no whole
@@ -72,7 +73,7 @@ import sys
 import tempfile
 from array import array
 from bisect import bisect_right
-from functools import cache
+from functools import cache, cached_property
 from itertools import combinations
 from math import gcd
 from pathlib import Path
@@ -249,7 +250,6 @@ class DiIdeal:
                 raise ValueError("generators must have positive width and tensor degree")
             self.generators.append(g)
         self.cache_dir = Path(cache_dir) if cache_dir else None
-        self.gen_hash = _generator_hash(self.generators, self.M)
         # every component below this tensor degree is zero
         self._first_degree = min((g.n for g in self.generators), default=0)
         self._components: dict[tuple[int, int], ComponentBasis] = {}
@@ -263,6 +263,12 @@ class DiIdeal:
         self.cache_stats: dict = {"hits": 0, "misses": 0, "rejects": {}}
 
     # -- disk cache -------------------------------------------------------
+
+    @cached_property
+    def gen_hash(self) -> str:
+        """The content hash of the generators in every cache file name,
+        computed on first use: a run without a cache never needs it."""
+        return _generator_hash(self.generators, self.M)
 
     def _cache_path(self, d: int, n: int) -> Optional[Path]:
         if self.cache_dir is None:
@@ -425,7 +431,8 @@ class DiIdeal:
         """A function from a (d, k) monomial to a basis whose reduction of it
         is its normal form modulo C_(d,k): the block at the monomial's
         weight when `permutation_stable(d, k)` holds, else the whole
-        component."""
+        component.  `plucker.JoinIdeal` reads its quotients with this same
+        method, through its own `weight_block` and `component`."""
         if not self.permutation_stable(d, k):
             comp = self.component(d, k)
             return lambda key: comp

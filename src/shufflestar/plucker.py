@@ -17,18 +17,21 @@ time (see `weights`).  The diagonal torus of GL_N acts on a monomial by the
 character of its weight (how often each index occurs across its factors).
 When both ideals of a join certify `permutation_stable`, their components
 are graded and stable under the signed permutation action of S_N, and so
-is the join kernel.  Its block at a weight w (`JoinIdeal.weight_block`) is
-then the kernel over the second input's block at w, with the first
-input's block at w as the membership quotient, solved and memoised alone,
-so neither top-degree input is built whole; an r >= 2 secant reads its
-inner join one block at a time too.  A whole component is put together
-from the blocks at dominant weights, which `weights.orbit_fill` carries to
-the rest of their orbits.  The quotient conditions read each
+is the join kernel.  Its block at a dominant weight w
+(`JoinIdeal.weight_block`) is then the kernel over the second input's
+block at w, with the first input's block at w as the membership quotient,
+solved and memoised alone; its block at any other weight is the signed
+permutation (`weights.from_dominant`) of the dominant block of its orbit,
+so a join kernel is solved only at dominant weights.  A whole component is
+put together from the blocks at dominant weights, which `weights.orbit_fill`
+carries to the rest of their orbits.  The quotient conditions read each
 sub-monomial's normal form off the basis its input's `quotient_reader`
-gives: a `DiIdeal`'s block at the sub-monomial's weight, climbed from
-blocks, or a join's whole lower-degree component.  Without the certificate
-the join eliminates all of the second input's component as one block, and
-reads its quotients whole.
+gives, one method for both kinds of ideal: the block at the sub-monomial's
+weight, climbed from blocks for a `DiIdeal` and solved or moved for a join,
+so no input of a certified join, and no inner join of an r >= 2 secant, is
+built whole at any degree.  Without the certificate the join eliminates
+all of the second input's component as one block, and reads its quotients
+whole.
 The evaluation kernel is the independent oracle: exact kernels of integer
 evaluation matrices at random sums of decomposables, re-sampled until
 stable.  The vanishing ideal is torus-stable, so it is the direct sum of
@@ -69,7 +72,16 @@ from .core import (
 from .ideals import ComponentBasis, DiIdeal
 from .linalg import SparseRREF, kernel_basis, recombine
 from .products import sym_star
-from .weights import Weight, dominant_weights, monomials_of_weight, orbit_fill
+from .weights import (
+    FactorTable,
+    Weight,
+    act,
+    dominant_weights,
+    from_dominant,
+    is_dominant,
+    monomials_of_weight,
+    orbit_fill,
+)
 
 __all__ = [
     "GrassmannConfig", "basic_plucker", "weyman_quadrics", "plucker_ideal",
@@ -585,9 +597,9 @@ def gamma_count(n: int) -> int:
 # summands are solved in a chain, each in its own elimination over the
 # combinations of V's rows that the ones before it left.  The quotients are
 # read one sub-monomial at a time, through `quotient_reader`: a certified
-# `DiIdeal` hands out the block at the sub-monomial's weight, so a certified
-# join never builds a whole component of a `DiIdeal` input, at any degree,
-# and reads or writes no cache file for it.
+# input, a `DiIdeal` or a join, hands out the block at the sub-monomial's
+# weight, so a certified join never builds a whole component of an input,
+# at any degree, and reads or writes no cache file for it.
 # ---------------------------------------------------------------------------
 
 def _normal_form(comp: ComponentBasis, key: FactorTuple) -> dict[int, Rational]:
@@ -608,8 +620,9 @@ class _ConditionTables(dict):
     normal forms of left and right multiplied out over the C(n, i) slot
     splits of its monomial, left modulo QL and right modulo QR.  Each side
     is a function from a sub-monomial to the basis its normal form is read
-    from (an ideal's `quotient_reader`): the block of its quotient at the
-    sub-monomial's weight, or the whole quotient.  The normal forms are
+    from (an ideal's `quotient_reader`, a `DiIdeal`'s or a join's): the
+    block of its quotient at the sub-monomial's weight, or the whole
+    quotient when that ideal is not certified.  The normal forms are
     memoised per sub-monomial, one memo per side: when i = n - i and QL is
     not QR, one sub-monomial has two.  When QL is QR, as in the balanced
     summand of a self-join, both sides share one memo.  Build one per
@@ -684,18 +697,19 @@ def exact_join_component(join: JoinIdeal, d: int, n: int) -> ComponentBasis:
             for e in orbit_fill(w, join.weight_block(d, n, w).basis_elements()):
                 comp.add(e)
     else:
-        for row in _join_kernel(I, J, d, n, J.component(d, n), I.component(d, n)):
+        for row in _join_kernel(I, J, d, n, J.component(d, n)):
             comp.basis.add(row)
     return comp
 
 
-def _join_kernel(I, J, d: int, n: int, V: ComponentBasis,
-                 top: ComponentBasis) -> list[dict[int, Rational]]:
+def _join_kernel(I, J, d: int, n: int, V: ComponentBasis) -> list[dict[int, Rational]]:
     """The combinations of V's rows that satisfy every summand i >= 1, in columns.
 
-    V is J's part at (d, n) and top is I's there: whole components, or
-    blocks at one weight.  Summand i reads I_(d,i), or top for i = n, on the
-    left and J_(d,n-i) on the right.  The summands are solved one after the
+    V is J's part at (d, n): its whole component, or its block at one
+    weight.  Summand i reads I_(d,i) on the left and J_(d,n-i) on the right,
+    each through its `quotient_reader`, so the membership summand i = n reads
+    I's block at each monomial's weight when I is certified and I's whole
+    component otherwise.  The summands are solved one after the
     other, in increasing |n - 2i|: the balanced split, which cuts the most
     for the least work, first, and membership in I last.  Each summand's
     conditions on the rows left so far go into one `linalg.kernel_basis`,
@@ -712,7 +726,7 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis,
         nv = len(rows)
         if not nv:
             break
-        QL = (lambda key: top) if i == n else I.quotient_reader(d, i)
+        QL = I.quotient_reader(d, i)
         # a self-join's balanced summand reads one quotient on both sides
         QR = QL if I is J and i == n - i else J.quotient_reader(d, n - i)
         tables = _ConditionTables(QL, QR, i, V.monomials)
@@ -748,12 +762,16 @@ class JoinIdeal:
     def weight_block(self, d: int, n: int, w: Weight) -> ComponentBasis:
         """The canonical reduced rows of the (d, n) component at the torus weight w.
 
-        The kernel over J's block at w of the middle conditions and of
-        membership in I, read off I's block at w: the comultiplication and
-        the quotient projections are torus-equivariant, so this is the
-        weight-w part of the component, at every weight, once the join is
-        graded.  A ValueError is raised unless `permutation_stable(d, n)`
-        holds.  Blocks are memoised per (d, n, w), never cached on disk.
+        At a dominant w, the kernel over J's block at w of the middle
+        conditions and of membership in I, read off I's block at w: the
+        comultiplication and the quotient projections are torus-equivariant,
+        so this is the weight-w part of the component once the join is
+        graded.  At any other w it is sigma times the block at the dominant
+        rearrangement of w, for sigma = `weights.from_dominant(w)`, echeloned
+        again, since the component is S_N-stable too; so a join kernel is
+        solved only at dominant weights.  A ValueError is raised unless
+        `permutation_stable(d, n)` holds.  Blocks are memoised per (d, n, w),
+        never cached on disk.
         """
         key = (d, n, w)
         block = self._blocks.get(key)
@@ -762,18 +780,18 @@ class JoinIdeal:
         if not self.permutation_stable(d, n):
             raise ValueError(f"the join at {(d, n)} is not certified graded")
         block = ComponentBasis(d, n, self.M)
-        for row in _join_kernel(self.I, self.J, d, n, self.J.weight_block(d, n, w),
-                                self.I.weight_block(d, n, w)):
-            block.basis.add(row)
+        if is_dominant(w):
+            for row in _join_kernel(self.I, self.J, d, n, self.J.weight_block(d, n, w)):
+                block.basis.add(row)
+        else:
+            table = FactorTable(from_dominant(w))
+            for e in self.weight_block(d, n, tuple(sorted(w, reverse=True))).basis_elements():
+                block.add(act(table, e))
         self._blocks[key] = block
         return block
 
-    def quotient_reader(self, d: int, k: int) -> Callable[[FactorTuple], ComponentBasis]:
-        """A function from a (d, k) monomial to the basis its normal form is
-        read from: the whole (d, k) component, orbit-filled when certified,
-        for every monomial."""
-        comp = self.component(d, k)
-        return lambda key: comp
+    # the block at a monomial's weight when certified, else the whole component
+    quotient_reader = DiIdeal.quotient_reader
 
     def permutation_stable(self, d: int, n: int) -> bool:
         """Both inputs certified: every join component (d, k), k <= n, is then

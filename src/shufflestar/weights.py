@@ -19,8 +19,10 @@ each part at most n (an index occurs at most once per factor), and
 Permutations are kept in one-line form: sigma[j] is the image of j + 1.
 A `FactorTable` holds the signed image of each factor under one
 permutation, so acting on a block of elements sorts each distinct factor
-once; `act` and `act_on_key` take the table of the permutation, and
-`orbit_fill` carries the elements of a dominant block to its whole orbit.
+once; `act` and `act_on_key` take the table of the permutation,
+`orbit_fill` carries the elements of a dominant block to its whole orbit,
+and `from_dominant` names the one permutation that carries them to a given
+block of it.
 A subspace is S_N-stable once each of `sn_generators(N)`, the transposition
 (1 2) and the N-cycle (1 2 ... N), maps it into itself: the permutations
 that do are closed under composition, so they form a subgroup, and these
@@ -37,7 +39,7 @@ from .core import FactorTuple, SymElement
 
 __all__ = ["weight", "is_dominant", "dominant_weights", "monomials_of_weight",
            "FactorTable", "act_on_key", "act", "sn_generators",
-           "orbit_permutations", "orbit_fill"]
+           "orbit_permutations", "from_dominant", "orbit_fill"]
 
 Weight = tuple[int, ...]
 Permutation = tuple[int, ...]
@@ -204,6 +206,17 @@ def orbit_permutations(w: Weight) -> tuple[Permutation, ...]:
             yield from place(g + 1, [s for s in free if s not in taken])
 
     return tuple(place(0, list(range(N))))
+
+
+def from_dominant(u: Weight) -> Permutation:
+    """The permutation of `orbit_permutations` that maps the block at the
+    dominant rearrangement of u onto the block u.
+
+    The dominant rearrangement lists u's positions by decreasing count,
+    positions that share a count in increasing order; its j-th index is
+    sent to the j-th of those positions.
+    """
+    return tuple(p + 1 for p in sorted(range(len(u)), key=lambda p: -u[p]))
 
 
 def orbit_fill(w: Weight, elems: Sequence[SymElement]) -> Iterator[SymElement]:

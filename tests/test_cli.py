@@ -232,6 +232,9 @@ def test_out_of_range_count_flag_is_an_input_error(tmp_path, args):
     "{broken",
     '{"bidegree": [2, 2, 2], "terms": [{"coeff": "1", "monomial": [[1, 9], [2, 3]]}]}',
     '{"bidegree": [2, 2, 2], "terms": [{"coeff": "1/0", "monomial": [[1, 2], [3, 4]]}]}',
+    '{"bidegree": [2, 2, 2], "terms": [{"coeff": "1"}]}',
+    '{"bidegree": [2, 2, 2], "terms": [{"coeff": "1", "monomial": [[1, null]]}]}',
+    '{"bidegree": [2, 2, 2], "terms": {"x": 1}}',
 ])
 def test_malformed_element_file_is_an_input_error(tmp_path, text):
     bad = tmp_path / "bad.json"

@@ -23,7 +23,7 @@ from shufflestar.ideals import (
     monomial_space,
     quotient_basis,
 )
-from shufflestar.plucker import basic_plucker, plucker_ideal
+from shufflestar.plucker import GrassmannConfig, basic_plucker, degree_probe, plucker_ideal
 from shufflestar.poset import leading_term
 from shufflestar.products import star_incfns, sym_shuffle, sym_star
 
@@ -320,6 +320,25 @@ def test_cache_distinguishes_generators(tmp_path):
     I2 = DiIdeal(2, [basic_plucker(1).scale(2)], cache_dir=tmp_path)
     assert I1.gen_hash != I2.gen_hash
     assert I1.component(2, 2).dim == I2.component(2, 2).dim == 1
+
+
+def test_only_a_cache_hashes_the_generators(tmp_path, monkeypatch):
+    # the hash names cache files, so a run without a cache never computes
+    # it: not for the Plucker ideal, nor for each degree's from-below ideal
+    from shufflestar import ideals
+    hashed = []
+    real = ideals._generator_hash
+
+    def counting(generators, M):
+        hashed.append(M)
+        return real(generators, M)
+
+    monkeypatch.setattr(ideals, "_generator_hash", counting)
+    rep = degree_probe(GrassmannConfig(d=2, N=6, r=1), 3)
+    assert rep["rows"][-1]["dim"] and hashed == []
+    I = plucker_ideal(3, 2, cache_dir=tmp_path)
+    I.component(2, 3)
+    assert hashed == [3]   # once, on first use
 
 
 def test_cache_write_uses_a_private_temporary_file(tmp_path):

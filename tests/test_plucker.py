@@ -32,7 +32,14 @@ from shufflestar.plucker import (
     secant_ideal,
     weyman_quadrics,
 )
-from shufflestar.weights import FactorTable, act, dominant_weights, sn_generators, weight
+from shufflestar.weights import (
+    FactorTable,
+    act,
+    dominant_weights,
+    is_dominant,
+    sn_generators,
+    weight,
+)
 
 
 def test_basic_plucker():
@@ -746,10 +753,11 @@ def test_condition_tables_equal_the_row_by_row_reduction(M, r, n, summands):
             QR = join.J.component(2, n - i)
             if QL.dim or QR.dim:
                 quotients.add(i)
-            # the normal forms are read from P's blocks, the reference
-            # reduces against the whole components
-            left = (lambda key: top) if i == n else join.I.quotient_reader(2, i)
-            tables = _ConditionTables(left, join.J.quotient_reader(2, n - i), i, V.monomials)
+            # the normal forms are read from blocks, the membership summand
+            # i = n's from P's block at w; the reference reduces against the
+            # whole components
+            tables = _ConditionTables(join.I.quotient_reader(2, i),
+                                      join.J.quotient_reader(2, n - i), i, V.monomials)
             # J's block rows, the rows the join kernel solves over
             for row, f in zip(V.basis.basis_rows(), V.basis_elements()):
                 assert (_condition_coords(tables, row)
@@ -910,21 +918,27 @@ def test_orbit_path_equals_the_one_block_path(M, r):
 
 
 def test_join_weight_blocks_equal_the_whole_component_at_every_weight():
-    P = plucker_ideal(3, 2)
-    # the whole component, eliminated as one block
-    whole = _one_block_join(P, P, 2, 4)
-    by_weight = {}
-    for row in whole.basis.basis_rows():
-        by_weight.setdefault(weight(whole.monomials[min(row)], 6), []).append(row)
-    join = JoinIdeal(P, P)
-    union = []
-    for w in {weight(key, 6) for key in whole.monomials}:
-        # every weight, dominant or not, solved alone
-        rows = join.weight_block(2, 4, w).basis.basis_rows()
-        assert rows == by_weight.get(w, [])
-        union.extend(rows)
-    assert sorted(union, key=min) == whole.basis.basis_rows()
-    assert (2, 4) not in join._components
+    # sigma_1(Gr(2,6)) is a self-join; sigma_2(Gr(2,8)) joins P with
+    # sigma_1, so I is not J and its second input is a join
+    for M, r in ((3, 1), (4, 2)):
+        P = plucker_ideal(M, 2)
+        # the whole component, eliminated as one block
+        whole = _one_block_join(P, secant_ideal(P, r - 1), 2, 4)
+        assert whole.dim
+        N = 2 * M
+        by_weight = {}
+        for row in whole.basis.basis_rows():
+            by_weight.setdefault(weight(whole.monomials[min(row)], N), []).append(row)
+        join = secant_ideal(plucker_ideal(M, 2), r)
+        union = []
+        for w in {weight(key, N) for key in whole.monomials}:
+            # every weight, dominant or not
+            rows = join.weight_block(2, 4, w).basis.basis_rows()
+            assert rows == by_weight.get(w, [])
+            union.extend(rows)
+        assert sorted(union, key=min) == whole.basis.basis_rows()
+        # neither the join nor either input is built whole at any degree
+        assert not join._components and not join.I._components and not join.J._components
 
 
 @pytest.mark.parametrize("other", ["plucker", "square"])
@@ -951,7 +965,7 @@ def test_joining_the_ideal_of_every_variable_gives_the_other_input(every_first, 
         assert comp.basis.basis_rows() == ideal.component(2, n).basis.basis_rows()
 
 
-def test_second_secant_never_puts_its_inner_top_degree_join_together(tmp_path, monkeypatch):
+def test_second_secant_puts_only_its_outer_join_together(tmp_path, monkeypatch):
     from shufflestar import plucker
     from shufflestar.cli import main
     built = []
@@ -966,11 +980,40 @@ def test_second_secant_never_puts_its_inner_top_degree_join_together(tmp_path, m
     assert main(["secant", "--d", "2", "--N", "8", "--r", "2", "--degree", "4",
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["result"]["dimension"] == 1
-    outer = [join for join, d, n in built if (d, n) == (2, 4)]
-    # only the outer join is put together at (2, 4); its inner join, the
-    # first secant, is read one block at a time
-    assert len(outer) == 1 and isinstance(outer[0].J, JoinIdeal)
-    assert all(join is not outer[0].J or n < 4 for join, d, n in built)
+    # only the outer join is put together, once, at (2, 4); its inner join,
+    # the first secant, is read one block at a time at every degree
+    assert len(built) == 1
+    (outer, d, n), = built
+    assert (d, n) == (2, 4) and isinstance(outer.J, JoinIdeal)
+
+
+def test_second_secant_solves_join_kernels_only_at_dominant_weights(tmp_path, monkeypatch):
+    # work-count guard: a block at any other weight is moved from the
+    # dominant block of its orbit, never solved
+    from shufflestar import plucker
+    from shufflestar.cli import main
+    asked = []
+    solved = []
+    block, kernel = JoinIdeal.weight_block, plucker._join_kernel
+
+    def recording_block(join, d, n, w):
+        asked.append(w)
+        try:
+            return block(join, d, n, w)
+        finally:
+            asked.pop()
+
+    def recording_kernel(I, J, d, n, V):
+        solved.append(asked[-1])
+        return kernel(I, J, d, n, V)
+
+    monkeypatch.setattr(JoinIdeal, "weight_block", recording_block)
+    monkeypatch.setattr(plucker, "_join_kernel", recording_kernel)
+    assert main(["secant", "--d", "2", "--N", "8", "--r", "2", "--degree", "4",
+                 "--out", str(tmp_path / "r.json")]) == 0
+    assert all(map(is_dominant, solved))
+    # 42 when the first secant was put together whole at each (2, k), k < 4
+    assert len(solved) == 36
 
 
 @pytest.mark.parametrize("d, N, r, n", [(2, 6, 1, 4), (2, 8, 2, 5)],

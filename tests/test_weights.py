@@ -9,6 +9,7 @@ from shufflestar.weights import (
     act,
     act_on_key,
     dominant_weights,
+    from_dominant,
     is_dominant,
     monomials_of_weight,
     orbit_fill,
@@ -150,6 +151,22 @@ def test_orbit_permutations_reach_each_rearrangement_once():
                 u[s - 1] = w[j]
             images.add(tuple(u))
         assert len(images) == len(perms)
+
+
+def test_from_dominant_is_the_orbit_permutation_reaching_the_weight():
+    from itertools import permutations
+    # repeated counts, a count shared by every index, and zeros
+    for w in ((2, 2, 1, 1, 0, 0), (3, 1, 1, 1), (1, 1, 1, 1), (4, 0, 0), (3, 2, 1, 0)):
+        reached = {}
+        for sigma in orbit_permutations(w):
+            u = [0] * len(w)
+            for j, s in enumerate(sigma):
+                u[s - 1] = w[j]
+            reached[tuple(u)] = sigma
+        rearrangements = set(permutations(w))
+        assert set(reached) == rearrangements
+        for u in rearrangements:
+            assert from_dominant(u) == reached[u]
 
 
 def test_orbit_fill_of_an_empty_block_builds_no_table(monkeypatch):

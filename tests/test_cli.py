@@ -534,6 +534,29 @@ def test_degree5_second_secant_report_is_byte_identical(tmp_path):
         "4ac7b685de9c5f30ccce86a1d99efb6a90b41f77ddd23560c9a371749ab75d16"
 
 
+# SHA-256 of the whole report file, the bytes as written, not re-serialized:
+# the basis writers of the join path (721 vectors over many orbits at N = 8,
+# and `psa join`) and of the oracle, recorded before the join paths wrote
+# their bases from the component's canonical rows
+_RAW_REPORTS = {
+    ("secant", "--d", "2", "--N", "8", "--r", "1", "--degree", "4"):
+        "dcf295c8ddbe4c6329050aa7cc596519de215ac1cff11d5acb7f12a1d926e53e",
+    ("join", "--d", "2", "--N", "6", "--degree", "4"):
+        "8383a820f731e83309c7c1786df3d767652b49d8f7eedaafcd4600a8ed805623",
+    ("secant", "--d", "2", "--N", "8", "--r", "1", "--degree", "4", "--oracle", "--seed", "3"):
+        "f236b1da4cdc074394b9891cd7ed78c372247744bfe6ef2c6a8e8acea9476b2d",
+}
+
+
+@pytest.mark.parametrize("args", sorted(_RAW_REPORTS), ids=" ".join)
+def test_basis_reports_are_raw_byte_identical(tmp_path, monkeypatch, args):
+    # the config echoes a cache directory taken from the environment
+    monkeypatch.delenv("PSA_CACHE_DIR", raising=False)
+    out = tmp_path / "r.json"
+    assert main([*args, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _RAW_REPORTS[args]
+
+
 # SHA-256 of the `psa probe` report's result, hashed as in _ORACLE_RESULTS:
 # an r = 2 join of Gr(2,8), all 28 vectors of degree 5 from below, and
 # Gr(3,6), whose width-3 from-below span takes in the width-2 components

@@ -133,6 +133,8 @@ def certified_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[dict[int
     Returns the canonical reduced-echelon kernel basis as sparse rows, one
     per free column of the row space, in column order: 1 at the free column
     and the lifted entries at the pivot columns, each an int when integral.
+    The first prime that leaves no free column ends the call with an empty
+    basis, since a mod-p rank cannot exceed the true rank.
     """
     if not rows:
         return [{j: 1} for j in range(ncols)]
@@ -143,13 +145,13 @@ def certified_kernel(rows: Sequence[Sequence[int]], ncols: int) -> list[dict[int
         for p in primes:
             A = np.array([[x % p for x in row] for row in rows], dtype=np.int64)
             K, pivots, free = modp_kernel(A, p)
+            if not free:
+                return []  # full column rank mod p forces full rank exactly
             per_prime.append((p, tuple(pivots), K, free))
         # primes must agree on the pivot structure; keep the maximal-rank shape
         best = max(per_prime, key=lambda t: len(t[1]))
         group = [t for t in per_prime if t[1] == best[1]]
         _, pivots, _, free = best
-        if not free:
-            return []  # full column rank mod p forces full rank exactly
         result = [_lift(group, idx, j, pivots) for idx, j in enumerate(free)]
         if None not in result and all(verify_kernel_vector(rows, v) for v in result):
             return result

@@ -4,6 +4,13 @@ All commands emit a single JSON report on stdout (or --out) echoing their
 inputs; identical invocations produce byte-identical reports.  Timings are
 only included with --timings, since they would break that contract.
 Human-oriented progress goes to stderr.
+
+A report is one canonical dump: sorted keys, no spaces, a trailing newline.
+Elements go into it as `core.wire_dict`s.  The join paths of `secant` and
+`join` write a component's basis from its canonical rows
+(`ComponentBasis.wire_rows`) and never build its elements; the oracle and
+the Weyman quadrics, which are elements already, go through `wire_dict`
+from their sorted terms.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from .core import (
     TensorMonomial,
     element_from_dict,
     element_to_dict,
+    wire_dict,
 )
 from .linalg import CoeffLimitExceeded
 from .poset import encode_tree, rl_leq
@@ -29,10 +37,10 @@ from .products import Split, invariant_shuffle, shuffle_product, star_product, s
 from .symmetry import delta_sym, from_invariant, pi, pi_prime, to_invariant
 from .plucker import (
     GrassmannConfig,
+    JoinIdeal,
     basic_plucker,
     degree_probe,
     evaluation_kernel,
-    join_component,
     plucker_ideal,
     secant_ideal,
     weyman_quadrics,
@@ -54,7 +62,10 @@ def _single_monomial(path: str) -> TensorMonomial:
 
 
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
+    # a report is a tree the handlers build afresh, so the encoder's cycle
+    # check, one table entry per list and dict, is skipped
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"),
+                      check_circular=False) + "\n"
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -66,7 +77,7 @@ def _parse_ints(s: str) -> tuple[int, ...]:
 
 
 def _elements_json(elements) -> list:
-    return [element_to_dict(e) for e in elements]
+    return [wire_dict(e.d, e.n, e.M, sorted(e.terms.items())) for e in elements]
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +184,9 @@ def cmd_plucker(args) -> dict:
 def cmd_join(args) -> dict:
     cfg = GrassmannConfig(d=args.d, N=args.N)
     P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
-    basis = join_component(P, P, (cfg.d, args.degree))
+    comp = JoinIdeal(P, P).component(cfg.d, args.degree)
     return _with_cache({"result": {"d": cfg.d, "N": cfg.N, "degree": args.degree,
-                                   "dimension": len(basis), "basis": _elements_json(basis)}}, P)
+                                   "dimension": comp.dim, "basis": list(comp.wire_rows())}}, P)
 
 
 def _with_cache(body: dict, ideal) -> dict:
@@ -199,7 +210,7 @@ def cmd_secant(args) -> dict:
     P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
     comp = secant_ideal(P, cfg.r).component(cfg.d, args.degree)
     out["dimension"] = comp.dim
-    out["basis"] = _elements_json(comp.basis_elements())
+    out["basis"] = list(comp.wire_rows())
     out["engine"] = "join-kernel"
     return _with_cache({"result": out}, P)
 

@@ -20,6 +20,13 @@ that spans the unreduced rows checking the ideal climb
 (`ideals.DiIdeal.raw_spanning_rows`): it multiplies and adds coefficients
 as they come, so integral inputs give ints but Fraction inputs may give a
 Fraction with denominator 1.
+
+Reports write elements in one JSON wire format.  `wire_dict` builds an
+element's wire dict from its (monomial, coefficient) pairs, monomials kept
+as the tuples they are, so a report writer needs no element and no list per
+factor: `ideals.ComponentBasis.wire_rows` feeds it a component's canonical
+rows directly.  `element_to_dict` gives the same dict with lists, and
+`element_from_dict` reads either back.
 """
 
 from __future__ import annotations
@@ -434,7 +441,11 @@ def iter_sym_keys(d: int, n: int, M: int) -> Iterable[FactorTuple]:
 #   {"bidegree": [d, n, M],
 #    "terms": [{"coeff": "p/q", "monomial": [[i, ...], ...]}, ...]}
 #
-# Factors must be strictly increasing; readers reject violations.
+# Factors must be strictly increasing; readers reject violations.  Terms
+# are listed in ascending monomial order.  `wire_dict` builds this dict from
+# (monomial, coefficient) pairs and leaves each monomial its tuple of factor
+# tuples, which `json` writes as the same arrays; `element_to_dict` returns
+# lists, for Python callers that read or compare the dict.
 # ---------------------------------------------------------------------------
 
 def coeff_to_str(c: Rational) -> str:
@@ -460,6 +471,17 @@ def coeff_from_str(s: str) -> Rational:
     except ZeroDivisionError:
         raise ValueError(f"coefficient {s!r} has a zero denominator") from None
     return c.numerator if c.denominator == 1 else c
+
+
+def wire_dict(d: int, n: int, M: int, terms: Iterable[tuple[FactorTuple, Rational]]) -> dict:
+    """The wire dict of the element of bidegree (d, n, M) with these terms.
+
+    `terms` are (monomial, nonzero coefficient) pairs in ascending monomial
+    order.  Each monomial goes in as it is, a tuple of factor tuples, so
+    `json.dumps` writes the bytes it writes for `element_to_dict`.
+    """
+    return {"bidegree": [d, n, M],
+            "terms": [{"coeff": coeff_to_str(c), "monomial": key} for key, c in terms]}
 
 
 def element_to_dict(f: _BaseElement) -> dict:

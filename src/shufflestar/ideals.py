@@ -22,7 +22,12 @@ never modified.
 
 Components are auto-reduced against a descending monomial order, so pivot
 monomials are the leading terms and non-pivots are the standard monomials
-of the quotient.  Components are cached in memory and optionally on disk:
+of the quotient (`standard_monomials` reads them off one keep-mask over
+the columns).  A component goes into a report through `wire_rows`, the
+wire dict of each canonical row, its columns in reverse, which are its
+monomials in ascending order; no element is built for it.
+
+Components are cached in memory and optionally on disk:
 one JSON file per (M, d, n), named with a content hash of the generators
 and of the file layout, holding the canonical reduced echelon rows as flat
 arrays: `coeffs`, the distinct coefficients as "p/q" strings; `cols`, every
@@ -74,10 +79,10 @@ import tempfile
 from array import array
 from bisect import bisect_right
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, compress
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import (
     Factor,
@@ -90,6 +95,7 @@ from .core import (
     iter_factors,
     iter_sym_keys,
     to_numerators,
+    wire_dict,
 )
 from .linalg import NotReducedError, SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
@@ -157,12 +163,26 @@ class ComponentBasis:
     def basis_elements(self) -> list[SymElement]:
         return [self.element(row) for row in self.basis.basis_rows()]
 
+    def wire_rows(self) -> Iterator[dict]:
+        """The wire dict (`core.wire_dict`) of each basis row, in pivot order.
+
+        Read straight from the canonical rows: a row's columns sorted as ints
+        in reverse are its monomials in ascending order.  The dicts serialize
+        to the bytes of `element_to_dict` over `basis_elements()`, without
+        building an element.
+        """
+        d, n, M, monomials = self.d, self.n, self.M, self.monomials
+        for row in self.basis.basis_rows():
+            yield wire_dict(d, n, M, [(monomials[c], row[c]) for c in sorted(row, reverse=True)])
+
     def pivot_monomials(self) -> list[FactorTuple]:
         return [self.monomials[c] for c in self.basis.pivot_columns()]
 
     def standard_monomials(self) -> list[FactorTuple]:
-        pivots = self.basis.pivots
-        return [key for i, key in enumerate(self.monomials) if i not in pivots]
+        keep = bytearray(b"\x01") * len(self.monomials)
+        for c in self.basis.pivots:
+            keep[c] = 0
+        return list(compress(self.monomials, keep))
 
 
 # part of every cache file name, so files of another layout are never read

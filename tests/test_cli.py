@@ -534,6 +534,36 @@ def test_degree5_second_secant_report_is_byte_identical(tmp_path):
         "4ac7b685de9c5f30ccce86a1d99efb6a90b41f77ddd23560c9a371749ab75d16"
 
 
+def test_the_join_path_writes_its_basis_from_the_rows(tmp_path, monkeypatch):
+    # the component's rows go to the report as they are: the only elements
+    # built are those of the dominant blocks the orbit fill moves
+    from shufflestar.ideals import ComponentBasis
+    built = []
+    element = ComponentBasis.element
+    monkeypatch.setattr(ComponentBasis, "element",
+                        lambda self, vec: built.append(1) or element(self, vec))
+    code, rep = _run(["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "5"],
+                     tmp_path / "r.json")
+    assert code == 0 and rep["result"]["dimension"] == 120
+    assert len(built) < 120
+
+
+@pytest.mark.parametrize("args", [
+    ["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "4"],
+    ["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "3", "--oracle"],
+    ["join", "--d", "2", "--N", "6", "--degree", "3"],
+    ["plucker", "--d", "2", "--N", "6", "--weyman"],
+    ["probe", "--d", "2", "--N", "4", "--r", "0", "--max-n", "3"],
+], ids=lambda args: args[0] + ("-oracle" if "--oracle" in args else ""))
+def test_reports_are_written_in_canonical_json(tmp_path, args):
+    # a writer that skips a step (tuples for lists, a cached text) must
+    # still write what one canonical dump of the parsed report writes
+    out = tmp_path / "r.json"
+    assert main([*args, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 # SHA-256 of the whole report file, the bytes as written, not re-serialized:
 # the basis writers of the join path (721 vectors over many orbits at N = 8,
 # and `psa join`) and of the oracle, recorded before the join paths wrote

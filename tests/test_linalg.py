@@ -56,6 +56,21 @@ def test_kernel_basis_reads_no_row_past_full_rank():
     assert kernel_basis(iter([{0: 1, 1: 1}, {0: 2, 1: 2}]), 2) == [{1: 1, 0: -1}]
 
 
+def test_a_full_rank_matrix_is_settled_by_one_prime(monkeypatch):
+    # a mod-p rank cannot exceed the true rank, so the first prime that
+    # leaves no free column proves the kernel empty
+    from shufflestar import certified
+    primes = []
+    modp_kernel = certified.modp_kernel
+    monkeypatch.setattr(certified, "modp_kernel", lambda A, p: primes.append(p) or modp_kernel(A, p))
+    assert certified.certified_kernel([[2, 1, 0], [1, 3, 1], [0, 1, 4], [5, 0, 7]], 3) == []
+    assert primes == [certified.PRIMES[0]]
+    # a kernel still needs the primes that agree on it
+    primes.clear()
+    assert certified.certified_kernel([[1, 2, 3], [2, 4, 6]], 3) == [{0: -2, 1: 1}, {0: -3, 2: 1}]
+    assert primes == list(certified.PRIMES[:2])
+
+
 def test_recombine_sums_the_rows_in_canonical_form():
     rows = [{0: 1, 2: Fraction(1, 2)}, {1: 1, 2: Fraction(1, 2)}]
     assert recombine([{0: 1, 1: -1}, {1: 2}], rows) == [{0: 1, 1: -1}, {1: 2, 2: 1}]

@@ -11,7 +11,7 @@ import pytest
 from fractions import Fraction
 
 from shufflestar.cli import main
-from shufflestar.core import element_from_dict, element_to_dict, sym_monomial, monomial
+from shufflestar.core import SymElement, element_from_dict, element_to_dict, sym_monomial, monomial
 from shufflestar.ideals import _pack, _unpack
 from shufflestar.linalg import SparseRREF
 from shufflestar.plucker import weyman_quadrics
@@ -67,6 +67,23 @@ def test_delta_command(element_files, tmp_path):
     code, rep = _run(["delta", "--input", str(pa)], out)
     assert code == 0
     assert len(rep["result"]["terms"]) == 4
+
+
+# SHA-256 of the whole `psa delta` report file, as written, for
+# (1/3) x12 x12 + x12 x34: its image has the integral coefficient 1 and the
+# fractional ones 1/3 and 2/3
+_DELTA_REPORT = "2c2b3405e84ac8b08b98efee34594b9b1445d052a4642cc792d417c332815a4a"
+
+
+def test_delta_report_is_raw_byte_identical(tmp_path, monkeypatch):
+    f = SymElement(2, 2, 2, {((1, 2), (1, 2)): Fraction(1, 3), ((1, 2), (3, 4)): 1})
+    (tmp_path / "f.json").write_text(json.dumps(element_to_dict(f)))
+    # relative paths, since the config echoes the input path
+    monkeypatch.chdir(tmp_path)
+    assert main(["delta", "--input", "f.json", "--out", "r.json"]) == 0
+    coeffs = {t["coeff"] for t in json.loads((tmp_path / "r.json").read_text())["result"]["terms"]}
+    assert coeffs == {"1/1", "1/3", "2/3"}
+    assert hashlib.sha256((tmp_path / "r.json").read_bytes()).hexdigest() == _DELTA_REPORT
 
 
 def test_divides_and_tree(tmp_path):

@@ -27,6 +27,7 @@ from . import linalg
 from .core import (
     IncFn,
     TensorMonomial,
+    coeff_to_str,
     element_from_dict,
     element_to_dict,
     wire_dict,
@@ -126,13 +127,10 @@ def cmd_gi(args) -> dict:
 def cmd_delta(args) -> dict:
     f = _read_element(args.input, symmetric=True)
     pair = delta_sym(f)
-    terms = []
-    for (lk, rk) in sorted(pair.terms):
-        terms.append({
-            "coeff": f"{pair.terms[(lk, rk)].numerator}/{pair.terms[(lk, rk)].denominator}",
-            "left": [list(fac) for fac in lk],
-            "right": [list(fac) for fac in rk],
-        })
+    terms = [{"coeff": coeff_to_str(pair.terms[(lk, rk)]),
+              "left": [list(fac) for fac in lk],
+              "right": [list(fac) for fac in rk]}
+             for (lk, rk) in sorted(pair.terms)]
     return {"result": {"bidegree": [f.d, f.n, f.M], "terms": terms}}
 
 

@@ -6,7 +6,10 @@ increasing relabeling, and h a monomial raising the tensor degree.  That
 single-round enumeration is exhaustive (products of products reduce to it),
 and it is computed degree-climbing: the (d, n) component is spanned by
 variable multiples of the (d, n-1) component together with the width-d
-star products of generators of tensor degree exactly n.
+star products of generators of tensor degree exactly n.  `DiIdeal.climb`
+takes that one step from any (d, n-1) span; `plucker.degree_probe` takes
+a row's from-below span as one such step of C_(d,n-1), with the narrower
+components as the generators whose star rows it adds.
 
 The climb multiplies in column coordinates.  A variable x has coefficient
 1 and sends distinct monomials to distinct monomials, so x times a stored
@@ -66,7 +69,8 @@ and the certified join (`plucker.JoinIdeal.weight_block` and its condition
 tables) read the ideal only through these blocks, which are memoised per
 weight and never cached on disk, so a certified join builds no whole
 component and touches no cache file.  `component` still builds, reads and
-writes whole components, climbed whole by `_compute_component`.
+writes whole components, climbed whole by `_compute_component`, one
+`climb` step per degree.
 """
 
 from __future__ import annotations
@@ -101,8 +105,8 @@ from .linalg import NotReducedError, SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
 from .weights import FactorTable, Weight, act, sn_generators, weight
 
-__all__ = ["ComponentBasis", "DiIdeal", "component_span", "membership",
-           "quotient_basis", "initial_component", "monomial_space"]
+__all__ = ["ComponentBasis", "DiIdeal", "membership", "quotient_basis",
+           "initial_component", "monomial_space"]
 
 
 @cache
@@ -387,10 +391,20 @@ class DiIdeal:
         return comp
 
     def _compute_component(self, d: int, n: int) -> ComponentBasis:
-        comp = ComponentBasis(d, n, self.M)
         if n == 0 or d == 0:
-            return comp
-        below = self.component(d, n - 1)
+            return ComponentBasis(d, n, self.M)
+        return self.climb(self.component(d, n - 1), d, n)
+
+    def climb(self, below: ComponentBasis, d: int, n: int) -> ComponentBasis:
+        """One climb step: the (d, n) span of x * below over every variable x,
+        plus this ideal's star rows of tensor degree n.
+
+        `below` is any (d, n-1) span in canonical reduced form; with this
+        ideal's own C_(d,n-1) the step gives C_(d,n).
+        """
+        if (below.d, below.n, below.M) != (d, n - 1, self.M):
+            raise ValueError(f"climb to {(d, n)} from {(below.d, below.n, below.M)}")
+        comp = ComponentBasis(d, n, self.M)
         if below.dim:
             # row by row, each x in turn: adding all rows of one x before
             # the next x was measured slower (more fill-in)
@@ -417,8 +431,7 @@ class DiIdeal:
         homogeneous.  Blocks are memoised per (d, n, w), never cached on
         disk, and no component is built whole.
         """
-        blocks = self._blocks
-        block = blocks.get((d, n, w))
+        block = self._blocks.get((d, n, w))
         if block is not None:
             return block
         block = ComponentBasis(d, n, self.M)
@@ -427,7 +440,7 @@ class DiIdeal:
                 raise ValueError(f"the component at {(d, n - 1)} is not certified graded")
             support = [i for i, c in enumerate(w, 1) if c]
             forced = {i for i, c in enumerate(w, 1) if c == n}
-            add = block.basis.add
+            add, block_at = block.basis.add, self.weight_block
             for fac in combinations(support, d):
                 if not forced.issubset(fac):
                     continue
@@ -435,7 +448,7 @@ class DiIdeal:
                 for i in fac:
                     u[i - 1] -= 1
                 u = tuple(u)
-                below = blocks.get((d, n - 1, u)) or self.weight_block(d, n - 1, u)
+                below = block_at(d, n - 1, u)
                 if below.dim:
                     for out in _multiples(below.basis.basis_rows(), below, block, [fac]):
                         add(out)
@@ -444,7 +457,7 @@ class DiIdeal:
             raise ValueError(f"the star rows at {(d, n)} are not weight-homogeneous")
         for prod in stars.get(w, ()):
             block.add(prod)
-        blocks[(d, n, w)] = block
+        self._blocks[(d, n, w)] = block
         return block
 
     def quotient_reader(self, d: int, k: int) -> Callable[[FactorTuple], ComponentBasis]:
@@ -457,13 +470,8 @@ class DiIdeal:
             comp = self.component(d, k)
             return lambda key: comp
         N = self.M * d
-        blocks, climb = self._blocks, self.weight_block
-
-        def read(key: FactorTuple) -> ComponentBasis:
-            w = weight(key, N)
-            # a memoised block skips the call: this runs once per normal form
-            return blocks.get((d, k, w)) or climb(d, k, w)
-        return read
+        block_at = self.weight_block
+        return lambda key: block_at(d, k, weight(key, N))
 
     def _star_rows(self, d: int, n: int):
         """Star products of the generators of tensor degree exactly n at width d,
@@ -581,10 +589,6 @@ class DiIdeal:
         if f.is_zero():
             return True
         return self.component(f.d, f.n).contains(f)
-
-
-def component_span(I: DiIdeal, bidegree: tuple[int, int]) -> list[SymElement]:
-    return I.component(*bidegree).basis_elements()
 
 
 def membership(f: SymElement, I: DiIdeal) -> bool:

@@ -323,24 +323,23 @@ class SparseRREF:
         return [self.rows[self.pivots[c]] for c in sorted(self.pivots)]
 
 
-def rref_rank(rows: Iterable[Mapping[int, Rational]], max_bits: Optional[int] = None
+def rref_rank(rows: Iterable[Mapping[int, Rational]]
               ) -> tuple[int, list[dict[int, Rational]], list[int]]:
     """(rank, nonzero reduced rows in pivot order, pivot columns) of sparse rows."""
-    basis = SparseRREF(max_bits=max_bits)
+    basis = SparseRREF()
     for row in rows:
         basis.add(row)
     return basis.rank, basis.basis_rows(), basis.pivot_columns()
 
 
-def kernel_basis(rows: Iterable[Mapping[int, Rational]], ncols: int,
-                 max_bits: Optional[int] = None) -> list[dict[int, Rational]]:
+def kernel_basis(rows: Iterable[Mapping[int, Rational]], ncols: int) -> list[dict[int, Rational]]:
     """Basis of the right null space of sparse rows over ncols columns, one
     sparse vector per free column (see `sparse_rref_kernel`).
 
     Once the rank reaches ncols the kernel is empty, and no further row is
     read from `rows`.
     """
-    basis = SparseRREF(max_bits=max_bits)
+    basis = SparseRREF()
     for row in rows:
         if basis.add(row) and basis.rank == ncols:
             return []

@@ -86,8 +86,7 @@ from .weights import (
 __all__ = [
     "GrassmannConfig", "basic_plucker", "weyman_quadrics", "plucker_ideal",
     "evaluate", "decomposable_point", "random_decomposable", "random_secant_point",
-    "evaluation_kernel", "pfaffian", "JoinIdeal", "join_component",
-    "secant_ideal", "secant_component", "degree_probe",
+    "evaluation_kernel", "pfaffian", "JoinIdeal", "secant_ideal", "degree_probe",
 ]
 
 
@@ -799,10 +798,6 @@ class JoinIdeal:
         return self.I.permutation_stable(d, n) and self.J.permutation_stable(d, n)
 
 
-def join_component(I, J, bidegree: tuple[int, int]) -> list[SymElement]:
-    return exact_join_component(JoinIdeal(I, J), *bidegree).basis_elements()
-
-
 def secant_ideal(I, r: int):
     """The r-th iterated join; r = 0 is the ideal itself."""
     if r < 0:
@@ -811,10 +806,6 @@ def secant_ideal(I, r: int):
     for _ in range(r):
         out = JoinIdeal(I, out)
     return out
-
-
-def secant_component(I, r: int, bidegree: tuple[int, int]) -> list[SymElement]:
-    return secant_ideal(I, r).component(*bidegree).basis_elements()
 
 
 def modp_self_join_upper(I: DiIdeal, d: int, n: int,
@@ -840,12 +831,13 @@ def degree_probe(cfg: GrassmannConfig, max_n: int, base: Optional[DiIdeal] = Non
     """Per-degree dimensions, generated-from-below dimensions and new-generator counts.
 
     With C the secant ideal's components, the from-below span at (d, n) is
-    the (d, n) component of the two-product ideal generated by C_(d,n-1)
-    and the narrower C_(d',n), d' < d.  That is the span generated by every
-    C_(d',n') with d' <= d, n' <= n other than C_(d,n) itself, because the
-    secant ideal is closed under both products: a star product of
-    C_(d',n') lands in C_(d,n'), and a shuffle of C_(d,n') with n' < n lies
-    in x * C_(d,n-1).
+    one climb step (`DiIdeal.climb`) of C_(d,n-1): its multiples by every
+    variable, plus the star rows of the narrower C_(d',n), d' < d, taken as
+    the generators of a `DiIdeal` (none when C_(d',n) is zero).  That is
+    the span generated by every C_(d',n') with d' <= d, n' <= n other than
+    C_(d,n) itself, because the secant ideal is closed under both
+    products: a star product of C_(d',n') lands in C_(d,n'), and a shuffle
+    of C_(d,n') with n' < n lies in x * C_(d,n-1).
 
     `base` is the Plucker ideal `plucker_ideal(cfg.M, cfg.d)` whose secant
     is probed, passed in to read its components from a disk cache and its
@@ -856,10 +848,8 @@ def degree_probe(cfg: GrassmannConfig, max_n: int, base: Optional[DiIdeal] = Non
     rows = []
     largest_new = None
     for n in range(1, max_n + 1):
-        gens = ideal.component(d, n - 1).basis_elements()
-        for dp in range(1, d):
-            gens.extend(ideal.component(dp, n).basis_elements())
-        from_below = DiIdeal(M, gens).component(d, n).dim
+        narrower = [e for dp in range(1, d) for e in ideal.component(dp, n).basis_elements()]
+        from_below = DiIdeal(M, narrower).climb(ideal.component(d, n - 1), d, n).dim
         dim = ideal.component(d, n).dim
         rows.append({"n": n, "dim": dim, "from_below": from_below,
                      "new_generators": dim - from_below})

@@ -17,7 +17,6 @@ from shufflestar.ideals import (
     _INDEX_ARRAYS,
     _pack,
     _unpack,
-    component_span,
     initial_component,
     membership,
     monomial_space,
@@ -34,12 +33,12 @@ def klein():
 
 
 def test_empty_component(klein):
-    assert component_span(klein, (1, 1)) == []
+    assert klein.component(1, 1).basis_elements() == []
     assert klein.component(2, 1).dim == 0
 
 
 def test_component_2_3_is_variable_multiples(klein):
-    basis = component_span(klein, (2, 3))
+    basis = klein.component(2, 3).basis_elements()
     assert len(basis) == 6
     f1 = basic_plucker(1)
     expected = ComponentBasis(2, 3, 2)
@@ -81,7 +80,7 @@ def test_ideal_axioms(klein):
     rng = random.Random(0)
     M = 2
     for _ in range(15):
-        basis = component_span(klein, (2, 2))
+        basis = klein.component(2, 2).basis_elements()
         u = basis[rng.randrange(len(basis))]
         var = rng.choice(list(iter_factors(2, 4)))
         shuffled = sym_shuffle(u, sym_monomial(2, 1, M, [var]))

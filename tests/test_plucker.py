@@ -22,13 +22,11 @@ from shufflestar.plucker import (
     gamma_count,
     generation_census,
     exact_join_component,
-    join_component,
     pfaffian,
     plucker_ideal,
     quadric_generation_sum,
     random_decomposable,
     random_secant_point,
-    secant_component,
     secant_ideal,
     weyman_quadrics,
 )
@@ -259,8 +257,8 @@ def test_oracle_small_cases():
 
 def test_join_of_zero_ideals_is_zero():
     Z = DiIdeal(2, [])
-    assert join_component(Z, Z, (2, 2)) == []
-    assert join_component(Z, Z, (2, 1)) == []
+    assert JoinIdeal(Z, Z).component(2, 2).basis_elements() == []
+    assert JoinIdeal(Z, Z).component(2, 1).basis_elements() == []
 
 
 def test_join_commutes():
@@ -269,8 +267,8 @@ def test_join_commutes():
     # x12^2 is not S_4-stable, so these joins take the one-block path
     assert I.permutation_stable(2, 3) and not J.permutation_stable(2, 2)
     for bid in ((2, 2), (2, 3)):
-        a = join_component(I, J, bid)
-        b = join_component(J, I, bid)
+        a = JoinIdeal(I, J).component(*bid).basis_elements()
+        b = JoinIdeal(J, I).component(*bid).basis_elements()
         assert len(a) == len(b)
         span = ComponentBasis(*bid, 2)
         for el in a:
@@ -282,7 +280,7 @@ def test_join_inside_both(klein_pair=None):
     I = DiIdeal(2, [basic_plucker(1)])
     J = DiIdeal(2, [sym_monomial(2, 2, 2, [(1, 2), (1, 2)])])
     for bid in ((2, 2), (2, 3)):
-        for el in join_component(I, J, bid):
+        for el in JoinIdeal(I, J).component(*bid).basis_elements():
             assert I.membership(el) and J.membership(el)
 
 
@@ -291,7 +289,7 @@ def test_join_degree_one_is_intersection():
     I = DiIdeal(2, gens)
     J = DiIdeal(2, [sym_monomial(1, 1, 2, [(1,)]),
                     sym_monomial(1, 1, 2, [(2,)])])
-    basis = join_component(I, J, (1, 1))
+    basis = JoinIdeal(I, J).component(1, 1).basis_elements()
     assert len(basis) == 1
     assert basis[0].terms == {((1,),): Fraction(1)}
 
@@ -299,7 +297,7 @@ def test_join_degree_one_is_intersection():
 def test_secant_base_case():
     I = DiIdeal(2, [basic_plucker(1)])
     assert secant_ideal(I, 0) is I
-    b0 = secant_component(I, 0, (2, 2))
+    b0 = secant_ideal(I, 0).component(2, 2).basis_elements()
     assert len(b0) == I.component(2, 2).dim == 1
 
 
@@ -550,6 +548,61 @@ def test_probe_small():
     assert rep["largest_new_n"] == 2
     rep = degree_probe(GrassmannConfig(d=1, r=0), 2)
     assert rep["largest_new_n"] is None
+
+
+def _reference_from_below(cfg, max_n):
+    """Each row's from-below dimension as the (d, n) component of a new ideal
+    generated by the elements of C_(d,n-1) and of the narrower C_(d',n)."""
+    d, M = cfg.d, cfg.M
+    ideal = secant_ideal(plucker_ideal(M, d), cfg.r)
+    dims = []
+    for n in range(1, max_n + 1):
+        gens = ideal.component(d, n - 1).basis_elements()
+        for dp in range(1, d):
+            gens.extend(ideal.component(dp, n).basis_elements())
+        dims.append(DiIdeal(M, gens).component(d, n).dim)
+    return dims
+
+
+@pytest.mark.parametrize("d, N, r, max_n", [(2, 6, 1, 4), (2, 8, 2, 4), (3, 6, 0, 3)])
+def test_probe_from_below_is_the_ideal_its_rows_generate(d, N, r, max_n):
+    # one climb step of C_(d,n-1) plus the narrower star rows spans what
+    # C_(d,n-1) and the narrower components generate; (3, 6, 0) has nonzero
+    # width-2 components below its width-3 rows
+    cfg = GrassmannConfig(d=d, N=N, r=r)
+    rep = degree_probe(cfg, max_n)
+    assert [row["from_below"] for row in rep["rows"]] == _reference_from_below(cfg, max_n)
+
+
+def test_probe_builds_no_whole_component_of_a_certified_secant(monkeypatch):
+    cfg = GrassmannConfig(d=2, N=6, r=1)
+    base = plucker_ideal(cfg.M, cfg.d)
+    built, widths = [], []
+    compute, init = DiIdeal._compute_component, DiIdeal.__init__
+
+    def recording(self, d, n):
+        built.append((d, n))
+        return compute(self, d, n)
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        widths.extend(g.d for g in self.generators)
+
+    monkeypatch.setattr(DiIdeal, "_compute_component", recording)
+    monkeypatch.setattr(DiIdeal, "__init__", recording_init)
+    rep = degree_probe(cfg, 4, base=base)
+    assert [row["from_below"] for row in rep["rows"]] == [0, 0, 0, 15]
+    # the span below is one climb step, never a new ideal's climb from degree 0
+    assert built == []
+    assert all(w < cfg.d for w in widths)
+
+
+def test_climb_refuses_a_span_of_another_bidegree():
+    P = plucker_ideal(3, 2)
+    assert P.climb(P.component(2, 2), 2, 3).basis.basis_rows() == \
+        P.component(2, 3).basis.basis_rows()
+    with pytest.raises(ValueError):
+        P.climb(P.component(2, 2), 2, 4)
 
 
 def test_config_defaults():

@@ -166,7 +166,7 @@ def cmd_plucker(args) -> dict:
         if cfg.d % 2:
             raise ValueError("the basic family has even width")
         out["basic"] = element_to_dict(basic_plucker(cfg.d // 2))
-    if args.weyman:
+    if args.weyman or not (args.basic or args.oracle):
         out["weyman"] = _elements_json(weyman_quadrics(cfg.d, cfg.N))
     if args.oracle:
         kernel = evaluation_kernel(cfg, args.degree, samples=args.samples or None,
@@ -174,8 +174,6 @@ def cmd_plucker(args) -> dict:
         out["oracle_degree"] = args.degree
         out["oracle_dimension"] = len(kernel)
         out["oracle_basis"] = _elements_json(kernel)
-    if not (args.basic or args.weyman or args.oracle):
-        out["weyman"] = _elements_json(weyman_quadrics(cfg.d, cfg.N))
     return {"result": out}
 
 

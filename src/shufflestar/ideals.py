@@ -494,11 +494,10 @@ class DiIdeal:
             else:
                 prods = (f,)
             for prod in prods:
-                if prod:
-                    nums, _ = to_numerators(prod.terms)
-                    common = gcd(*nums.values())
-                    yield SymElement(d, n, M, {k: v // common for k, v in nums.items()},
-                                     _validated=True)
+                nums, _ = to_numerators(prod.terms)
+                common = gcd(*nums.values())
+                yield SymElement(d, n, M, {k: v // common for k, v in nums.items()},
+                                 _validated=True)
 
     def permutation_stable(self, d: int, n: int) -> bool:
         """Certificate that every component (d, k), k <= n, is graded and S_N-stable.
@@ -571,15 +570,11 @@ class DiIdeal:
             for g in star_incfns(f.d, ext, self.M):
                 for akey in iter_sym_keys(ext, f.n, self.M):
                     a = SymElement(ext, f.n, self.M, {akey: 1}, _validated=True)
-                    prod = sym_star(f, a, g)
-                    if prod:
-                        stars.append(prod)
+                    stars.append(sym_star(f, a, g))
             for s in stars:
                 for hkey in iter_sym_keys(d, n - f.n, self.M):
                     h = SymElement(d, n - f.n, self.M, {hkey: 1}, _validated=True)
-                    row = sym_shuffle(s, h)
-                    if row:
-                        yield row
+                    yield sym_shuffle(s, h)
 
     # -- queries ------------------------------------------------------------
 

@@ -507,14 +507,7 @@ def pfaffian(indices: Sequence[int], N: int) -> SymElement:
             for pairs, sign in matchings(remaining):
                 yield ((first, partner),) + pairs, sign * (-1) ** pos
 
-    terms: dict[FactorTuple, Fraction] = {}
-    for pairs, sign in matchings(idx):
-        key = tuple(sorted(pairs))
-        c = terms.get(key, 0) + sign
-        if c:
-            terms[key] = c
-        else:
-            terms.pop(key, None)
+    terms = {tuple(sorted(pairs)): sign for pairs, sign in matchings(idx)}
     return SymElement(2, k, N // 2, terms)
 
 

@@ -13,6 +13,15 @@ star product merges each pair of wedge factors once per call: a table
 keyed by the (f-factor, h-factor) pair holds the signed merge, and every
 pair of terms that meets the same two factors in one slot reads it.  The
 table lives only for the call.
+
+No product of monomials cancels, so no loop here or in a caller checks for
+a zero wedge or product.  g and its complement relabel the two sides into
+disjoint letters, so every slot wedge has the sign +1 or -1 (in `sym_star`
+the letters also split a merged factor back into its two sides, so the
+matchings that reach one key share a sign).  A map that sends distinct
+monomials to distinct monomials, or to disjoint supports, cannot merge two
+terms.  An invariant element has one coefficient per slot orbit, so each
+of its sorted splits sums copies of one sign.
 """
 
 from __future__ import annotations
@@ -160,13 +169,10 @@ def star_product(f: Element, h: Element, g: IncFn) -> Element:
                 if got is None:
                     got = merges[ab] = merge_signed(*ab)
                 s, merged = got
-                if s == 0:
-                    break
                 sign *= s
                 slots.append(merged)
-            else:
-                key = tuple(slots)
-                out[key] = out.get(key, 0) + sign
+            key = tuple(slots)
+            out[key] = out.get(key, 0) + sign
     return Element(f.d + h.d, f.n, f.M, from_numerators(out, den), _validated=True)
 
 
@@ -192,13 +198,10 @@ def sym_star(f: SymElement, h: SymElement, g: IncFn) -> SymElement:
                 slots = []
                 for row, j in zip(table, match):
                     s, merged = row[j]
-                    if s == 0:
-                        break
                     sign *= s
                     slots.append(merged)
-                else:
-                    key = tuple(sorted(slots))
-                    out[key] = out.get(key, 0) + sign
+                key = tuple(sorted(slots))
+                out[key] = out.get(key, 0) + sign
     return SymElement(f.d + h.d, f.n, f.M, from_numerators(out, den * factorial(f.n)),
                       _validated=True)
 

@@ -100,17 +100,6 @@ class PairElement:
                 if coeff:
                     self.terms[key] = coeff if _validated else exact(coeff)
 
-    def add_term(self, left: FactorTuple, right: FactorTuple, coeff: Rational):
-        if self.symmetric:
-            left = tuple(sorted(left))
-            right = tuple(sorted(right))
-        key = (left, right)
-        s = exact(self.terms.get(key, 0) + coeff)
-        if s:
-            self.terms[key] = s
-        else:
-            self.terms.pop(key, None)
-
     def __eq__(self, other):
         return (isinstance(other, PairElement) and self.d == other.d
                 and self.M == other.M and self.total == other.total
@@ -121,10 +110,9 @@ class PairElement:
                 f"sym={self.symmetric},{len(self.terms)} terms)")
 
     def swap(self) -> "PairElement":
-        out = PairElement(self.d, self.M, self.total, self.symmetric)
-        for (lk, rk), coeff in self.terms.items():
-            out.add_term(rk, lk, coeff)
-        return out
+        return PairElement(self.d, self.M, self.total, self.symmetric,
+                           {(rk, lk): c for (lk, rk), c in self.terms.items()},
+                           _validated=True)
 
 
 def _slot_subsets(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
@@ -201,8 +189,6 @@ def delta_invariant(f: Element) -> PairElement:
 
     out: dict = {}
     for (sl, sr), c in _delta_sums(nums, f.n, canonical=True).items():
-        if not c:
-            continue
         lperms, lstab = orbit(sl)
         rperms, rstab = orbit(sr)
         c *= lstab * rstab
@@ -256,7 +242,8 @@ class _PairSums:
 def _monomial_results(fn, cls, *widths):
     """fn on monomials with coefficient 1, as (numerators, denominator), memoised.
 
-    Called with one key per width; a result that is None or zero gives None.
+    Called with one key per width; a result that is None or zero gives None,
+    which only `pair_map`'s arbitrary fn can give (see `products`).
     """
     memo: dict = {}
     missing = object()
@@ -313,13 +300,7 @@ def _pair_product(x: PairElement, y: PairElement, op, d_out: int, total: int,
     for (xl, xr), cx in xnums.items():
         shape = (len(xl), len(xr)) if slot_matched else None
         for yl, yr, cy in partners.get(shape, ()):
-            left = side(xl, yl)
-            if left is None:
-                continue
-            right = side(xr, yr)
-            if right is None:
-                continue
-            sums.add(cx * cy, left, right)
+            sums.add(cx * cy, side(xl, yl), side(xr, yr))
     return sums.element(d_out, x.M, total, x.symmetric, xden * yden)
 
 

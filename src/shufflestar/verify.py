@@ -383,15 +383,10 @@ def _modified_assoc_holds(rng, M) -> bool:
     hslots = []
     for k, t in enumerate(right):
         s, merged = merge_signed(relabel_factor(bkey[k], g), relabel_factor(akey[t], gc))
-        if s == 0:
-            sign = 0
-            break
         sign *= s
         hslots.append(merged)
-    rhs = Element(d + e, n + m, M)
-    if sign:
-        h = monomial(d + e, m, M, hslots, Fraction(sign))
-        rhs = shuffle_product(star_product(f, p, g), h, split)
+    h = monomial(d + e, m, M, hslots, Fraction(sign))
+    rhs = shuffle_product(star_product(f, p, g), h, split)
     return lhs == rhs
 
 

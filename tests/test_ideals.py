@@ -357,6 +357,35 @@ def test_cache_write_uses_a_private_temporary_file(tmp_path):
     assert loaded.basis.basis_rows() == comp.basis.basis_rows()
 
 
+def test_failed_cache_write_removes_its_temporary_file(tmp_path, monkeypatch):
+    from shufflestar import ideals
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(ideals.os, "replace", refuse)
+    I = DiIdeal(2, [basic_plucker(1)], cache_dir=tmp_path)
+    with pytest.raises(OSError, match="disk full"):
+        I.component(2, 2)
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_weight_block_refuses_star_rows_that_mix_weights():
+    # x12 + x34 has the weights (1,1,0,0) and (0,0,1,1)
+    mixed = DiIdeal(2, [SymElement(2, 1, 2, {((1, 2),): 1, ((3, 4),): 1})])
+    with pytest.raises(ValueError, match="not weight-homogeneous"):
+        mixed.weight_block(2, 1, (1, 1, 0, 0))
+
+
+def test_bidegree_and_multiplier_mismatches_raise():
+    # the keys of f exist in C_(1,1) at M = 2, so only the check can refuse it
+    f = sym_monomial(1, 1, 3, [(1,)])
+    with pytest.raises(ValueError, match="bidegree mismatch"):
+        ComponentBasis(1, 1, 2).coords(f)
+    with pytest.raises(ValueError, match="multiplier mismatch"):
+        DiIdeal(2, [basic_plucker(1)]).membership(f)
+
+
 def test_cached_fraction_entries_round_trip(tmp_path):
     # two generators with different coefficient ratios give reduced rows
     # with non-integral entries

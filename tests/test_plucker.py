@@ -3,6 +3,7 @@ import json
 import random
 from dataclasses import fields
 from itertools import combinations, permutations
+from math import prod
 
 import pytest
 from fractions import Fraction
@@ -238,11 +239,22 @@ def test_the_oracle_draws_no_point_alone(monkeypatch):
 
 def test_pfaffian():
     assert pfaffian((1, 2, 3, 4), 4) == basic_plucker(1)
-    p6 = pfaffian(range(1, 7), 6)
-    assert len(p6.terms) == 15
+    # distinct perfect matchings give distinct monomials, so none cancel:
+    # (2k-1)!! terms, each with coefficient +1 or -1
+    for k in range(1, 5):
+        terms = pfaffian(range(1, 2 * k + 1), 2 * k).terms
+        assert len(terms) == prod(range(1, 2 * k, 2))
+        assert all(abs(c) == 1 for c in terms.values())
     assert pfaffian((2, 5), 6).terms == {((2, 5),): Fraction(1)}
     with pytest.raises(ValueError):
         pfaffian((1, 2, 3), 6)
+
+
+def test_join_and_secant_reject_bad_input():
+    with pytest.raises(ValueError, match="multiplier"):
+        JoinIdeal(plucker_ideal(2, 2), plucker_ideal(3, 2))
+    with pytest.raises(ValueError, match="secant index"):
+        secant_ideal(plucker_ideal(2, 2), -1)
 
 
 def test_oracle_small_cases():

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from fractions import Fraction
@@ -193,8 +194,29 @@ def test_monomial_closure():
         cod = M * (d + e)
         g = IncFn(M * d, cod, tuple(sorted(rng.sample(range(1, cod + 1), M * d))))
         res = star_product(f, a, g)
-        assert res.is_zero() or (len(res.terms) == 1
-                                 and abs(next(iter(res.terms.values()))) == 1)
+        assert len(res.terms) == 1 and abs(next(iter(res.terms.values()))) == 1
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_monomial_star_products_never_cancel(symmetric):
+    # g and its complement relabel the two sides into disjoint letters, so no
+    # slot wedge vanishes: a tensor star of two monomials is one monomial with
+    # coefficient +1 or -1, and a symmetric star of two monomials is nonzero
+    keys, make, star = ((iter_sym_keys, sym_monomial, sym_star) if symmetric
+                        else (iter_tensor_keys, monomial, star_product))
+    for M, d, e, n in product((1, 2), repeat=4):
+        fs = [make(d, n, M, k) for k in keys(d, n, M)]
+        hs = [make(e, n, M, k) for k in keys(e, n, M)]
+        # each g meets every monomial of each side, against a fixed partner
+        pairs = [(f, hs[0]) for f in fs] + [(fs[-1], h) for h in hs]
+        for g in star_incfns(d, e, M):
+            for f, h in pairs:
+                res = star(f, h, g)
+                if symmetric:
+                    assert not res.is_zero(), (f, h, g)
+                else:
+                    assert len(res.terms) == 1, (f, h, g)
+                    assert abs(next(iter(res.terms.values()))) == 1
 
 
 def test_enumerators():

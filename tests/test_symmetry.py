@@ -151,3 +151,16 @@ def test_pair_element_eq():
     a = PairElement(2, 2, 1, True, {(((1, 2),), ()): Fraction(1)})
     b = PairElement(2, 2, 1, True, {(((1, 2),), ()): Fraction(1)})
     assert a == b and a != PairElement(2, 2, 1, False, dict(a.terms))
+
+
+def test_pair_element_swap_is_an_involution():
+    f = sym_monomial(2, 3, 2, [(1, 2), (1, 2), (3, 4)])
+    g = to_invariant(monomial(1, 2, 2, [(1,), (2,)]))
+    # a comultiplication is cocommutative, so only a lopsided element shows the swap
+    lopsided = PairElement(2, 2, 3, True, {(((1, 2),), ((1, 2), (3, 4))): 2,
+                                           ((), next(iter(f.terms))): Fraction(1, 3)})
+    for x in (delta_sym(f), delta_tensor(g), delta_invariant(g), lopsided):
+        y = x.swap()
+        assert len(y.terms) == len(x.terms)
+        assert y.terms == {(r, l): c for (l, r), c in x.terms.items()}
+        assert y.swap() == x

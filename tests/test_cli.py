@@ -592,6 +592,12 @@ _RAW_REPORTS = {
         "8383a820f731e83309c7c1786df3d767652b49d8f7eedaafcd4600a8ed805623",
     ("secant", "--d", "2", "--N", "8", "--r", "1", "--degree", "4", "--oracle", "--seed", "3"):
         "f236b1da4cdc074394b9891cd7ed78c372247744bfe6ef2c6a8e8acea9476b2d",
+    # the secant spellings of `psa join --d 2 --N 6 --degree 4` and of
+    # `psa plucker --d 2 --N 6 --oracle --degree 3`
+    ("secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "4"):
+        "63db93e8a636d081882e039861926beb17e062e8a531355b1924d27d05050e94",
+    ("secant", "--d", "2", "--N", "6", "--r", "0", "--degree", "3", "--oracle"):
+        "5ff8c23fe231f34b8bb8684e987581513741c5e6abf89ddf228b74ed4fe8b6cb",
 }
 
 
@@ -602,6 +608,23 @@ def test_basis_reports_are_raw_byte_identical(tmp_path, monkeypatch, args):
     out = tmp_path / "r.json"
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _RAW_REPORTS[args]
+
+
+def test_join_and_plucker_oracle_equal_their_secant_spellings(tmp_path):
+    # `psa join` is the secant with r = 1, and `psa plucker --oracle` the
+    # oracle with r = 0: the same basis, row for row
+    def result(*args):
+        code, rep = _run(list(args), tmp_path / "r.json")
+        assert code == 0
+        return rep["result"]
+    join = result("join", "--d", "2", "--N", "6", "--degree", "4")
+    sigma1 = result("secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "4")
+    assert join["dimension"] == sigma1["dimension"] == 15
+    assert join["basis"] == sigma1["basis"]
+    plucker = result("plucker", "--d", "2", "--N", "6", "--oracle", "--degree", "3")
+    sigma0 = result("secant", "--d", "2", "--N", "6", "--r", "0", "--degree", "3", "--oracle")
+    assert plucker["oracle_dimension"] == sigma0["dimension"] == 190
+    assert plucker["oracle_basis"] == sigma0["basis"]
 
 
 # SHA-256 of the `psa probe` report's result, hashed as in _ORACLE_RESULTS:

@@ -6,9 +6,9 @@ only included with --timings, since they would break that contract.
 Human-oriented progress goes to stderr.
 
 A report is one canonical dump: sorted keys, no spaces, a trailing newline.
-Elements go into it as `core.wire_dict`s.  The join paths of `secant` and
-`join` write a component's basis from its canonical rows
-(`ComponentBasis.wire_rows`) and never build its elements; the oracle and
+Elements go into it as `core.wire_dict`s.  The join path of `secant`
+writes a component's basis from its canonical rows
+(`ComponentBasis.wire_rows`) and never builds its elements; the oracle and
 the Weyman quadrics, which are elements already, go through `wire_dict`
 from their sorted terms.
 """
@@ -38,7 +38,6 @@ from .products import Split, invariant_shuffle, shuffle_product, star_product, s
 from .symmetry import delta_sym, from_invariant, pi, pi_prime, to_invariant
 from .plucker import (
     GrassmannConfig,
-    JoinIdeal,
     basic_plucker,
     degree_probe,
     evaluation_kernel,
@@ -166,23 +165,9 @@ def cmd_plucker(args) -> dict:
         if cfg.d % 2:
             raise ValueError("the basic family has even width")
         out["basic"] = element_to_dict(basic_plucker(cfg.d // 2))
-    if args.weyman or not (args.basic or args.oracle):
+    if args.weyman or not args.basic:
         out["weyman"] = _elements_json(weyman_quadrics(cfg.d, cfg.N))
-    if args.oracle:
-        kernel = evaluation_kernel(cfg, args.degree, samples=args.samples or None,
-                                   seed=args.seed)
-        out["oracle_degree"] = args.degree
-        out["oracle_dimension"] = len(kernel)
-        out["oracle_basis"] = _elements_json(kernel)
     return {"result": out}
-
-
-def cmd_join(args) -> dict:
-    cfg = GrassmannConfig(d=args.d, N=args.N)
-    P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
-    comp = JoinIdeal(P, P).component(cfg.d, args.degree)
-    return _with_cache({"result": {"d": cfg.d, "N": cfg.N, "degree": args.degree,
-                                   "dimension": comp.dim, "basis": list(comp.wire_rows())}}, P)
 
 
 def _with_cache(body: dict, ideal) -> dict:
@@ -335,22 +320,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_tree)
 
-    p = sub.add_parser("plucker", help="quadric generators and evaluation kernels")
+    p = sub.add_parser("plucker", help="quadric generators")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--N", type=int)
     p.add_argument("--weyman", action="store_true")
     p.add_argument("--basic", action="store_true")
-    p.add_argument("--oracle", action="store_true")
-    p.add_argument("--degree", type=int, default=2)
     _add_common(p)
     p.set_defaults(fn=cmd_plucker)
-
-    p = sub.add_parser("join", help="self-join component of the quadric ideal")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--N", type=int)
-    p.add_argument("--degree", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(fn=cmd_join)
 
     p = sub.add_parser("secant", help="secant-ideal component (join kernel or oracle)")
     p.add_argument("--d", type=int, required=True)

@@ -15,11 +15,6 @@ integers are summed in a plain dict, and `from_numerators` divides each
 distinct numerator once per call: keys with equal coefficients share one
 quotient object (ints and Fractions are immutable, so sharing is safe),
 which also lets `is_sym_invariant` settle most comparisons by identity.
-The one exception is `products.sym_shuffle`, a plain loop
-that spans the unreduced rows checking the ideal climb
-(`ideals.DiIdeal.raw_spanning_rows`): it multiplies and adds coefficients
-as they come, so integral inputs give ints but Fraction inputs may give a
-Fraction with denominator 1.
 
 Reports write elements in one JSON wire format.  `wire_dict` builds an
 element's wire dict from its (monomial, coefficient) pairs, monomials kept
@@ -111,21 +106,6 @@ def _check_factor(factor: Iterable[int], width: int, alphabet: int) -> Factor:
 
 
 @dataclass(frozen=True)
-class ExteriorMonomial:
-    """A basis wedge v_{i1} ^ ... ^ v_{id} over the alphabet [1..alphabet]."""
-
-    alphabet: int
-    indices: Factor
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", _check_factor(self.indices, len(self.indices), self.alphabet))
-
-    @property
-    def width(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class IncFn:
     """A strictly increasing injection [1..domain] -> [1..codomain].
 
@@ -160,10 +140,6 @@ class IncFn:
         rest = tuple(i for i in range(1, self.codomain + 1) if i not in inside)
         return IncFn(self.codomain - self.domain, self.codomain, rest)
 
-    @staticmethod
-    def identity(n: int) -> "IncFn":
-        return IncFn(n, n, tuple(range(1, n + 1)))
-
 
 def merge_signed(a: Factor, b: Factor) -> tuple[int, Factor]:
     """Merge two increasing index tuples, tracking the permutation sign.
@@ -188,14 +164,6 @@ def merge_signed(a: Factor, b: Factor) -> tuple[int, Factor]:
     out.extend(a[i:])
     out.extend(b[j:])
     return (1 if inversions % 2 == 0 else -1), tuple(out)
-
-
-def wedge(a: ExteriorMonomial, b: ExteriorMonomial) -> tuple[int, ExteriorMonomial]:
-    """Signed wedge of two basis wedges over the same alphabet."""
-    if a.alphabet != b.alphabet:
-        raise ValueError(f"alphabet mismatch: {a.alphabet} vs {b.alphabet}")
-    sign, merged = merge_signed(a.indices, b.indices)
-    return sign, ExteriorMonomial(a.alphabet, merged)
 
 
 def relabel_factor(factor: Factor, g: IncFn) -> Factor:
@@ -492,9 +460,16 @@ def element_to_dict(f: _BaseElement) -> dict:
     return {"bidegree": [f.d, f.n, f.M], "terms": terms}
 
 
+def _wire_int(x) -> int:
+    # a JSON integer: not a float, a string or a boolean, which int() would take
+    if x.__class__ is not int:
+        raise ValueError(f"{x!r} is not an integer")
+    return x
+
+
 def element_from_dict(data: Mapping, symmetric: bool = False) -> Element | SymElement:
     try:
-        d, n, M = (int(x) for x in data["bidegree"])
+        d, n, M = (_wire_int(x) for x in data["bidegree"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad or missing bidegree: {exc}") from exc
     cls = SymElement if symmetric else Element
@@ -502,7 +477,7 @@ def element_from_dict(data: Mapping, symmetric: bool = False) -> Element | SymEl
     try:
         for entry in data.get("terms", []):
             coeff = coeff_from_str(entry["coeff"])
-            key = tuple(tuple(int(i) for i in factor) for factor in entry["monomial"])
+            key = tuple(tuple(_wire_int(i) for i in factor) for factor in entry["monomial"])
             terms[key] = terms.get(key, 0) + coeff
     except (KeyError, TypeError) as exc:
         # a term without a field, or terms, a term or an index of another type

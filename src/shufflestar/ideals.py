@@ -105,7 +105,7 @@ from .linalg import NotReducedError, SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
 from .weights import FactorTable, Weight, act, sn_generators, weight
 
-__all__ = ["ComponentBasis", "DiIdeal", "membership", "quotient_basis",
+__all__ = ["ComponentBasis", "DiIdeal", "quotient_basis",
            "initial_component", "monomial_space"]
 
 
@@ -584,10 +584,6 @@ class DiIdeal:
         if f.is_zero():
             return True
         return self.component(f.d, f.n).contains(f)
-
-
-def membership(f: SymElement, I: DiIdeal) -> bool:
-    return I.membership(f)
 
 
 def quotient_basis(I: DiIdeal, bidegree: tuple[int, int]) -> list[FactorTuple]:

@@ -85,7 +85,7 @@ from .weights import (
 
 __all__ = [
     "GrassmannConfig", "basic_plucker", "weyman_quadrics", "plucker_ideal",
-    "evaluate", "decomposable_point", "random_decomposable", "random_secant_point",
+    "evaluate", "decomposable_point", "random_secant_point",
     "evaluation_kernel", "pfaffian", "JoinIdeal", "secant_ideal", "degree_probe",
 ]
 
@@ -306,10 +306,6 @@ def decomposable_point(matrix: Sequence[Sequence[int]], d: int, N: int) -> dict[
     keys, _ = _minor_plan(d, N)
     minors = _minor_columns([x for row in matrix for x in row], d, N)
     return {key: minor for key, (minor,) in zip(keys, minors)}
-
-
-def random_decomposable(rng: random.Random, d: int, N: int) -> dict[Factor, int]:
-    return random_secant_point(rng, d, N, 0)
 
 
 def random_secant_point(rng: random.Random, d: int, N: int, r: int) -> dict[Factor, int]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 
@@ -210,16 +209,14 @@ def sym_shuffle(f: SymElement, h: SymElement) -> SymElement:
     """Commutative multiset-concatenation product on symmetric elements."""
     if f.d != h.d or f.M != h.M:
         raise ValueError(f"shape mismatch: {f.bidegree} vs {h.bidegree}")
-    out: dict[FactorTuple, Fraction] = {}
-    for kf, cf in f.terms.items():
-        for kh, ch in h.terms.items():
+    fnums, fden = to_numerators(f.terms)
+    hnums, hden = to_numerators(h.terms)
+    out: dict[FactorTuple, int] = {}
+    for kf, cf in fnums.items():
+        for kh, ch in hnums.items():
             key = tuple(sorted(kf + kh))
-            c = out.get(key, 0) + cf * ch
-            if c:
-                out[key] = c
-            else:
-                out.pop(key, None)
-    return SymElement(f.d, f.n + h.n, f.M, out, _validated=True)
+            out[key] = out.get(key, 0) + cf * ch
+    return SymElement(f.d, f.n + h.n, f.M, from_numerators(out, fden * hden), _validated=True)
 
 
 def invariant_shuffle(f: Element, h: Element, check: bool = True) -> Element:

@@ -71,7 +71,7 @@ from .plucker import (
     pfaffian,
     plucker_ideal,
     quadric_generation_sum,
-    random_decomposable,
+    random_secant_point,
     secant_ideal,
     weyman_quadrics,
 )
@@ -485,7 +485,7 @@ def check_diideal_closure(seed: int = 0, products: int = 50, points: int = 20) -
         N = M * width
         for _ in range(points):
             checked += 1
-            pt = random_decomposable(rng, width, N)
+            pt = random_secant_point(rng, width, N, 0)
             val = evaluate(prod, pt)
             if val != 0:
                 failures += 1

@@ -1,7 +1,9 @@
+import argparse
 import base64
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -152,15 +154,37 @@ def test_unwritable_out_is_an_input_error_before_any_work(tmp_path, capsys, monk
     assert not out.parent.exists()
 
 
-def test_plucker_and_join_commands(tmp_path):
+def test_plucker_command_writes_generators_only(tmp_path):
     out = tmp_path / "r.json"
-    code, rep = _run(["plucker", "--d", "2", "--N", "4", "--basic", "--oracle"], out)
+    code, rep = _run(["plucker", "--d", "2", "--N", "4", "--basic"], out)
     assert code == 0
-    assert rep["result"]["oracle_dimension"] == 1
+    assert set(rep["result"]) == {"d", "N", "M", "basic"}
     assert len(rep["result"]["basic"]["terms"]) == 3
-    code, rep = _run(["join", "--d", "2", "--N", "4", "--degree", "2"], out)
-    assert code == 0
-    assert rep["result"]["dimension"] == 0
+    code, rep = _run(["plucker", "--d", "2", "--N", "4", "--basic", "--weyman"], out)
+    assert code == 0 and set(rep["result"]) == {"d", "N", "M", "basic", "weyman"}
+
+
+@pytest.mark.parametrize("args", [
+    ["join", "--d", "2", "--N", "4", "--degree", "2"],
+    ["plucker", "--d", "2", "--N", "4", "--oracle"],
+    ["plucker", "--d", "2", "--N", "4", "--degree", "3"],
+], ids=["join", "plucker-oracle", "plucker-degree"])
+def test_the_join_and_plucker_oracle_spellings_are_usage_errors(tmp_path, capsys, args):
+    # `psa secant --r 1` and `psa secant --r 0 --oracle` compute these
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert "usage: psa" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_the_readme_cli_block_lists_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    documented = set(re.findall(r"^psa (\w+)", block, re.M))
+    from shufflestar.cli import build_parser
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert documented == set(sub.choices)
 
 
 def test_secant_command(tmp_path):
@@ -171,6 +195,9 @@ def test_secant_command(tmp_path):
     code, rep = _run(["secant", "--d", "2", "--N", "4", "--r", "0",
                       "--degree", "2", "--oracle"], out)
     assert rep["result"]["dimension"] == 1
+    # the self-join of the Klein quadric's ideal vanishes in degree 2
+    code, rep = _run(["secant", "--d", "2", "--N", "4", "--r", "1", "--degree", "2"], out)
+    assert code == 0 and rep["result"]["dimension"] == 0
 
 
 def test_probe_command_and_cache_env(tmp_path, monkeypatch):
@@ -229,8 +256,8 @@ def test_probe_input_errors_and_coefficient_abort_have_their_own_exit_codes(tmp_
 
 @pytest.mark.parametrize("args", [
     ["secant", "--d", "2", "--degree", "-1"],
-    ["join", "--d", "2", "--degree", "-1"],
-    ["plucker", "--d", "2", "--oracle", "--degree", "-1"],
+    ["secant", "--d", "2", "--r", "1", "--degree", "-1"],
+    ["secant", "--d", "2", "--r", "0", "--oracle", "--degree", "-1"],
     ["probe", "--d", "2", "--max-n", "-1"],
     ["secant", "--d", "2", "--degree", "2", "--oracle", "--samples", "-3"],
     ["probe", "--d", "2", "--max-n", "2", "--max-coeff-bits", "-1"],
@@ -262,6 +289,28 @@ def test_malformed_element_file_is_an_input_error(tmp_path, text):
     assert rep["command"] == "delta" and rep["error"]
 
 
+@pytest.mark.parametrize("bidegree, monomial", [
+    ([2, 1, 2], [[1.5, 2.9]]),
+    ([2, 1, 2], [[1.0, 2.0]]),
+    ([2, 1, 2], [[True, 2]]),
+    ([2, 1, 2], [["1", "2"]]),
+    ([2.9, 1, 2], [[1, 2]]),
+    ([2, True, 2], [[1, 2]]),
+    ([2, 1, "2"], [[1, 2]]),
+], ids=["float-index", "integral-float-index", "bool-index", "string-index",
+        "float-d", "bool-n", "string-M"])
+def test_an_index_or_bidegree_entry_that_is_not_an_integer_is_an_input_error(
+        tmp_path, bidegree, monomial):
+    # int() would truncate a float and take a boolean or a string
+    f = tmp_path / "f.json"
+    f.write_text(json.dumps({"bidegree": bidegree,
+                             "terms": [{"coeff": "1", "monomial": monomial}]}))
+    code, rep = _run(["gi", "--input", str(f)], tmp_path / "r.json")
+    assert code == 2
+    assert set(rep) == {"command", "config", "error"}
+    assert "is not an integer" in rep["error"]
+
+
 def test_missing_element_file_is_an_input_error(tmp_path):
     missing = tmp_path / "missing.json"
     code, rep = _run(["delta", "--input", str(missing)], tmp_path / "r.json")
@@ -291,7 +340,8 @@ def test_certified_join_reads_and_writes_no_cache_file(tmp_path):
     # cached, so the cache directory is neither read nor written
     out = tmp_path / "r.json"
     cache = tmp_path / "cache"
-    args = ["join", "--d", "2", "--N", "4", "--degree", "3", "--cache-dir", str(cache)]
+    args = ["secant", "--d", "2", "--N", "4", "--r", "1", "--degree", "3",
+            "--cache-dir", str(cache)]
     code, plain = _run(args[:-2], out)
     assert code == 0
     code, rep = _run(args, out)
@@ -568,7 +618,6 @@ def test_the_join_path_writes_its_basis_from_the_rows(tmp_path, monkeypatch):
 @pytest.mark.parametrize("args", [
     ["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "4"],
     ["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "3", "--oracle"],
-    ["join", "--d", "2", "--N", "6", "--degree", "3"],
     ["plucker", "--d", "2", "--N", "6", "--weyman"],
     ["probe", "--d", "2", "--N", "4", "--r", "0", "--max-n", "3"],
 ], ids=lambda args: args[0] + ("-oracle" if "--oracle" in args else ""))
@@ -582,18 +631,15 @@ def test_reports_are_written_in_canonical_json(tmp_path, args):
 
 
 # SHA-256 of the whole report file, the bytes as written, not re-serialized:
-# the basis writers of the join path (721 vectors over many orbits at N = 8,
-# and `psa join`) and of the oracle, recorded before the join paths wrote
-# their bases from the component's canonical rows
+# the basis writers of the join path (721 vectors over many orbits at N = 8)
+# and of the oracle, recorded before the join path wrote its bases from the
+# component's canonical rows; the N = 6 pins were recorded when `psa join`
+# and `psa plucker --oracle` still computed the same bases
 _RAW_REPORTS = {
     ("secant", "--d", "2", "--N", "8", "--r", "1", "--degree", "4"):
         "dcf295c8ddbe4c6329050aa7cc596519de215ac1cff11d5acb7f12a1d926e53e",
-    ("join", "--d", "2", "--N", "6", "--degree", "4"):
-        "8383a820f731e83309c7c1786df3d767652b49d8f7eedaafcd4600a8ed805623",
     ("secant", "--d", "2", "--N", "8", "--r", "1", "--degree", "4", "--oracle", "--seed", "3"):
         "f236b1da4cdc074394b9891cd7ed78c372247744bfe6ef2c6a8e8acea9476b2d",
-    # the secant spellings of `psa join --d 2 --N 6 --degree 4` and of
-    # `psa plucker --d 2 --N 6 --oracle --degree 3`
     ("secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "4"):
         "63db93e8a636d081882e039861926beb17e062e8a531355b1924d27d05050e94",
     ("secant", "--d", "2", "--N", "6", "--r", "0", "--degree", "3", "--oracle"):
@@ -608,23 +654,6 @@ def test_basis_reports_are_raw_byte_identical(tmp_path, monkeypatch, args):
     out = tmp_path / "r.json"
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _RAW_REPORTS[args]
-
-
-def test_join_and_plucker_oracle_equal_their_secant_spellings(tmp_path):
-    # `psa join` is the secant with r = 1, and `psa plucker --oracle` the
-    # oracle with r = 0: the same basis, row for row
-    def result(*args):
-        code, rep = _run(list(args), tmp_path / "r.json")
-        assert code == 0
-        return rep["result"]
-    join = result("join", "--d", "2", "--N", "6", "--degree", "4")
-    sigma1 = result("secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "4")
-    assert join["dimension"] == sigma1["dimension"] == 15
-    assert join["basis"] == sigma1["basis"]
-    plucker = result("plucker", "--d", "2", "--N", "6", "--oracle", "--degree", "3")
-    sigma0 = result("secant", "--d", "2", "--N", "6", "--r", "0", "--degree", "3", "--oracle")
-    assert plucker["oracle_dimension"] == sigma0["dimension"] == 190
-    assert plucker["oracle_basis"] == sigma0["basis"]
 
 
 # SHA-256 of the `psa probe` report's result, hashed as in _ORACLE_RESULTS:
@@ -661,7 +690,7 @@ cached = ["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2",
           "--cache-dir", str(tmp / "cache")]
 for args in (cached, cached,   # the second run reads the packed files back
              ["probe", "--d", "2", "--r", "0", "--max-n", "2"],
-             ["join", "--d", "2", "--N", "4", "--degree", "2"],
+             ["secant", "--d", "2", "--N", "4", "--r", "1", "--degree", "2"],
              ["star", "--lhs", str(a), "--rhs", str(a), "--g", "1,2,3,4"]):
     assert main([*args, *out]) == 0, args
     assert "numpy" not in sys.modules, args[0]

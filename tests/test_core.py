@@ -6,7 +6,6 @@ from fractions import Fraction
 
 from shufflestar.core import (
     Element,
-    ExteriorMonomial,
     IncFn,
     SymElement,
     TensorMonomial,
@@ -22,22 +21,13 @@ from shufflestar.core import (
     permute_slots,
     relabel_factor,
     sym_monomial,
-    wedge,
 )
 
 
 def test_wedge_examples():
-    s, m = wedge(ExteriorMonomial(4, (1, 2)), ExteriorMonomial(4, (3, 4)))
-    assert (s, m.indices) == (1, (1, 2, 3, 4))
-    s, m = wedge(ExteriorMonomial(4, (1, 3)), ExteriorMonomial(4, (2, 4)))
-    assert (s, m.indices) == (-1, (1, 2, 3, 4))
-    s, m = wedge(ExteriorMonomial(4, (1, 2)), ExteriorMonomial(4, (2, 3)))
-    assert s == 0
-
-
-def test_wedge_alphabet_mismatch():
-    with pytest.raises(ValueError):
-        wedge(ExteriorMonomial(4, (1, 2)), ExteriorMonomial(6, (3, 4)))
+    assert merge_signed((1, 2), (3, 4)) == (1, (1, 2, 3, 4))
+    assert merge_signed((1, 3), (2, 4)) == (-1, (1, 2, 3, 4))
+    assert merge_signed((1, 2), (2, 3)) == (0, ())
 
 
 def test_wedge_anticommutativity():

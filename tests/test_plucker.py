@@ -26,7 +26,6 @@ from shufflestar.plucker import (
     pfaffian,
     plucker_ideal,
     quadric_generation_sum,
-    random_decomposable,
     random_secant_point,
     secant_ideal,
     weyman_quadrics,
@@ -77,7 +76,7 @@ def test_weyman_spans():
     rng = random.Random(0)
     for q in weyman_quadrics(3, 6)[:25]:
         for _ in range(3):
-            assert evaluate(q, random_decomposable(rng, 3, 6)) == 0
+            assert evaluate(q, random_secant_point(rng, 3, 6, 0)) == 0
 
 
 def test_evaluate_examples():
@@ -231,7 +230,6 @@ def test_the_oracle_draws_no_point_alone(monkeypatch):
     cfg = GrassmannConfig(d=2, N=6, r=1)
     want = evaluation_kernel(cfg, 3, seed=1)
     monkeypatch.setattr(plucker, "random_secant_point", refuse)
-    monkeypatch.setattr(plucker, "random_decomposable", refuse)
     monkeypatch.setattr(plucker, "decomposable_point", refuse)
     assert evaluation_kernel(cfg, 3, seed=1) == want
     assert evaluation_kernel(GrassmannConfig(d=3, N=6, r=0), 2, seed=1)
@@ -527,7 +525,7 @@ def test_secant_components_close_under_products():
         for _ in range(5):
             pt = {}
             for _ in range(2):
-                dec = random_decomposable(rng, 3, 9)
+                dec = random_secant_point(rng, 3, 9, 0)
                 for k, v in dec.items():
                     pt[k] = pt.get(k, 0) + v
             assert evaluate(prod, pt) == 0

@@ -480,6 +480,6 @@ def element_from_dict(data: Mapping, symmetric: bool = False) -> Element | SymEl
             key = tuple(tuple(_wire_int(i) for i in factor) for factor in entry["monomial"])
             terms[key] = terms.get(key, 0) + coeff
     except (KeyError, TypeError) as exc:
-        # a term without a field, or terms, a term or an index of another type
+        # a term without a field, or terms, a term or a factor of another type
         raise ValueError(f"bad term: {exc!r}") from exc
     return cls(d, n, M, terms)

@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from functools import cache
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from .core import (
 from .linalg import CoeffLimitExceeded
 from .poset import encode_tree, rl_leq
 from .products import Split, invariant_shuffle, shuffle_product, star_product, sym_shuffle, sym_star
+from .stages import REPORT, StageClock
 from .symmetry import delta_sym, from_invariant, pi, pi_prime, to_invariant
 from .plucker import (
     GrassmannConfig,
@@ -185,13 +187,15 @@ def cmd_secant(args) -> dict:
         kernel = evaluation_kernel(cfg, args.degree, samples=args.samples or None,
                                    seed=args.seed)
         out["dimension"] = len(kernel)
-        out["basis"] = _elements_json(kernel)
+        with REPORT:
+            out["basis"] = _elements_json(kernel)
         out["engine"] = "evaluation-kernel"
         return {"result": out}
     P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
     comp = secant_ideal(P, cfg.r).component(cfg.d, args.degree)
     out["dimension"] = comp.dim
-    out["basis"] = list(comp.wire_rows())
+    with REPORT:
+        out["basis"] = list(comp.wire_rows())
     out["engine"] = "join-kernel"
     return _with_cache({"result": out}, P)
 
@@ -200,11 +204,12 @@ def cmd_probe(args) -> dict:
     cfg = GrassmannConfig(d=args.d, N=args.N, r=args.r)
     P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
     report = degree_probe(cfg, args.max_n, base=P)
-    lines = [f"{'n':>3} {'dim':>6} {'below':>6} {'new':>5}"]
-    for row in report["rows"]:
-        lines.append(f"{row['n']:>3} {row['dim']:>6} {row['from_below']:>6} "
-                     f"{row['new_generators']:>5}")
-    sys.stderr.write("\n".join(lines) + "\n")
+    with REPORT:
+        lines = [f"{'n':>3} {'dim':>6} {'below':>6} {'new':>5}"]
+        for row in report["rows"]:
+            lines.append(f"{row['n']:>3} {row['dim']:>6} {row['from_below']:>6} "
+                         f"{row['new_generators']:>5}")
+        sys.stderr.write("\n".join(lines) + "\n")
     return _with_cache({"result": report}, P)
 
 
@@ -224,6 +229,11 @@ _COMMON_DEFAULTS = {
     "seed": 0, "samples": 0, "cache_dir": None, "jobs": 1,
     "max_coeff_bits": 0, "timings": False, "out": None,
 }
+
+# the commands whose --timings report splits their wall time by stage
+# (`stages`): block climbs, join kernels, component assembly, report and
+# other
+_STAGED = ("secant", "probe")
 
 # the least value of each count option; 0 means the default for --samples
 # and no guard for --max-coeff-bits
@@ -366,10 +376,12 @@ def main(argv=None) -> int:
     # the coefficient guard holds for this run only, not for later calls
     # in the same process
     previous_bits = linalg.set_default_max_bits(args.max_coeff_bits or None)
+    clock = StageClock()
     try:
         _check_counts(args)
         _check_out(args)
-        body = args.fn(args)
+        with clock if args.timings else nullcontext():
+            body = args.fn(args)
     except CoeffLimitExceeded as exc:
         _emit({"command": args.command, "config": config,
                "aborted": "coefficient-bits-exceeded", "detail": str(exc)}, args)
@@ -385,6 +397,8 @@ def main(argv=None) -> int:
     report.update(body)
     if args.timings:
         report["seconds"] = round(time.perf_counter() - t0, 3)
+        if args.command in _STAGED:
+            report["stage_seconds"] = {k: round(v, 3) for k, v in clock.seconds.items()}
     _emit(report, args)
     if args.command == "verify":
         return 0 if body["result"]["passed"] else 1

@@ -93,8 +93,21 @@ def from_numerators(nums: Mapping, den: int) -> dict:
     return out
 
 
+def int_tuple(values: Iterable[int]) -> tuple[int, ...]:
+    """values as a tuple of ints, the tuple itself when it is one already.
+
+    A float, a string or a bool raises ValueError: int() would truncate
+    1.5 to 1 and read "2" and True as numbers.
+    """
+    t = values if values.__class__ is tuple else tuple(values)
+    for i in t:
+        if i.__class__ is not int:
+            raise ValueError(f"{i!r} is not an integer")
+    return t
+
+
 def _check_factor(factor: Iterable[int], width: int, alphabet: int) -> Factor:
-    f = tuple(int(i) for i in factor)
+    f = int_tuple(factor)
     if len(f) != width:
         raise ValueError(f"factor {f} has width {len(f)}, expected {width}")
     for a, b in zip(f, f[1:]):
@@ -117,8 +130,11 @@ class IncFn:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        img = tuple(int(i) for i in self.image)
-        object.__setattr__(self, "image", img)
+        if self.domain.__class__ is not int or self.codomain.__class__ is not int:
+            raise ValueError(f"[{self.domain!r}] -> [{self.codomain!r}] is not integral")
+        img = int_tuple(self.image)
+        if img is not self.image:
+            object.__setattr__(self, "image", img)
         if len(img) != self.domain:
             raise ValueError(f"image {img} has size {len(img)}, expected {self.domain}")
         if self.domain > self.codomain:
@@ -229,11 +245,13 @@ class _BaseElement:
                  _validated: bool = False):
         """`_validated` terms are adopted as they are: a fresh dict with
         canonical keys and coefficients and no zero coefficient."""
-        self.d = int(d)
-        self.n = int(n)
-        self.M = int(M)
-        if self.d < 0 or self.n < 0 or self.M < 0:
-            raise ValueError(f"bad bidegree ({d},{n}) with multiplier {M}")
+        # a float, a string or a bool is refused, as in `int_tuple`
+        if d.__class__ is not int or n.__class__ is not int or M.__class__ is not int \
+                or d < 0 or n < 0 or M < 0:
+            raise ValueError(f"bad bidegree ({d!r},{n!r}) with multiplier {M!r}")
+        self.d = d
+        self.n = n
+        self.M = M
         if _validated and terms is not None:
             self.terms = terms
             return
@@ -460,16 +478,9 @@ def element_to_dict(f: _BaseElement) -> dict:
     return {"bidegree": [f.d, f.n, f.M], "terms": terms}
 
 
-def _wire_int(x) -> int:
-    # a JSON integer: not a float, a string or a boolean, which int() would take
-    if x.__class__ is not int:
-        raise ValueError(f"{x!r} is not an integer")
-    return x
-
-
 def element_from_dict(data: Mapping, symmetric: bool = False) -> Element | SymElement:
     try:
-        d, n, M = (_wire_int(x) for x in data["bidegree"])
+        d, n, M = int_tuple(data["bidegree"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"bad or missing bidegree: {exc}") from exc
     cls = SymElement if symmetric else Element
@@ -477,7 +488,7 @@ def element_from_dict(data: Mapping, symmetric: bool = False) -> Element | SymEl
     try:
         for entry in data.get("terms", []):
             coeff = coeff_from_str(entry["coeff"])
-            key = tuple(tuple(_wire_int(i) for i in factor) for factor in entry["monomial"])
+            key = tuple(map(int_tuple, entry["monomial"]))
             terms[key] = terms.get(key, 0) + coeff
     except (KeyError, TypeError) as exc:
         # a term without a field, or terms, a term or a factor of another type

@@ -15,7 +15,9 @@ The climb multiplies in column coordinates.  A variable x has coefficient
 1 and sends distinct monomials to distinct monomials, so x times a stored
 row of C_(d,n-1) is that row with its entries moved to the columns of x
 times their monomials (`_multiples`).  Each column's images are looked up
-once per climb step, and the moved rows are added each row, then each
+once per climb step, each moved row is built entry by entry straight from
+the row, and the moved rows are added each row, then each variable.  A
+block climb step moves rows by one variable, a whole one by every
 variable.  `raw_spanning_rows` spans the same component through
 `sym_star` and `sym_shuffle`, as an independent check.
 
@@ -62,9 +64,13 @@ basis.
 variable x inside the support of w and each row b of the block of
 C_(d,n-1) at weight w - wt(x), plus the star rows of weight w; it refuses
 an ideal whose C_(d,n-1) is not certified.  `DiIdeal.quotient_reader`
-maps a monomial to the basis its normal form is read from: its block when
-the component is certified, else the whole component; a join reads its
-own quotients with the same method.  The certificate
+maps a (d, k) monomial to its normal form modulo C_(d,k), read off its
+block when the component is certified, else off the whole component; a
+join reads its own quotients with the same method.  Each ideal keeps one
+reader per (d, k) as long as it lives, so every summand and block of the
+joins that read it share the normal forms: each is read once per ideal
+and bidegree.  A reader holds its ideal only weakly, so the two form no
+reference cycle and go with the last reference to the ideal.  The certificate
 and the certified join (`plucker.JoinIdeal.weight_block` and its condition
 tables) read the ideal only through these blocks, which are memoised per
 weight and never cached on disk, so a certified join builds no whole
@@ -80,13 +86,14 @@ import json
 import os
 import sys
 import tempfile
+import weakref
 from array import array
 from bisect import bisect_right
 from functools import cache, cached_property
 from itertools import combinations, compress
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .core import (
     Factor,
@@ -103,7 +110,12 @@ from .core import (
 )
 from .linalg import NotReducedError, SparseRREF
 from .products import star_incfns, sym_shuffle, sym_star
+from .stages import CLIMBS
 from .weights import FactorTable, Weight, act, sn_generators, weight
+
+# a monomial's normal form modulo a component: its (column, coefficient)
+# pairs in the component's `monomial_space`
+NormalForm = tuple[tuple[int, Rational], ...]
 
 __all__ = ["ComponentBasis", "DiIdeal", "quotient_basis",
            "initial_component", "monomial_space"]
@@ -231,31 +243,75 @@ def _generator_hash(generators: Sequence[SymElement], M: int) -> str:
 
 
 def _multiples(rows: Iterable[dict[int, Rational]], below: ComponentBasis,
-               target: ComponentBasis, factors: Sequence[Factor]):
+               target: ComponentBasis, factors: Sequence[Factor]
+               ) -> Iterator[dict[int, Rational]]:
     """x * row for each row of `below`, each x of `factors` in turn, in the
     columns of `target`.
 
     A variable x has coefficient 1 and maps distinct monomials to distinct
     monomials, so x * row is the row itself moved to the columns of
-    x * (its monomials); each column's images are looked up once per call.
+    x * (its monomials), entry by entry.  The columns of x * (the monomial
+    at column c), one per x, are looked up once per call for each c.
     """
-    below_keys = below.monomials
-    index = target.index
-    # column c of `below` -> the column of x * (its monomial), per x
+    monomials, index = below.monomials, target.index
     shifts: dict[int, list[int]] = {}
+    each_x = range(len(factors))
     for row in rows:
-        moved = [{} for _ in factors]
-        for c, v in row.items():
-            cols = shifts.get(c)
-            if cols is None:
-                key = below_keys[c]
+        for c in row:
+            if c not in shifts:
+                key = monomials[c]
                 cols = shifts[c] = []
-                for fac in factors:
-                    at = bisect_right(key, fac)
-                    cols.append(index[key[:at] + (fac,) + key[at:]])
-            for out, col in zip(moved, cols):
-                out[col] = v
-        yield from moved
+                for x in factors:
+                    moved = list(key)
+                    moved.insert(bisect_right(key, x), x)
+                    cols.append(index[tuple(moved)])
+        items = row.items()
+        for j in each_x:
+            moved = {}
+            for c, v in items:
+                moved[shifts[c][j]] = v
+            yield moved
+
+
+def _normal_form(comp: ComponentBasis, key: FactorTuple) -> NormalForm:
+    """The (column, coefficient) pairs of `comp.basis.reduce({c: 1})` for
+    the monomial key at column c, with no elimination: in the canonical
+    reduced basis it is the monomial itself off the pivots, else minus the
+    rest of its pivot row.  Pairs, not a dict: a reader keeps every normal
+    form it reads, most of them one pair, at half a dict's size."""
+    c = comp.index[key]
+    at = comp.basis.pivots.get(c)
+    if at is None:
+        return ((c, 1),)
+    return tuple((k, -v) for k, v in comp.basis.row(at).items() if k != c)
+
+
+class _QuotientReader(dict):
+    """An ideal's normal forms modulo C_(d,k), by (d, k) monomial, each read
+    on first use off the basis that holds it: the block at the monomial's
+    weight of a certified ideal, else its whole component.
+
+    Every basis of one bidegree shares its `monomial_space` columns, so a
+    normal form is the same read off a block or the whole component.  The
+    ideal keeps its readers, so a reader holds the ideal only weakly: a
+    cycle between them would keep both alive until the cyclic collector
+    runs.
+    """
+
+    __slots__ = ("ideal", "d", "k", "N", "whole")
+
+    def __init__(self, ideal, d: int, k: int):
+        super().__init__()
+        self.ideal = weakref.ref(ideal)
+        self.d, self.k, self.N = d, k, ideal.M * d
+        self.whole = None if ideal.permutation_stable(d, k) else ideal.component(d, k)
+
+    def __missing__(self, key: FactorTuple) -> NormalForm:
+        basis = self.whole
+        if basis is None:
+            basis = self.ideal().weight_block(self.d, self.k, weight(key, self.N))
+        nf = self[key] = _normal_form(basis, key)
+        return nf
 
 
 class DiIdeal:
@@ -263,7 +319,9 @@ class DiIdeal:
 
     def __init__(self, M: int, generators: Iterable[SymElement],
                  cache_dir: str | os.PathLike | None = None):
-        self.M = int(M)
+        if M.__class__ is not int:
+            raise ValueError(f"multiplier {M!r} is not an integer")
+        self.M = M
         self.generators: list[SymElement] = []
         for g in generators:
             if g.M != self.M:
@@ -282,6 +340,9 @@ class DiIdeal:
         # memory only
         self._blocks: dict[tuple[int, int, Weight], ComponentBasis] = {}
         self._star_weights: dict[tuple[int, int], Optional[dict[Weight, list[SymElement]]]] = {}
+        # the normal forms of `quotient_reader`, one reader per (d, k); in
+        # memory only
+        self._readers: dict[tuple[int, int], _QuotientReader] = {}
         # disk cache reads of this ideal: files adopted, files absent, and
         # files refused, by the reason of the failed check
         self.cache_stats: dict = {"hits": 0, "misses": 0, "rejects": {}}
@@ -404,16 +465,17 @@ class DiIdeal:
         """
         if (below.d, below.n, below.M) != (d, n - 1, self.M):
             raise ValueError(f"climb to {(d, n)} from {(below.d, below.n, below.M)}")
-        comp = ComponentBasis(d, n, self.M)
-        if below.dim:
-            # row by row, each x in turn: adding all rows of one x before
-            # the next x was measured slower (more fill-in)
-            add = comp.basis.add
-            factors = list(iter_factors(d, self.M * d))
-            for out in _multiples(below.basis.basis_rows(), below, comp, factors):
-                add(out)
-        for prod in self._star_rows(d, n):
-            comp.add(prod)
+        with CLIMBS:
+            comp = ComponentBasis(d, n, self.M)
+            if below.dim:
+                # row by row, each x in turn: adding all rows of one x before
+                # the next x was measured slower (more fill-in)
+                add = comp.basis.add
+                factors = list(iter_factors(d, self.M * d))
+                for out in _multiples(below.basis.basis_rows(), below, comp, factors):
+                    add(out)
+            for prod in self._star_rows(d, n):
+                comp.add(prod)
         return comp
 
     def weight_block(self, d: int, n: int, w: Weight) -> ComponentBasis:
@@ -434,44 +496,46 @@ class DiIdeal:
         block = self._blocks.get((d, n, w))
         if block is not None:
             return block
-        block = ComponentBasis(d, n, self.M)
-        if d and n > self._first_degree:
-            if not self.permutation_stable(d, n - 1):
-                raise ValueError(f"the component at {(d, n - 1)} is not certified graded")
-            support = [i for i, c in enumerate(w, 1) if c]
-            forced = {i for i, c in enumerate(w, 1) if c == n}
-            add, block_at = block.basis.add, self.weight_block
-            for fac in combinations(support, d):
-                if not forced.issubset(fac):
-                    continue
-                u = list(w)
-                for i in fac:
-                    u[i - 1] -= 1
-                u = tuple(u)
-                below = block_at(d, n - 1, u)
-                if below.dim:
-                    for out in _multiples(below.basis.basis_rows(), below, block, [fac]):
-                        add(out)
-        stars = self._stars_by_weight(d, n)
-        if stars is None:
-            raise ValueError(f"the star rows at {(d, n)} are not weight-homogeneous")
-        for prod in stars.get(w, ()):
-            block.add(prod)
+        with CLIMBS:
+            block = ComponentBasis(d, n, self.M)
+            if d and n > self._first_degree:
+                if not self.permutation_stable(d, n - 1):
+                    raise ValueError(f"the component at {(d, n - 1)} is not certified graded")
+                support = [i for i, c in enumerate(w, 1) if c]
+                forced = {i for i, c in enumerate(w, 1) if c == n}
+                add, block_at = block.basis.add, self.weight_block
+                for fac in combinations(support, d):
+                    if not forced.issubset(fac):
+                        continue
+                    u = list(w)
+                    for i in fac:
+                        u[i - 1] -= 1
+                    u = tuple(u)
+                    below = block_at(d, n - 1, u)
+                    if below.dim:
+                        for out in _multiples(below.basis.basis_rows(), below, block, (fac,)):
+                            add(out)
+            stars = self._stars_by_weight(d, n)
+            if stars is None:
+                raise ValueError(f"the star rows at {(d, n)} are not weight-homogeneous")
+            for prod in stars.get(w, ()):
+                block.add(prod)
         self._blocks[(d, n, w)] = block
         return block
 
-    def quotient_reader(self, d: int, k: int) -> Callable[[FactorTuple], ComponentBasis]:
-        """A function from a (d, k) monomial to a basis whose reduction of it
-        is its normal form modulo C_(d,k): the block at the monomial's
-        weight when `permutation_stable(d, k)` holds, else the whole
-        component.  `plucker.JoinIdeal` reads its quotients with this same
-        method, through its own `weight_block` and `component`."""
-        if not self.permutation_stable(d, k):
-            comp = self.component(d, k)
-            return lambda key: comp
-        N = self.M * d
-        block_at = self.weight_block
-        return lambda key: block_at(d, k, weight(key, N))
+    def quotient_reader(self, d: int, k: int) -> Mapping[FactorTuple, NormalForm]:
+        """The normal form modulo C_(d,k) of each (d, k) monomial, by monomial.
+
+        One reader per (d, k), kept as long as this ideal, so every summand
+        and every block of the joins that read it share its normal forms:
+        each is read once, off the block at the monomial's weight when
+        `permutation_stable(d, k)` holds, else off the whole component (see
+        `_QuotientReader`).  `plucker.JoinIdeal` reads its quotients with
+        this same method, through its own `weight_block` and `component`."""
+        reader = self._readers.get((d, k))
+        if reader is None:
+            reader = self._readers[(d, k)] = _QuotientReader(self, d, k)
+        return reader
 
     def _star_rows(self, d: int, n: int):
         """Star products of the generators of tensor degree exactly n at width d,

@@ -10,7 +10,8 @@ split first and membership in the first input last, each on the
 combinations the summands before it left.  The conditions are linear, so
 each monomial's are tabled once from the normal forms of its slot splits,
 which are read off the canonical reduced quotient components with no
-elimination, once per sub-monomial and side in each summand's solve.
+elimination, once per sub-monomial and input ideal: the ideal keeps them
+(`quotient_reader`), so every block and summand of its joins shares them.
 
 Both the join and the evaluation oracle work one torus-weight block at a
 time (see `weights`).  The diagonal torus of GL_N acts on a monomial by the
@@ -24,12 +25,12 @@ solved and memoised alone; its block at any other weight is the signed
 permutation (`weights.from_dominant`) of the dominant block of its orbit,
 so a join kernel is solved only at dominant weights.  A whole component is
 put together from the blocks at dominant weights, which `weights.orbit_fill`
-carries to the rest of their orbits.  The quotient conditions read each
-sub-monomial's normal form off the basis its input's `quotient_reader`
-gives, one method for both kinds of ideal: the block at the sub-monomial's
-weight, climbed from blocks for a `DiIdeal` and solved or moved for a join,
-so no input of a certified join, and no inner join of an r >= 2 secant, is
-built whole at any degree.  Without the certificate the join eliminates
+carries to the rest of their orbits.  The quotient conditions take each
+sub-monomial's normal form from its input's `quotient_reader`, one method
+for both kinds of ideal, which reads it off the block at the
+sub-monomial's weight, climbed from blocks for a `DiIdeal` and solved or
+moved for a join, so no input of a certified join, and no inner join of an
+r >= 2 secant, is built whole at any degree.  Without the certificate the join eliminates
 all of the second input's component as one block, and reads its quotients
 whole.
 The evaluation kernel is the independent oracle: exact kernels of integer
@@ -57,7 +58,7 @@ from functools import cache
 from itertools import combinations
 from math import lcm
 from operator import add, mul, sub
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import (
     Factor,
@@ -69,9 +70,10 @@ from .core import (
     sym_monomial,
     to_numerators,
 )
-from .ideals import ComponentBasis, DiIdeal
+from .ideals import ComponentBasis, DiIdeal, NormalForm
 from .linalg import SparseRREF, kernel_basis, recombine
 from .products import sym_star
+from .stages import ASSEMBLY, JOIN_KERNELS
 from .weights import (
     FactorTable,
     Weight,
@@ -585,21 +587,10 @@ def gamma_count(n: int) -> int:
 # summands are solved in a chain, each in its own elimination over the
 # combinations of V's rows that the ones before it left.  The quotients are
 # read one sub-monomial at a time, through `quotient_reader`: a certified
-# input, a `DiIdeal` or a join, hands out the block at the sub-monomial's
-# weight, so a certified join never builds a whole component of an input,
-# at any degree, and reads or writes no cache file for it.
+# input, a `DiIdeal` or a join, reads its normal form off the block at the
+# sub-monomial's weight, so a certified join never builds a whole component
+# of an input, at any degree, and reads or writes no cache file for it.
 # ---------------------------------------------------------------------------
-
-def _normal_form(comp: ComponentBasis, key: FactorTuple) -> dict[int, Rational]:
-    """`comp.basis.reduce({c: 1})` for the monomial key at column c, with no
-    elimination: in the canonical reduced basis it is the monomial itself
-    off the pivots, else minus the rest of its pivot row."""
-    c = comp.index[key]
-    at = comp.basis.pivots.get(c)
-    if at is None:
-        return {c: 1}
-    return {k: -v for k, v in comp.basis.row(at).items() if k != c}
-
 
 class _ConditionTables(dict):
     """The condition table of each column of one summand, filled on first use.
@@ -607,44 +598,34 @@ class _ConditionTables(dict):
     The table of the column c, whose monomial is monomials[c], sums the
     normal forms of left and right multiplied out over the C(n, i) slot
     splits of its monomial, left modulo QL and right modulo QR.  Each side
-    is a function from a sub-monomial to the basis its normal form is read
-    from (an ideal's `quotient_reader`, a `DiIdeal`'s or a join's): the
-    block of its quotient at the sub-monomial's weight, or the whole
-    quotient when that ideal is not certified.  The normal forms are
-    memoised per sub-monomial, one memo per side: when i = n - i and QL is
-    not QR, one sub-monomial has two.  When QL is QR, as in the balanced
-    summand of a self-join, both sides share one memo.  Build one per
-    summand's solve, and let it go with it.
+    maps a sub-monomial to its normal form: an ideal's `quotient_reader`,
+    a `DiIdeal`'s or a join's, which the ideal keeps, so the normal forms
+    are shared by every summand and block that reads that ideal at that
+    degree, and read once each.  When i = n - i, a sub-monomial has one
+    normal form per side unless the two sides are one reader, as in the
+    balanced summand of a self-join.  The tables themselves are this
+    summand's: build one per summand's solve, and let it go with it.
     """
 
-    __slots__ = ("QL", "QR", "monomials", "splits", "left", "right")
+    __slots__ = ("QL", "QR", "monomials", "splits")
 
-    def __init__(self, QL: Callable[[FactorTuple], ComponentBasis],
-                 QR: Callable[[FactorTuple], ComponentBasis], i: int,
+    def __init__(self, QL: Mapping[FactorTuple, NormalForm],
+                 QR: Mapping[FactorTuple, NormalForm], i: int,
                  monomials: Sequence[FactorTuple]):
         super().__init__()
         self.QL, self.QR, self.monomials = QL, QR, monomials
         n = len(monomials[0])
         self.splits = [(pos, tuple(t for t in range(n) if t not in pos))
                        for pos in combinations(range(n), i)]
-        self.left: dict[FactorTuple, dict[int, Rational]] = {}
-        self.right = self.left if QR is QL else {}
 
     def __missing__(self, col: int) -> dict[tuple[int, int], Rational]:
         get = self.monomials[col].__getitem__
-        left, right = self.left, self.right
+        QL, QR = self.QL, self.QR
         table: dict[tuple[int, int], Rational] = {}
         for pos, rest in self.splits:
-            lkey = tuple(map(get, pos))
-            lnf = left.get(lkey)
-            if lnf is None:
-                lnf = left[lkey] = _normal_form(self.QL(lkey), lkey)
-            rkey = tuple(map(get, rest))
-            rnf = right.get(rkey)
-            if rnf is None:
-                rnf = right[rkey] = _normal_form(self.QR(rkey), rkey)
-            for lc, lv in lnf.items():
-                for rc, rv in rnf.items():
+            rnf = QR[tuple(map(get, rest))]
+            for lc, lv in QL[tuple(map(get, pos))]:
+                for rc, rv in rnf:
                     table[(lc, rc)] = table.get((lc, rc), 0) + lv * rv
         table = self[col] = {k: v for k, v in table.items() if v}
         return table
@@ -656,9 +637,10 @@ def _condition_coords(tables: _ConditionTables,
     summand of a row, for the QL, QR, i and column monomials of `tables`.
 
     They are linear in the row: the sum of its columns' tables, scaled by
-    its coefficients.  Each column's table, and the normal form of each
-    sub-monomial it reads, is computed once per `_ConditionTables`, that is
-    once per summand of one `_join_kernel` call, and kept no longer.
+    its coefficients.  Each column's table is computed once per
+    `_ConditionTables`, that is once per summand of one `_join_kernel`
+    call, and kept no longer; the normal forms it is computed from are
+    read once per input ideal and degree, and kept with the ideal.
     """
     out: dict[tuple[int, int], Rational] = {}
     for col, coeff in row.items():
@@ -678,15 +660,16 @@ def exact_join_component(join: JoinIdeal, d: int, n: int) -> ComponentBasis:
     the order they are added in does not change the rows.  Without the
     certificate the kernel is eliminated once, over all of J_(d,n).
     """
-    I, J = join.I, join.J
-    comp = ComponentBasis(d, n, join.M)
-    if join.permutation_stable(d, n):
-        for w in dominant_weights(d, n, join.M * d):
-            for e in orbit_fill(w, join.weight_block(d, n, w).basis_elements()):
-                comp.add(e)
-    else:
-        for row in _join_kernel(I, J, d, n, J.component(d, n)):
-            comp.basis.add(row)
+    with ASSEMBLY:
+        I, J = join.I, join.J
+        comp = ComponentBasis(d, n, join.M)
+        if join.permutation_stable(d, n):
+            for w in dominant_weights(d, n, join.M * d):
+                for e in orbit_fill(w, join.weight_block(d, n, w).basis_elements()):
+                    comp.add(e)
+        else:
+            for row in _join_kernel(I, J, d, n, J.component(d, n)):
+                comp.basis.add(row)
     return comp
 
 
@@ -705,24 +688,23 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis) -> list[dict[int, Rati
     next summand reads only the combinations.  The rows returned span the
     kernel but are not reduced.
     """
-    rows = V.basis.basis_rows()
-    summands = range(1, n + 1)
-    if I is J:
-        # V lies in I, and the (n-i)-th condition is the slot swap of the i-th one
-        summands = [i for i in range(1, n) if i <= n - i]
-    for i in sorted(summands, key=lambda i: abs(n - 2 * i)):
-        nv = len(rows)
-        if not nv:
-            break
-        QL = I.quotient_reader(d, i)
-        # a self-join's balanced summand reads one quotient on both sides
-        QR = QL if I is J and i == n - i else J.quotient_reader(d, n - i)
-        tables = _ConditionTables(QL, QR, i, V.monomials)
-        rows_map: dict[tuple[int, int], dict[int, Rational]] = {}
-        for t, row in enumerate(rows):
-            for key, val in _condition_coords(tables, row).items():
-                rows_map.setdefault(key, {})[t] = val
-        rows = recombine(kernel_basis(map(rows_map.__getitem__, sorted(rows_map)), nv), rows)
+    with JOIN_KERNELS:
+        rows = V.basis.basis_rows()
+        summands = range(1, n + 1)
+        if I is J:
+            # V lies in I, and the (n-i)-th condition is the slot swap of the i-th one
+            summands = [i for i in range(1, n) if i <= n - i]
+        for i in sorted(summands, key=lambda i: abs(n - 2 * i)):
+            nv = len(rows)
+            if not nv:
+                break
+            tables = _ConditionTables(I.quotient_reader(d, i), J.quotient_reader(d, n - i),
+                                      i, V.monomials)
+            rows_map: dict[tuple[int, int], dict[int, Rational]] = {}
+            for t, row in enumerate(rows):
+                for key, val in _condition_coords(tables, row).items():
+                    rows_map.setdefault(key, {})[t] = val
+            rows = recombine(kernel_basis(map(rows_map.__getitem__, sorted(rows_map)), nv), rows)
     return rows
 
 
@@ -738,6 +720,9 @@ class JoinIdeal:
         self._components: dict[tuple[int, int], ComponentBasis] = {}
         # weight blocks solved alone; in memory only
         self._blocks: dict[tuple[int, int, Weight], ComponentBasis] = {}
+        # the normal forms of `quotient_reader`, one reader per (d, k); in
+        # memory only
+        self._readers: dict = {}
 
     def component(self, d: int, n: int) -> ComponentBasis:
         key = (d, n)
@@ -772,13 +757,16 @@ class JoinIdeal:
             for row in _join_kernel(self.I, self.J, d, n, self.J.weight_block(d, n, w)):
                 block.basis.add(row)
         else:
-            table = FactorTable(from_dominant(w))
-            for e in self.weight_block(d, n, tuple(sorted(w, reverse=True))).basis_elements():
-                block.add(act(table, e))
+            dominant = self.weight_block(d, n, tuple(sorted(w, reverse=True)))
+            with ASSEMBLY:
+                table = FactorTable(from_dominant(w))
+                for e in dominant.basis_elements():
+                    block.add(act(table, e))
         self._blocks[key] = block
         return block
 
-    # the block at a monomial's weight when certified, else the whole component
+    # normal forms read off the block at a monomial's weight when
+    # certified, else off the whole component
     quotient_reader = DiIdeal.quotient_reader
 
     def permutation_stable(self, d: int, n: int) -> bool:

@@ -37,6 +37,7 @@ from .core import (
     IncFn,
     SymElement,
     from_numerators,
+    int_tuple,
     is_sym_invariant,
     merge_signed,
     relabel_factor,
@@ -58,8 +59,11 @@ class Split:
     left: tuple[int, ...]
 
     def __post_init__(self):
-        lf = tuple(int(i) for i in self.left)
-        object.__setattr__(self, "left", lf)
+        if self.total.__class__ is not int:
+            raise ValueError(f"{self.total!r} is not an integer")
+        lf = int_tuple(self.left)
+        if lf is not self.left:
+            object.__setattr__(self, "left", lf)
         for a, b in zip(lf, lf[1:]):
             if a >= b:
                 raise ValueError(f"left positions {lf} not strictly increasing")

@@ -341,7 +341,25 @@ def test_timings_flag(tmp_path):
     out = tmp_path / "r.json"
     code, rep = _run(["--timings", "verify", "--only", "gamma"], out)
     assert code == 0
-    assert "seconds" in rep
+    assert "seconds" in rep and "stage_seconds" not in rep
+
+
+@pytest.mark.parametrize("command", [
+    ["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "4"],
+    ["probe", "--d", "2", "--N", "6", "--r", "1", "--max-n", "3"],
+])
+def test_timings_split_the_wall_time_by_stage(tmp_path, command):
+    out = tmp_path / "r.json"
+    code, plain = _run(command, out)
+    assert code == 0 and "stage_seconds" not in plain
+    code, rep = _run([*command, "--timings"], out)
+    assert code == 0 and rep["result"] == plain["result"]
+    stages = rep["stage_seconds"]
+    assert set(stages) <= {"climbs", "join_kernels", "assembly", "report", "other"}
+    assert {"climbs", "join_kernels"} <= set(stages)
+    assert min(stages.values()) >= 0
+    # the stages add up to the run, each rounded to a millisecond
+    assert abs(sum(stages.values()) - rep["seconds"]) <= 0.001 * (len(stages) + 1)
 
 
 def test_max_coeff_bits_does_not_outlive_the_run(tmp_path):

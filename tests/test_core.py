@@ -186,3 +186,38 @@ def test_incfn():
         IncFn(3, 8, (1, 1, 2))
     with pytest.raises(ValueError):
         IncFn(3, 2, (1, 2, 3))
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, "1", True], ids=["whole-float", "float", "string", "bool"])
+def test_constructors_refuse_non_integer_indices_and_bidegrees(bad):
+    from shufflestar.ideals import DiIdeal
+    from shufflestar.products import Split
+    with pytest.raises(ValueError):
+        SymElement(2, 1, 2, {((bad, 2),): 1})
+    with pytest.raises(ValueError):
+        TensorMonomial(2, 1, 2, ((bad, 2),))
+    with pytest.raises(ValueError):
+        IncFn(2, 4, (bad, 3))
+    with pytest.raises(ValueError):
+        IncFn(bad, 4, (1,))
+    with pytest.raises(ValueError):
+        Split(4, (bad, 3))
+    with pytest.raises(ValueError):
+        Split(bad, (1,))
+    for bidegree in ((bad, 1, 2), (2, bad, 2), (2, 1, bad)):
+        with pytest.raises(ValueError):
+            SymElement(*bidegree)
+        with pytest.raises(ValueError):
+            Element(*bidegree, {((1, 2),): 1})
+    with pytest.raises(ValueError):
+        DiIdeal(bad, [])
+
+
+def test_constructors_keep_a_tuple_of_ints_as_it_is():
+    from shufflestar.products import Split
+    image, left = (1, 3), (2, 4)
+    assert IncFn(2, 4, image).image is image
+    assert Split(4, left).left is left
+    assert IncFn(2, 4, [1, 3]).image == (1, 3)
+    factor = (1, 2)
+    assert next(iter(SymElement(2, 1, 2, {(factor,): 1}).terms))[0] is factor

@@ -790,11 +790,11 @@ def _reference_condition_coords(QL, QR, i, f):
 
 
 def test_one_monomial_normal_form_is_read_from_its_column():
-    from shufflestar.plucker import _normal_form
+    from shufflestar.ideals import _normal_form
     comp = plucker_ideal(3, 2).component(2, 3)
     assert 0 < comp.dim < comp.space_dim
     for c, key in enumerate(comp.monomials):
-        assert _normal_form(comp, key) == comp.basis.reduce({c: 1})
+        assert dict(_normal_form(comp, key)) == comp.basis.reduce({c: 1})
 
 
 @pytest.mark.parametrize("M, r, n, summands", [
@@ -855,9 +855,10 @@ def test_certificate_and_condition_tables_count_their_work(monkeypatch):
     # deterministic counts: mapping every star row through each adjacent
     # transposition (75 images) or reducing each split of each column afresh
     # (828 normal forms) fails here, not only in a timing; so does keeping
-    # two memos for the one quotient of a self-join's balanced summand (482)
+    # the normal forms one summand of one block only (277), or two memos for
+    # the one quotient of a self-join's balanced summand (482)
     from collections import Counter
-    from shufflestar import ideals, plucker
+    from shufflestar import ideals
     calls = Counter()
 
     def counting(name, fn):
@@ -867,11 +868,61 @@ def test_certificate_and_condition_tables_count_their_work(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(ideals, "act", counting("act", ideals.act))
-    monkeypatch.setattr(plucker, "_normal_form", counting("normal_form", plucker._normal_form))
+    monkeypatch.setattr(ideals, "_normal_form", counting("normal_form", ideals._normal_form))
     assert plucker_ideal(3, 2).permutation_stable(2, 4)
     assert calls["act"] == 30   # 15 star rows, 2 generators
     assert secant_ideal(plucker_ideal(3, 2), 1).component(2, 4).dim == 15
-    assert calls["normal_form"] == 277
+    assert calls["normal_form"] == 152
+
+
+def test_each_normal_form_is_read_once_per_join_input(monkeypatch):
+    # the degree-5 sigma_1(Gr(2,6)) join reads 714 distinct sub-monomials of
+    # its one input; a memo per summand of one block read them 1,887 times
+    from collections import Counter
+    from shufflestar import ideals
+    calls = Counter()
+    normal_form = ideals._normal_form
+
+    def counting(comp, key):
+        calls[key] += 1
+        return normal_form(comp, key)
+
+    monkeypatch.setattr(ideals, "_normal_form", counting)
+    join = secant_ideal(plucker_ideal(3, 2), 1)
+    assert join.I is join.J and join.permutation_stable(2, 5)
+    assert join.component(2, 5).dim == 120
+    assert len(calls) == 714
+    assert set(calls.values()) == {1}
+
+
+def test_an_ideal_and_its_join_are_freed_without_the_cyclic_collector():
+    # the quotient readers an ideal keeps hold it weakly, so dropping the
+    # last references frees the ideal and the join by reference counts alone
+    import gc
+    import weakref
+    gc.collect()
+    gc.disable()
+    try:
+        join = secant_ideal(plucker_ideal(3, 2), 1)
+        assert join.component(2, 4).dim == 15
+        refs = [weakref.ref(join.I), weakref.ref(join)]
+        del join
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+class _ReducedForms(dict):
+    """The normal form of each monomial by a reduction against the whole
+    component: the reference for an ideal's `quotient_reader`."""
+
+    def __init__(self, comp):
+        super().__init__()
+        self.comp = comp
+
+    def __missing__(self, key):
+        nf = self[key] = tuple(self.comp.basis.reduce({self.comp.index[key]: 1}).items())
+        return nf
 
 
 def _reference_join_kernel(I, J, d, n, V, top, summands=None):
@@ -893,7 +944,7 @@ def _reference_join_kernel(I, J, d, n, V, top, summands=None):
     for i in summands:
         QL = top if i == n else I.component(d, i)
         QR = J.component(d, n - i)
-        tables = _ConditionTables(lambda key: QL, lambda key: QR, i, V.monomials)
+        tables = _ConditionTables(_ReducedForms(QL), _ReducedForms(QR), i, V.monomials)
         rows_map = {}
         for t, row in enumerate(rows):
             for key, val in _condition_coords(tables, row).items():

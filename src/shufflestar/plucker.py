@@ -46,7 +46,7 @@ to the rest of each orbit, and every carried vector is evaluated exactly
 at the last round's points, so the oracle does not take the action on
 trust.  Both paths keep kernels as sparse rows in canonical form and turn
 them back into rows with `linalg.recombine`.  The oracle loads `certified`,
-the one module that imports numpy, on first use.
+whose mod-p kernels run on packed Python ints, on first use.
 """
 
 from __future__ import annotations

@@ -71,6 +71,85 @@ def test_a_full_rank_matrix_is_settled_by_one_prime(monkeypatch):
     assert primes == list(certified.PRIMES[:2])
 
 
+def _sympy_rref_mod(rows, p):
+    """(R, pivots) of integer rows over GF(p) by sympy, R's rows as residues."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+    F = sympy.GF(p)
+    R, piv = DomainMatrix([[F(x % p) for x in row] for row in rows],
+                          (len(rows), len(rows[0])), F).rref()
+    return [[int(x) % p for x in row] for row in R.to_list()[:len(piv)]], list(piv)
+
+
+def _assert_matches_sympy(rows, p):
+    from shufflestar.certified import modp_kernel, modp_rref
+    R, piv = _sympy_rref_mod(rows, p)
+    assert modp_rref(rows, p) == (R, piv)
+    free = [j for j in range(len(rows[0])) if j not in piv]
+    K = [[-R[k][j] % p for k, c in enumerate(piv) if c < j] for j in free]
+    assert modp_kernel(rows, p) == (K, piv, free)
+
+
+@pytest.mark.parametrize("p", [5, 33554393])
+def test_modp_kernel_matches_sympy_rref_over_gf_p(p):
+    rng = random.Random(p)
+
+    def entry():
+        return rng.choice((0, 1, -1, p - 1, p, -p, rng.randrange(-3 * p, 3 * p),
+                           rng.getrandbits(70) - (1 << 69)))
+
+    row = [entry() for _ in range(6)]
+    matrices = [
+        [[0] * 4] * 3,                                     # zero matrix
+        [[entry()] for _ in range(5)],                     # single column
+        [row, row, [2 * x for x in row], row],             # repeated rows
+        [[entry() for _ in range(9)] for _ in range(3)],   # m < n
+        [[entry() for _ in range(3)] for _ in range(9)],   # m > n
+    ]
+    for _ in range(40):
+        m, n = rng.randint(1, 10), rng.randint(1, 10)
+        matrices.append([[entry() for _ in range(n)] for _ in range(m)])
+    for rows in matrices:
+        _assert_matches_sympy(rows, p)
+
+
+def test_a_slot_holds_the_most_it_can_accumulate(monkeypatch):
+    # a slot gains at most one (p - 1)**2 per column to its left, so
+    # n-column rows take the fewest 64-bit words that hold p + n * (p - 1)**2
+    from shufflestar import certified
+    for p in certified.PRIMES:
+        widest = (2**64 - 1 - p) // (p - 1) ** 2
+        assert widest == 16384
+        assert certified._slot_words(p, widest) == 1 < certified._slot_words(p, widest + 1)
+    # at p = 2**31 - 1 one word holds four such products, not five
+    p = 2**31 - 1
+    assert certified._slot_words(p, 4) == 1 < certified._slot_words(p, 5) == 2
+    _assert_matches_sympy([[p - 1] * 5] * 3, p)
+    # rows 0-4 have 1 at their own column and p - 1 at column 6, the last
+    # row 1 at columns 0-4 and p - 1 at column 6: clearing each of columns
+    # 0-4 from the last row adds (p - 1) * (p - 1) to its slot 6, five
+    # times, and column 5 is 0 throughout
+    rows = [[int(c == i) for c in range(6)] + [p - 1] for i in range(5)]
+    rows.append([1] * 5 + [0, p - 1])
+    _assert_matches_sympy(rows, p)
+    assert certified.modp_kernel(rows, p)[1:] == ([0, 1, 2, 3, 4, 6], [5])
+    # with one word per slot, slot 6 carries into slot 5, making it a pivot
+    monkeypatch.setattr(certified, "_slot_words", lambda p, n: 1)
+    assert certified.modp_kernel(rows, p)[1:] != ([0, 1, 2, 3, 4, 6], [5])
+
+
+def test_the_degree_3_secant_oracle_makes_eight_modp_calls(monkeypatch):
+    # pins the prime escalation of the oracle: sigma_1(Gr(2,6)) in degree 3
+    # at seed 1 solves its blocks with 8 mod-p kernels in all
+    from shufflestar import certified
+    from shufflestar.plucker import GrassmannConfig, evaluation_kernel
+    primes = []
+    modp_kernel = certified.modp_kernel
+    monkeypatch.setattr(certified, "modp_kernel", lambda A, p: primes.append(p) or modp_kernel(A, p))
+    assert len(evaluation_kernel(GrassmannConfig(d=2, N=6, r=1), 3, seed=1)) == 1
+    assert len(primes) == 8
+
+
 def test_recombine_sums_the_rows_in_canonical_form():
     rows = [{0: 1, 2: Fraction(1, 2)}, {1: 1, 2: Fraction(1, 2)}]
     assert recombine([{0: 1, 1: -1}, {1: 2}], rows) == [{0: 1, 1: -1}, {1: 2, 2: 1}]

@@ -8,11 +8,18 @@ product averages over slot matchings (1/n! times the sum over the
 symmetric group), which is the monomial form of conjugating by the
 symmetrization isomorphism.
 
-Coefficients are summed as integer numerators (see `core`).  The tensor
+Coefficients are summed as integer numerators (see `core`).  Each product
+has one private per-term-pair routine (`_shuffle_into`, `_star_into`,
+`_sym_star_into`, `_sym_shuffle_into`): it takes two monomial keys, the
+star routines two keys already relabelled by g and its complement, and
+adds their product times an integer into a numerator dict.  The element
+products loop it over their pairs of terms; the pair products of
+`symmetry` call it directly on pairs of sub-monomial keys.  The tensor
 star product merges each pair of wedge factors once per call: a table
 keyed by the (f-factor, h-factor) pair holds the signed merge, and every
 pair of terms that meets the same two factors in one slot reads it.  The
-table lives only for the call.
+table lives only for the call.  The tables kept across calls
+(`_matchings`, `_split_orders`) are keyed by slot counts alone.
 
 No product of monomials cancels, so no loop here or in a caller checks for
 a zero wedge or product.  g and its complement relabel the two sides into
@@ -40,7 +47,6 @@ from .core import (
     int_tuple,
     is_sym_invariant,
     merge_signed,
-    relabel_factor,
     to_numerators,
 )
 
@@ -98,19 +104,26 @@ def _check_shuffle_shapes(f, h) -> None:
         raise ValueError(f"shape mismatch: {f.bidegree} vs {h.bidegree}")
 
 
-def _shuffle_into(out: dict, fnums, hnums, split: Split) -> None:
-    """Add the shuffle of two numerator maps along one split into out."""
-    left = [i - 1 for i in split.left]
-    right = [i - 1 for i in split.right]
-    slots: list = [None] * split.total
-    for kf, cf in fnums.items():
-        for k, pos in enumerate(left):
-            slots[pos] = kf[k]
-        for kh, ch in hnums.items():
-            for k, pos in enumerate(right):
-                slots[pos] = kh[k]
-            key = tuple(slots)
-            out[key] = out.get(key, 0) + cf * ch
+def _split_order(split: Split) -> tuple[int, ...]:
+    """Entry k is the index into kf + kh of the factor the split puts in slot k."""
+    n = len(split.left)
+    index = {pos: k for k, pos in enumerate(split.left)}
+    index.update((pos, n + k) for k, pos in enumerate(split.right))
+    return tuple(index[pos] for pos in range(1, split.total + 1))
+
+
+@cache
+def _split_orders(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """The `_split_order` of every split of n + m slots with n on the left."""
+    return tuple(_split_order(split) for split in all_splits(n, m))
+
+
+def _shuffle_into(out: dict, kf: FactorTuple, kh: FactorTuple, c: int, orders) -> None:
+    """Add c times the shuffle of two tensor monomials along each split order."""
+    both = kf + kh
+    for order in orders:
+        key = tuple([both[k] for k in order])
+        out[key] = out.get(key, 0) + c
 
 
 def shuffle_product(f: Element, h: Element, split: Split) -> Element:
@@ -121,37 +134,69 @@ def shuffle_product(f: Element, h: Element, split: Split) -> Element:
         raise ValueError(f"split {split} does not fit bidegrees ({f.n}) and ({h.n})")
     fnums, fden = to_numerators(f.terms)
     hnums, hden = to_numerators(h.terms)
+    orders = (_split_order(split),)
     out: dict[FactorTuple, int] = {}
-    _shuffle_into(out, fnums, hnums, split)
+    for kf, cf in fnums.items():
+        for kh, ch in hnums.items():
+            _shuffle_into(out, kf, kh, cf * ch, orders)
     return Element(f.d, n + m, f.M, from_numerators(out, fden * hden), _validated=True)
 
 
-def _check_star_shapes(f, h, g: IncFn) -> IncFn:
-    if f.n != h.n or f.M != h.M:
-        raise ValueError(f"shape mismatch: {f.bidegree} vs {h.bidegree}")
-    M = f.M
-    if g.domain != M * f.d or g.codomain != M * (f.d + h.d):
+def _star_letters(M: int, d: int, e: int, g: IncFn) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """g and its complement as tables indexed by letter, entry 0 unused.
+
+    Raises unless g fits a star product of widths (d, e) at multiplier M.
+    """
+    if g.domain != M * d or g.codomain != M * (d + e):
         raise ValueError(
             f"injection [{g.domain}]->[{g.codomain}] does not fit star of "
-            f"widths ({f.d},{h.d}) at multiplier {M}")
-    return g.complement()
+            f"widths ({d},{e}) at multiplier {M}")
+    return (0, *g.image), (0, *g.complement().image)
+
+
+def _relabel(key: FactorTuple, letters: tuple[int, ...]) -> FactorTuple:
+    """Every factor of a monomial through a `_star_letters` table.
+
+    The table does not check its index: the element and pair element
+    constructors keep every index of a key in [1..M*d].
+    """
+    return tuple([tuple([letters[i] for i in x]) for x in key])
 
 
 def _relabelled_terms(f, h, g: IncFn) -> tuple[list, list, int]:
     """The terms of f relabeled by g and of h by its complement, as integer
     numerators, and the product of their denominators."""
-    gc = _check_star_shapes(f, h, g)
+    if f.n != h.n or f.M != h.M:
+        raise ValueError(f"shape mismatch: {f.bidegree} vs {h.bidegree}")
+    fletters, hletters = _star_letters(f.M, f.d, h.d, g)
     fnums, fden = to_numerators(f.terms)
     hnums, hden = to_numerators(h.terms)
-    fready = [(tuple(relabel_factor(x, g) for x in kf), cf) for kf, cf in fnums.items()]
-    hready = [(tuple(relabel_factor(x, gc) for x in kh), ch) for kh, ch in hnums.items()]
-    return fready, hready, fden * hden
+    return ([(_relabel(kf, fletters), cf) for kf, cf in fnums.items()],
+            [(_relabel(kh, hletters), ch) for kh, ch in hnums.items()], fden * hden)
 
 
 @cache
 def _matchings(n: int) -> tuple[tuple[int, ...], ...]:
     """Every matching of n slots: entry k is the slot of f wedged onto slot k of h."""
     return tuple(permutations(range(n)))
+
+
+def _star_into(out: dict, rf: FactorTuple, rh: FactorTuple, c: int, merges: dict) -> None:
+    """Add c times the slotwise signed wedge of two relabelled tensor monomials.
+
+    merges holds the merge of every (f-factor, h-factor) pair met so far.
+    """
+    sign = c
+    slots = []
+    for ab in zip(rf, rh):
+        got = merges.get(ab)
+        if got is None:
+            got = merges[ab] = merge_signed(*ab)
+        s, merged = got
+        sign *= s
+        slots.append(merged)
+    key = tuple(slots)
+    out[key] = out.get(key, 0) + sign
 
 
 def star_product(f: Element, h: Element, g: IncFn) -> Element:
@@ -165,61 +210,61 @@ def star_product(f: Element, h: Element, g: IncFn) -> Element:
     out: dict[FactorTuple, int] = {}
     for rf, cf in fready:
         for rh, ch in hready:
-            sign = cf * ch
-            slots = []
-            for ab in zip(rf, rh):
-                got = merges.get(ab)
-                if got is None:
-                    got = merges[ab] = merge_signed(*ab)
-                s, merged = got
-                sign *= s
-                slots.append(merged)
-            key = tuple(slots)
-            out[key] = out.get(key, 0) + sign
+            _star_into(out, rf, rh, cf * ch, merges)
     return Element(f.d + h.d, f.n, f.M, from_numerators(out, den), _validated=True)
+
+
+def _sym_star_into(out: dict, rf: FactorTuple, rh: FactorTuple, c: int) -> None:
+    """Add c times n! times the symmetric star product of two relabelled monomials.
+
+    Each factor of rf is merged with each factor of rh once, into an n x n
+    table that every matching reads.
+    """
+    # table[k][j]: the wedge of slot j of f onto slot k of h
+    table = [[merge_signed(a, b) for a in rf] for b in rh]
+    for match in _matchings(len(rf)):
+        sign = c
+        slots = []
+        for row, j in zip(table, match):
+            s, merged = row[j]
+            sign *= s
+            slots.append(merged)
+        key = tuple(sorted(slots))
+        out[key] = out.get(key, 0) + sign
 
 
 def sym_star(f: SymElement, h: SymElement, g: IncFn) -> SymElement:
     """Star product on symmetric elements.
 
     On monomials this is (1/n!) * sum over all matchings of f's factors to
-    h's slots of the product of signed wedges, then canonical sorting.  Per
-    pair of terms, each factor of f is merged with each factor of h once,
-    into an n x n table that every matching reads.  (A per-call table of
-    merges, as in `star_product`, does not pay here: most calls multiply
-    two monomials, so no pair of factors repeats.)
+    h's slots of the product of signed wedges, then canonical sorting.  (A
+    per-call table of merges, as in `star_product`, does not pay here: most
+    calls multiply two monomials, so no pair of factors repeats.)
     """
     fready, hready, den = _relabelled_terms(f, h, g)
-    matchings = _matchings(f.n)
     out: dict[FactorTuple, int] = {}
     for rf, cf in fready:
         for rh, ch in hready:
-            # table[k][j]: the wedge of slot j of f onto slot k of h
-            table = [[merge_signed(a, b) for a in rf] for b in rh]
-            for match in matchings:
-                sign = cf * ch
-                slots = []
-                for row, j in zip(table, match):
-                    s, merged = row[j]
-                    sign *= s
-                    slots.append(merged)
-                key = tuple(sorted(slots))
-                out[key] = out.get(key, 0) + sign
+            _sym_star_into(out, rf, rh, cf * ch)
     return SymElement(f.d + h.d, f.n, f.M, from_numerators(out, den * factorial(f.n)),
                       _validated=True)
 
 
+def _sym_shuffle_into(out: dict, kf: FactorTuple, kh: FactorTuple, c: int) -> None:
+    """Add c times the multiset concatenation of two symmetric monomials."""
+    key = tuple(sorted(kf + kh))
+    out[key] = out.get(key, 0) + c
+
+
 def sym_shuffle(f: SymElement, h: SymElement) -> SymElement:
     """Commutative multiset-concatenation product on symmetric elements."""
-    if f.d != h.d or f.M != h.M:
-        raise ValueError(f"shape mismatch: {f.bidegree} vs {h.bidegree}")
+    _check_shuffle_shapes(f, h)
     fnums, fden = to_numerators(f.terms)
     hnums, hden = to_numerators(h.terms)
     out: dict[FactorTuple, int] = {}
     for kf, cf in fnums.items():
         for kh, ch in hnums.items():
-            key = tuple(sorted(kf + kh))
-            out[key] = out.get(key, 0) + cf * ch
+            _sym_shuffle_into(out, kf, kh, cf * ch)
     return SymElement(f.d, f.n + h.n, f.M, from_numerators(out, fden * hden), _validated=True)
 
 
@@ -230,7 +275,9 @@ def invariant_shuffle(f: Element, h: Element, check: bool = True) -> Element:
         raise ValueError("invariant_shuffle requires slot-permutation-invariant inputs")
     fnums, fden = to_numerators(f.terms)
     hnums, hden = to_numerators(h.terms)
+    orders = _split_orders(f.n, h.n)
     out: dict[FactorTuple, int] = {}
-    for split in all_splits(f.n, h.n):
-        _shuffle_into(out, fnums, hnums, split)
+    for kf, cf in fnums.items():
+        for kh, ch in hnums.items():
+            _shuffle_into(out, kf, kh, cf * ch, orders)
     return Element(f.d, f.n + h.n, f.M, from_numerators(out, fden * hden), _validated=True)

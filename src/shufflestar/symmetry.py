@@ -6,10 +6,17 @@ slot orderings, and the comultiplication splits a monomial over all
 subsets of its slots.  Tensor-square elements are kept as sparse maps on
 canonical (left, right) key pairs so the compatibility identities can be
 checked by exact equality.
+
+The pair products check their shapes and injection once per call, before
+they read any term, and multiply the sub-monomial keys of each pair of
+terms with the per-term-pair routines of `products`, memoised for that
+call only: no one-term element is built per sub-monomial.  `pair_map`
+calls its element map through the same kind of per-call memo.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 from math import factorial, lcm
 from typing import Mapping
@@ -19,12 +26,22 @@ from .core import (
     FactorTuple,
     Rational,
     SymElement,
+    _check_factor,
     exact,
     from_numerators,
     is_sym_invariant,
     to_numerators,
 )
-from .products import IncFn, invariant_shuffle, star_product, sym_shuffle, sym_star
+from .products import (
+    IncFn,
+    _relabel,
+    _shuffle_into,
+    _split_orders,
+    _star_into,
+    _star_letters,
+    _sym_shuffle_into,
+    _sym_star_into,
+)
 
 __all__ = [
     "pi", "pi_prime", "to_invariant", "from_invariant", "delta_sym",
@@ -79,10 +96,10 @@ class PairElement:
     """Sparse element of a tensor square, keyed by (left, right) monomials.
 
     Both sides share the width d and multiplier M; the slot counts of the
-    two sides vary term by term (as they do for a comultiplication image).
-    ``symmetric`` selects whether the sides are symmetric monomials
-    (canonically sorted) or ordered tensor monomials.  Coefficients follow
-    the rule of `core`; `_validated` terms are trusted to.
+    two sides vary term by term (as they do for a comultiplication image)
+    and add up to total.  ``symmetric`` selects whether the sides are
+    symmetric monomials (canonically sorted) or ordered tensor monomials.
+    Coefficients follow the rule of `core`.
     """
 
     __slots__ = ("d", "M", "total", "symmetric", "terms")
@@ -90,15 +107,42 @@ class PairElement:
     def __init__(self, d: int, M: int, total: int, symmetric: bool,
                  terms: Mapping[tuple[FactorTuple, FactorTuple], Rational] | None = None,
                  _validated: bool = False):
+        """Keys are checked as `SymElement` checks its keys: every factor is a
+        strictly increasing d-subset of [1..M*d], and symmetric sides are
+        sorted.  `_validated` terms are adopted as they are: a fresh dict
+        with canonical keys and coefficients and no zero coefficient."""
+        if d.__class__ is not int or M.__class__ is not int or total.__class__ is not int \
+                or d < 0 or M < 0 or total < 0:
+            raise ValueError(f"bad pair shape: width {d!r}, multiplier {M!r}, total {total!r}")
         self.d = d
         self.M = M
         self.total = total
         self.symmetric = symmetric
-        self.terms: dict[tuple[FactorTuple, FactorTuple], Rational] = {}
+        if _validated and terms is not None:
+            self.terms = terms
+            return
+        tmap: dict[tuple[FactorTuple, FactorTuple], Rational] = {}
         if terms:
+            alphabet = M * d
             for key, coeff in terms.items():
-                if coeff:
-                    self.terms[key] = coeff if _validated else exact(coeff)
+                c = exact(coeff)
+                if not c:
+                    continue
+                if key.__class__ is not tuple or len(key) != 2:
+                    raise ValueError(f"pair key {key!r} is not a (left, right) pair")
+                left, right = (tuple(_check_factor(f, d, alphabet) for f in side) for side in key)
+                if len(left) + len(right) != total:
+                    raise ValueError(f"pair key {key!r} has {len(left)} + {len(right)} "
+                                     f"slots, expected {total}")
+                if symmetric:
+                    left, right = tuple(sorted(left)), tuple(sorted(right))
+                key = (left, right)
+                s = exact(tmap.get(key, 0) + c)
+                if s:
+                    tmap[key] = s
+                else:
+                    del tmap[key]
+        self.terms = tmap
 
     def __eq__(self, other):
         return (isinstance(other, PairElement) and self.d == other.d
@@ -239,33 +283,23 @@ class _PairSums:
                            _validated=True)
 
 
-def _monomial_results(fn, cls, *widths):
-    """fn on monomials with coefficient 1, as (numerators, denominator), memoised.
-
-    Called with one key per width; a result that is None or zero gives None,
-    which only `pair_map`'s arbitrary fn can give (see `products`).
-    """
-    memo: dict = {}
-    missing = object()
-
-    def result(*keys):
-        got = memo.get(keys, missing)
-        if got is missing:
-            res = fn(*(cls(w, len(k), M, {k: 1}, _validated=True)
-                       for (w, M), k in zip(widths, keys)))
-            got = memo[keys] = to_numerators(res.terms) if res else None
-        return got
-
-    return result
-
-
 def pair_star_invariant(x: PairElement, y: PairElement, g: IncFn) -> PairElement:
-    """Componentwise star product on tensor-square elements (invariant side)."""
+    """Componentwise star product on tensor-square elements (invariant side).
+
+    Each pair of sub-monomials is relabelled and merged slot by slot, with
+    one table of factor merges for the whole call.
+    """
     if x.symmetric or y.symmetric:
         raise ValueError("pair_star_invariant acts on tensor pair elements")
+    fletters, hletters = _pair_star_letters(x, y, g)
+    merges: dict = {}
 
-    return _pair_product(x, y, lambda a, b: star_product(a, b, g), d_out=x.d + y.d,
-                         total=x.total, slot_matched=True)
+    def side(a, b):
+        out: dict = {}
+        _star_into(out, _relabel(a, fletters), _relabel(b, hletters), 1, merges)
+        return out, 1
+
+    return _pair_product(x, y, side, d_out=x.d + y.d, total=x.total, slot_matched=True)
 
 
 def pair_shuffle_invariant(x: PairElement, y: PairElement) -> PairElement:
@@ -274,22 +308,40 @@ def pair_shuffle_invariant(x: PairElement, y: PairElement) -> PairElement:
         raise ValueError("pair_shuffle_invariant acts on tensor pair elements")
     if x.d != y.d:
         raise ValueError("width mismatch")
-    return _pair_product(x, y, lambda a, b: invariant_shuffle(a, b, check=False),
-                         d_out=x.d, total=x.total + y.total)
+
+    def side(a, b):
+        out: dict = {}
+        _shuffle_into(out, a, b, 1, _split_orders(len(a), len(b)))
+        return out, 1
+
+    return _pair_product(x, y, side, d_out=x.d, total=x.total + y.total)
 
 
-def _pair_product(x: PairElement, y: PairElement, op, d_out: int, total: int,
+def _pair_star_letters(x: PairElement, y: PairElement, g: IncFn):
+    """`products._star_letters` for a pair star product, checked before any term is read.
+
+    Only components with equal slot counts multiply, so unequal totals
+    are refused like the unequal slot counts of an element star product.
+    """
+    if x.M != y.M or x.total != y.total:
+        raise ValueError(f"shape mismatch: pair totals {x.total} vs {y.total} "
+                         f"at multipliers {x.M} and {y.M}")
+    return _star_letters(x.M, x.d, y.d, g)
+
+
+def _pair_product(x: PairElement, y: PairElement, product, d_out: int, total: int,
                   slot_matched: bool = False) -> PairElement:
-    """The componentwise product op on both sides of every pair of terms.
+    """The componentwise product on both sides of every pair of terms.
 
-    With slot_matched, op is zero unless its two inputs have the same slot
-    count, so each term of x meets only the terms of y whose left and right
-    sides have the slot counts of its own.
+    product(a, b) gives the product of two sub-monomial keys with
+    coefficient 1, as (integer numerators, denominator); it is memoised for
+    this call only.  With slot_matched the product is zero unless its two
+    inputs have the same slot count, so each term of x meets only the terms
+    of y whose left and right sides have the slot counts of its own.
     """
     if x.M != y.M or x.symmetric != y.symmetric:
         raise ValueError("pair element shape mismatch")
-    cls = SymElement if x.symmetric else Element
-    side = _monomial_results(op, cls, (x.d, x.M), (y.d, y.M))
+    side = cache(product)
     xnums, xden = to_numerators(x.terms)
     ynums, yden = to_numerators(y.terms)
     partners: dict = {}
@@ -307,13 +359,20 @@ def _pair_product(x: PairElement, y: PairElement, op, d_out: int, total: int,
 def pair_star(x: PairElement, y: PairElement, g: IncFn) -> PairElement:
     """Componentwise star product of two tensor-square elements.
 
-    Components whose slot counts do not match multiply to zero.
+    Components whose slot counts do not match multiply to zero.  Each pair
+    of sub-monomials is relabelled and multiplied by `sym_star`'s routine,
+    over the n! of its slot count.
     """
     if not (x.symmetric and y.symmetric):
         raise ValueError("pair_star is defined on symmetric pair elements")
+    fletters, hletters = _pair_star_letters(x, y, g)
 
-    return _pair_product(x, y, lambda a, b: sym_star(a, b, g), d_out=x.d + y.d,
-                         total=x.total, slot_matched=True)
+    def side(a, b):
+        out: dict = {}
+        _sym_star_into(out, _relabel(a, fletters), _relabel(b, hletters), 1)
+        return out, factorial(len(a))
+
+    return _pair_product(x, y, side, d_out=x.d + y.d, total=x.total, slot_matched=True)
 
 
 def pair_shuffle(x: PairElement, y: PairElement) -> PairElement:
@@ -322,17 +381,29 @@ def pair_shuffle(x: PairElement, y: PairElement) -> PairElement:
         raise ValueError("pair_shuffle is defined on symmetric pair elements")
     if x.d != y.d:
         raise ValueError("width mismatch")
-    return _pair_product(x, y, sym_shuffle, d_out=x.d, total=x.total + y.total)
+
+    def side(a, b):
+        out: dict = {}
+        _sym_shuffle_into(out, a, b, 1)
+        return out, 1
+
+    return _pair_product(x, y, side, d_out=x.d, total=x.total + y.total)
 
 
 def pair_map(x: PairElement, fn, symmetric_out: bool) -> PairElement:
     """Apply an element map to both sides of every term (e.g. symmetrization).
 
-    The keys of fn's results are used as they are, so with symmetric_out
-    fn must return symmetric elements.
+    fn is called once per distinct side, on that monomial with coefficient
+    1.  The keys of fn's results are used as they are, so with
+    symmetric_out fn must return symmetric elements.
     """
     cls = SymElement if x.symmetric else Element
-    side = _monomial_results(fn, cls, (x.d, x.M))
+
+    @cache
+    def side(k):
+        res = fn(cls(x.d, len(k), x.M, {k: 1}, _validated=True))
+        return to_numerators(res.terms) if res else None
+
     nums, den = to_numerators(x.terms)
     sums = _PairSums()
     for (lk, rk), c in nums.items():

@@ -392,13 +392,107 @@ def test_pair_products_match_reference(seed):
         assert_same(pair_map(dy, to_invariant, symmetric_out=False), ref)
 
 
+def _repeating(cls, rng, d, n, M, terms=2):
+    """An element whose keys draw their factors from two, so factors repeat."""
+    factors = [tuple(sorted(rng.sample(range(1, M * d + 1), d))) for _ in range(2)]
+    return cls(d, n, M, {tuple(rng.choice(factors) for _ in range(n)): _coeff(rng)
+                         for _ in range(terms)})
+
+
+@pytest.mark.parametrize("M, d, e", [(1, 2, 2), (2, 1, 2), (2, 2, 1), (3, 1, 1), (3, 2, 2)])
+def test_pair_products_at_four_slots_with_repeated_factors_match_reference(M, d, e):
+    # the algebra benchmark's largest shapes: x has 4 slots, and its
+    # comultiplication meets the same sub-monomial in many components
+    rng = random.Random(100 * M + 10 * d + e)
+    n, m = 4, 2
+    g = _incfn(rng, M * d, M * (d + e))
+    dx = delta_sym(_repeating(SymElement, rng, d, n, M))
+    dw = delta_sym(_repeating(SymElement, rng, e, n, M))
+    assert_same(pair_star(dx, dw, g), ref_pair_product(dx.terms, dw.terms, lambda a, b: (
+        ref_sym_star({a: 1}, {b: 1}, len(a), g) if len(a) == len(b) else None)))
+    dy = delta_sym(_repeating(SymElement, rng, d, n, M))
+    dv = delta_sym(_repeating(SymElement, rng, d, m, M))
+    assert_same(pair_shuffle(dy, dv), ref_pair_product(
+        dy.terms, dv.terms, lambda a, b: ref_sym_shuffle({a: 1}, {b: 1})))
+    xi = delta_invariant(pi(_repeating(Element, rng, d, n, M)))
+    wi = delta_invariant(pi(_repeating(Element, rng, e, n, M)))
+    assert_same(pair_star_invariant(xi, wi, g), ref_pair_product(xi.terms, wi.terms, lambda a, b: (
+        ref_star({a: 1}, {b: 1}, len(a), g) if len(a) == len(b) else None)))
+    yi = delta_invariant(pi(_repeating(Element, rng, d, n, M)))
+    vi = delta_invariant(pi(_repeating(Element, rng, d, m, M)))
+    assert_same(pair_shuffle_invariant(yi, vi), ref_pair_product(
+        yi.terms, vi.terms, lambda a, b: ref_invariant_shuffle({a: 1}, {b: 1}, len(a), len(b))))
+    assert_same(pair_map(dy, to_invariant, symmetric_out=False),
+                ref_pair_map(dy.terms, lambda k: ref_pi({k: 1}, len(k))))
+
+
+def test_pair_star_multiplies_keys_without_an_element_per_sub_monomial(monkeypatch):
+    # the work-count guard of the pair products: one complement per call,
+    # and no one-term element built for a pair of sub-monomials
+    rng = random.Random(7)
+    M, d, e, n = 2, 2, 1, 4
+    facs = [(1, 2), (1, 3), (2, 4), (3, 4)]
+    x = SymElement(d, n, M, {tuple(rng.choice(facs) for _ in range(n)): 1 for _ in range(2)})
+    w = SymElement(e, n, M, {tuple(rng.choice([(1,), (2,)]) for _ in range(n)): 1
+                             for _ in range(2)})
+    dx, dw = delta_sym(x), delta_sym(w)
+    g = IncFn(M * d, M * (d + e), (1, 2, 4, 5))
+    counts = {"SymElement": 0, "complement": 0}
+    init, complement = SymElement.__init__, IncFn.complement
+
+    def counting_init(self, *args, **kwargs):
+        counts["SymElement"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_complement(self):
+        counts["complement"] += 1
+        return complement(self)
+
+    monkeypatch.setattr(SymElement, "__init__", counting_init)
+    monkeypatch.setattr(IncFn, "complement", counting_complement)
+    got = pair_star(dx, dw, g)
+    assert counts == {"SymElement": 0, "complement": 1}
+    monkeypatch.undo()
+    assert_same(got, ref_pair_product(dx.terms, dw.terms, lambda a, b: (
+        ref_sym_star({a: 1}, {b: 1}, len(a), g) if len(a) == len(b) else None)))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_pair_star_checks_its_injection_and_totals_before_any_term(symmetric):
+    # x has two slots and w1 one, both of width 1 at M = 2: no slot-matched
+    # components meet, so a late check would return an empty element
+    if symmetric:
+        mono, comult, product, element_product = sym_monomial, delta_sym, pair_star, sym_star
+    else:
+        mono, product, element_product = monomial, pair_star_invariant, star_product
+
+        def comult(f):
+            return delta_invariant(pi(f))
+    two, one = mono(1, 2, 2, [(1,), (2,)]), mono(1, 1, 2, [(2,)])
+    x, w1, w2 = comult(two), comult(one), comult(mono(1, 2, 2, [(2,), (2,)]))
+    fits, too_wide = IncFn(2, 4, (1, 3)), IncFn(3, 7, (1, 2, 5))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        element_product(two, one, fits)
+    for w, g in [(w1, fits), (w1, too_wide), (w2, too_wide)]:
+        with pytest.raises(ValueError):
+            product(x, w, g)
+        with pytest.raises(ValueError):
+            product(x, PairElement(1, 2, w.total, symmetric), g)
+    # the two totals alone, and the injection alone
+    with pytest.raises(ValueError, match="shape mismatch"):
+        product(x, w1, fits)
+    with pytest.raises(ValueError, match="does not fit"):
+        product(x, w2, too_wide)
+    assert product(x, w2, fits).terms
+
+
 def test_pair_star_of_components_with_no_matching_slot_counts_is_zero():
     # x's left sides hold 0 or 2 slots, y's hold 1: no component pair matches
-    a, b = ((1,), (2,)), ((1,), (3,))
+    a, b = ((1,), (2,)), ((2,), (2,))
     xs = PairElement(1, 2, 2, True, {(a, ()): Fraction(1, 2), ((), b): 3})
     ys = PairElement(1, 2, 2, True, {(((1,),), ((2,),)): Fraction(2, 3)})
-    xt = PairElement(1, 2, 2, False, {(a, ()): Fraction(1, 2), ((), b[::-1]): 3})
-    yt = PairElement(1, 2, 2, False, {(((1,),), ((4,),)): Fraction(2, 3)})
+    xt = PairElement(1, 2, 2, False, {(b, ()): Fraction(1, 2), ((), a[::-1]): 3})
+    yt = PairElement(1, 2, 2, False, {(((1,),), ((1,),)): Fraction(2, 3)})
     g = IncFn(2, 4, (1, 3))
     for got in (pair_star(xs, ys, g), pair_star(ys, xs, g)):
         assert got.terms == ref_pair_product(xs.terms, ys.terms, lambda a, b: (

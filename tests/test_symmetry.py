@@ -153,6 +153,31 @@ def test_pair_element_eq():
     assert a == b and a != PairElement(2, 2, 1, False, dict(a.terms))
 
 
+@pytest.mark.parametrize("key, total", [
+    ((((0, 1),), ((1, 2),)), 2),          # index 0
+    ((((1, 2),), ((3, 5),)), 2),          # an index above M*d = 4
+    ((((2, 1),), ((1, 2),)), 2),          # an unsorted factor
+    ((((1, 2, 3),), ((1, 2),)), 2),       # a factor of the wrong width
+    ((((1, 2),), ((1, 2),)), 3),          # 1 + 1 slots against a total of 3
+    ((((1, 2),),), 1),                    # not a (left, right) pair
+])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_pair_element_checks_its_keys(key, total, symmetric):
+    with pytest.raises(ValueError):
+        PairElement(2, 2, total, symmetric, {key: 1})
+
+
+def test_pair_element_sorts_symmetric_sides():
+    unsorted = (((3, 4), (1, 2)), ((2, 4),))
+    key = (((1, 2), (3, 4)), ((2, 4),))
+    assert PairElement(2, 2, 3, True, {unsorted: Fraction(1, 2), key: Fraction(1, 2)}).terms \
+        == {key: 1}
+    assert PairElement(2, 2, 3, True, {unsorted: 1, key: -1}).terms == {}
+    assert PairElement(2, 2, 3, False, {unsorted: 2}).terms == {unsorted: 2}
+    with pytest.raises(ValueError):
+        PairElement(2, 2.0, 3, True, {key: 1})
+
+
 def test_pair_element_swap_is_an_involution():
     f = sym_monomial(2, 3, 2, [(1, 2), (1, 2), (3, 4)])
     g = to_invariant(monomial(1, 2, 2, [(1,), (2,)]))

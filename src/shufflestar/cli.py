@@ -225,11 +225,6 @@ def cmd_verify(args) -> dict:
 
 # ---------------------------------------------------------------------------
 
-_COMMON_DEFAULTS = {
-    "seed": 0, "samples": 0, "cache_dir": None, "jobs": 1,
-    "max_coeff_bits": 0, "timings": False, "out": None,
-}
-
 # the commands whose --timings report splits their wall time by stage
 # (`stages`): block climbs, join kernels, component assembly, report and
 # other
@@ -258,32 +253,31 @@ def _check_out(args) -> None:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    # accepted both before and after the subcommand
-    s = argparse.SUPPRESS
-    p.add_argument("--seed", type=int, default=s, help="root seed for sampled computations")
-    p.add_argument("--samples", type=int, default=s, help="first-round evaluation points of the oracle, shared by the "
+    # the options every subcommand shares, given after its name
+    p.add_argument("--seed", type=int, default=0, help="root seed for sampled computations")
+    p.add_argument("--samples", type=int, default=0, help="first-round evaluation points of the oracle, shared by the "
                         "dominant weight blocks it solves (0 = largest block + 24)")
-    p.add_argument("--cache-dir", default=s, help="component cache directory (env PSA_CACHE_DIR)")
-    p.add_argument("--jobs", type=int, default=s, help="worker processes for independent tasks")
-    p.add_argument("--max-coeff-bits", type=int, default=s,
+    p.add_argument("--cache-dir", help="component cache directory (env PSA_CACHE_DIR)")
+    p.add_argument("--jobs", type=int, default=1, help="worker processes for independent tasks")
+    p.add_argument("--max-coeff-bits", type=int, default=0,
                    help="abort when eliminations exceed this many bits per coefficient")
-    p.add_argument("--timings", action="store_true", default=s,
+    p.add_argument("--timings", action="store_true",
                    help="include timings in reports (breaks byte-for-byte determinism)")
-    p.add_argument("--out", default=s, help="write the JSON report to a file instead of stdout")
+    p.add_argument("--out", help="write the JSON report to a file instead of stdout")
 
 
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The `psa` parser, built once per process and shared by every `main` call.
 
-    Each `parse_args` fills a fresh namespace, and the common options
-    default to SUPPRESS, so nothing one call parses reaches the next.
+    Each `parse_args` fills a fresh namespace from the defaults, so nothing
+    one call parses reaches the next.  The options every command shares
+    (`_add_common`) follow the subcommand's name.
     """
     parser = argparse.ArgumentParser(
         prog="psa",
         description="Exact computations in the bigraded shuffle/star algebra "
                     "and for secant ideals of minor-coordinate embeddings.")
-    _add_common(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("star", help="star product of two elements")
@@ -366,9 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    for key, default in _COMMON_DEFAULTS.items():
-        if not hasattr(args, key):
-            setattr(args, key, default)
     if args.cache_dir is None:
         args.cache_dir = os.environ.get("PSA_CACHE_DIR")
     t0 = time.perf_counter()

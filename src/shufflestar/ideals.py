@@ -109,7 +109,7 @@ from .core import (
     wire_dict,
 )
 from .linalg import NotReducedError, SparseRREF
-from .products import star_incfns, sym_shuffle, sym_star
+from .products import _relabel, _star_letters, _sym_star_into, star_incfns, sym_shuffle, sym_star
 from .stages import CLIMBS
 from .weights import FactorTable, Weight, act, sn_generators, weight
 
@@ -544,24 +544,39 @@ class DiIdeal:
         Scaling keeps the span, and it keeps elimination on these rows in
         ints: a star product carries the 1/n! of `sym_star`.  A generator of
         width d is its own star row: its one star product, with the width-0
-        unit along the identity, is f itself.
+        unit along the identity, is f itself.  Each injection's letter tables
+        are built once per call; `products._sym_star_into` sums n! times each
+        product on monomial keys, which has the same primitive vector.
         """
         M = self.M
+
+        def primitive(nums):
+            common = gcd(*nums.values())
+            return SymElement(d, n, M, {k: v // common for k, v in nums.items() if v},
+                              _validated=True)
+
+        # per width of f, per injection: f's letters and the relabelled raising monomials
+        tables: dict[int, list] = {}
         for f in self.generators:
             if f.n != n or f.d > d:
                 continue
+            fnums, _ = to_numerators(f.terms)
             ext = d - f.d
-            if ext:
-                prods = (sym_star(f, SymElement(ext, n, M, {akey: 1}, _validated=True), g)
-                         for g in star_incfns(f.d, ext, M)
-                         for akey in iter_sym_keys(ext, n, M))
-            else:
-                prods = (f,)
-            for prod in prods:
-                nums, _ = to_numerators(prod.terms)
-                common = gcd(*nums.values())
-                yield SymElement(d, n, M, {k: v // common for k, v in nums.items()},
-                                 _validated=True)
+            if not ext:
+                yield primitive(fnums)
+                continue
+            if f.d not in tables:
+                akeys = list(iter_sym_keys(ext, n, M))
+                tables[f.d] = [(fletters, [_relabel(a, hletters) for a in akeys])
+                               for g in star_incfns(f.d, ext, M)
+                               for fletters, hletters in [_star_letters(M, f.d, ext, g)]]
+            for fletters, relabelled in tables[f.d]:
+                fready = [(_relabel(kf, fletters), cf) for kf, cf in fnums.items()]
+                for rh in relabelled:
+                    nums: dict[FactorTuple, int] = {}
+                    for rf, cf in fready:
+                        _sym_star_into(nums, rf, rh, cf)
+                    yield primitive(nums)
 
     def permutation_stable(self, d: int, n: int) -> bool:
         """Certificate that every component (d, k), k <= n, is graded and S_N-stable.

@@ -52,6 +52,7 @@ whose mod-p kernels run on packed Python ints, on first use.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -66,6 +67,7 @@ from .core import (
     IncFn,
     Rational,
     SymElement,
+    int_tuple,
     merge_signed,
     sym_monomial,
     to_numerators,
@@ -105,6 +107,8 @@ class GrassmannConfig:
     r: int = 0
 
     def __post_init__(self):
+        # a float, a string or a bool is refused, as in `core.int_tuple`
+        int_tuple((self.d, self.r) if self.N is None else (self.d, self.N, self.r))
         if self.N is None:
             self.N = self.d * (self.r + 2)
         if not 1 <= self.d <= self.N:
@@ -483,7 +487,7 @@ def evaluation_kernel(cfg: GrassmannConfig, n: int, samples: Optional[int] = Non
 
 def pfaffian(indices: Sequence[int], N: int) -> SymElement:
     """Sub-Pfaffian of the generic skew matrix on the given even index set."""
-    idx = tuple(sorted(int(i) for i in indices))
+    idx = tuple(sorted(int_tuple(indices)))
     if len(idx) % 2 != 0:
         raise ValueError("Pfaffian needs an even index set")
     if len(set(idx)) != len(idx):
@@ -603,8 +607,9 @@ class _ConditionTables(dict):
     are shared by every summand and block that reads that ideal at that
     degree, and read once each.  When i = n - i, a sub-monomial has one
     normal form per side unless the two sides are one reader, as in the
-    balanced summand of a self-join.  The tables themselves are this
-    summand's: build one per summand's solve, and let it go with it.
+    balanced summand of a self-join.  A table keeps its cancelled entries
+    (`_join_kernel` drops them once, from its summed condition rows).  The
+    tables are this summand's: build one per solve, and let it go with it.
     """
 
     __slots__ = ("QL", "QR", "monomials", "splits")
@@ -621,32 +626,13 @@ class _ConditionTables(dict):
     def __missing__(self, col: int) -> dict[tuple[int, int], Rational]:
         get = self.monomials[col].__getitem__
         QL, QR = self.QL, self.QR
-        table: dict[tuple[int, int], Rational] = {}
+        table = self[col] = {}
         for pos, rest in self.splits:
             rnf = QR[tuple(map(get, rest))]
             for lc, lv in QL[tuple(map(get, pos))]:
                 for rc, rv in rnf:
                     table[(lc, rc)] = table.get((lc, rc), 0) + lv * rv
-        table = self[col] = {k: v for k, v in table.items() if v}
         return table
-
-
-def _condition_coords(tables: _ConditionTables,
-                      row: Mapping[int, Rational]) -> dict[tuple[int, int], Rational]:
-    """Quotient coordinates modulo QL and QR of the i-th comultiplication
-    summand of a row, for the QL, QR, i and column monomials of `tables`.
-
-    They are linear in the row: the sum of its columns' tables, scaled by
-    its coefficients.  Each column's table is computed once per
-    `_ConditionTables`, that is once per summand of one `_join_kernel`
-    call, and kept no longer; the normal forms it is computed from are
-    read once per input ideal and degree, and kept with the ideal.
-    """
-    out: dict[tuple[int, int], Rational] = {}
-    for col, coeff in row.items():
-        for k, v in tables[col].items():
-            out[k] = out.get(k, 0) + coeff * v
-    return {k: v for k, v in out.items() if v}
 
 
 def exact_join_component(join: JoinIdeal, d: int, n: int) -> ComponentBasis:
@@ -682,11 +668,13 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis) -> list[dict[int, Rati
     I's block at each monomial's weight when I is certified and I's whole
     component otherwise.  The summands are solved one after the
     other, in increasing |n - 2i|: the balanced split, which cuts the most
-    for the least work, first, and membership in I last.  Each summand's
-    conditions on the rows left so far go into one `linalg.kernel_basis`,
-    which stops at full rank; its kernel recombines those rows, and the
-    next summand reads only the combinations.  The rows returned span the
-    kernel but are not reduced.
+    for the least work, first, and membership in I last.  A summand has
+    one condition row per (left, right) column pair, whose entry t sums the
+    column tables of the t-th row left so far, scaled by its coefficients;
+    the rows, with their cancelled entries dropped, go into one
+    `linalg.kernel_basis`, which stops at full rank.  Its kernel recombines
+    the rows left, and the next summand reads only the combinations.  The
+    rows returned span the kernel but are not reduced.
     """
     with JOIN_KERNELS:
         rows = V.basis.basis_rows()
@@ -700,11 +688,16 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis) -> list[dict[int, Rati
                 break
             tables = _ConditionTables(I.quotient_reader(d, i), J.quotient_reader(d, n - i),
                                       i, V.monomials)
-            rows_map: dict[tuple[int, int], dict[int, Rational]] = {}
+            conditions: dict[tuple[int, int], dict[int, Rational]] = defaultdict(dict)
             for t, row in enumerate(rows):
-                for key, val in _condition_coords(tables, row).items():
-                    rows_map.setdefault(key, {})[t] = val
-            rows = recombine(kernel_basis(map(rows_map.__getitem__, sorted(rows_map)), nv), rows)
+                for col, coeff in row.items():
+                    for key, v in tables[col].items():
+                        cond = conditions[key]
+                        cond[t] = cond.get(t, 0) + coeff * v
+            # the one place cancelled entries are dropped; no empty row is added
+            nonzero = ({t: v for t, v in conditions[key].items() if v}
+                       for key in sorted(conditions))
+            rows = recombine(kernel_basis(filter(None, nonzero), nv), rows)
     return rows
 
 
@@ -777,7 +770,7 @@ class JoinIdeal:
 
 def secant_ideal(I, r: int):
     """The r-th iterated join; r = 0 is the ideal itself."""
-    if r < 0:
+    if int_tuple((r,))[0] < 0:
         raise ValueError("secant index must be >= 0")
     out = I
     for _ in range(r):

@@ -339,9 +339,17 @@ def test_certified_join_reads_and_writes_no_cache_file(tmp_path):
 
 def test_timings_flag(tmp_path):
     out = tmp_path / "r.json"
-    code, rep = _run(["--timings", "verify", "--only", "gamma"], out)
+    code, rep = _run(["verify", "--only", "gamma", "--timings"], out)
     assert code == 0
     assert "seconds" in rep and "stage_seconds" not in rep
+
+
+def test_shared_options_before_the_subcommand_are_usage_errors(capsys):
+    # each shared option has one spelling: after the subcommand's name
+    with pytest.raises(SystemExit) as exc:
+        main(["--timings", "verify", "--only", "gamma"])
+    assert exc.value.code == 2
+    assert "usage: psa" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [
@@ -423,7 +431,7 @@ def test_shared_parser_leaks_no_option_between_calls(tmp_path):
     code, rep = _run([*args, "--oracle"], out)
     assert code == 0 and rep["config"]["seed"] == 0 and rep["config"]["samples"] == 0
     assert rep["config"]["oracle"] is True
-    code, rep = _run(["--cache-dir", str(cache), *args], out)
+    code, rep = _run([*args, "--cache-dir", str(cache)], out)
     assert code == 0 and rep["config"]["cache_dir"] == str(cache)
     code, rep = _run(args, out)
     assert code == 0 and "cache_dir" not in rep["config"]

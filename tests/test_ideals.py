@@ -175,6 +175,44 @@ def test_star_rows_are_primitive_integer_vectors(ideal, d, n):
         assert gcd(*row.terms.values()) == 1
 
 
+def _reference_star_rows(I, d, n):
+    """The star rows through the public `sym_star`, one element product per
+    (injection, monomial) pair, each scaled to a primitive integer vector."""
+    M = I.M
+    for f in I.generators:
+        if f.n != n or f.d > d:
+            continue
+        ext = d - f.d
+        prods = [sym_star(f, SymElement(ext, n, M, {akey: 1}), g)
+                 for g in star_incfns(f.d, ext, M) for akey in iter_sym_keys(ext, n, M)]
+        for prod in prods if ext else [f]:
+            nums, _ = to_numerators(prod.terms)
+            common = gcd(*nums.values())
+            yield SymElement(d, n, M, {k: v // common for k, v in nums.items()})
+
+
+@pytest.mark.parametrize("ideal,d,n", [
+    (lambda: plucker_ideal(3, 3), 3, 2),
+    (_fraction_ideal, 2, 3),
+    (lambda: DiIdeal(2, [g.scale(6) for g in plucker_ideal(2, 3).generators]), 3, 2),
+], ids=["gr39-3-2", "fractions-2-3", "common-factor-3-2"])
+def test_star_rows_equal_the_element_star_products_in_order(ideal, d, n):
+    I = ideal()
+    assert list(I._star_rows(d, n)) == list(_reference_star_rows(I, d, n))
+
+
+def test_star_rows_build_each_injections_letters_once(monkeypatch):
+    # 84 injections [6] -> [9]; one `sym_star` per (injection, monomial)
+    # pair took the complement 7,560 times here
+    from shufflestar import core
+    calls = []
+    complement = core.IncFn.complement
+    monkeypatch.setattr(core.IncFn, "complement",
+                        lambda self: calls.append(1) or complement(self))
+    assert len(list(plucker_ideal(3, 3)._star_rows(3, 2))) == 8610
+    assert len(calls) == 84
+
+
 def _random_generators(seed, d, n, M, count):
     rng = random.Random(seed)
     keys = list(iter_sym_keys(d, n, M))

@@ -246,6 +246,10 @@ def test_pfaffian():
     assert pfaffian((2, 5), 6).terms == {((2, 5),): Fraction(1)}
     with pytest.raises(ValueError):
         pfaffian((1, 2, 3), 6)
+    # int() would truncate both to the indices of x12
+    for indices in ([1.5, 2.9], [True, 2]):
+        with pytest.raises(ValueError, match="not an integer"):
+            pfaffian(indices, 4)
 
 
 def test_join_and_secant_reject_bad_input():
@@ -253,6 +257,10 @@ def test_join_and_secant_reject_bad_input():
         JoinIdeal(plucker_ideal(2, 2), plucker_ideal(3, 2))
     with pytest.raises(ValueError, match="secant index"):
         secant_ideal(plucker_ideal(2, 2), -1)
+    # range(1.0) would raise TypeError, and True would build one join
+    for bad in (1.0, True):
+        with pytest.raises(ValueError, match="not an integer"):
+            secant_ideal(plucker_ideal(2, 2), bad)
 
 
 def test_oracle_small_cases():
@@ -634,6 +642,11 @@ def test_config_defaults():
     with pytest.raises(AttributeError):
         cfg.M = 4
     assert [f.name for f in fields(GrassmannConfig)] == ["d", "N", "r"]
+    # a float N failed later inside the probe or the oracle, and d = True ran as d = 1
+    for kwargs in ({"d": 2, "N": 6.0}, {"d": 2.0, "N": 6}, {"d": 2.0}, {"d": True, "N": 4},
+                   {"d": 2, "N": 6, "r": 1.0}, {"d": 2, "r": True}):
+        with pytest.raises(ValueError, match="not an integer"):
+            GrassmannConfig(**kwargs)
 
 
 def test_plucker_ideal_certifies_and_a_monomial_ideal_does_not(tmp_path):
@@ -753,6 +766,13 @@ def test_certified_secant_counts_its_eliminations(tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
     assert json.loads(out.read_text())["result"]["dimension"] == 120
     assert len(calls) == 1765
+    # r = 2: the two join inputs differ, and the membership summand runs
+    plucker_ideal(4, 2)
+    calls.clear()
+    assert main(["secant", "--d", "2", "--N", "8", "--r", "2", "--degree", "5",
+                 "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["result"]["dimension"] == 28
+    assert len(calls) == 11505
 
 
 def _reference_delta_parts(f, i):
@@ -789,6 +809,16 @@ def _reference_condition_coords(QL, QR, i, f):
     return out
 
 
+def _summed_tables(tables, row):
+    """The condition coordinates of one row: the sum of its columns' tables,
+    scaled by its coefficients, with cancelled entries dropped."""
+    out = {}
+    for col, coeff in row.items():
+        for k, v in tables[col].items():
+            out[k] = out.get(k, 0) + coeff * v
+    return {k: v for k, v in out.items() if v}
+
+
 def test_one_monomial_normal_form_is_read_from_its_column():
     from shufflestar.ideals import _normal_form
     comp = plucker_ideal(3, 2).component(2, 3)
@@ -805,7 +835,7 @@ def test_one_monomial_normal_form_is_read_from_its_column():
     (4, 2, 4, (1, 2, 3, 4)),
 ])
 def test_condition_tables_equal_the_row_by_row_reduction(M, r, n, summands):
-    from shufflestar.plucker import _ConditionTables, _condition_coords
+    from shufflestar.plucker import _ConditionTables
     P = plucker_ideal(M, 2)
     join = JoinIdeal(P, secant_ideal(P, r - 1))
     quotients = set()
@@ -823,7 +853,7 @@ def test_condition_tables_equal_the_row_by_row_reduction(M, r, n, summands):
                                       join.J.quotient_reader(2, n - i), i, V.monomials)
             # J's block rows, the rows the join kernel solves over
             for row, f in zip(V.basis.basis_rows(), V.basis_elements()):
-                assert (_condition_coords(tables, row)
+                assert (_summed_tables(tables, row)
                         == _reference_condition_coords(QL, QR, i, f))
     assert quotients == set(summands)
 
@@ -833,7 +863,7 @@ def test_condition_tables_on_repeated_factors_equal_the_row_by_row_reduction():
     # the quadric modulo QL = I_(2,2) but standard modulo QR = J_(2,2) = 0,
     # so its left and right normal forms differ
     from shufflestar.ideals import monomial_space
-    from shufflestar.plucker import _ConditionTables, _condition_coords
+    from shufflestar.plucker import _ConditionTables
     P = plucker_ideal(4, 2)
     J = JoinIdeal(P, P)
     monomials, index = monomial_space(2, 4, 4)
@@ -847,7 +877,7 @@ def test_condition_tables_on_repeated_factors_equal_the_row_by_row_reduction():
         tables = _ConditionTables(P.quotient_reader(2, i), J.quotient_reader(2, 4 - i),
                                   i, monomials)
         for key in keys:
-            assert (_condition_coords(tables, {index[key]: 1})
+            assert (_summed_tables(tables, {index[key]: 1})
                     == _reference_condition_coords(QL, QR, i, SymElement(2, 4, 4, {key: 1})))
 
 
@@ -931,7 +961,7 @@ def _reference_join_kernel(I, J, d, n, V, top, summands=None):
     once at the end.  The solver before the summand chain, kept as an
     independent reference."""
     from shufflestar.linalg import SparseRREF, recombine, sparse_rref_kernel
-    from shufflestar.plucker import _ConditionTables, _condition_coords
+    from shufflestar.plucker import _ConditionTables
     rows = V.basis.basis_rows()
     nv = len(rows)
     if not nv:
@@ -947,7 +977,7 @@ def _reference_join_kernel(I, J, d, n, V, top, summands=None):
         tables = _ConditionTables(_ReducedForms(QL), _ReducedForms(QR), i, V.monomials)
         rows_map = {}
         for t, row in enumerate(rows):
-            for key, val in _condition_coords(tables, row).items():
+            for key, val in _summed_tables(tables, row).items():
                 rows_map.setdefault(key, {})[t] = val
         for key in sorted(rows_map):
             if acc.add(rows_map[key]) and acc.rank == nv:

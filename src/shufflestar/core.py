@@ -22,6 +22,18 @@ as the tuples they are, so a report writer needs no element and no list per
 factor: `ideals.ComponentBasis.wire_rows` feeds it a component's canonical
 rows directly.  `element_to_dict` gives the same dict with lists, and
 `element_from_dict` reads either back.
+
+Wedge factors validated from outside input are pooled.  There are only
+C(M*d, d) distinct factors of width d, so `_check_factor` hands back one
+shared tuple per factor value instead of the caller's copy: every
+`TensorMonomial`, every `Element`, `SymElement` and `symmetry.PairElement`
+built from unvalidated terms, and every element `element_from_dict` reads
+holds the pooled tuple.  Validation runs first, on the caller's own value:
+`(True, 2)` and `(1.0, 2.0)` hash equal to `(1, 2)`, so a lookup before the
+type check would let them in under the pooled int tuple.  The pool keeps one
+entry per distinct factor validated in the process, at most the sum of
+C(alphabet, width) over the shapes in use.  Keys the library builds itself
+(`_validated=True`) skip `_check_factor` and the pool.
 """
 
 from __future__ import annotations
@@ -106,7 +118,12 @@ def int_tuple(values: Iterable[int]) -> tuple[int, ...]:
     return t
 
 
+# every validated factor, mapped to itself: the one tuple shared per value
+_FACTORS: dict[Factor, Factor] = {}
+
+
 def _check_factor(factor: Iterable[int], width: int, alphabet: int) -> Factor:
+    """factor as the pooled tuple, once it is checked as a width-subset of [1..alphabet]."""
     f = int_tuple(factor)
     if len(f) != width:
         raise ValueError(f"factor {f} has width {len(f)}, expected {width}")
@@ -115,10 +132,10 @@ def _check_factor(factor: Iterable[int], width: int, alphabet: int) -> Factor:
             raise ValueError(f"factor {f} is not strictly increasing")
     if f and (f[0] < 1 or f[-1] > alphabet):
         raise ValueError(f"factor {f} leaves alphabet [1..{alphabet}]")
-    return f
+    return _FACTORS.setdefault(f, f)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IncFn:
     """A strictly increasing injection [1..domain] -> [1..codomain].
 
@@ -203,7 +220,7 @@ def canonicalize(factors: Iterable[Factor]) -> FactorTuple:
     return tuple(sorted(fs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TensorMonomial:
     """A basis monomial of bidegree (d, n): n wedge factors over [1..M*d].
 

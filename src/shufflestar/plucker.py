@@ -94,12 +94,16 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GrassmannConfig:
     """Target Grassmannian Gr(d, N) and secant index r.
 
     N defaults to d * (r + 2).  The alphabet multiplier M = N / d is derived
-    here and nowhere else; N must be a multiple of d.
+    here and nowhere else; N must be a multiple of d.  The fields are checked
+    once, in `__post_init__`, so the config is frozen.  It is not slotted: the
+    `__setattr__` that `dataclass` generates for a frozen slotted class
+    raises TypeError, not AttributeError, for a name that is not a field,
+    such as `M`, and a handful of configs per run saves no memory.
     """
 
     d: int
@@ -110,7 +114,7 @@ class GrassmannConfig:
         # a float, a string or a bool is refused, as in `core.int_tuple`
         int_tuple((self.d, self.r) if self.N is None else (self.d, self.N, self.r))
         if self.N is None:
-            self.N = self.d * (self.r + 2)
+            object.__setattr__(self, "N", self.d * (self.r + 2))
         if not 1 <= self.d <= self.N:
             raise ValueError(f"need 1 <= d <= N, got d={self.d}, N={self.N}")
         if self.r < 0:

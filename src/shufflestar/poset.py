@@ -33,7 +33,7 @@ __all__ = [
 LT, EQ, GT = -1, 0, 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RLWitness:
     """A divisibility certificate: slot positions and the relabeling injection."""
 
@@ -149,7 +149,7 @@ def leading_term(f: Element | SymElement):
     return f.terms[key], TensorMonomial(f.d, f.n, f.M, key)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledTree:
     """Path-branch tree encoding of a reading list.
 

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     """A decomposition of [1..total] into left positions and their complement."""
 

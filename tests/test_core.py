@@ -219,5 +219,85 @@ def test_constructors_keep_a_tuple_of_ints_as_it_is():
     assert IncFn(2, 4, image).image is image
     assert Split(4, left).left is left
     assert IncFn(2, 4, [1, 3]).image == (1, 3)
-    factor = (1, 2)
-    assert next(iter(SymElement(2, 1, 2, {(factor,): 1}).terms))[0] is factor
+    # factors are pooled: equal but distinct inputs share one tuple equal to them
+    factor, twin = (1, 2), tuple([1, 2])
+    assert twin is not factor
+    kept = next(iter(SymElement(2, 1, 2, {(factor,): 1}).terms))[0]
+    assert kept == factor
+    assert next(iter(SymElement(2, 1, 2, {(twin,): 1}).terms))[0] is kept
+
+
+def test_factor_pool_never_bypasses_validation():
+    from shufflestar.symmetry import PairElement
+    pooled = TensorMonomial(2, 1, 3, ((1, 2),)).factors[0]
+    # (True, 2) and (1.0, 2.0) hash equal to the pooled (1, 2)
+    for bad, message in (((True, 2), "True is not an integer"),
+                         ((1.0, 2.0), "1.0 is not an integer"),
+                         ((2, 1), r"factor \(2, 1\) is not strictly increasing"),
+                         ((1, 7), r"factor \(1, 7\) leaves alphabet \[1..6\]")):
+        with pytest.raises(ValueError, match=message):
+            TensorMonomial(2, 1, 3, (bad,))
+        with pytest.raises(ValueError, match=message):
+            SymElement(2, 1, 3, {(bad,): 1})
+        with pytest.raises(ValueError, match=message):
+            Element(2, 1, 3, {(bad,): 1})
+        with pytest.raises(ValueError, match=message):
+            PairElement(2, 3, 1, True, {((bad,), ()): 1})
+    with pytest.raises(ValueError, match="True is not an integer"):
+        element_from_dict({"bidegree": [2, 1, 3],
+                           "terms": [{"coeff": "1/1", "monomial": [[True, 2]]}]})
+    # a JSON list is read into the pooled tuple
+    read = element_from_dict(json.loads(
+        '{"bidegree": [2, 2, 3], "terms": [{"coeff": "1/1", "monomial": [[1, 2], [3, 4]]}]}'))
+    assert list(read.terms) == [((1, 2), (3, 4))]
+    # equal factors built separately are one object, whichever path checked them
+    held = [next(iter(SymElement(2, 1, 3, {(tuple([1, 2]),): 1}).terms))[0],
+            next(iter(Element(2, 1, 3, {(tuple([1, 2]),): 1}).terms))[0],
+            next(iter(PairElement(2, 3, 1, True, {((tuple([1, 2]),), ()): 1}).terms))[0][0],
+            next(iter(PairElement(2, 3, 1, False, {((), (tuple([1, 2]),)): 1}).terms))[1][0],
+            next(iter(read.terms))[0],
+            TensorMonomial.from_factors([[1, 2]], 3).factors[0]]
+    assert all(f is pooled for f in held)
+
+
+def _value_objects():
+    from shufflestar.plucker import GrassmannConfig
+    from shufflestar.poset import encode_tree, rl_leq
+    from shufflestar.products import Split
+    return {
+        "TensorMonomial": (TensorMonomial(2, 2, 2, ((1, 2), (3, 4))),
+                           "TensorMonomial(d=2, n=2, M=2, factors=((1, 2), (3, 4)))"),
+        "IncFn": (IncFn(2, 4, (1, 3)), "IncFn(domain=2, codomain=4, image=(1, 3))"),
+        "Split": (Split(4, (2, 4)), "Split(total=4, left=(2, 4))"),
+        "RLWitness": (rl_leq(TensorMonomial(1, 1, 2, ((1,),)),
+                             TensorMonomial(2, 2, 2, ((1, 3), (2, 4)))),
+                      "RLWitness(positions=(1,), g=IncFn(domain=2, codomain=4, image=(1, 2)))"),
+        "LabeledTree": (encode_tree(TensorMonomial(1, 2, 2, ((1,), (2,)))),
+                        "LabeledTree(d=1, M=2, n=2, root=(0, 0, (3, 3)), branches=("
+                        "((1, 1, (1, 0)), (2, 1, (0, 2))), ((1, 2, (1, 0)), (2, 2, (0, 2)))))"),
+        "GrassmannConfig": (GrassmannConfig(d=2, r=1), "GrassmannConfig(d=2, N=6, r=1)"),
+    }
+
+
+@pytest.mark.parametrize("name", ["TensorMonomial", "IncFn", "Split", "RLWitness",
+                                  "LabeledTree", "GrassmannConfig"])
+def test_value_classes_are_frozen_and_compare_hash_print_and_pickle_as_before(name):
+    import dataclasses
+    import pickle
+    obj, text = _value_objects()[name]
+    values = tuple(getattr(obj, f.name) for f in dataclasses.fields(obj))
+    # GrassmannConfig keeps its dict, so that setting its derived M stays an AttributeError
+    assert hasattr(obj, "__dict__") == (name == "GrassmannConfig")
+    for f in dataclasses.fields(obj):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, f.name, getattr(obj, f.name))
+    # a name that is not a field is refused too; the __setattr__ dataclass
+    # generates for a frozen slotted class raises TypeError there (CPython 3.10-3.13)
+    with pytest.raises(dataclasses.FrozenInstanceError if name == "GrassmannConfig"
+                       else (AttributeError, TypeError)):
+        obj.extra = 1
+    assert repr(obj) == text
+    twin = type(obj)(*values)
+    assert twin == obj and twin is not obj and hash(twin) == hash(obj) == hash(values)
+    back = pickle.loads(pickle.dumps(obj))
+    assert back == obj and repr(back) == text and hash(back) == hash(obj)

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import random
-from dataclasses import fields
+from dataclasses import FrozenInstanceError, fields
 from itertools import combinations, permutations
 from math import prod
 
@@ -641,6 +641,11 @@ def test_config_defaults():
         GrassmannConfig(d=2, r=-1)
     with pytest.raises(AttributeError):
         cfg.M = 4
+    # frozen: a float N set after construction reached the probe as a TypeError
+    with pytest.raises(FrozenInstanceError):
+        cfg.N = 6.0
+    assert cfg.N == 9
+    assert GrassmannConfig(d=2).N == 4
     assert [f.name for f in fields(GrassmannConfig)] == ["d", "N", "r"]
     # a float N failed later inside the probe or the oracle, and d = True ran as d = 1
     for kwargs in ({"d": 2, "N": 6.0}, {"d": 2.0, "N": 6}, {"d": 2.0}, {"d": True, "N": 4},

@@ -21,6 +21,29 @@ block climb step moves rows by one variable, a whole one by every
 variable.  `raw_spanning_rows` spans the same component through
 `sym_star` and `sym_shuffle`, as an independent check.
 
+A whole climb step skips the products it knows to be redundant, the Koszul
+pairs x_k * x_j * c that x_j * C_(d,n-1) already holds.  Given C_(d,n-2),
+each row b of C_(d,n-1) is moved only by the variables, in `iter_factors`
+order, up to and including the least factor x_j of its leading monomial
+LM(b) with LM(b)/x_j a leading monomial of C_(d,n-2); a row with no such
+factor is moved by every variable.  This is exact:
+- C_(d,n-1) contains x * C_(d,n-2) for every variable x.
+- The monomial order is multiplicative, x * a < x * b whenever a < b: of
+  two sorted factor tuples of one length, the smaller is the one that
+  holds the least factor whose counts in the two differ more often, and
+  multiplying both by x changes no difference of counts.
+- So b = x_j * c + (rows of C_(d,n-1) with smaller leading monomials),
+  for the row c of C_(d,n-2) led by LM(b)/x_j, and for a later variable
+  x_k, x_k * b = x_j * (x_k * c) + (x_k times those rows).  Since x_k * c
+  lies in C_(d,n-1), every product on the right has a smaller leading
+  monomial than x_k * b, or the same one and the earlier variable x_j.
+  Induction on that pair puts every skipped product in the span of the
+  kept ones, so the span and its canonical basis are unchanged.
+`_compute_component` passes the C_(d,n-2) it holds in memory, if any (so
+none when C_(d,n-1) was read from a file and nothing below it was built),
+and `plucker.degree_probe` passes the secant's C_(d,n-2).  Block climbs
+(`weight_block`) move every row.
+
 All components of one (d, n, M) share its `monomial_space`: the monomials
 in descending order and the column of each, built once per process and
 never modified.
@@ -242,21 +265,38 @@ def _generator_hash(generators: Sequence[SymElement], M: int) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _multiples(rows: Iterable[dict[int, Rational]], below: ComponentBasis,
-               target: ComponentBasis, factors: Sequence[Factor]
-               ) -> Iterator[dict[int, Rational]]:
-    """x * row for each row of `below`, each x of `factors` in turn, in the
-    columns of `target`.
+def _multiples(below: ComponentBasis, target: ComponentBasis, factors: Sequence[Factor],
+               lower: Optional[ComponentBasis] = None) -> Iterator[dict[int, Rational]]:
+    """x * b for each row b of `below` in pivot order, each x of `factors`
+    in turn, in the columns of `target`; given `lower`, a span one degree
+    below `below` whose variable multiples lie in `below`, only the x up to
+    and including b's cutoff.
 
     A variable x has coefficient 1 and maps distinct monomials to distinct
-    monomials, so x * row is the row itself moved to the columns of
+    monomials, so x * b is the row itself moved to the columns of
     x * (its monomials), entry by entry.  The columns of x * (the monomial
     at column c), one per x, are looked up once per call for each c.
+
+    The cutoff of b is the least factor x_j of its leading monomial LM(b)
+    (its pivot) with LM(b)/x_j a pivot monomial of `lower`; a row with no
+    such factor is moved by every x.  The products skipped are redundant.
+    The order is multiplicative, so b = x_j * c + (rows of `below` with
+    smaller pivots) for the row c of `lower` with pivot LM(b)/x_j.  For a
+    later x_k, x_k * b = x_j * (x_k * c) + (x_k times those rows), and
+    x_k * c lies in `below`.  So every term on the right is a product with a
+    smaller leading monomial than x_k * b, or with the same one and the
+    earlier variable x_j, and induction on that pair puts each skipped
+    product in the span of the kept ones.  `factors` must then be every
+    variable in `iter_factors` order: the factors of a monomial are
+    ascending in it, so the first one that qualifies is the least.
     """
     monomials, index = below.monomials, target.index
     shifts: dict[int, list[int]] = {}
     each_x = range(len(factors))
-    for row in rows:
+    if lower is not None:
+        position = {x: j for j, x in enumerate(factors)}
+        lower_index, lower_pivots = lower.index, lower.basis.pivots
+    for p, row in zip(below.basis.pivot_columns(), below.basis.basis_rows()):
         for c in row:
             if c not in shifts:
                 key = monomials[c]
@@ -265,8 +305,15 @@ def _multiples(rows: Iterable[dict[int, Rational]], below: ComponentBasis,
                     moved = list(key)
                     moved.insert(bisect_right(key, x), x)
                     cols.append(index[tuple(moved)])
+        xs = each_x
+        if lower is not None:
+            lead = monomials[p]
+            for i, x in enumerate(lead):
+                if lower_index[lead[:i] + lead[i + 1:]] in lower_pivots:
+                    xs = range(position[x] + 1)
+                    break
         items = row.items()
-        for j in each_x:
+        for j in xs:
             moved = {}
             for c, v in items:
                 moved[shifts[c][j]] = v
@@ -454,17 +501,40 @@ class DiIdeal:
     def _compute_component(self, d: int, n: int) -> ComponentBasis:
         if n == 0 or d == 0:
             return ComponentBasis(d, n, self.M)
-        return self.climb(self.component(d, n - 1), d, n)
+        below = self.component(d, n - 1)
+        # C_(d,n-2) only if it is in memory, which after a cache read of
+        # C_(d,n-1) it usually is not
+        return self.climb(below, d, n, self._components.get((d, n - 2)))
 
-    def climb(self, below: ComponentBasis, d: int, n: int) -> ComponentBasis:
+    def climb(self, below: ComponentBasis, d: int, n: int,
+              lower: Optional[ComponentBasis] = None) -> ComponentBasis:
         """One climb step: the (d, n) span of x * below over every variable x,
         plus this ideal's star rows of tensor degree n.
 
         `below` is any (d, n-1) span in canonical reduced form; with this
-        ideal's own C_(d,n-1) the step gives C_(d,n).
+        ideal's own C_(d,n-1) the step gives C_(d,n).  `lower`, when given,
+        is a (d, n-2) span in canonical reduced form whose variable
+        multiples lie in `below`, such as C_(d,n-2) under C_(d,n-1).  Then
+        each row b of `below` is multiplied only by the variables up to and
+        including the least factor x_j of its leading monomial with
+        LM(b)/x_j a pivot monomial of `lower`, in `iter_factors` order.  The
+        other products lie in the span of those kept, so the span and its
+        canonical basis are the same: the order is multiplicative, so b is
+        x_j * c plus rows with smaller pivots, for the row c of `lower` led
+        by LM(b)/x_j, and x_k * b for a later x_k is x_j * (x_k * c), a
+        multiple of `below` by the earlier x_j, plus products with smaller
+        leading monomials (`_multiples` gives the induction).
+
+        With a coefficient-bit budget (`linalg.set_default_max_bits`) the
+        intermediate rows can differ from those of the step without
+        `lower`: a skipped product may be one that step accepts before
+        later rows span it.  So whether the budget aborts can depend on
+        `lower`; the rows of a step that finishes do not.
         """
         if (below.d, below.n, below.M) != (d, n - 1, self.M):
             raise ValueError(f"climb to {(d, n)} from {(below.d, below.n, below.M)}")
+        if lower is not None and (lower.d, lower.n, lower.M) != (d, n - 2, self.M):
+            raise ValueError(f"climb to {(d, n)} past {(lower.d, lower.n, lower.M)}")
         with CLIMBS:
             comp = ComponentBasis(d, n, self.M)
             if below.dim:
@@ -472,7 +542,7 @@ class DiIdeal:
                 # the next x was measured slower (more fill-in)
                 add = comp.basis.add
                 factors = list(iter_factors(d, self.M * d))
-                for out in _multiples(below.basis.basis_rows(), below, comp, factors):
+                for out in _multiples(below, comp, factors, lower):
                     add(out)
             for prod in self._star_rows(d, n):
                 comp.add(prod)
@@ -513,7 +583,7 @@ class DiIdeal:
                     u = tuple(u)
                     below = block_at(d, n - 1, u)
                     if below.dim:
-                        for out in _multiples(below.basis.basis_rows(), below, block, (fac,)):
+                        for out in _multiples(below, block, (fac,)):
                             add(out)
             stars = self._stars_by_weight(d, n)
             if stars is None:

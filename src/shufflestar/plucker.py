@@ -823,7 +823,8 @@ def degree_probe(cfg: GrassmannConfig, max_n: int, base: Optional[DiIdeal] = Non
     largest_new = None
     for n in range(1, max_n + 1):
         narrower = [e for dp in range(1, d) for e in ideal.component(dp, n).basis_elements()]
-        from_below = DiIdeal(M, narrower).climb(ideal.component(d, n - 1), d, n).dim
+        lower = ideal.component(d, n - 2) if n >= 2 else None
+        from_below = DiIdeal(M, narrower).climb(ideal.component(d, n - 1), d, n, lower).dim
         dim = ideal.component(d, n).dim
         rows.append({"n": n, "dim": dim, "from_below": from_below,
                      "new_generators": dim - from_below})

@@ -457,6 +457,18 @@ def test_failed_verify_check_exits_1(tmp_path, monkeypatch):
     assert failing == ["gamma"]
 
 
+def test_cold_climb_over_the_bit_budget_exits_3(tmp_path):
+    # the Plucker components of Gr(2,6) keep 1-bit coefficients up to
+    # degree 3; the cold climb to degree 4 meets a 2 and aborts
+    out = tmp_path / "r.json"
+    cache = tmp_path / "cache"
+    code, rep = _run(["secant", "--d", "2", "--N", "6", "--r", "0", "--degree", "4",
+                      "--cache-dir", str(cache), "--max-coeff-bits", "1"], out)
+    assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
+    assert sorted(p.name.split("_")[3] for p in cache.glob("component_*.json")) == \
+        ["n0", "n1", "n2", "n3"]
+
+
 def test_cached_coefficient_over_the_bit_budget_exits_3(tmp_path):
     out = tmp_path / "r.json"
     cache = tmp_path / "cache"

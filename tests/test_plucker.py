@@ -615,12 +615,32 @@ def test_probe_builds_no_whole_component_of_a_certified_secant(monkeypatch):
     assert all(w < cfg.d for w in widths)
 
 
+@pytest.mark.parametrize("N, max_n, zero, accepted, rows", [
+    # zero adds when every row was moved by every variable: 16,622
+    (8, 5, 6783, 23958, [(0, 0), (0, 0), (28, 0), (721, 721), (9640, 9640)]),
+    # the secant's C_(2,n-2) is zero up to n = 4, so nothing is pruned
+    (6, 4, 167, 184, [(0, 0), (0, 0), (1, 0), (15, 15)]),
+], ids=["gr28-1-5", "gr26-1-4"])
+def test_probe_from_below_climb_skips_koszul_redundant_products(N, max_n, zero, accepted, rows,
+                                                               add_counts):
+    cfg = GrassmannConfig(d=2, N=N, r=1)
+    base = plucker_ideal(cfg.M, cfg.d)
+    add_counts[:] = [0, 0]
+    rep = degree_probe(cfg, max_n, base=base)
+    assert [(row["dim"], row["from_below"]) for row in rep["rows"]] == rows
+    assert add_counts == [zero, accepted]
+
+
 def test_climb_refuses_a_span_of_another_bidegree():
     P = plucker_ideal(3, 2)
     assert P.climb(P.component(2, 2), 2, 3).basis.basis_rows() == \
         P.component(2, 3).basis.basis_rows()
+    assert P.climb(P.component(2, 3), 2, 4, P.component(2, 2)).basis.basis_rows() == \
+        P.climb(P.component(2, 3), 2, 4).basis.basis_rows()
     with pytest.raises(ValueError):
         P.climb(P.component(2, 2), 2, 4)
+    with pytest.raises(ValueError):
+        P.climb(P.component(2, 3), 2, 4, P.component(2, 1))
 
 
 def test_config_defaults():

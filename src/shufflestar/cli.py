@@ -252,11 +252,13 @@ def _check_out(args) -> None:
         raise
 
 
+def _add_seed(p: argparse.ArgumentParser) -> None:
+    # only the commands that sample take a seed
+    p.add_argument("--seed", type=int, default=0, help="root seed for sampled computations")
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     # the options every subcommand shares, given after its name
-    p.add_argument("--seed", type=int, default=0, help="root seed for sampled computations")
-    p.add_argument("--samples", type=int, default=0, help="first-round evaluation points of the oracle, shared by the "
-                        "dominant weight blocks it solves (0 = largest block + 24)")
     p.add_argument("--cache-dir", help="component cache directory (env PSA_CACHE_DIR)")
     p.add_argument("--jobs", type=int, default=1, help="worker processes for independent tasks")
     p.add_argument("--max-coeff-bits", type=int, default=0,
@@ -272,7 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     Each `parse_args` fills a fresh namespace from the defaults, so nothing
     one call parses reaches the next.  The options every command shares
-    (`_add_common`) follow the subcommand's name.
+    (`_add_common`) follow the subcommand's name; `--seed` is taken only by
+    `secant` and `verify` and `--samples` only by `secant`, the commands
+    that read them, and any other command refuses them as argparse refuses
+    an unknown option, with exit code 2.
     """
     parser = argparse.ArgumentParser(
         prog="psa",
@@ -338,6 +343,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
+    _add_seed(p)
+    p.add_argument("--samples", type=int, default=0,
+                   help="first-round evaluation points of the oracle, shared by the "
+                        "dominant weight blocks it solves (0 = largest block + 24)")
     _add_common(p)
     p.set_defaults(fn=cmd_secant)
 
@@ -351,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--only", help=f"comma-separated subset of {', '.join(CHECK_NAMES)}")
+    _add_seed(p)
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 

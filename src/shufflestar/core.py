@@ -40,9 +40,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, combinations_with_replacement, product
 from math import lcm
-from typing import Iterable, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Rational = Union[int, Fraction]
 
@@ -421,6 +423,32 @@ def is_sym_invariant(f: Element) -> bool:
                 if got is not coeff and got != coeff:
                     return False
     return True
+
+
+def _slot_getter(pos: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    # itemgetter of one index returns the item itself, so one slot and no
+    # slot are read as slices, which return tuples
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    return itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0, 0))
+
+
+@cache
+def slot_splits(n: int) -> dict[tuple[int, ...], tuple[Callable, Callable]]:
+    """The split of a key of n slots along every subset of its slots, as getters.
+
+    Maps the increasing positions of each subset, in mask order (subset
+    `mask` holds slot i when bit i is set), to two C-level getters: the
+    left one returns the key's factors at those positions, the right one
+    those at the other positions, both as tuples in slot order.  Built once
+    per slot count and shared by every caller.
+    """
+    out = {}
+    for mask in range(1 << n):
+        left = tuple(i for i in range(n) if mask >> i & 1)
+        right = tuple(i for i in range(n) if not mask >> i & 1)
+        out[left] = (_slot_getter(left), _slot_getter(right))
+    return out
 
 
 def iter_factors(width: int, alphabet: int) -> Iterable[Factor]:

@@ -617,6 +617,14 @@ class DiIdeal:
         unit along the identity, is f itself.  Each injection's letter tables
         are built once per call; `products._sym_star_into` sums n! times each
         product on monomial keys, which has the same primitive vector.
+
+        Every star product of a generator is a row, whatever the width it
+        adds.  For the Plucker quadrics only the rows that add one to the
+        width lie in the Plucker ideal: the Klein quadric
+        f = x12 x34 - x13 x24 + x14 x23 starred along g = (1, 2, 3, 4) with
+        x56 x78 does not vanish on Gr(4, 8), while with x56 x56 it does.
+        So `plucker.plucker_ideal` stops at width 3, where every star row
+        of a quadric adds at most one.
         """
         M = self.M
 

@@ -69,6 +69,7 @@ from .core import (
     SymElement,
     int_tuple,
     merge_signed,
+    slot_splits,
     sym_monomial,
     to_numerators,
 )
@@ -197,7 +198,15 @@ def plucker_ideal(M: int, max_d: int, cache_dir=None) -> DiIdeal:
     they generate is unchanged and every later enumeration shrinks.  That
     basis is built once per (M, max_d) in a process; every call gets its
     own copies of it in a new ideal.
+
+    max_d >= 4 raises ValueError: the ideal's star rows take a width-2
+    quadric to width 4 in one star product, and such rows are not in the
+    Plucker ideal (see `DiIdeal._star_rows`), so its components would be
+    wrong.
     """
+    if max_d >= 4:
+        raise ValueError(f"the Plucker ideal is built to width 3, not {max_d}: "
+                         "star rows that raise a width by two or more leave it")
     gens = [SymElement(g.d, g.n, g.M, dict(g.terms), _validated=True)
             for g in _plucker_generators(M, max_d)]
     return DiIdeal(M, gens, cache_dir=cache_dir)
@@ -605,7 +614,8 @@ class _ConditionTables(dict):
 
     The table of the column c, whose monomial is monomials[c], sums the
     normal forms of left and right multiplied out over the C(n, i) slot
-    splits of its monomial, left modulo QL and right modulo QR.  Each side
+    splits of its monomial, left modulo QL and right modulo QR; each split
+    is read through its two getters in `core.slot_splits`.  Each side
     maps a sub-monomial to its normal form: an ideal's `quotient_reader`,
     a `DiIdeal`'s or a join's, which the ideal keeps, so the normal forms
     are shared by every summand and block that reads that ideal at that
@@ -624,16 +634,17 @@ class _ConditionTables(dict):
         super().__init__()
         self.QL, self.QR, self.monomials = QL, QR, monomials
         n = len(monomials[0])
-        self.splits = [(pos, tuple(t for t in range(n) if t not in pos))
-                       for pos in combinations(range(n), i)]
+        # the (left, right) slot getters of each split, i slots on the left
+        getters = slot_splits(n)
+        self.splits = [getters[pos] for pos in combinations(range(n), i)]
 
     def __missing__(self, col: int) -> dict[tuple[int, int], Rational]:
-        get = self.monomials[col].__getitem__
+        key = self.monomials[col]
         QL, QR = self.QL, self.QR
         table = self[col] = {}
-        for pos, rest in self.splits:
-            rnf = QR[tuple(map(get, rest))]
-            for lc, lv in QL[tuple(map(get, pos))]:
+        for left, right in self.splits:
+            rnf = QR[right(key)]
+            for lc, lv in QL[left(key)]:
                 for rc, rv in rnf:
                     table[(lc, rc)] = table.get((lc, rc), 0) + lv * rv
         return table

@@ -7,6 +7,21 @@ subsets of its slots.  Tensor-square elements are kept as sparse maps on
 canonical (left, right) key pairs so the compatibility identities can be
 checked by exact equality.
 
+Every split of a key is read through `core.slot_splits(n)`, one table per
+slot count of C-level getters, an `operator.itemgetter` per subset of the
+n slots (a slice for one slot or none, so every getter returns a tuple);
+`delta_sym` and `delta_tensor` apply the two getters of each subset to each
+key.  Invariant elements are read by slot orbit: one pass groups the keys
+by their sorted key K and certifies invariance (every orbit complete, one
+coefficient), and `from_invariant` reads its multisets off that pass.
+`delta_invariant` uses the orbit count: a sub-multiset L of K is the sorted
+left side of exactly |orbit(K)| * prod_f C(m_f(K), m_f(L)) (ordering,
+subset) pairs, m_f the multiplicity of the factor f, since the C(n, |L|)
+subsets times the arrangements of L and of K - L in them number
+n! / prod_f (m_f(L)! m_f(K - L)!).  Weighed with the stabilisers the
+projection puts on each side, that is n! on every pair of orderings, which
+the 1/n! cancels: the image is the deconcatenation of f.
+
 The pair products check their shapes and injection once per call, before
 they read any term, and multiply the sub-monomial keys of each pair of
 terms with the per-term-pair routines of `products`, memoised for that
@@ -29,7 +44,7 @@ from .core import (
     _check_factor,
     exact,
     from_numerators,
-    is_sym_invariant,
+    slot_splits,
     to_numerators,
 )
 from .products import (
@@ -80,16 +95,50 @@ def pi_prime(f: Element) -> Element:
 to_invariant = pi
 
 
-def from_invariant(f: Element) -> SymElement:
-    """Inverse of the symmetrization isomorphism; input must be invariant."""
-    if not is_sym_invariant(f):
-        raise ValueError("from_invariant requires a slot-permutation-invariant element")
-    nums, den = to_numerators(f.terms)
-    out: dict[FactorTuple, int] = {}
-    for key, c in nums.items():
+def _orbits(terms: Mapping, n: int, message: str) -> dict[FactorTuple, list]:
+    """The slot orbits of the keys of terms: [coefficient, size] by sorted key.
+
+    One pass groups the keys by their sorted key K.  The orbit of K is its
+    n! / prod_f m_f(K)! distinct orderings, m_f(K) the multiplicity of the
+    factor f in K; the terms are invariant exactly when every group holds
+    that many keys, all with one coefficient.  Otherwise ValueError(message)
+    is raised.
+    """
+    classes: dict = {}
+    for key, c in terms.items():
         canon = tuple(sorted(key))
-        out[canon] = out.get(canon, 0) + c
-    return SymElement(f.d, f.n, f.M, from_numerators(out, den), _validated=True)
+        got = classes.get(canon)
+        if got is None:
+            classes[canon] = [c, 1]
+        elif got[0] is c or got[0] == c:
+            got[1] += 1
+        else:
+            raise ValueError(message)
+    whole = factorial(n)
+    for canon, (_, seen) in classes.items():
+        # prod_f m_f(K)!, one factor per repeat
+        stab = run = 1
+        for a, b in zip(canon, canon[1:]):
+            if a == b:
+                run += 1
+                stab *= run
+            else:
+                run = 1
+        if seen * stab != whole:
+            raise ValueError(message)
+    return classes
+
+
+def from_invariant(f: Element) -> SymElement:
+    """Inverse of the symmetrization isomorphism; input must be invariant.
+
+    A multiset takes the coefficient of its orbit times the orbit's size,
+    both read off in the pass of `_orbits` that checks invariance.
+    """
+    classes = _orbits(f.terms, f.n, "from_invariant requires a slot-permutation-invariant element")
+    return SymElement(f.d, f.n, f.M,
+                      {canon: exact(c * size) for canon, (c, size) in classes.items()},
+                      _validated=True)
 
 
 class PairElement:
@@ -159,34 +208,24 @@ class PairElement:
                            _validated=True)
 
 
-def _slot_subsets(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(left, right) slot positions for every subset of n slots, in mask order."""
-    return [(tuple(i for i in range(n) if mask >> i & 1),
-             tuple(i for i in range(n) if not mask >> i & 1)) for mask in range(1 << n)]
+def _delta_sums(nums: Mapping, n: int) -> dict:
+    """Numerators of the order-preserving slot-subset comultiplication.
 
-
-def _delta_sums(nums: Mapping, n: int, canonical: bool) -> dict:
-    """Numerators of the slot-subset comultiplication, optionally sorting each side.
-
-    A subsequence of a sorted key is sorted, so symmetric input needs no sort.
+    A subsequence of a sorted key is sorted, so symmetric input gives
+    sorted sides.
     """
-    subsets = _slot_subsets(n)
+    splits = slot_splits(n).values()
     out: dict = {}
     for key, c in nums.items():
-        for li, ri in subsets:
-            left = tuple([key[i] for i in li])
-            right = tuple([key[i] for i in ri])
-            if canonical:
-                left, right = tuple(sorted(left)), tuple(sorted(right))
-            pair = (left, right)
+        for left, right in splits:
+            pair = (left(key), right(key))
             out[pair] = out.get(pair, 0) + c
     return out
 
 
 def _delta(f, symmetric: bool) -> PairElement:
     nums, den = to_numerators(f.terms)
-    return PairElement(f.d, f.M, f.n, symmetric,
-                       from_numerators(_delta_sums(nums, f.n, canonical=False), den),
+    return PairElement(f.d, f.M, f.n, symmetric, from_numerators(_delta_sums(nums, f.n), den),
                        _validated=True)
 
 
@@ -213,33 +252,23 @@ def delta_invariant(f: Element) -> PairElement:
     (componentwise on the tensor square); it differs from delta_tensor by
     per-component factors.
 
-    The unnormalized projection of a monomial k puts |Stab(k)|, the number
-    of slot permutations fixing k, on each distinct reordering of k.  So
-    the image depends only on the sorted sides of each split, and every
-    reordered pair (l, r) gets the summed numerator of its sorted pair
-    times |Stab(l)| * |Stab(r)|.
+    It is computed from the slot orbits.  Let K be an orbit's sorted key,
+    c the coefficient f has on each of its keys, and L a sub-multiset of K.
+    Then L is the sorted left side of exactly
+    |orbit(K)| * prod_f C(m_f(K), m_f(L)) (ordering, subset) pairs, m_f the
+    multiplicity of the factor f.  Proof: choose the C(n, |L|) slots of L,
+    then arrange L in them and K - L in the rest, which is
+    n! / prod_f (m_f(L)! m_f(K - L)!) pairs.  The unnormalized projection
+    puts |Stab(L)| = prod_f m_f(L)! on each ordering of L, and likewise on
+    the right, so each (ordering of L, ordering of K - L) gets c * n! / n!
+    = c.  That is the deconcatenation of f: every key k of f and every cut
+    j give (k[:j], k[j:]) the coefficient of k, once each.  The pass of
+    `_orbits` that groups the keys by K certifies invariance first.
     """
-    if not is_sym_invariant(f):
-        raise ValueError("delta_invariant requires an invariant element")
-    nums, den = to_numerators(f.terms)
-    orbits: dict[FactorTuple, tuple[list, int]] = {}
-
-    def orbit(key):
-        got = orbits.get(key)
-        if got is None:
-            perms = list(dict.fromkeys(permutations(key)))
-            got = orbits[key] = (perms, factorial(len(key)) // len(perms))
-        return got
-
-    out: dict = {}
-    for (sl, sr), c in _delta_sums(nums, f.n, canonical=True).items():
-        lperms, lstab = orbit(sl)
-        rperms, rstab = orbit(sr)
-        c *= lstab * rstab
-        for lk in lperms:
-            for rk in rperms:
-                out[(lk, rk)] = c
-    return PairElement(f.d, f.M, f.n, False, from_numerators(out, den * factorial(f.n)),
+    _orbits(f.terms, f.n, "delta_invariant requires an invariant element")
+    cuts = range(f.n + 1)
+    return PairElement(f.d, f.M, f.n, False,
+                       {(key[:j], key[j:]): c for key, c in f.terms.items() for j in cuts},
                        _validated=True)
 
 

@@ -73,8 +73,10 @@ def test_delta_command(element_files, tmp_path):
 
 # SHA-256 of the whole `psa delta` report file, as written, for
 # (1/3) x12 x12 + x12 x34: its image has the integral coefficient 1 and the
-# fractional ones 1/3 and 2/3
-_DELTA_REPORT = "2c2b3405e84ac8b08b98efee34594b9b1445d052a4642cc792d417c332815a4a"
+# fractional ones 1/3 and 2/3.  Recorded when `delta` stopped taking --seed
+# and --samples: the earlier pin's bytes (2c2b3405...) less the
+# `"samples":0,"seed":0,` its config echoed
+_DELTA_REPORT = "3dbfa550bba37c7f8af734d8d496920a3df8459e224d5898da0fa6ad76f5d4f2"
 
 
 def test_delta_report_is_raw_byte_identical(tmp_path, monkeypatch):
@@ -735,3 +737,52 @@ def test_no_command_loads_numpy(tmp_path):
                           env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["plucker", "--d", "2", "--N", "6", "--seed", "5"],
+    ["probe", "--d", "2", "--N", "4", "--r", "0", "--max-n", "2", "--seed", "5"],
+    ["probe", "--d", "2", "--N", "4", "--r", "0", "--max-n", "2", "--samples", "9"],
+    ["verify", "--only", "gamma", "--samples", "9"],
+    ["delta", "--input", "f.json", "--seed", "1"],
+], ids=lambda args: f"{args[0]}{args[-2]}")
+def test_commands_that_do_not_sample_refuse_seed_and_samples(tmp_path, capsys, args):
+    # only `secant` reads --samples, and only `secant` and `verify` read --seed
+    with pytest.raises(SystemExit) as exc:
+        main([*args, "--out", str(tmp_path / "r.json")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {args[-2]}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_only_the_commands_that_sample_echo_seed_and_samples(tmp_path):
+    out = tmp_path / "r.json"
+    code, rep = _run(["plucker", "--d", "2", "--N", "4"], out)
+    assert code == 0 and not {"seed", "samples"} & set(rep["config"])
+    code, rep = _run(["probe", "--d", "2", "--N", "4", "--r", "0", "--max-n", "2"], out)
+    assert code == 0 and not {"seed", "samples"} & set(rep["config"])
+    code, rep = _run(["verify", "--only", "gamma", "--seed", "3"], out)
+    assert code == 0 and rep["config"]["seed"] == 3 and "samples" not in rep["config"]
+    code, rep = _run(["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2",
+                      "--oracle", "--seed", "3", "--samples", "4"], out)
+    assert code == 0 and (rep["config"]["seed"], rep["config"]["samples"]) == (3, 4)
+
+
+@pytest.mark.parametrize("args", [
+    ["secant", "--d", "4", "--N", "8", "--r", "0", "--degree", "2"],
+    ["probe", "--d", "4", "--N", "8", "--r", "0", "--max-n", "2"],
+], ids=lambda args: args[0])
+def test_width_four_engine_paths_are_input_errors(tmp_path, args):
+    # the Plucker ideal's star rows leave it from width 4 on
+    # (tests/test_plucker.py::test_a_star_row_two_widths_up_leaves_the_plucker_ideal)
+    code, rep = _run(args, tmp_path / "r.json")
+    assert code == 2 and set(rep) == {"command", "config", "error"}
+    assert "width 3, not 4" in rep["error"]
+
+
+def test_width_four_oracle_still_answers(tmp_path):
+    # dim Sym^2(L^4 k^8) - dim S_(2,2,2,2) k^8 = 2485 - 1764 quadrics vanish
+    # on Gr(4,8); the oracle builds no Plucker ideal
+    code, rep = _run(["secant", "--d", "4", "--N", "8", "--r", "0", "--degree", "2",
+                      "--oracle"], tmp_path / "r.json")
+    assert code == 0 and rep["result"]["dimension"] == 721

@@ -1241,3 +1241,62 @@ def test_modp_self_join_upper_is_the_exact_self_join_dimension():
     assert modp_self_join_upper(P, 2, 3, must_contain=[cube]) is None
     members = P.component(2, 3).basis_elements()[:3]
     assert modp_self_join_upper(P, 2, 3, must_contain=members) == 1
+
+
+def test_plucker_ideal_stops_at_width_three():
+    with pytest.raises(ValueError, match="width 3, not 4"):
+        plucker_ideal(2, 4)
+    assert {g.d for g in plucker_ideal(2, 3).generators} == {2, 3}
+
+
+def test_a_star_row_two_widths_up_leaves_the_plucker_ideal():
+    # the Klein quadric starred along g = (1, 2, 3, 4): with x56 x78 the row
+    # takes width 2 to width 4 in one star product and misses Gr(4,8); with
+    # x56 x56 it is the Klein quadric in the minors through 5 and 6
+    from shufflestar.core import IncFn
+    klein = SymElement(2, 2, 2, {((1, 2), (3, 4)): 1, ((1, 3), (2, 4)): -1,
+                                 ((1, 4), (2, 3)): 1})
+    g = IncFn(4, 8, (1, 2, 3, 4))
+    apart = sym_star(klein, sym_monomial(2, 2, 2, [(1, 2), (3, 4)]), g)
+    same = sym_star(klein, sym_monomial(2, 2, 2, [(1, 2), (1, 2)]), g)
+    assert ((1, 2, 5, 6), (3, 4, 7, 8)) in apart.terms
+    assert ((1, 2, 5, 6), (3, 4, 5, 6)) in same.terms
+    rng = random.Random(1)
+    points = [decomposable_point([[rng.randint(-9, 9) for _ in range(8)] for _ in range(4)],
+                                 4, 8) for _ in range(3)]
+    assert all(evaluate(same, p) == 0 for p in points)
+    assert all(evaluate(apart, p) != 0 for p in points)
+
+
+def _reference_condition_table(QL, QR, i, key):
+    # the table of one column as it was built before the getter table: each
+    # side of each split read by position, one factor at a time
+    table: dict = {}
+    for pos in combinations(range(len(key)), i):
+        rest = tuple(t for t in range(len(key)) if t not in pos)
+        rnf = QR[tuple(key[t] for t in rest)]
+        for lc, lv in QL[tuple(key[t] for t in pos)]:
+            for rc, rv in rnf:
+                table[(lc, rc)] = table.get((lc, rc), 0) + lv * rv
+    return table
+
+
+@pytest.mark.parametrize("M, r, n", [(3, 1, 3), (3, 1, 4), (4, 2, 4)])
+def test_condition_tables_equal_the_split_by_position_reference(M, r, n):
+    # i = 1 and i = n - 1 read one side through a one-slot getter
+    from shufflestar.ideals import monomial_space
+    from shufflestar.plucker import _ConditionTables
+    P = plucker_ideal(M, 2)
+    join = JoinIdeal(P, secant_ideal(P, r - 1))
+    monomials, _ = monomial_space(2, n, M)
+    rng = random.Random(n)
+    cols = rng.sample(range(len(monomials)), 150)
+    for i in range(1, n):
+        QL, QR = join.I.quotient_reader(2, i), join.J.quotient_reader(2, n - i)
+        tables = _ConditionTables(QL, QR, i, monomials)
+        nonzero = 0
+        for col in cols:
+            want = _reference_condition_table(QL, QR, i, monomials[col])
+            assert tables[col] == want
+            nonzero += any(want.values())
+        assert nonzero

@@ -1,4 +1,6 @@
 import random
+from itertools import permutations
+from math import factorial
 
 import pytest
 from fractions import Fraction
@@ -7,10 +9,14 @@ from shufflestar.core import (
     Element,
     IncFn,
     SymElement,
+    from_numerators,
+    is_sym_invariant,
     iter_sym_keys,
     iter_tensor_keys,
     monomial,
+    slot_splits,
     sym_monomial,
+    to_numerators,
 )
 from shufflestar.products import invariant_shuffle, star_product
 from shufflestar.symmetry import (
@@ -189,3 +195,115 @@ def test_pair_element_swap_is_an_involution():
         assert len(y.terms) == len(x.terms)
         assert y.terms == {(r, l): c for (l, r), c in x.terms.items()}
         assert y.swap() == x
+
+
+# references that split along every slot subset and, for invariants, sum
+# every ordering: the comultiplications as they were computed before the
+# getter table and the orbit pass
+
+def _reference_delta_sums(nums, n, canonical):
+    out: dict = {}
+    for key, c in nums.items():
+        for mask in range(1 << n):
+            left = tuple(key[i] for i in range(n) if mask >> i & 1)
+            right = tuple(key[i] for i in range(n) if not mask >> i & 1)
+            if canonical:
+                left, right = tuple(sorted(left)), tuple(sorted(right))
+            out[(left, right)] = out.get((left, right), 0) + c
+    return out
+
+
+def _reference_delta(f):
+    nums, den = to_numerators(f.terms)
+    return from_numerators(_reference_delta_sums(nums, f.n, False), den)
+
+
+def _reference_delta_invariant(f):
+    assert is_sym_invariant(f)
+    nums, den = to_numerators(f.terms)
+    out: dict = {}
+    for (sl, sr), c in _reference_delta_sums(nums, f.n, True).items():
+        lperms, rperms = set(permutations(sl)), set(permutations(sr))
+        c *= factorial(len(sl)) // len(lperms) * (factorial(len(sr)) // len(rperms))
+        for lk in lperms:
+            for rk in rperms:
+                out[(lk, rk)] = c
+    return from_numerators(out, den * factorial(f.n))
+
+
+def _reference_from_invariant(f):
+    assert is_sym_invariant(f)
+    nums, den = to_numerators(f.terms)
+    out: dict = {}
+    for key, c in nums.items():
+        canon = tuple(sorted(key))
+        out[canon] = out.get(canon, 0) + c
+    return from_numerators(out, den)
+
+
+def _typed(terms):
+    # equal term for term: same keys, values and int-or-Fraction classes
+    return {k: (type(v), v) for k, v in terms.items()}
+
+
+def _seeded_elements(rng, n):
+    """Tensor elements with Fraction coefficients over alphabets small
+    enough that keys repeat factors: x1, x2 at d = 1, M = 2, and the six
+    x_ij at d = 2, M = 2."""
+    for d, M in ((1, 2), (2, 2), (1, 3)):
+        keys = list(iter_tensor_keys(d, n, M))
+        for _ in range(4):
+            yield Element(d, n, M, {rng.choice(keys): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                                    for _ in range(rng.randint(1, 5))})
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_comultiplications_equal_the_every_subset_references(n):
+    rng = random.Random(100 + n)
+    repeated = 0
+    for f in _seeded_elements(rng, n):
+        inv = pi(f)
+        sym = from_invariant(inv)
+        repeated += any(len(set(k)) < n for k in sym.terms)
+        assert _typed(sym.terms) == _typed(_reference_from_invariant(inv))
+        assert _typed(delta_sym(sym).terms) == _typed(_reference_delta(sym))
+        assert _typed(delta_tensor(f).terms) == _typed(_reference_delta(f))
+        assert _typed(delta_tensor(inv).terms) == _typed(_reference_delta(inv))
+        assert _typed(delta_invariant(inv).terms) == _typed(_reference_delta_invariant(inv))
+    assert n < 2 or repeated
+
+
+def test_slot_getters_return_tuples_in_slot_order():
+    key = tuple((i,) for i in range(1, 6))
+    for n in range(6):
+        splits = slot_splits(n)
+        assert slot_splits(n) is splits and len(splits) == 1 << n
+        assert list(splits) == [tuple(i for i in range(n) if mask >> i & 1)
+                                for mask in range(1 << n)]
+        for pos, (left, right) in splits.items():
+            rest = tuple(i for i in range(n) if i not in pos)
+            assert left(key[:n]) == tuple(key[i] for i in pos)
+            assert right(key[:n]) == tuple(key[i] for i in rest)
+            assert type(left(key[:n])) is tuple and type(right(key[:n])) is tuple
+
+
+_NOT_INVARIANT = [
+    # x1 x2 without x2 x1
+    Element(1, 2, 2, {((1,), (2,)): Fraction(1, 2)}),
+    # an orbit of x1 x1 x2 missing x2 x1 x1
+    Element(1, 3, 2, {((1,), (1,), (2,)): 1, ((1,), (2,), (1,)): 1}),
+    # the whole orbit of x1 x2 x3 but one unequal coefficient
+    Element(1, 3, 3, {tuple((i,) for i in p): Fraction(2 if p == (2, 1, 3) else 1, 3)
+                      for p in permutations((1, 2, 3))}),
+    Element(1, 2, 2, {((1,), (2,)): 1, ((2,), (1,)): 2, ((1,), (1,)): 5}),
+]
+
+
+@pytest.mark.parametrize("f", _NOT_INVARIANT, ids=range(len(_NOT_INVARIANT)))
+def test_the_orbit_pass_refuses_what_is_not_invariant(f):
+    assert not is_sym_invariant(f)
+    with pytest.raises(ValueError, match="^from_invariant requires a "
+                                         "slot-permutation-invariant element$"):
+        from_invariant(f)
+    with pytest.raises(ValueError, match="^delta_invariant requires an invariant element$"):
+        delta_invariant(f)

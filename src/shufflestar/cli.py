@@ -1,9 +1,10 @@
 """Command-line driver: products, symmetrization, divisibility, secants, verify.
 
 All commands emit a single JSON report on stdout (or --out) echoing their
-inputs; identical invocations produce byte-identical reports.  Timings are
-only included with --timings, since they would break that contract.
-Human-oriented progress goes to stderr.
+inputs; identical invocations produce byte-identical reports.  Each command
+takes only the options it reads (`build_parser`), and no environment
+variable reaches a run.  Timings are only included with --timings, since
+they would break that contract.  Human-oriented progress goes to stderr.
 
 A report is one canonical dump: sorted keys, no spaces, a trailing newline.
 Elements go into it as `core.wire_dict`s.  The join path of `secant`
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from contextlib import nullcontext
@@ -252,20 +252,25 @@ def _check_out(args) -> None:
         raise
 
 
-def _add_seed(p: argparse.ArgumentParser) -> None:
-    # only the commands that sample take a seed
-    p.add_argument("--seed", type=int, default=0, help="root seed for sampled computations")
+# the options given after a subcommand's name.  Each command takes only the
+# ones it reads, and `--timings` and `--out` every command; `--jobs` is read
+# by `verify` alone, but `secant` and `probe` take it too, because the
+# benchmark's workloads (bench/workloads.py) pass --jobs 1 to every command
+_OPTIONS = {
+    "--seed": dict(type=int, default=0, help="root seed for sampled computations"),
+    "--cache-dir": dict(help="component cache directory"),
+    "--jobs": dict(type=int, default=1, help="worker processes for independent tasks"),
+    "--max-coeff-bits": dict(type=int, default=0, help="abort when eliminations exceed "
+                                                       "this many bits per coefficient"),
+    "--timings": dict(action="store_true",
+                      help="include timings in reports (breaks byte-for-byte determinism)"),
+    "--out": dict(help="write the JSON report to a file instead of stdout"),
+}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    # the options every subcommand shares, given after its name
-    p.add_argument("--cache-dir", help="component cache directory (env PSA_CACHE_DIR)")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for independent tasks")
-    p.add_argument("--max-coeff-bits", type=int, default=0,
-                   help="abort when eliminations exceed this many bits per coefficient")
-    p.add_argument("--timings", action="store_true",
-                   help="include timings in reports (breaks byte-for-byte determinism)")
-    p.add_argument("--out", help="write the JSON report to a file instead of stdout")
+def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in (*names, "--timings", "--out"):
+        p.add_argument(name, **_OPTIONS[name])
 
 
 @cache
@@ -273,11 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
     """The `psa` parser, built once per process and shared by every `main` call.
 
     Each `parse_args` fills a fresh namespace from the defaults, so nothing
-    one call parses reaches the next.  The options every command shares
-    (`_add_common`) follow the subcommand's name; `--seed` is taken only by
-    `secant` and `verify` and `--samples` only by `secant`, the commands
-    that read them, and any other command refuses them as argparse refuses
-    an unknown option, with exit code 2.
+    one call parses reaches the next.  Each command takes only the shared
+    options (`_OPTIONS`) it reads: `--seed` `secant` and `verify`,
+    `--cache-dir` `secant` and `probe`, `--jobs` and `--max-coeff-bits` the
+    commands that eliminate, `secant`, `probe` and `verify`, and `--timings`
+    and `--out` every command.  Any other command refuses them as argparse
+    refuses an unknown option, with exit code 2.
     """
     parser = argparse.ArgumentParser(
         prog="psa",
@@ -343,11 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--oracle", action="store_true")
-    _add_seed(p)
     p.add_argument("--samples", type=int, default=0,
                    help="first-round evaluation points of the oracle, shared by the "
                         "dominant weight blocks it solves (0 = largest block + 24)")
-    _add_common(p)
+    _add_common(p, "--seed", "--cache-dir", "--jobs", "--max-coeff-bits")
     p.set_defaults(fn=cmd_secant)
 
     p = sub.add_parser("probe", help="new-generator degrees of a secant ideal")
@@ -355,13 +360,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int)
     p.add_argument("--r", type=int, default=0)
     p.add_argument("--max-n", type=int, required=True)
-    _add_common(p)
+    _add_common(p, "--cache-dir", "--jobs", "--max-coeff-bits")
     p.set_defaults(fn=cmd_probe)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--only", help=f"comma-separated subset of {', '.join(CHECK_NAMES)}")
-    _add_seed(p)
-    _add_common(p)
+    _add_common(p, "--seed", "--jobs", "--max-coeff-bits")
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -370,13 +374,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.cache_dir is None:
-        args.cache_dir = os.environ.get("PSA_CACHE_DIR")
     t0 = time.perf_counter()
     config = {k: v for k, v in vars(args).items() if k not in ("fn", "out") and v is not None}
-    # the coefficient guard holds for this run only, not for later calls
-    # in the same process
-    previous_bits = linalg.set_default_max_bits(args.max_coeff_bits or None)
+    # the coefficient guard of a command that takes one holds for this run
+    # only, not for later calls in the same process
+    guarded = hasattr(args, "max_coeff_bits")
+    previous_bits = linalg.set_default_max_bits(args.max_coeff_bits or None) if guarded else None
     clock = StageClock()
     try:
         _check_counts(args)
@@ -393,7 +396,8 @@ def main(argv=None) -> int:
         _emit({"command": args.command, "config": config, "error": str(exc)}, args)
         return 2
     finally:
-        linalg.set_default_max_bits(previous_bits)
+        if guarded:
+            linalg.set_default_max_bits(previous_bits)
     report = {"command": args.command, "config": config}
     report.update(body)
     if args.timings:

@@ -197,23 +197,16 @@ def _brute_force_keys(S: TensorMonomial, e: int, m: int, M: int) -> set:
         relabeled = tuple(tuple(gimg[i - 1] for i in fac) for fac in facs)
         gc = g.complement().image
         for akey in iter_tensor_keys(e - d, n, M):
-            slots = []
-            for k in range(n):
-                merged = tuple(sorted(relabeled[k] + tuple(gc[i - 1] for i in akey[k])))
-                slots.append(merged)
-            star_keys.add(tuple(slots))
+            star_keys.add(tuple(tuple(sorted(relabeled[k] + tuple(gc[i - 1] for i in akey[k])))
+                                for k in range(n)))
     hspace = list(iter_tensor_keys(e, m - n, M))
     positions = list(combinations(range(m), n))
     for skey in star_keys:
         for hkey in hspace:
             for pos in positions:
                 inside = set(pos)
-                slots = []
-                it_s = iter(skey)
-                it_h = iter(hkey)
-                for t in range(m):
-                    slots.append(next(it_s) if t in inside else next(it_h))
-                out.add(tuple(slots))
+                it_s, it_h = iter(skey), iter(hkey)
+                out.add(tuple(next(it_s) if t in inside else next(it_h) for t in range(m)))
     return out
 
 
@@ -260,27 +253,32 @@ def check_poset_oracle(seed: int = 0) -> dict:
 # 6. symmetrization and comultiplication identities
 # ---------------------------------------------------------------------------
 
-def _random_element(rng, d, n, M, terms=2) -> Element:
-    keys = list(iter_tensor_keys(d, n, M))
-    out: dict = {}
-    for _ in range(terms):
-        out[rng.choice(keys)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return Element(d, n, M, out)
+# the sizes of the sampled checks: terms per random element, rounds of the
+# Hopf identities, and products and points per product of the ideal closure
+_TERMS, _HOPF_ROUNDS, _CLOSURE_PRODUCTS, _CLOSURE_POINTS = 2, 100, 50, 20
 
 
-def _random_sym(rng, d, n, M, terms=2) -> SymElement:
-    keys = list(iter_sym_keys(d, n, M))
+def _random_terms(rng, keys) -> dict:
+    keys = list(keys)
     out: dict = {}
-    for _ in range(terms):
+    for _ in range(_TERMS):
         out[rng.choice(keys)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-    return SymElement(d, n, M, out)
+    return out
+
+
+def _random_element(rng, d, n, M) -> Element:
+    return Element(d, n, M, _random_terms(rng, iter_tensor_keys(d, n, M)))
+
+
+def _random_sym(rng, d, n, M) -> SymElement:
+    return SymElement(d, n, M, _random_terms(rng, iter_sym_keys(d, n, M)))
 
 
 def _random_incfn(rng, domain, codomain) -> IncFn:
     return IncFn(domain, codomain, tuple(sorted(rng.sample(range(1, codomain + 1), domain))))
 
 
-def check_hopf(seed: int = 0, rounds: int = 100) -> dict:
+def check_hopf(seed: int = 0) -> dict:
     rng = random.Random(seed)
     fails: dict[str, int] = {}
 
@@ -288,7 +286,7 @@ def check_hopf(seed: int = 0, rounds: int = 100) -> dict:
         if not ok:
             fails[name] = fails.get(name, 0) + 1
 
-    for _ in range(rounds):
+    for _ in range(_HOPF_ROUNDS):
         M = rng.randint(1, 3)
         d = rng.randint(1, 2)
         e = rng.randint(1, 2)
@@ -355,7 +353,7 @@ def check_hopf(seed: int = 0, rounds: int = 100) -> dict:
     return {
         "name": "hopf",
         "passed": not fails,
-        "details": {"rounds": rounds, "failures": fails},
+        "details": {"rounds": _HOPF_ROUNDS, "failures": fails},
     }
 
 
@@ -457,14 +455,13 @@ def check_secant_gr26(seed: int = 0) -> dict:
 # 9. products of ideal elements vanish on decomposables
 # ---------------------------------------------------------------------------
 
-def check_diideal_closure(seed: int = 0, products: int = 50, points: int = 20) -> dict:
+def check_diideal_closure(seed: int = 0) -> dict:
     rng = random.Random(seed)
     M = 3
     P = plucker_ideal(M, 2)
     pools = {bid: P.component(*bid).basis_elements() for bid in ((2, 2), (2, 3))}
     failures = 0
-    checked = 0
-    for k in range(products):
+    for k in range(_CLOSURE_PRODUCTS):
         bid = (2, 2) if k % 2 == 0 else (2, 3)
         basis = pools[bid]
         u = basis[rng.randrange(len(basis))].scale(Fraction(rng.randint(1, 3)))
@@ -483,16 +480,13 @@ def check_diideal_closure(seed: int = 0, products: int = 50, points: int = 20) -
             prod = sym_shuffle(u, sym_monomial(d, 1, M, [var]))
             width = d
         N = M * width
-        for _ in range(points):
-            checked += 1
-            pt = random_secant_point(rng, width, N, 0)
-            val = evaluate(prod, pt)
-            if val != 0:
-                failures += 1
+        for _ in range(_CLOSURE_POINTS):
+            failures += evaluate(prod, random_secant_point(rng, width, N, 0)) != 0
     return {
         "name": "diideal_closure",
         "passed": failures == 0,
-        "details": {"products": products, "evaluations": checked, "nonzero": failures},
+        "details": {"products": _CLOSURE_PRODUCTS,
+                    "evaluations": _CLOSURE_PRODUCTS * _CLOSURE_POINTS, "nonzero": failures},
     }
 
 
@@ -545,9 +539,10 @@ def run_checks(only=None, seed: int = 0, with_timings: bool = False,
                jobs: int = 1) -> dict:
     """Run the acceptance checks (all, or the named subset).
 
-    With jobs > 1 the independent checks run in a process pool, each worker
-    under this process's coefficient guard, whatever the start method; the
-    report order stays fixed either way.
+    With jobs > 1 the independent checks run in a process pool of at most
+    one worker per check, each worker under this process's coefficient
+    guard, whatever the start method; the report order stays fixed either
+    way.
     """
     wanted = set(only) if only else None
     if wanted:
@@ -560,7 +555,8 @@ def run_checks(only=None, seed: int = 0, with_timings: bool = False,
     items = [(fn, seed) for fn in selected]
     if jobs > 1 and len(items) > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs, initializer=linalg.set_default_max_bits,
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
+                                 initializer=linalg.set_default_max_bits,
                                  initargs=(linalg.default_max_bits(),)) as pool:
             outcomes = list(pool.map(_run_one, items))
     else:

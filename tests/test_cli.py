@@ -73,10 +73,12 @@ def test_delta_command(element_files, tmp_path):
 
 # SHA-256 of the whole `psa delta` report file, as written, for
 # (1/3) x12 x12 + x12 x34: its image has the integral coefficient 1 and the
-# fractional ones 1/3 and 2/3.  Recorded when `delta` stopped taking --seed
-# and --samples: the earlier pin's bytes (2c2b3405...) less the
-# `"samples":0,"seed":0,` its config echoed
-_DELTA_REPORT = "3dbfa550bba37c7f8af734d8d496920a3df8459e224d5898da0fa6ad76f5d4f2"
+# fractional ones 1/3 and 2/3.  Recorded when `delta` stopped taking --jobs
+# and --max-coeff-bits: the earlier pin's bytes (3dbfa550...) less the
+# `"jobs":1,"max_coeff_bits":0,` its config echoed; that pin was in turn
+# the bytes of 2c2b3405... less the `"samples":0,"seed":0,` of --seed and
+# --samples
+_DELTA_REPORT = "364e6e0428e41eab1f07017f05902d37ec655c58057b6861c0487b22614b8bb8"
 
 
 def test_delta_report_is_raw_byte_identical(tmp_path, monkeypatch):
@@ -202,14 +204,22 @@ def test_secant_command(tmp_path):
     assert code == 0 and rep["result"]["dimension"] == 0
 
 
+# SHA-256 of the whole `psa probe --d 2 --N 4 --r 0 --max-n 2` report file
+_PROBE_GR24_REPORT = "327f6bb0b47a050a0d117055af5aafa70870ebeae718a882017ef3397550fddf"
+
+
 def test_probe_command_and_cache_env(tmp_path, monkeypatch):
+    # no environment variable reaches a run: with the cache variable of
+    # earlier versions set, the report keeps its bytes and no cache
+    # directory appears
     cache = tmp_path / "cache"
     monkeypatch.setenv("PSA_CACHE_DIR", str(cache))
     out = tmp_path / "r.json"
-    code, rep = _run(["probe", "--d", "2", "--r", "0", "--max-n", "2"], out)
+    code, rep = _run(["probe", "--d", "2", "--N", "4", "--r", "0", "--max-n", "2"], out)
     assert code == 0
     assert rep["result"]["largest_new_n"] == 2
-    assert list(cache.glob("component_*.json"))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _PROBE_GR24_REPORT
+    assert not cache.exists()
 
 
 def test_verify_subset_and_determinism(tmp_path):
@@ -394,6 +404,34 @@ def test_parallel_verify_equals_the_serial_run(tmp_path):
         code, rep = _run(["verify", "--only", "gamma,degree_probe", "--jobs", jobs,
                           "--max-coeff-bits", "1"], out)
         assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
+
+
+def test_verify_pool_has_at_most_one_worker_per_check(monkeypatch):
+    # a fork pool starts every worker up front, so --jobs 64 on two checks
+    # must ask for two; the stand-in pool maps in this process and forks
+    # nothing
+    import concurrent.futures
+    from shufflestar.verify import run_checks
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers, initializer, initargs):
+            workers.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    only = ["gamma", "tree"]
+    assert run_checks(only=only, jobs=64)["checks"] == run_checks(only=only, jobs=1)["checks"]
+    assert workers == [2]
 
 
 # Spawned workers start from a fresh interpreter and copy no module global,
@@ -675,9 +713,7 @@ _RAW_REPORTS = {
 
 
 @pytest.mark.parametrize("args", sorted(_RAW_REPORTS), ids=" ".join)
-def test_basis_reports_are_raw_byte_identical(tmp_path, monkeypatch, args):
-    # the config echoes a cache directory taken from the environment
-    monkeypatch.delenv("PSA_CACHE_DIR", raising=False)
+def test_basis_reports_are_raw_byte_identical(tmp_path, args):
     out = tmp_path / "r.json"
     assert main([*args, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _RAW_REPORTS[args]
@@ -745,9 +781,18 @@ def test_no_command_loads_numpy(tmp_path):
     ["probe", "--d", "2", "--N", "4", "--r", "0", "--max-n", "2", "--samples", "9"],
     ["verify", "--only", "gamma", "--samples", "9"],
     ["delta", "--input", "f.json", "--seed", "1"],
+    ["delta", "--input", "f.json", "--cache-dir", "c"],
+    ["delta", "--input", "f.json", "--jobs", "7"],
+    ["delta", "--input", "f.json", "--max-coeff-bits", "3"],
+    ["plucker", "--d", "2", "--N", "6", "--max-coeff-bits", "3"],
+    ["tree", "s.json", "--jobs", "2"],
+    ["verify", "--only", "gamma", "--cache-dir", "c"],
 ], ids=lambda args: f"{args[0]}{args[-2]}")
 def test_commands_that_do_not_sample_refuse_seed_and_samples(tmp_path, capsys, args):
-    # only `secant` reads --samples, and only `secant` and `verify` read --seed
+    # each command takes only the options it reads: only `secant` reads
+    # --samples, only `secant` and `verify` read --seed, only `secant` and
+    # `probe` read --cache-dir, and --jobs and --max-coeff-bits are taken
+    # only by the commands that eliminate, `secant`, `probe` and `verify`
     with pytest.raises(SystemExit) as exc:
         main([*args, "--out", str(tmp_path / "r.json")])
     assert exc.value.code == 2

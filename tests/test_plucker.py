@@ -1268,6 +1268,33 @@ def test_a_star_row_two_widths_up_leaves_the_plucker_ideal():
     assert all(evaluate(apart, p) != 0 for p in points)
 
 
+def test_every_width3_star_row_of_gr36_vanishes_on_the_grassmannian():
+    rows = list(plucker_ideal(2, 3)._star_rows(3, 2))
+    assert len(rows) == 80
+    rng = random.Random(3)
+    points = [random_secant_point(rng, 3, 6, 0) for _ in range(3)]
+    assert all(evaluate(row, p) == 0 for row in rows for p in points)
+
+
+def test_sampled_width3_star_rows_of_gr39_vanish_on_the_grassmannian():
+    # evaluating all 8,610 rows adds about 1.5 s; a seeded sample of them
+    # keeps the test short
+    rows = list(plucker_ideal(3, 3)._star_rows(3, 2))
+    assert len(rows) == 8610
+    rng = random.Random(9)
+    points = [random_secant_point(rng, 3, 9, 0) for _ in range(2)]
+    assert all(evaluate(row, p) == 0 for row in rng.sample(rows, 300) for p in points)
+
+
+@pytest.mark.parametrize("n, dim", [(2, 35), (3, 560)])
+def test_width3_plucker_component_equals_the_oracle_gr36(n, dim):
+    # the width-3 component holds the star rows of the width-2 quadrics
+    comp = plucker_ideal(2, 3).component(3, n)
+    K = evaluation_kernel(GrassmannConfig(d=3, N=6), n)
+    assert comp.dim == len(K) == dim
+    assert all(comp.contains(v) for v in K)
+
+
 def _reference_condition_table(QL, QR, i, key):
     # the table of one column as it was built before the getter table: each
     # side of each split read by position, one factor at a time

@@ -24,7 +24,6 @@ from contextlib import nullcontext
 from functools import cache
 from pathlib import Path
 
-from . import linalg
 from .core import (
     IncFn,
     TensorMonomial,
@@ -181,6 +180,13 @@ def _with_cache(body: dict, ideal) -> dict:
 
 
 def cmd_secant(args) -> dict:
+    # the flags a mode never reads are refused when given a value: the
+    # oracle builds no ideal, and the join engine samples nothing
+    unread = ("cache_dir", "max_coeff_bits") if args.oracle else ("seed", "samples")
+    for key in unread:
+        if getattr(args, key):
+            mode = "with" if args.oracle else "without"
+            raise ValueError(f"secant {mode} --oracle does not read --{key.replace('_', '-')}")
     cfg = GrassmannConfig(d=args.d, N=args.N, r=args.r)
     out: dict = {"d": cfg.d, "N": cfg.N, "r": cfg.r, "degree": args.degree}
     if args.oracle:
@@ -191,7 +197,8 @@ def cmd_secant(args) -> dict:
             out["basis"] = _elements_json(kernel)
         out["engine"] = "evaluation-kernel"
         return {"result": out}
-    P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
+    P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir,
+                      max_bits=args.max_coeff_bits or None)
     comp = secant_ideal(P, cfg.r).component(cfg.d, args.degree)
     out["dimension"] = comp.dim
     with REPORT:
@@ -202,7 +209,8 @@ def cmd_secant(args) -> dict:
 
 def cmd_probe(args) -> dict:
     cfg = GrassmannConfig(d=args.d, N=args.N, r=args.r)
-    P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir)
+    P = plucker_ideal(cfg.M, cfg.d, cache_dir=args.cache_dir,
+                      max_bits=args.max_coeff_bits or None)
     report = degree_probe(cfg, args.max_n, base=P)
     with REPORT:
         lines = [f"{'n':>3} {'dim':>6} {'below':>6} {'new':>5}"]
@@ -215,8 +223,7 @@ def cmd_probe(args) -> dict:
 
 def cmd_verify(args) -> dict:
     only = args.only.split(",") if args.only else None
-    report = run_checks(only=only, seed=args.seed, with_timings=args.timings,
-                        jobs=args.jobs)
+    report = run_checks(only=only, seed=args.seed, with_timings=args.timings)
     for chk in report["checks"]:
         status = "pass" if chk["passed"] else "FAIL"
         sys.stderr.write(f"{status:4} {chk['name']}\n")
@@ -253,13 +260,14 @@ def _check_out(args) -> None:
 
 
 # the options given after a subcommand's name.  Each command takes only the
-# ones it reads, and `--timings` and `--out` every command; `--jobs` is read
-# by `verify` alone, but `secant` and `probe` take it too, because the
-# benchmark's workloads (bench/workloads.py) pass --jobs 1 to every command
+# ones it reads, and `--timings` and `--out` every command; no command reads
+# `--jobs`, but `secant` and `probe` take it, because the benchmark's
+# workloads (bench/workloads.py) pass --jobs 1 to every command they run
 _OPTIONS = {
     "--seed": dict(type=int, default=0, help="root seed for sampled computations"),
     "--cache-dir": dict(help="component cache directory"),
-    "--jobs": dict(type=int, default=1, help="worker processes for independent tasks"),
+    "--jobs": dict(type=int, default=1, help="accepted and ignored: every command runs "
+                                              "in one process"),
     "--max-coeff-bits": dict(type=int, default=0, help="abort when eliminations exceed "
                                                        "this many bits per coefficient"),
     "--timings": dict(action="store_true",
@@ -280,10 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     Each `parse_args` fills a fresh namespace from the defaults, so nothing
     one call parses reaches the next.  Each command takes only the shared
     options (`_OPTIONS`) it reads: `--seed` `secant` and `verify`,
-    `--cache-dir` `secant` and `probe`, `--jobs` and `--max-coeff-bits` the
-    commands that eliminate, `secant`, `probe` and `verify`, and `--timings`
-    and `--out` every command.  Any other command refuses them as argparse
-    refuses an unknown option, with exit code 2.
+    `--cache-dir` and `--max-coeff-bits` `secant` and `probe`, which also
+    take the unread `--jobs`, and `--timings` and `--out` every command.
+    Any other command refuses them as argparse refuses an unknown option,
+    with exit code 2; `secant` refuses, with the same code, the options its
+    mode does not read (`cmd_secant`).
     """
     parser = argparse.ArgumentParser(
         prog="psa",
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--only", help=f"comma-separated subset of {', '.join(CHECK_NAMES)}")
-    _add_common(p, "--seed", "--jobs", "--max-coeff-bits")
+    _add_common(p, "--seed")
     p.set_defaults(fn=cmd_verify)
 
     return parser
@@ -376,10 +385,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     t0 = time.perf_counter()
     config = {k: v for k, v in vars(args).items() if k not in ("fn", "out") and v is not None}
-    # the coefficient guard of a command that takes one holds for this run
-    # only, not for later calls in the same process
-    guarded = hasattr(args, "max_coeff_bits")
-    previous_bits = linalg.set_default_max_bits(args.max_coeff_bits or None) if guarded else None
     clock = StageClock()
     try:
         _check_counts(args)
@@ -395,9 +400,6 @@ def main(argv=None) -> int:
         # multiple of d, ...); 2 is argparse's code for a usage error
         _emit({"command": args.command, "config": config, "error": str(exc)}, args)
         return 2
-    finally:
-        if guarded:
-            linalg.set_default_max_bits(previous_bits)
     report = {"command": args.command, "config": config}
     report.update(body)
     if args.timings:

@@ -159,17 +159,18 @@ class ComponentBasis:
     """Auto-reduced basis of one (d, n) component over descending monomials.
 
     `monomials` and `index` are the shared `monomial_space` of the
-    bidegree; only `basis` belongs to this component.
+    bidegree; only `basis` belongs to this component, and it keeps the
+    coefficient-bit budget max_bits (None for none).
     """
 
     __slots__ = ("d", "n", "M", "monomials", "index", "basis")
 
-    def __init__(self, d: int, n: int, M: int):
+    def __init__(self, d: int, n: int, M: int, max_bits: Optional[int] = None):
         self.d = d
         self.n = n
         self.M = M
         self.monomials, self.index = monomial_space(d, n, M)
-        self.basis = SparseRREF()
+        self.basis = SparseRREF(max_bits)
 
     @property
     def dim(self) -> int:
@@ -362,10 +363,17 @@ class _QuotientReader(dict):
 
 
 class DiIdeal:
-    """An ideal of the symmetric algebra closed under both products."""
+    """An ideal of the symmetric algebra closed under both products.
+
+    `max_bits` is the ideal's coefficient-bit budget: every component,
+    block and climb it builds, and every cache file it reads, raises
+    `linalg.CoeffLimitExceeded` on a coefficient of more bits.  None, the
+    default, sets no budget.
+    """
 
     def __init__(self, M: int, generators: Iterable[SymElement],
-                 cache_dir: str | os.PathLike | None = None):
+                 cache_dir: str | os.PathLike | None = None,
+                 max_bits: Optional[int] = None):
         if M.__class__ is not int:
             raise ValueError(f"multiplier {M!r} is not an integer")
         self.M = M
@@ -379,6 +387,7 @@ class DiIdeal:
                 raise ValueError("generators must have positive width and tensor degree")
             self.generators.append(g)
         self.cache_dir = Path(cache_dir) if cache_dir else None
+        self.max_bits = max_bits
         # every component below this tensor degree is zero
         self._first_degree = min((g.n for g in self.generators), default=0)
         self._components: dict[tuple[int, int], ComponentBasis] = {}
@@ -434,7 +443,8 @@ class DiIdeal:
             if list(map(coeff_to_str, coeffs)) != strings:
                 return self._reject("non-canonical entry")
             comp = ComponentBasis(d, n, self.M)
-            comp.basis = SparseRREF.from_arrays(coeffs, cols, vals, ends, comp.space_dim)
+            comp.basis = SparseRREF.from_arrays(coeffs, cols, vals, ends, comp.space_dim,
+                                                max_bits=self.max_bits)
         except NotReducedError as exc:
             return self._reject(exc.reason)
         except (ValueError, KeyError, TypeError, AttributeError):
@@ -500,7 +510,7 @@ class DiIdeal:
 
     def _compute_component(self, d: int, n: int) -> ComponentBasis:
         if n == 0 or d == 0:
-            return ComponentBasis(d, n, self.M)
+            return ComponentBasis(d, n, self.M, self.max_bits)
         below = self.component(d, n - 1)
         # C_(d,n-2) only if it is in memory, which after a cache read of
         # C_(d,n-1) it usually is not
@@ -525,7 +535,7 @@ class DiIdeal:
         multiple of `below` by the earlier x_j, plus products with smaller
         leading monomials (`_multiples` gives the induction).
 
-        With a coefficient-bit budget (`linalg.set_default_max_bits`) the
+        With a coefficient-bit budget (this ideal's `max_bits`) the
         intermediate rows can differ from those of the step without
         `lower`: a skipped product may be one that step accepts before
         later rows span it.  So whether the budget aborts can depend on
@@ -536,7 +546,7 @@ class DiIdeal:
         if lower is not None and (lower.d, lower.n, lower.M) != (d, n - 2, self.M):
             raise ValueError(f"climb to {(d, n)} past {(lower.d, lower.n, lower.M)}")
         with CLIMBS:
-            comp = ComponentBasis(d, n, self.M)
+            comp = ComponentBasis(d, n, self.M, self.max_bits)
             if below.dim:
                 # row by row, each x in turn: adding all rows of one x before
                 # the next x was measured slower (more fill-in)
@@ -567,7 +577,7 @@ class DiIdeal:
         if block is not None:
             return block
         with CLIMBS:
-            block = ComponentBasis(d, n, self.M)
+            block = ComponentBasis(d, n, self.M, self.max_bits)
             if d and n > self._first_degree:
                 if not self.permutation_stable(d, n - 1):
                     raise ValueError(f"the component at {(d, n - 1)} is not certified graded")

@@ -43,25 +43,6 @@ class NotReducedError(ValueError):
         self.reason = reason
 
 
-_default_max_bits: Optional[int] = None
-
-
-def set_default_max_bits(bits: Optional[int]) -> Optional[int]:
-    """Global coefficient-growth guard applied by new elimination objects.
-
-    Returns the previous guard, so a caller can put it back.
-    """
-    global _default_max_bits
-    previous = _default_max_bits
-    _default_max_bits = bits
-    return previous
-
-
-def default_max_bits() -> Optional[int]:
-    """The guard `set_default_max_bits` last set, None when there is none."""
-    return _default_max_bits
-
-
 def _check_bits(value: int, max_bits: Optional[int]):
     if max_bits is not None and value.bit_length() > max_bits:
         raise CoeffLimitExceeded(f"coefficient reached {value.bit_length()} bits (limit {max_bits})")
@@ -92,6 +73,10 @@ class SparseRREF:
     the first `add` or `sparse_rref_kernel`, so a basis that is only reduced
     against builds neither.  `row` reads one row, building it if need be.
 
+    With a budget `max_bits`, `add` and `from_arrays` raise
+    `CoeffLimitExceeded` on a stored coefficient whose numerator or
+    denominator has more bits; the budget is this basis's alone.
+
     `add`, `reduce`, `contains` and `basis_rows` only order and hash their
     columns, so they take any ordered, hashable column keys, such as the
     monomials themselves; `from_arrays` and `sparse_rref_kernel` need `int`
@@ -108,7 +93,8 @@ class SparseRREF:
         self._cols: Optional[dict[int, list[int]]] = {}
         # the adopted (coeffs, cols, vals, ends) while a row is not built
         self._flat: Optional[tuple[Sequence[Rational], list[int], list[int], list[int]]] = None
-        self.max_bits = max_bits if max_bits is not None else _default_max_bits
+        # the coefficient-bit budget; None for no budget
+        self.max_bits = max_bits
 
     @classmethod
     def from_arrays(cls, coeffs: Sequence[Rational], cols: array, vals: array, ends: array,
@@ -332,14 +318,16 @@ def rref_rank(rows: Iterable[Mapping[int, Rational]]
     return basis.rank, basis.basis_rows(), basis.pivot_columns()
 
 
-def kernel_basis(rows: Iterable[Mapping[int, Rational]], ncols: int) -> list[dict[int, Rational]]:
+def kernel_basis(rows: Iterable[Mapping[int, Rational]], ncols: int,
+                 max_bits: Optional[int] = None) -> list[dict[int, Rational]]:
     """Basis of the right null space of sparse rows over ncols columns, one
     sparse vector per free column (see `sparse_rref_kernel`).
 
     Once the rank reaches ncols the kernel is empty, and no further row is
-    read from `rows`.
+    read from `rows`.  The elimination keeps the coefficient-bit budget
+    max_bits, as `SparseRREF` does.
     """
-    basis = SparseRREF()
+    basis = SparseRREF(max_bits)
     for row in rows:
         if basis.add(row) and basis.rank == ncols:
             return []

@@ -191,13 +191,15 @@ def weyman_quadrics(d: int, N: int) -> list[SymElement]:
     return out
 
 
-def plucker_ideal(M: int, max_d: int, cache_dir=None) -> DiIdeal:
+def plucker_ideal(M: int, max_d: int, cache_dir=None, max_bits: Optional[int] = None) -> DiIdeal:
     """The sum of the width-d' minor ideals for d' up to max_d, as a di-ideal.
 
     The quadric families are reduced to a basis per width first; the ideal
     they generate is unchanged and every later enumeration shrinks.  That
-    basis is built once per (M, max_d) in a process; every call gets its
-    own copies of it in a new ideal.
+    basis is built once per (M, max_d) in a process, without a
+    coefficient-bit budget, so no ideal's budget changes what a later call
+    reads; every call gets its own copies of it in a new ideal, whose
+    components keep the budget max_bits (`DiIdeal`).
 
     max_d >= 4 raises ValueError: the ideal's star rows take a width-2
     quadric to width 4 in one star product, and such rows are not in the
@@ -209,7 +211,7 @@ def plucker_ideal(M: int, max_d: int, cache_dir=None) -> DiIdeal:
                          "star rows that raise a width by two or more leave it")
     gens = [SymElement(g.d, g.n, g.M, dict(g.terms), _validated=True)
             for g in _plucker_generators(M, max_d)]
-    return DiIdeal(M, gens, cache_dir=cache_dir)
+    return DiIdeal(M, gens, cache_dir=cache_dir, max_bits=max_bits)
 
 
 @cache
@@ -663,7 +665,7 @@ def exact_join_component(join: JoinIdeal, d: int, n: int) -> ComponentBasis:
     """
     with ASSEMBLY:
         I, J = join.I, join.J
-        comp = ComponentBasis(d, n, join.M)
+        comp = ComponentBasis(d, n, join.M, join.max_bits)
         if join.permutation_stable(d, n):
             for w in dominant_weights(d, n, join.M * d):
                 for e in orbit_fill(w, join.weight_block(d, n, w).basis_elements()):
@@ -687,9 +689,10 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis) -> list[dict[int, Rati
     one condition row per (left, right) column pair, whose entry t sums the
     column tables of the t-th row left so far, scaled by its coefficients;
     the rows, with their cancelled entries dropped, go into one
-    `linalg.kernel_basis`, which stops at full rank.  Its kernel recombines
-    the rows left, and the next summand reads only the combinations.  The
-    rows returned span the kernel but are not reduced.
+    `linalg.kernel_basis` under the inputs' coefficient-bit budget, which
+    stops at full rank.  Its kernel recombines the rows left, and the next
+    summand reads only the combinations.  The rows returned span the kernel
+    but are not reduced.
     """
     with JOIN_KERNELS:
         rows = V.basis.basis_rows()
@@ -712,19 +715,27 @@ def _join_kernel(I, J, d: int, n: int, V: ComponentBasis) -> list[dict[int, Rati
             # the one place cancelled entries are dropped; no empty row is added
             nonzero = ({t: v for t, v in conditions[key].items() if v}
                        for key in sorted(conditions))
-            rows = recombine(kernel_basis(filter(None, nonzero), nv), rows)
+            rows = recombine(kernel_basis(filter(None, nonzero), nv, I.max_bits), rows)
     return rows
 
 
 class JoinIdeal:
-    """The join of two ideals, with per-bidegree exact kernel components."""
+    """The join of two ideals, with per-bidegree exact kernel components.
+
+    The inputs share one multiplier and one coefficient-bit budget
+    (`DiIdeal`), and every component, block and kernel of the join keeps
+    that budget.
+    """
 
     def __init__(self, I, J):
         if I.M != J.M:
             raise ValueError("multiplier mismatch")
+        if I.max_bits != J.max_bits:
+            raise ValueError(f"coefficient budget mismatch: {I.max_bits} vs {J.max_bits}")
         self.I = I
         self.J = J
         self.M = I.M
+        self.max_bits = I.max_bits
         self._components: dict[tuple[int, int], ComponentBasis] = {}
         # weight blocks solved alone; in memory only
         self._blocks: dict[tuple[int, int, Weight], ComponentBasis] = {}
@@ -760,7 +771,7 @@ class JoinIdeal:
             return block
         if not self.permutation_stable(d, n):
             raise ValueError(f"the join at {(d, n)} is not certified graded")
-        block = ComponentBasis(d, n, self.M)
+        block = ComponentBasis(d, n, self.M, self.max_bits)
         if is_dominant(w):
             for row in _join_kernel(self.I, self.J, d, n, self.J.weight_block(d, n, w)):
                 block.basis.add(row)
@@ -826,7 +837,8 @@ def degree_probe(cfg: GrassmannConfig, max_n: int, base: Optional[DiIdeal] = Non
 
     `base` is the Plucker ideal `plucker_ideal(cfg.M, cfg.d)` whose secant
     is probed, passed in to read its components from a disk cache and its
-    `cache_stats` afterwards; by default a new one without a cache.
+    `cache_stats` afterwards, or to set a coefficient-bit budget, which
+    the from-below spans keep too; by default a new one without either.
     """
     d, r, M = cfg.d, cfg.r, cfg.M
     ideal = secant_ideal(base if base is not None else plucker_ideal(M, d), r)
@@ -835,7 +847,8 @@ def degree_probe(cfg: GrassmannConfig, max_n: int, base: Optional[DiIdeal] = Non
     for n in range(1, max_n + 1):
         narrower = [e for dp in range(1, d) for e in ideal.component(dp, n).basis_elements()]
         lower = ideal.component(d, n - 2) if n >= 2 else None
-        from_below = DiIdeal(M, narrower).climb(ideal.component(d, n - 1), d, n, lower).dim
+        stars = DiIdeal(M, narrower, max_bits=ideal.max_bits)
+        from_below = stars.climb(ideal.component(d, n - 1), d, n, lower).dim
         dim = ideal.component(d, n).dim
         rows.append({"n": n, "dim": dim, "from_below": from_below,
                      "new_generators": dim - from_below})

@@ -27,7 +27,6 @@ from .core import (
     relabel_factor,
     sym_monomial,
 )
-from . import linalg
 from .ideals import ComponentBasis
 from .poset import (
     LabeledTree,
@@ -528,22 +527,9 @@ ALL_CHECKS = (
 CHECK_NAMES = tuple(fn.__name__.removeprefix("check_") for fn in ALL_CHECKS)
 
 
-def _run_one(item):
-    fn, seed = item
-    t0 = time.perf_counter()
-    res = fn(seed=seed)
-    return res, time.perf_counter() - t0
-
-
-def run_checks(only=None, seed: int = 0, with_timings: bool = False,
-               jobs: int = 1) -> dict:
-    """Run the acceptance checks (all, or the named subset).
-
-    With jobs > 1 the independent checks run in a process pool of at most
-    one worker per check, each worker under this process's coefficient
-    guard, whatever the start method; the report order stays fixed either
-    way.
-    """
+def run_checks(only=None, seed: int = 0, with_timings: bool = False) -> dict:
+    """Run the acceptance checks (all, or the named subset) in this process,
+    in the order of `ALL_CHECKS`."""
     wanted = set(only) if only else None
     if wanted:
         unknown = wanted - set(CHECK_NAMES)
@@ -552,19 +538,12 @@ def run_checks(only=None, seed: int = 0, with_timings: bool = False,
                              f"available: {list(CHECK_NAMES)}")
     selected = [fn for fn in ALL_CHECKS
                 if not wanted or fn.__name__.removeprefix("check_") in wanted]
-    items = [(fn, seed) for fn in selected]
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items)),
-                                 initializer=linalg.set_default_max_bits,
-                                 initargs=(linalg.default_max_bits(),)) as pool:
-            outcomes = list(pool.map(_run_one, items))
-    else:
-        outcomes = [_run_one(item) for item in items]
     results = []
-    for res, elapsed in outcomes:
+    for fn in selected:
+        t0 = time.perf_counter()
+        res = fn(seed=seed)
         if with_timings:
-            res["seconds"] = round(elapsed, 3)
+            res["seconds"] = round(time.perf_counter() - t0, 3)
         results.append(res)
     return {
         "seed": seed,

@@ -15,7 +15,6 @@ from fractions import Fraction
 from shufflestar.cli import main
 from shufflestar.core import SymElement, element_from_dict, element_to_dict, sym_monomial, monomial
 from shufflestar.ideals import _pack, _unpack
-from shufflestar.linalg import SparseRREF
 from shufflestar.plucker import weyman_quadrics
 from shufflestar.products import Split, invariant_shuffle, shuffle_product
 from shufflestar.symmetry import from_invariant, to_invariant
@@ -273,8 +272,6 @@ def test_probe_input_errors_and_coefficient_abort_have_their_own_exit_codes(tmp_
     ["probe", "--d", "2", "--max-n", "-1"],
     ["secant", "--d", "2", "--degree", "2", "--oracle", "--samples", "-3"],
     ["probe", "--d", "2", "--max-n", "2", "--max-coeff-bits", "-1"],
-    # rejected before any work, so no worker process starts
-    ["verify", "--only", "census", "--jobs", "0"],
 ])
 def test_out_of_range_count_flag_is_an_input_error(tmp_path, args):
     flag, value = args[-2:]
@@ -384,80 +381,15 @@ def test_timings_split_the_wall_time_by_stage(tmp_path, command):
 
 def test_max_coeff_bits_does_not_outlive_the_run(tmp_path):
     out = tmp_path / "r.json"
+    args = ["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "4"]
     code, rep = _run(["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2",
                       "--max-coeff-bits", "2"], out)
     assert code == 0
-    assert SparseRREF().max_bits is None
-    code, rep = _run(["secant", "--d", "2", "--N", "6", "--r", "1", "--degree", "4",
-                      "--max-coeff-bits", "1"], out)
+    code, rep = _run([*args, "--max-coeff-bits", "1"], out)
     assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
-    assert SparseRREF().max_bits is None
-
-
-def test_parallel_verify_equals_the_serial_run(tmp_path):
-    from shufflestar.verify import run_checks
-    only = ["gamma", "census", "tree", "fonesum"]
-    assert run_checks(only=only, jobs=2)["checks"] == run_checks(only=only, jobs=1)["checks"]
-    # the coefficient guard reaches the workers too
-    out = tmp_path / "r.json"
-    for jobs in ("1", "2"):
-        code, rep = _run(["verify", "--only", "gamma,degree_probe", "--jobs", jobs,
-                          "--max-coeff-bits", "1"], out)
-        assert code == 3 and rep["aborted"] == "coefficient-bits-exceeded"
-
-
-def test_verify_pool_has_at_most_one_worker_per_check(monkeypatch):
-    # a fork pool starts every worker up front, so --jobs 64 on two checks
-    # must ask for two; the stand-in pool maps in this process and forks
-    # nothing
-    import concurrent.futures
-    from shufflestar.verify import run_checks
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
-            workers.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    only = ["gamma", "tree"]
-    assert run_checks(only=only, jobs=64)["checks"] == run_checks(only=only, jobs=1)["checks"]
-    assert workers == [2]
-
-
-# Spawned workers start from a fresh interpreter and copy no module global,
-# so the guard must be handed to them.
-_SPAWNED_VERIFY = """
-import multiprocessing
-import sys
-from shufflestar.cli import main
-
-if __name__ == "__main__":
-    multiprocessing.set_start_method("spawn")
-    sys.exit(main(["verify", "--only", "gamma,degree_probe", "--jobs", "2",
-                   "--max-coeff-bits", "1", "--out", sys.argv[1]]))
-"""
-
-
-def test_the_coefficient_guard_reaches_spawned_verify_workers(tmp_path):
-    script = tmp_path / "spawned_verify.py"
-    script.write_text(_SPAWNED_VERIFY)
-    out = tmp_path / "r.json"
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run([sys.executable, str(script), str(out)],
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 3, proc.stderr
-    assert json.loads(out.read_text())["aborted"] == "coefficient-bits-exceeded"
+    # the next run in this process has no budget
+    code, rep = _run(args, out)
+    assert code == 0 and rep["result"]["dimension"] > 0
 
 
 def test_shared_parser_leaks_no_option_between_calls(tmp_path):
@@ -787,17 +719,52 @@ def test_no_command_loads_numpy(tmp_path):
     ["plucker", "--d", "2", "--N", "6", "--max-coeff-bits", "3"],
     ["tree", "s.json", "--jobs", "2"],
     ["verify", "--only", "gamma", "--cache-dir", "c"],
+    ["verify", "--only", "gamma", "--jobs", "2"],
+    ["verify", "--only", "gamma", "--max-coeff-bits", "1"],
 ], ids=lambda args: f"{args[0]}{args[-2]}")
 def test_commands_that_do_not_sample_refuse_seed_and_samples(tmp_path, capsys, args):
     # each command takes only the options it reads: only `secant` reads
     # --samples, only `secant` and `verify` read --seed, only `secant` and
-    # `probe` read --cache-dir, and --jobs and --max-coeff-bits are taken
-    # only by the commands that eliminate, `secant`, `probe` and `verify`
+    # `probe` read --cache-dir and --max-coeff-bits, and they alone take
+    # the unread --jobs
     with pytest.raises(SystemExit) as exc:
         main([*args, "--out", str(tmp_path / "r.json")])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {args[-2]}" in capsys.readouterr().err
     assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--oracle", "--cache-dir", "CACHE"],
+    ["--oracle", "--max-coeff-bits", "8"],
+    ["--seed", "5"],
+    ["--samples", "9"],
+    ["--cache-dir", "CACHE", "--seed", "1"],
+], ids=["oracle-cache-dir", "oracle-max-coeff-bits", "engine-seed", "engine-samples",
+        "engine-cache-dir-seed"])
+def test_secant_refuses_the_flags_its_mode_does_not_read(tmp_path, args):
+    # the oracle builds no ideal, so it has no cache and no coefficient
+    # budget, and the join engine samples nothing; refused before any work
+    cache = tmp_path / "cache"
+    args = [str(cache) if a == "CACHE" else a for a in args]
+    code, rep = _run(["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2", *args],
+                     tmp_path / "r.json")
+    assert code == 2 and set(rep) == {"command", "config", "error"}
+    assert f"does not read {args[-2]}" in rep["error"]
+    assert not cache.exists()
+
+
+def test_secant_keeps_the_flags_its_mode_reads(tmp_path):
+    # the benchmark's workloads pass --jobs 1 to both modes, --seed to the
+    # oracle and --cache-dir to the join engine; a zero means the default
+    out = tmp_path / "r.json"
+    args = ["secant", "--d", "2", "--N", "4", "--r", "0", "--degree", "2", "--jobs", "1"]
+    code, _ = _run([*args, "--oracle", "--seed", "3", "--samples", "0",
+                    "--max-coeff-bits", "0"], out)
+    assert code == 0
+    code, _ = _run([*args, "--cache-dir", str(tmp_path / "c"), "--seed", "0", "--samples", "0"],
+                   out)
+    assert code == 0
 
 
 def test_only_the_commands_that_sample_echo_seed_and_samples(tmp_path):

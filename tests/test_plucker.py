@@ -11,6 +11,7 @@ from fractions import Fraction
 from shufflestar.core import (SymElement, element_to_dict, iter_factors, iter_sym_keys,
                              sym_monomial)
 from shufflestar.ideals import ComponentBasis, DiIdeal
+from shufflestar.linalg import CoeffLimitExceeded
 from shufflestar.products import sym_shuffle, sym_star
 from shufflestar.plucker import (
     GrassmannConfig,
@@ -261,6 +262,22 @@ def test_join_and_secant_reject_bad_input():
     for bad in (1.0, True):
         with pytest.raises(ValueError, match="not an integer"):
             secant_ideal(plucker_ideal(2, 2), bad)
+
+
+def test_coefficient_budgets_stay_with_their_ideals():
+    # the budget belongs to the ideal it is given to: unguarded ideals
+    # built before and after a guarded one in this process see none
+    before = secant_ideal(plucker_ideal(3, 2), 1).component(2, 4)
+    guarded = secant_ideal(plucker_ideal(3, 2, max_bits=1), 1)
+    assert guarded.max_bits == 1
+    with pytest.raises(CoeffLimitExceeded):
+        guarded.component(2, 4)
+    after = secant_ideal(plucker_ideal(3, 2), 1).component(2, 4)
+    assert after.dim == before.dim > 0
+    assert after.basis.basis_rows() == before.basis.basis_rows()
+    assert after.basis.max_bits is None
+    with pytest.raises(ValueError, match="coefficient budget mismatch"):
+        JoinIdeal(plucker_ideal(3, 2), plucker_ideal(3, 2, max_bits=8))
 
 
 def test_oracle_small_cases():
